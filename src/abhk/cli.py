@@ -38,6 +38,7 @@ from .hopfstruct import (
     relabel,
     verify_hopf_axioms,
 )
+from .scalar import Field
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -70,14 +71,28 @@ class _Output:
                 print(line)
 
 
-def _load(path: str, field_override: str | None) -> ResolvedSpec:
+def _load(path: str, field_override: Field | None) -> ResolvedSpec:
     text = Path(path).read_text(encoding="utf-8")
-    doc = parse_spec(text)
-    override = None
-    if field_override:
-        kind, _, order = field_override.partition(":")
-        override = exprparse.make_field(kind, int(order) if order else None)
-    return resolve_spec(doc, override)
+    return resolve_spec(parse_spec(text), field_override)
+
+
+def _field_arg(text: str) -> Field:
+    """``--field kind[:order]``, e.g. ``cyclotomic:8``."""
+    kind, _, order = text.partition(":")
+    try:
+        return exprparse.make_field(kind, int(order) if order else None)
+    except (ValueError, SpecError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _checked_algebra(spec: ResolvedSpec) -> tuple[HopfAmbiskewAlgebra, CheckReport]:
@@ -210,7 +225,8 @@ def cmd_props(args, out: _Output) -> int:
         algebra = hopf.algebra
     except _CheckFailed:
         algebra = _raw_algebra(spec)
-    n_max = args.nmax or spec.options.get("nmax", properties.DEFAULT_N_MAX)
+    n_max = args.nmax if args.nmax is not None else spec.options.get(
+        "nmax", properties.DEFAULT_N_MAX)
     report = properties.full_report(algebra, hopf, n_max)
     for line in report.lines():
         key, _, value = line.partition(": ")
@@ -383,9 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "machine"), default="text",
                         help="output format (machine = key<TAB>value lines)")
-    parser.add_argument("--field", default=None,
+    parser.add_argument("--field", type=_field_arg, default=None,
                         help="override the spec's field, e.g. 'cyclotomic:8'")
-    parser.add_argument("--nmax", type=int, default=None,
+    parser.add_argument("--nmax", type=_positive_int, default=None,
                         help="iteration bound for automorphism-order searches")
     sub = parser.add_subparsers(dest="command", required=True)
 

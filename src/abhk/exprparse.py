@@ -655,7 +655,7 @@ def parse_spec(src: str) -> SpecDocument:
     if kind == "cyclotomic":
         if "order" not in fblock.entries:
             raise SpecError("field.order required for cyclotomic fields")
-        order = _int_value("field.order", fblock.entries["order"])
+        order = _positive_int_value("field.order", fblock.entries["order"])
     elif "order" in fblock.entries:
         raise SpecError("field.order only applies to cyclotomic fields")
 
@@ -722,7 +722,7 @@ def parse_spec(src: str) -> SpecDocument:
         if extras or oblock.blocks:
             raise SpecError("options: only 'nmax' is supported")
         if "nmax" in oblock.entries:
-            options["nmax"] = _int_value("options.nmax", oblock.entries["nmax"])
+            options["nmax"] = _positive_int_value("options.nmax", oblock.entries["nmax"])
 
     expect = root.blocks.get("expect")
     if expect is not None:
@@ -743,6 +743,13 @@ def _int_value(path: str, text: str) -> int:
         return int(text.strip())
     except ValueError:
         raise SpecError(f"{path}: expected an integer, found {text!r}")
+
+
+def _positive_int_value(path: str, text: str) -> int:
+    value = _int_value(path, text)
+    if value < 1:
+        raise SpecError(f"{path}: expected an integer >= 1, found {text!r}")
+    return value
 
 
 @dataclass

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, NotInvertibleError
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficients ascending, trailing zeros trimmed)
@@ -81,10 +81,6 @@ def poly_divmod(a, b):
     return _trim(quo), _trim(rem)
 
 
-def poly_int_content(a):
-    return math.gcd(*(abs(int(c)) for c in a)) if a else 0
-
-
 def poly_primitive(a):
     """Primitive integer part of a Fraction/int polynomial, leading coeff > 0."""
     if not a:
@@ -100,15 +96,60 @@ def poly_primitive(a):
     return tuple(ints)
 
 
-def poly_gcd(a, b):
-    """Monic-free gcd of integer polynomials: primitive, positive leading coeff."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    return poly_primitive(a)
+def _int_primitive(a):
+    """``a`` divided by the gcd of its integer coefficients (sign kept)."""
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _int_pseudo_rem(a, b):
+    """The remainder of ``a`` by ``b``, integer polynomials, times a nonzero
+    integer: each step scales by the leading coefficients divided by their
+    gcd, so everything stays in Z."""
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    while len(rem) >= nb:
+        top = rem[-1]
+        if top:
+            g = math.gcd(top, lead)
+            scale, factor = lead // g, top // g
+            shift = len(rem) - nb
+            if scale != 1:
+                rem = [scale * c for c in rem]
+            for i, c in enumerate(b):
+                rem[shift + i] -= factor * c
+        rem.pop()
+    return _trim(rem)
+
+
+def _int_gcd(a, b):
+    """Primitive gcd (up to sign) of two nonzero integer polynomials, by the
+    primitive pseudo-remainder sequence over Z (Knuth, TAOCP vol. 2,
+    4.6.1); ``(1,)`` when they are coprime."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _int_primitive(a), _int_primitive(b)
+    while len(b) > 1:
+        rem = _int_pseudo_rem(a, b)
+        if not rem:
+            return b
+        a, b = b, _int_primitive(rem)
+    return (1,)
+
+
+def _int_exact_div(a, b):
+    """The quotient ``a / b`` of integer polynomials, where ``b`` is
+    primitive and divides ``a`` over Q, hence (Gauss) over Z."""
+    rem = list(a)
+    lead, nb = b[-1], len(b)
+    quo = [0] * (len(a) - nb + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem[shift + nb - 1] // lead
+        if c:
+            quo[shift] = c
+            for i, d in enumerate(b):
+                rem[shift + i] -= c * d
+    return quo
 
 
 def eval_int_poly(coeffs, x: "Scalar") -> "Scalar":
@@ -185,7 +226,7 @@ class RationalField(Field):
 
     def _inv(self, a):
         if a == 0:
-            raise ZeroDivisionError("inverse of zero")
+            raise NotInvertibleError("inverse of zero")
         return 1 / a
 
     def _is_zero(self, a):
@@ -241,7 +282,7 @@ class CyclotomicField(Field):
     def _inv(self, a):
         # extended Euclid in Q[x] against Phi_N, which is coprime to any a != 0
         if self._is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
+            raise NotInvertibleError("inverse of zero")
         r0, r1 = self.modulus, _trim(a)
         s0, s1 = (), (Fraction(1),)
         while r1:
@@ -270,7 +311,22 @@ class CyclotomicField(Field):
 
 @dataclass(frozen=True)
 class RationalFunctionField(Field):
-    """Q(q): reduced quotients of integer polynomials in the symbol q."""
+    """Q(q): reduced quotients of integer polynomials in the symbol q.
+
+    An element is stored as ``(num, den)``, two tuples of ``int``
+    coefficients in ascending powers of q, in one canonical form: ``num``
+    and ``den`` are coprime, the gcd of all their coefficients together is
+    1, and the leading coefficient of ``den`` is positive. Zero is
+    ``((), (1,))``. Equal elements therefore have equal data.
+
+    ``_make`` reduces a quotient to this form in integers only. It first
+    strips the power of q the two sides share. If either side is then a
+    single term c*q^k, the other side has a nonzero constant term or the
+    single term is a constant, so the two are coprime and only the integer
+    content and the sign are left to fix. Otherwise the gcd comes from the
+    primitive pseudo-remainder sequence over Z, both sides are divided by
+    it exactly, and the content and the sign are fixed last.
+    """
 
     kind: str = "rational-function"
 
@@ -286,33 +342,29 @@ class RationalFunctionField(Field):
         return Scalar(self, ((1,), (0,) * (-power) + (1,)))
 
     def _make(self, num, den):
-        """Reduce num/den to coprime integer polynomials with no shared
-        content and a positive leading denominator coefficient."""
+        """Reduce num/den, integer coefficient sequences, to the canonical
+        form of the class docstring."""
         num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return ((), (1,))
-        lcm = 1
-        for c in list(num) + list(den):
-            d = Fraction(c).denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-        num = [int(Fraction(c) * lcm) for c in num]
-        den = [int(Fraction(c) * lcm) for c in den]
-        g = math.gcd(poly_int_content(num), poly_int_content(den))
-        num = [c // g for c in num]
-        den = [c // g for c in den]
-        gp = poly_gcd(num, den)
-        if len(gp) > 1:
-            num = [int(c) for c in poly_divmod(num, gp)[0]]
-            den = [int(c) for c in poly_divmod(den, gp)[0]]
-            g = math.gcd(poly_int_content(num), poly_int_content(den))
-            num = [c // g for c in num]
-            den = [c // g for c in den]
+        low = 0
+        while not (num[low] or den[low]):
+            low += 1
+        if low:
+            num, den = num[low:], den[low:]
+        # a single-term side is coprime to the other once the shared q-power is gone
+        if any(num[:-1]) and any(den[:-1]):
+            g = _int_gcd(num, den)
+            if len(g) > 1:
+                num, den = _int_exact_div(num, g), _int_exact_div(den, g)
+        content = math.gcd(*num, *den)
         if den[-1] < 0:
-            num = [-c for c in num]
-            den = [-c for c in den]
-        return (_trim(num), _trim(den))
+            content = -content
+        if content != 1:
+            return (tuple(c // content for c in num), tuple(c // content for c in den))
+        return (tuple(num), tuple(den))
 
     def _add(self, a, b):
         return self._make(
@@ -327,7 +379,7 @@ class RationalFunctionField(Field):
 
     def _inv(self, a):
         if not a[0]:
-            raise ZeroDivisionError("inverse of zero")
+            raise NotInvertibleError("inverse of zero")
         return self._make(a[1], a[0])
 
     def _is_zero(self, a):

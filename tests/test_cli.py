@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from abhk.cli import corpus_dir, main
 
 CORPUS = corpus_dir()
@@ -142,3 +144,24 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     code, _, err = run(capsys, "check", str(CORPUS / "usl2.abhk"))
     assert code == 3
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--field", "cyclotomic:x", "check", "usl2.abhk"),
+    ("--field", "cyclotomic:0", "check", "usl2.abhk"),
+    ("--nmax", "-5", "props", "usl2.abhk"),
+    ("--nmax", "0", "props", "usl2.abhk"),
+    ("mul", "uqsl2-variant.abhk", "(q-q)^-1"),
+    ("mul", "usl2.abhk", "(1-1)^-1"),
+    ("--field", "cyclotomic:8", "mul", "usl2.abhk", "(zeta-zeta)^-1"),
+], ids=" ".join)
+def test_malformed_input_is_input_error(capsys, argv):
+    argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects bad option values this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err

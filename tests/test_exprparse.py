@@ -204,6 +204,15 @@ def test_cyclotomic_field_requires_order():
         parse_spec(bad)
 
 
+def test_out_of_range_integers_rejected():
+    bad = GOOD_SPEC.replace("kind: rational", "kind: cyclotomic\n  order: 0")
+    with pytest.raises(SpecError, match="field.order: expected an integer >= 1"):
+        parse_spec(bad)
+    bad2 = GOOD_SPEC + "options {\n  nmax: -5\n}\n"
+    with pytest.raises(SpecError, match="options.nmax: expected an integer >= 1"):
+        parse_spec(bad2)
+
+
 def test_general_form_excludes_hat_keys():
     text = """
 field {

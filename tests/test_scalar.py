@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhk.errors import FieldMismatchError
+from abhk.errors import FieldMismatchError, NotInvertibleError
 from abhk.scalar import (
     CyclotomicField,
     HatProfile,
     RationalField,
     RationalFunctionField,
     Scalar,
+    _trim,
     cyclotomic_poly,
     embed_rational,
     eval_int_poly,
@@ -27,6 +28,7 @@ from abhk.scalar import (
     mul_order,
     poly_divmod,
     poly_mul,
+    poly_primitive,
     prec,
     q_binomial,
     q_factorial,
@@ -115,6 +117,124 @@ def test_rational_function_normalization():
     assert x.data == ((-1, 1), (2,))  # (q-1)/2, reduced and content-split
     assert (q / 2 + 1).data == ((2, 1), (2,))
     assert FQ.q(-3) * FQ.q(3) == FQ.one()
+
+
+# -- the Q(q) reducer against the Fraction-Euclid reference ------------------
+
+
+def _reference_gcd(a, b):
+    """Euclid over Fraction; primitive result with positive leading coeff."""
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    return poly_primitive(a) if a else ()
+
+
+def _reference_make(num, den):
+    """The Fraction-Euclid reducer the integer one replaced, kept as the
+    reference for the canonical form."""
+    num, den = _trim(num), _trim(den)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return ((), (1,))
+    lcm = 1
+    for c in list(num) + list(den):
+        d = Fraction(c).denominator
+        lcm = lcm * d // math.gcd(lcm, d)
+    num = [int(Fraction(c) * lcm) for c in num]
+    den = [int(Fraction(c) * lcm) for c in den]
+    g = math.gcd(*num, *den)
+    num = [c // g for c in num]
+    den = [c // g for c in den]
+    gp = _reference_gcd(_trim(num), _trim(den))
+    if len(gp) > 1:
+        num = [int(c) for c in poly_divmod(num, gp)[0]]
+        den = [int(c) for c in poly_divmod(den, gp)[0]]
+        g = math.gcd(*num, *den)
+        num = [c // g for c in num]
+        den = [c // g for c in den]
+    if den[-1] < 0:
+        num = [-c for c in num]
+        den = [-c for c in den]
+    return (_trim(num), _trim(den))
+
+
+int_polys = st.lists(st.integers(-12, 12), max_size=6).map(_trim)
+nonzero_polys = int_polys.filter(bool)
+
+
+@st.composite
+def quotients(draw):
+    """(num, den) of one of the shapes the reducer branches on, times a
+    planted common factor c*q^k that it must cancel."""
+    shape = draw(st.sampled_from(["monomial", "general", "planted", "zero"]))
+    num = () if shape == "zero" else draw(int_polys)
+    if shape == "monomial":
+        den = (0,) * draw(st.integers(0, 4)) + (draw(st.integers(-9, 9).filter(bool)),)
+    else:
+        den = draw(nonzero_polys)
+    if shape == "planted":
+        factor = draw(nonzero_polys)
+        num, den = poly_mul(num, factor), poly_mul(den, factor)
+    common = (0,) * draw(st.integers(0, 3)) + (draw(st.integers(-6, 6).filter(bool)),)
+    return poly_mul(num, common), poly_mul(den, common)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(quotients())
+def test_qfunc_reducer_matches_reference(pair):
+    num, den = pair
+    got = FQ._make(num, den)
+    assert got == _reference_make(num, den)
+    rnum, rden = got
+    assert all(type(c) is int for c in rnum + rden)
+    assert rden and rden[-1] > 0
+    assert math.gcd(*rnum, *rden) == 1
+    assert len(_reference_gcd(rnum, rden)) == 1 or not rnum
+    assert poly_mul(rnum, den) == poly_mul(num, rden)
+
+
+def test_qfunc_reducer_examples():
+    assert FQ._make((0, 0, -2), (0, -4)) == ((0, 1), (2,))
+    assert FQ._make((), (0, -3)) == ((), (1,))
+    assert FQ._make((0, -1, 0, 1), (0, 1, 1)) == ((-1, 1), (1,))  # (q^3-q)/(q^2+q)
+    assert FQ._make((6, 6), (-4, 0, 4)) == ((3,), (-2, 2))
+    assert FQ._make((1, 1), (0, 0, 3)) == ((1, 1), (0, 0, 3))
+
+
+def _sympy_canonical(sympy, q, expr):
+    """Canonical (num, den) tuples of a rational function reduced by sympy."""
+    num, den = sympy.cancel(expr).as_numer_denom()
+    polys = [sympy.Poly(part, q, domain="QQ").all_coeffs()[::-1] for part in (num, den)]
+    if not any(polys[0]):
+        return ((), (1,))
+    scale = math.lcm(*(int(c.q) for c in polys[0] + polys[1]))
+    ints = [[int(c * scale) for c in part] for part in polys]
+    g = math.gcd(*ints[0], *ints[1]) * (1 if ints[1][-1] > 0 else -1)
+    return tuple(tuple(c // g for c in part) for part in ints)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys, nonzero_polys, int_polys, nonzero_polys)
+def test_qfunc_arithmetic_against_sympy(n1, d1, n2, d2):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def expr(coeffs):
+        return sum((c * q**k for k, c in enumerate(coeffs)), sympy.Integer(0))
+
+    a, b = Scalar(FQ, FQ._make(n1, d1)), Scalar(FQ, FQ._make(n2, d2))
+    ea, eb = expr(n1) / expr(d1), expr(n2) / expr(d2)
+    assert (a + b).data == _sympy_canonical(sympy, q, ea + eb)
+    assert (a * b).data == _sympy_canonical(sympy, q, ea * eb)
+    if n1:
+        assert a.inverse().data == _sympy_canonical(sympy, q, 1 / ea)
+
+
+def test_qfunc_inverse_of_zero_is_not_invertible():
+    with pytest.raises(NotInvertibleError):
+        FQ.zero().inverse()
 
 
 # -- multiplicative order ----------------------------------------------------
