@@ -560,7 +560,12 @@ class BaseAutomorphism:
         if self.diagonal is not None:
             out = {}
             for mono, c in a.coeffs.items():
-                out[mono] = c * self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
+                key = (mono, power)
+                eig = self._cache.get(key)
+                if eig is None:
+                    eig = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
+                    self._cache[key] = eig
+                out[mono] = c * eig
             return BaseElement(self.algebra, out)
         images = self.images if power > 0 else self.inverse_images
         out = self.algebra.zero()

@@ -362,6 +362,11 @@ def run_corpus_entry(path: Path) -> EntryResult:
 
 
 def cmd_examples(args, out: _Output) -> int:
+    # each corpus entry declares its own field and options
+    for flag, value in (("--field", args.field), ("--nmax", args.nmax)):
+        if value is not None:
+            print(f"error: {flag} does not apply to examples", file=sys.stderr)
+            return EXIT_INPUT
     directory = corpus_dir()
     paths = sorted(directory.glob("*.abhk"))
     if not paths:

@@ -34,6 +34,12 @@ from .hopfstruct import ExtensionData, GeneralPresentation
 from .scalar import CyclotomicField, Field, RationalField, RationalFunctionField, Scalar
 
 
+# Largest |exponent| accepted after '^'. Every corpus and test exponent is a
+# single digit; the bound keeps a hostile power like (q+1)^3000 from running
+# for seconds. Nested powers still multiply (see docs/spec-format.md).
+MAX_EXPONENT = 256
+
+
 class ParseError(AbhkError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         where = ""
@@ -212,6 +218,9 @@ class _Parser:
             tok = self.take()
             if tok.kind != "NUMBER" or tok.value.denominator != 1:
                 raise ParseError("exponent must be an integer", tok.line, tok.column)
+            if tok.value > MAX_EXPONENT:
+                raise ParseError(f"exponent {tok.text} exceeds the limit {MAX_EXPONENT}",
+                                 tok.line, tok.column)
             node = Pow(node, sign * int(tok.value))
         return Neg(node) if negate else node
 

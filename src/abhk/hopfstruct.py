@@ -262,9 +262,10 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     chi, y_plus, y_minus, z, h = data.chi, data.y_plus, data.y_minus, data.z, data.h
 
     report.record("character-valid", True, "validated at construction")
-    report.record("z-grouplike", is_grouplike(z), "" if is_grouplike(z) else _pretty(z))
-    report.record("z-central", is_central(z), "" if is_central(z) else _pretty(z))
-    report.record("h-central", is_central(h), "" if is_central(h) else _pretty(h))
+    for label, test, elem in (("z-grouplike", is_grouplike, z), ("z-central", is_central, z),
+                              ("h-central", is_central, h)):
+        ok = test(elem)
+        report.record(label, ok, "" if ok else _pretty(elem))
 
     want = BaseTensor.of(h, base.one()) + BaseTensor.of(z, h)
     ok = base_delta(h) == want

@@ -175,6 +175,34 @@ def cyclotomic_poly(n: int):
     return tuple(int(c) for c in poly)
 
 
+@lru_cache(maxsize=None)
+def cyclotomic_fold_table(n: int):
+    """Rows x^k mod Phi_n for k = 0 .. max(n, 2*deg - 1) - 1, deg = deg Phi_n.
+
+    Each row is a tuple of ``deg`` ints: Phi_n is monic with integer
+    coefficients, so every remainder stays integral. The range covers the
+    schoolbook product of two reduced vectors (degree <= 2*deg - 2) and
+    every power zeta**k with 0 <= k < n.
+    """
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    row = (1,) + (0,) * (deg - 1)
+    rows = [row]
+    for _ in range(max(n, 2 * deg - 1) - 1):
+        top = row[-1]   # x * row = top * x^deg + (shifted rest); x^deg = -(phi - x^deg)
+        row = (0,) + row[:-1]
+        if top:
+            row = tuple(c - top * p for c, p in zip(row, phi))
+        rows.append(row)
+    return tuple(rows)
+
+
+def _exact(coeffs):
+    """The canonical entries of a cyclotomic vector: an integral value is a
+    plain ``int``, anything else stays a ``Fraction``."""
+    return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -235,7 +263,22 @@ class RationalField(Field):
 
 @dataclass(frozen=True)
 class CyclotomicField(Field):
-    """Q(zeta_N) in the power basis of Q[x]/(Phi_N(x))."""
+    """Q(zeta_N) in the power basis of Q[x]/(Phi_N(x)).
+
+    An element is stored as a tuple of exactly ``degree`` = deg Phi_N
+    coefficients, ascending in powers of zeta. Each entry is a plain
+    ``int`` when it is integral and a ``Fraction`` (denominator > 1)
+    otherwise; ``_exact`` restores this form after every operation. Equal
+    elements therefore have equal data, and the data compares and hashes
+    like the all-``Fraction`` vector, since ``Fraction(3) == 3`` and
+    ``hash(Fraction(3)) == hash(3)``.
+
+    ``_mul`` takes the schoolbook product of the two vectors, skipping
+    zero entries, and folds each coefficient of degree ``degree`` and above
+    back through ``cyclotomic_fold_table(N)``, the integer rows
+    x^k mod Phi_N. So a product of integral elements never leaves ``int``.
+    ``_inv`` runs the extended Euclid over Q against Phi_N.
+    """
 
     order: int
     kind: str = "cyclotomic"
@@ -253,28 +296,40 @@ class CyclotomicField(Field):
         return len(self.modulus) - 1
 
     def from_fraction(self, value):
-        vec = [Fraction(0)] * self.degree
+        vec = [0] * self.degree
         vec[0] = Fraction(value)
-        return Scalar(self, tuple(vec))
+        return Scalar(self, _exact(vec))
 
     def zeta(self, power: int = 1):
         """zeta_N ** power, for any integer power."""
-        power %= self.order
-        vec = (0,) * power + (1,)
-        return Scalar(self, self._reduce(vec))
+        return Scalar(self, cyclotomic_fold_table(self.order)[power % self.order])
 
-    def _reduce(self, coeffs):
-        coeffs = _trim([Fraction(c) for c in coeffs])
-        if len(coeffs) > self.degree:
-            _, coeffs = poly_divmod(coeffs, self.modulus)
-        out = list(coeffs) + [Fraction(0)] * (self.degree - len(coeffs))
-        return tuple(out[: self.degree])
+    def _fold(self, coeffs):
+        """The canonical vector of ``coeffs``, the ascending coefficient list
+        of a polynomial of degree below max(N, 2*degree - 1), reduced mod
+        Phi_N through the fold table."""
+        table = cyclotomic_fold_table(self.order)
+        deg = len(table[0])
+        out = coeffs[:deg] + [0] * (deg - len(coeffs))
+        for k in range(deg, len(coeffs)):
+            c = coeffs[k]
+            if c:
+                for i, r in enumerate(table[k]):
+                    if r:
+                        out[i] += c * r
+        return _exact(out)
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return _exact([x + y for x, y in zip(a, b)])
 
     def _mul(self, a, b):
-        return self._reduce(poly_mul(a, b))
+        out = [0] * (2 * len(a) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, d in enumerate(b):
+                    if d:
+                        out[i + j] += c * d
+        return self._fold(out)
 
     def _neg(self, a):
         return tuple(-x for x in a)
@@ -292,10 +347,10 @@ class CyclotomicField(Field):
         if len(r0) != 1:
             raise ArithmeticError("cyclotomic modulus not coprime to element")
         inv_lead = 1 / Fraction(r0[0])
-        return self._reduce(tuple(c * inv_lead for c in s0))
+        return self._fold([c * inv_lead for c in s0])
 
     def _is_zero(self, a):
-        return all(c == 0 for c in a)
+        return not any(a)
 
     def root_of_unity(self, n: int):
         # the roots of unity in Q(zeta_N) form the cyclic group <-zeta_N>

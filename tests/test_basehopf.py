@@ -360,3 +360,25 @@ def test_element_misuse_errors():
     assert scalar_multiple_of(poly.generator("t", 2).scale(QQ.from_int(3)),
                               poly.generator("t", 2)) == QQ.from_int(3)
     assert scalar_multiple_of(poly.generator("t"), poly.one()) is None
+
+
+def test_sigma_eigenvalue_cache_matches_uncached(corpus):
+    """The diagonal branch of BaseAutomorphism.apply caches one scalar per
+    (monomial, power); it must agree with the uncached eigenvalue power."""
+    rng = random.Random(20260318)
+    diagonal = {name: hopf.algebra.sigma for name, hopf in corpus.items()
+                if hopf.algebra.sigma.diagonal is not None}
+    assert {"uqsl2-variant", "uqsl2-case3", "uqsl2-counit-root"} <= set(diagonal)
+    for name, sigma in diagonal.items():
+        base = sigma.algebra
+        for _ in range(8):
+            a = random_base_element(rng, base, max_support=3)
+            for power in range(-3, 4):
+                want = base.element({
+                    mono: c * base.monomial_eigenvalue(sigma.diagonal, mono) ** power
+                    for mono, c in a.coeffs.items()
+                })
+                assert sigma.apply(a, power) == want, (name, power)
+                if power:
+                    assert all((mono, power) in sigma._cache for mono in a.coeffs)
+                assert sigma.apply(a, power) == want, (name, power)

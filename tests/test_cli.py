@@ -154,6 +154,9 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     ("mul", "uqsl2-variant.abhk", "(q-q)^-1"),
     ("mul", "usl2.abhk", "(1-1)^-1"),
     ("--field", "cyclotomic:8", "mul", "usl2.abhk", "(zeta-zeta)^-1"),
+    ("--field", "rational", "examples"),
+    ("--nmax", "5", "examples"),
+    ("mul", "uqsl2-variant.abhk", "(q+1)^3000"),
 ], ids=" ".join)
 def test_malformed_input_is_input_error(capsys, argv):
     argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]

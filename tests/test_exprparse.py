@@ -9,6 +9,7 @@ import pytest
 from abhk.basehopf import Character, LaurentBase, PolynomialBase
 from abhk.errors import NotInvertibleError
 from abhk.exprparse import (
+    MAX_EXPONENT,
     EvalContext,
     Mul,
     Name,
@@ -211,6 +212,18 @@ def test_out_of_range_integers_rejected():
     bad2 = GOOD_SPEC + "options {\n  nmax: -5\n}\n"
     with pytest.raises(SpecError, match="options.nmax: expected an integer >= 1"):
         parse_spec(bad2)
+
+
+def test_exponent_limit():
+    assert parse_expr(f"t^{MAX_EXPONENT}") == Pow(Name("t"), MAX_EXPONENT)
+    assert parse_expr(f"t^-{MAX_EXPONENT}") == Pow(Name("t"), -MAX_EXPONENT)
+    for text in (f"t^{MAX_EXPONENT + 1}", f"(t+1)^-{MAX_EXPONENT + 1}", "t^3000"):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_expr(text)
+    # the same parser reads every expression in a spec file
+    bad = GOOD_SPEC.replace("h: t", f"h: t^{MAX_EXPONENT + 1}")
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        resolve_spec(parse_spec(bad))
 
 
 def test_general_form_excludes_hat_keys():

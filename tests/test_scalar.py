@@ -19,6 +19,7 @@ from abhk.scalar import (
     RationalFunctionField,
     Scalar,
     _trim,
+    cyclotomic_fold_table,
     cyclotomic_poly,
     embed_rational,
     eval_int_poly,
@@ -108,6 +109,119 @@ def test_cyclotomic_inverse_and_power_basis():
     x = C8.one() + z + z**3
     assert x * x.inverse() == C8.one()
     assert len(x.data) == C8.degree
+
+
+# -- the Q(zeta_N) kernel against the Fraction-divmod reference --------------
+
+CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
+
+
+def _reference_cyclotomic_mul(field, a, b):
+    """The poly_mul + Fraction poly_divmod product that the fold table
+    replaced, kept as the reference for the value of a product."""
+    coeffs = _trim([Fraction(c) for c in poly_mul(a, b)])
+    if len(coeffs) > field.degree:
+        _, coeffs = poly_divmod(coeffs, field.modulus)
+    out = list(coeffs) + [Fraction(0)] * (field.degree - len(coeffs))
+    return tuple(out[: field.degree])
+
+
+def _assert_canonical(field, data):
+    assert len(data) == field.degree
+    for c in data:
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+entries = st.one_of(st.integers(-9, 9), st.sampled_from([0, 0, 1, -1]),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+def _canonical(values):
+    return tuple(c.numerator if c.denominator == 1 else c for c in map(Fraction, values))
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    """A field and two of its elements in canonical form, with a mix of
+    zero, int and Fraction entries."""
+    field = CyclotomicField(draw(st.sampled_from(CYCLOTOMIC_ORDERS)))
+    vectors = st.lists(entries, min_size=field.degree, max_size=field.degree).map(_canonical)
+    return field, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cyclotomic_pairs())
+def test_cyclotomic_kernel_matches_reference(case):
+    field, a, b = case
+    product = field._mul(a, b)
+    assert product == _reference_cyclotomic_mul(field, a, b)
+    _assert_canonical(field, product)
+    total = field._add(a, b)
+    assert total == tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+    _assert_canonical(field, total)
+    if any(a):
+        inverse = field._inv(a)
+        assert _reference_cyclotomic_mul(field, a, inverse) == field.one().data
+        _assert_canonical(field, inverse)
+
+
+def test_cyclotomic_fold_table_against_divmod():
+    for n in range(1, 41):
+        phi = cyclotomic_poly(n)
+        deg = len(phi) - 1
+        table = cyclotomic_fold_table(n)
+        assert len(table) == max(n, 2 * deg - 1)
+        for k, row in enumerate(table):
+            _, rem = poly_divmod((0,) * k + (1,), phi)
+            assert row == tuple(rem) + (0,) * (deg - len(rem))
+            assert all(type(c) is int for c in row)
+    for n in CYCLOTOMIC_ORDERS:
+        field = CyclotomicField(n)
+        for k in range(-2 * n, 2 * n + 1):
+            _, rem = poly_divmod((0,) * (k % n) + (1,), field.modulus)
+            assert field.zeta(k).data == tuple(rem) + (0,) * (field.degree - len(rem))
+
+
+def test_cyclotomic_data_is_int_when_integral():
+    z = C8.zeta()
+    assert C8.one().data == (1, 0, 0, 0)
+    assert all(type(c) is int for c in (z**5 + 3 * z).data)
+    half = C8.from_fraction(Fraction(1, 2))
+    assert half.data == (Fraction(1, 2), 0, 0, 0)
+    assert all(type(c) is int for c in (half + half).data)
+    assert all(type(c) is int for c in (half * 2).data)
+    assert hash(C8.from_int(3)) == hash(Scalar(C8, (Fraction(3),) + (Fraction(0),) * 3))
+
+
+def _sympy_cyclotomic(sympy, x, n, data):
+    phi = sympy.cyclotomic_poly(n, x, polys=True)
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in map(Fraction, reversed(data))], x, domain="QQ").rem(phi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclotomic_pairs())
+def test_cyclotomic_arithmetic_against_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    field, a, b = case
+    n = field.order
+    a, b = Scalar(field, a), Scalar(field, b)
+    ea, eb = _sympy_cyclotomic(sympy, x, n, a.data), _sympy_cyclotomic(sympy, x, n, b.data)
+    phi = sympy.cyclotomic_poly(n, x, polys=True)
+    assert _sympy_cyclotomic(sympy, x, n, (a * b).data) == (ea * eb).rem(phi)
+    assert _sympy_cyclotomic(sympy, x, n, (a + b).data) == (ea + eb).rem(phi)
+    if a:
+        assert _sympy_cyclotomic(sympy, x, n, a.inverse().data) == ea.invert(phi)
+
+
+def test_cyclotomic_poly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 41):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n) == tuple(int(c) for c in want)
 
 
 def test_rational_function_normalization():
