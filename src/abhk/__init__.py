@@ -1,7 +1,7 @@
 """Exact construction and verification of ambiskew Hopf algebra extensions."""
 
 from . import uqsl2 as _uqsl2  # registers the quantum family  # noqa: F401
-from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, TensorElement, reduce_word
+from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, reduce_word
 from .basehopf import (
     BaseAlgebra,
     BaseAutomorphism,
@@ -43,7 +43,7 @@ from .uqsl2 import UqSl2Base
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiElement", "AmbiskewAlgebra", "Tensor", "TensorElement", "reduce_word",
+    "AmbiElement", "AmbiskewAlgebra", "Tensor", "reduce_word",
     "BaseAlgebra", "BaseAutomorphism", "BaseElement", "BaseTensor", "Character",
     "GroupBase", "LaurentBase", "PolynomialBase", "UqSl2Base", "make_base",
     "CoradicalContext", "corad_degree",

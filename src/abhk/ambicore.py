@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .basehopf import BaseAlgebra, BaseAutomorphism, BaseElement, is_central
+from .basehopf import BaseAlgebra, BaseAutomorphism, BaseElement, Sparse, combine, is_central
 from .errors import AlgebraMismatchError, HopfDataError
 from .scalar import Scalar
 
@@ -105,16 +105,9 @@ class AmbiskewAlgebra:
         cached = self._rx_cache.get(key)
         if cached is not None:
             return cached
-        out: dict = {}
-        for (a, b), c in self._rx(u, v - 1).items():
-            out[(a, b + 1)] = c.scale(self.xi_inv)
+        out = {(a, b + 1): c.scale(self.xi_inv) for (a, b), c in self._rx(u, v - 1).items()}
         corr = self.sigma.apply(self.h, u - v + 1).scale(-self.xi_inv)
-        prev = out.get((u, v - 1))
-        merged = corr if prev is None else prev + corr
-        if merged.is_zero():
-            out.pop((u, v - 1), None)
-        else:
-            out[(u, v - 1)] = merged
+        combine((((u, v - 1), corr),), out)
         self._rx_cache[key] = out
         return out
 
@@ -126,16 +119,8 @@ class AmbiskewAlgebra:
         cached = self._nf_cache.get(key)
         if cached is not None:
             return cached
-        out: dict = {}
-        for (u, v), c in self._nf(n, p - 1).items():
-            for (a, b), extra in self._rx(u, v).items():
-                term = c * extra
-                prev = out.get((a, b))
-                merged = term if prev is None else prev + term
-                if merged.is_zero():
-                    out.pop((a, b), None)
-                else:
-                    out[(a, b)] = merged
+        out = combine((ab, c * extra) for (u, v), c in self._nf(n, p - 1).items()
+                      for ab, extra in self._rx(u, v).items())
         self._nf_cache[key] = out
         return out
 
@@ -157,26 +142,11 @@ class AmbiskewAlgebra:
         return cached
 
 
-def _require_same(a: "AmbiElement", b: "AmbiElement"):
-    if a.algebra != b.algebra:
-        raise AlgebraMismatchError("elements belong to different ambiskew algebras")
-
-
-class AmbiElement:
+class AmbiElement(Sparse):
     """Element of A as a finitely supported (m, n) -> BaseElement map over
     the free-module basis X+^m X-^n, base coefficients written on the left."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: AmbiskewAlgebra, mapping: dict):
-        self.algebra = algebra
-        self.coeffs = {k: v for k, v in mapping.items() if not v.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support(self):
-        return self.coeffs.keys()
+    __slots__ = ()
 
     def coeff(self, m: int, n: int) -> BaseElement:
         return self.coeffs.get((m, n), self.algebra.base.zero())
@@ -197,31 +167,17 @@ class AmbiElement:
         out.sort(key=lambda item: (key(item[0][0]), item[0][1], item[0][2]))
         return out
 
-    def __add__(self, other):
-        _require_same(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            out[k] = v if s is None else s + v
-        return AmbiElement(self.algebra, out)
-
-    def __neg__(self):
-        return AmbiElement(self.algebra, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c: Scalar) -> "AmbiElement":
-        return AmbiElement(self.algebra, {k: v.scale(c) for k, v in self.coeffs.items()})
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: v.scale(c) for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.algebra.field.from_int(other))
-        _require_same(self, other)
+        if not isinstance(other, Sparse):
+            return self.__rmul__(other)
+        self._check(other)
         alg = self.algebra
-        out: dict = {}
+        out: dict = {}  # the combine loop written inline: the engine's hottest loop
         for (m, n), a in self.coeffs.items():
             for (p, q), b in other.coeffs.items():
                 coeff = a * alg.sigma.apply(b, m - n)
@@ -233,12 +189,7 @@ class AmbiElement:
                         out.pop((u, v), None)
                     else:
                         out[(u, v)] = merged
-        return AmbiElement(alg, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.__mul__(other)
-        return NotImplemented
+        return self._new(out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -247,26 +198,6 @@ class AmbiElement:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, AmbiElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"AmbiElement({self.coeffs!r})"
-
-
-def ambi_mul(a: AmbiElement, b: AmbiElement) -> AmbiElement:
-    return a * b
-
-
-def embed_base(algebra: AmbiskewAlgebra, r: BaseElement) -> AmbiElement:
-    return algebra.embed(r)
-
-
-def apply_sigma_power(algebra: AmbiskewAlgebra, r: BaseElement, k: int) -> BaseElement:
-    return algebra.sigma.apply(r, k)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +219,22 @@ def _leg_element(algebra: AmbiskewAlgebra, leg) -> AmbiElement:
     )
 
 
-class Tensor:
+class Tensor(Sparse):
     """Element of the k-fold tensor power of A, flattened over keys that
     are tuples of (base monomial, m, n) legs, all legs normal-ordered."""
 
-    __slots__ = ("algebra", "legs", "coeffs")
+    __slots__ = ("legs",)
 
     def __init__(self, algebra: AmbiskewAlgebra, legs: int, mapping: dict):
-        self.algebra = algebra
+        super().__init__(algebra, mapping)
         self.legs = legs
-        self.coeffs = {k: c for k, c in mapping.items() if not c.is_zero()}
+
+    def _new(self, coeffs: dict, legs: int | None = None) -> "Tensor":
+        new = object.__new__(Tensor)
+        new.algebra = self.algebra
+        new.legs = self.legs if legs is None else legs
+        new.coeffs = coeffs
+        return new
 
     @classmethod
     def of(cls, *factors: AmbiElement) -> "Tensor":
@@ -314,10 +251,6 @@ class Tensor:
             }
         return cls(algebra, len(factors), out)
 
-    @classmethod
-    def from_ambi(cls, a: AmbiElement) -> "Tensor":
-        return cls.of(a)
-
     def to_ambi(self) -> AmbiElement:
         if self.legs != 1:
             raise ValueError("only 1-leg tensors convert back to elements")
@@ -326,30 +259,19 @@ class Tensor:
             acc = acc + _leg_element(self.algebra, leg).scale(c)
         return acc
 
-    def _check(self, other: "Tensor"):
-        if self.algebra != other.algebra or self.legs != other.legs:
-            raise AlgebraMismatchError("incompatible tensors")
+    def _check(self, other):
+        if self.legs != other.legs:
+            raise AlgebraMismatchError(f"tensors with {self.legs} and {other.legs} legs")
+        super()._check(other)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return Tensor(self.algebra, self.legs, out)
-
-    def __neg__(self):
-        return Tensor(self.algebra, self.legs, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "Tensor":
-        return Tensor(self.algebra, self.legs, {k: v * c for k, v in self.coeffs.items()})
+    def __eq__(self, other):
+        if other.__class__ is not Tensor:
+            return NotImplemented
+        return self.legs == other.legs and super().__eq__(other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
+        if not isinstance(other, Sparse):
+            return self.__rmul__(other)
         self._check(other)
         out: dict = {}
         for key1, c1 in self.coeffs.items():
@@ -362,99 +284,42 @@ class Tensor:
                         for key, c in partial
                         for leg, d in flat.items()
                     ]
-                for key, c in partial:
-                    s = out.get(key)
-                    merged = c if s is None else s + c
-                    if merged.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = merged
-        return Tensor(self.algebra, self.legs, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.legs == other.legs
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"Tensor(legs={self.legs}, {self.coeffs!r})"
+                combine(partial, out)
+        return self._new(out)
 
     # -- leg surgery ---------------------------------------------------------
 
     def expand_leg(self, i: int, fn) -> "Tensor":
         """Replace leg i by the 2-leg tensor fn(leg)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            expansion: Tensor = fn(key[i])
-            for ekey, d in expansion.coeffs.items():
-                new = key[:i] + ekey + key[i + 1:]
-                v = c * d
-                s = out.get(new)
-                merged = v if s is None else s + v
-                if merged.is_zero():
-                    out.pop(new, None)
-                else:
-                    out[new] = merged
-        return Tensor(self.algebra, self.legs + 1, out)
+        return self._new(combine(
+            (key[:i] + ekey + key[i + 1:], c * d)
+            for key, c in self.coeffs.items() for ekey, d in fn(key[i]).coeffs.items()
+        ), self.legs + 1)
 
     def map_leg(self, i: int, fn) -> "Tensor":
         """Replace leg i by the element fn(leg)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            image: AmbiElement = fn(key[i])
-            for leg, d in _flatten(image).items():
-                new = key[:i] + (leg,) + key[i + 1:]
-                v = c * d
-                s = out.get(new)
-                merged = v if s is None else s + v
-                if merged.is_zero():
-                    out.pop(new, None)
-                else:
-                    out[new] = merged
-        return Tensor(self.algebra, self.legs, out)
+        return self._new(combine(
+            (key[:i] + (leg,) + key[i + 1:], c * d)
+            for key, c in self.coeffs.items() for leg, d in _flatten(fn(key[i])).items()
+        ))
 
     def contract_leg(self, i: int, fn) -> "Tensor":
         """Drop leg i, multiplying each coefficient by the scalar fn(leg)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            v = c * fn(key[i])
-            if v.is_zero():
-                continue
-            new = key[:i] + key[i + 1:]
-            s = out.get(new)
-            merged = v if s is None else s + v
-            if merged.is_zero():
-                out.pop(new, None)
-            else:
-                out[new] = merged
-        return Tensor(self.algebra, self.legs - 1, out)
+        # zero products are skipped here, not added to a running sum
+        return self._new(combine(
+            (key[:i] + key[i + 1:], v)
+            for key, c in self.coeffs.items() if not (v := c * fn(key[i])).is_zero()
+        ), self.legs - 1)
 
     def merge_legs(self, i: int) -> "Tensor":
         """Multiply legs i and i+1 together (the multiplication map on
         those tensorands)."""
-        out: dict = {}
-        for key, c in self.coeffs.items():
-            for leg, d in self.algebra.leg_product(key[i], key[i + 1]).items():
-                new = key[:i] + (leg,) + key[i + 2:]
-                v = c * d
-                s = out.get(new)
-                merged = v if s is None else s + v
-                if merged.is_zero():
-                    out.pop(new, None)
-                else:
-                    out[new] = merged
-        return Tensor(self.algebra, self.legs - 1, out)
-
-
-TensorElement = Tensor  # the 2-leg case is the A (x) A of the interfaces
-
-
-def tensor_mul(a: Tensor, b: Tensor) -> Tensor:
-    return a * b
+        leg_product = self.algebra.leg_product
+        return self._new(combine(
+            (key[:i] + (leg,) + key[i + 2:], c * d)
+            for key, c in self.coeffs.items()
+            for leg, d in leg_product(key[i], key[i + 1]).items()
+        ), self.legs - 1)
 
 
 # ---------------------------------------------------------------------------

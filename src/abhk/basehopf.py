@@ -177,58 +177,110 @@ class BaseAlgebra:
         return [(c, self.monomial_factors(mono)) for mono, c in elem.terms()]
 
 
-def _require_same(a: "BaseElement", b: "BaseElement"):
-    if a.algebra != b.algebra:
-        raise AlgebraMismatchError("elements belong to different base algebras")
+def combine(terms, out: dict | None = None) -> dict:
+    """Sum ``(key, coeff)`` pairs into ``out`` (a fresh dict by default).
+
+    A key is dropped as soon as its running sum is zero, so the result
+    holds no zero coefficient and a later term for that key starts afresh
+    instead of being added to zero.
+    """
+    if out is None:
+        out = {}
+    get = out.get
+    for key, c in terms:
+        s = get(key)
+        if s is not None:
+            c = s + c
+        if c.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = c
+    return out
 
 
-class BaseElement:
-    """Finitely supported Scalar combination of canonical basis monomials."""
+class Sparse:
+    """A finitely supported combination: ``coeffs`` maps basis keys to
+    coefficients, over ``algebra``.
+
+    Invariant: no zero coefficient is ever stored. The constructor filters
+    its mapping, ``combine`` drops a key the moment its sum reaches zero,
+    and negation or scaling by a nonzero scalar cannot create a zero over
+    a field. So ``is_zero`` is an empty dict and ``==`` compares the dicts.
+    """
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: BaseAlgebra, mapping: dict):
+    def __init__(self, algebra, mapping: dict):
         self.algebra = algebra
-        self.coeffs = {m: c for m, c in mapping.items() if not c.is_zero()}
+        self.coeffs = {k: c for k, c in mapping.items() if not c.is_zero()}
 
-    def support(self):
-        return self.coeffs.keys()
+    def _new(self, coeffs: dict):
+        """A container of the same kind over the same algebra holding
+        ``coeffs``, which must already be free of zeros."""
+        new = object.__new__(self.__class__)
+        new.algebra = self.algebra
+        new.coeffs = coeffs
+        return new
 
-    def coeff(self, mono) -> Scalar:
-        return self.coeffs.get(mono, self.algebra.field.zero())
+    def _check(self, other):
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
+            raise AlgebraMismatchError(
+                f"{type(self).__name__} operands belong to different algebras")
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: self.algebra.monomial_sort_key(kv[0]))
+    def support(self):
+        return self.coeffs.keys()
 
     def __add__(self, other):
-        _require_same(self, other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return BaseElement(self.algebra, out)
+        self._check(other)
+        return self._new(combine(other.coeffs.items(), dict(self.coeffs)))
 
     def __neg__(self):
-        return BaseElement(self.algebra, {m: -c for m, c in self.coeffs.items()})
+        return self._new({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "BaseElement":
+    def scale(self, c: Scalar):
         if c.is_zero():
-            return self.algebra.zero()
-        return BaseElement(self.algebra, {m: v * c for m, v in self.coeffs.items()})
+            return self._new({})
+        return self._new({k: v * c for k, v in self.coeffs.items()})
 
-    def __mul__(self, other):
+    def __rmul__(self, other):
+        # scalars are central: c * x == x * c == x.scale(c)
+        if isinstance(other, int):
+            other = self.algebra.field.from_int(other)
         if isinstance(other, Scalar):
             return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.algebra.field.from_int(other))
-        _require_same(self, other)
-        out: dict = {}
+        return NotImplemented
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.algebra == other.algebra and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.coeffs!r})"
+
+
+class BaseElement(Sparse):
+    """Finitely supported Scalar combination of canonical basis monomials."""
+
+    __slots__ = ()
+
+    def coeff(self, mono) -> Scalar:
+        return self.coeffs.get(mono, self.algebra.field.zero())
+
+    def terms(self):
+        return sorted(self.coeffs.items(), key=lambda kv: self.algebra.monomial_sort_key(kv[0]))
+
+    def __mul__(self, other):
+        if not isinstance(other, Sparse):
+            return self.__rmul__(other)
+        self._check(other)
+        out: dict = {}  # summed inline, zeros dropped at the end: the hottest loop
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 c = c1 * c2
@@ -238,11 +290,6 @@ class BaseElement:
                     out[m] = v if s is None else s + v
         return BaseElement(self.algebra, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.__mul__(other)
-        return NotImplemented
-
     def __pow__(self, n: int):
         if n < 0:
             return invert_element(self) ** (-n)
@@ -250,14 +297,6 @@ class BaseElement:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, BaseElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"BaseElement({self.coeffs!r})"
 
 
 def invert_element(a: BaseElement) -> BaseElement:
@@ -282,47 +321,24 @@ def scalar_multiple_of(a: BaseElement, b: BaseElement) -> Scalar | None:
     return c if a == b.scale(c) else None
 
 
-class BaseTensor:
+class BaseTensor(Sparse):
     """Finitely supported element of R (x) R over pairs of basis monomials."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: BaseAlgebra, mapping: dict):
-        self.algebra = algebra
-        self.coeffs = {k: c for k, c in mapping.items() if not c.is_zero()}
+    __slots__ = ()
 
     @classmethod
     def of(cls, a: BaseElement, b: BaseElement) -> "BaseTensor":
-        _require_same(a, b)
+        a._check(b)
         out = {}
         for m1, c1 in a.coeffs.items():
             for m2, c2 in b.coeffs.items():
                 out[(m1, m2)] = c1 * c2
         return cls(a.algebra, out)
 
-    def __add__(self, other):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("tensors over different base algebras")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return BaseTensor(self.algebra, out)
-
-    def __neg__(self):
-        return BaseTensor(self.algebra, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "BaseTensor":
-        return BaseTensor(self.algebra, {k: v * c for k, v in self.coeffs.items()})
-
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("tensors over different base algebras")
+        if not isinstance(other, Sparse):
+            return self.__rmul__(other)
+        self._check(other)
         alg = self.algebra
         out: dict = {}
         for (a1, a2), c1 in self.coeffs.items():
@@ -330,57 +346,30 @@ class BaseTensor:
                 c = c1 * c2
                 left = alg.mul_monomials(a1, b1)
                 right = alg.mul_monomials(a2, b2)
-                for m1, e1 in left.items():
-                    for m2, e2 in right.items():
-                        v = c * e1 * e2
-                        key = (m1, m2)
-                        s = out.get(key)
-                        out[key] = v if s is None else s + v
-        return BaseTensor(self.algebra, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BaseTensor):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+                combine((((m1, m2), c * e1 * e2)
+                         for m1, e1 in left.items() for m2, e2 in right.items()), out)
+        return self._new(out)
 
     def contract_left(self, chi: "Character") -> BaseElement:
         """Apply chi (x) id."""
-        out: dict = {}
-        for (m1, m2), c in self.coeffs.items():
-            v = c * chi.on_monomial(m1)
-            s = out.get(m2)
-            out[m2] = v if s is None else s + v
-        return BaseElement(self.algebra, out)
+        return BaseElement(self.algebra, combine(
+            (m2, c * chi.on_monomial(m1)) for (m1, m2), c in self.coeffs.items()))
 
     def contract_right(self, chi: "Character") -> BaseElement:
         """Apply id (x) chi."""
-        out: dict = {}
-        for (m1, m2), c in self.coeffs.items():
-            v = c * chi.on_monomial(m2)
-            s = out.get(m1)
-            out[m1] = v if s is None else s + v
-        return BaseElement(self.algebra, out)
-
-    def __repr__(self):
-        return f"BaseTensor({self.coeffs!r})"
+        return BaseElement(self.algebra, combine(
+            (m1, c * chi.on_monomial(m2)) for (m1, m2), c in self.coeffs.items()))
 
 
 # ---------------------------------------------------------------------------
 # structure maps on elements
 
 
-def base_mul(a: BaseElement, b: BaseElement) -> BaseElement:
-    return a * b
-
-
 def base_delta(a: BaseElement) -> BaseTensor:
-    out: dict = {}
-    for mono, c in a.coeffs.items():
-        for key, extra in a.algebra.delta_monomial(mono).items():
-            v = c * extra
-            s = out.get(key)
-            out[key] = v if s is None else s + v
-    return BaseTensor(a.algebra, out)
+    delta_monomial = a.algebra.delta_monomial
+    return BaseTensor(a.algebra, combine(
+        (key, c * extra)
+        for mono, c in a.coeffs.items() for key, extra in delta_monomial(mono).items()))
 
 
 def base_counit(a: BaseElement) -> Scalar:
@@ -391,13 +380,10 @@ def base_counit(a: BaseElement) -> Scalar:
 
 
 def base_antipode(a: BaseElement) -> BaseElement:
-    out: dict = {}
-    for mono, c in a.coeffs.items():
-        for m, extra in a.algebra.antipode_monomial(mono).items():
-            v = c * extra
-            s = out.get(m)
-            out[m] = v if s is None else s + v
-    return BaseElement(a.algebra, out)
+    antipode_monomial = a.algebra.antipode_monomial
+    return BaseElement(a.algebra, combine(
+        (m, c * extra)
+        for mono, c in a.coeffs.items() for m, extra in antipode_monomial(mono).items()))
 
 
 def base_coradical_degree(a: BaseElement) -> int:
@@ -486,7 +472,7 @@ def winding_right(chi: Character, a: BaseElement) -> BaseElement:
 
 def adjoint_left(y: BaseElement, a: BaseElement) -> BaseElement:
     """ad_l(y)(a) = sum y_1 a S(y_2)."""
-    _require_same(y, a)
+    y._check(a)
     alg = y.algebra
     acc = alg.zero()
     for (m1, m2), c in base_delta(y).coeffs.items():
@@ -498,7 +484,7 @@ def adjoint_left(y: BaseElement, a: BaseElement) -> BaseElement:
 
 def adjoint_right(y: BaseElement, a: BaseElement) -> BaseElement:
     """ad_r(y)(a) = sum S(y_1) a y_2."""
-    _require_same(y, a)
+    y._check(a)
     alg = y.algebra
     acc = alg.zero()
     for (m1, m2), c in base_delta(y).coeffs.items():
@@ -605,10 +591,6 @@ def winding_automorphism_left(chi: Character) -> BaseAutomorphism:
         images[info.name] = winding_left(chi, gen)
         inverse_images[info.name] = winding_left(chi_s, gen)
     return BaseAutomorphism(alg, images, inverse_images)
-
-
-def apply_sigma_power(sigma: BaseAutomorphism, a: BaseElement, k: int) -> BaseElement:
-    return sigma.apply(a, k)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .hopfstruct import (
     HopfAmbiskewAlgebra,
     check_main_theorem,
     relabel,
-    verify_hopf_axioms,
+    verify_checked,
 )
 from .scalar import Field
 
@@ -105,11 +105,7 @@ def _checked_algebra(spec: ResolvedSpec) -> tuple[HopfAmbiskewAlgebra, CheckRepo
     report = check_main_theorem(spec.base, data)
     if not report.overall:
         raise _CheckFailed(report)
-    axioms = verify_hopf_axioms(report.algebra)
-    merged = report.merged_with(axioms)
-    if not axioms.overall:
-        raise InternalError("axiom verification failed on checked data")
-    return report.algebra, merged
+    return report.algebra, verify_checked(report)
 
 
 class _CheckFailed(AbhkError):
@@ -144,14 +140,11 @@ def _eval_arg(text: str, ctx: EvalContext):
 
 
 def cmd_check(args, out: _Output) -> int:
-    spec = _load(args.spec, args.field)
-    try:
-        _, report = _checked_algebra(spec)
-    except _CheckFailed as exc:
-        out.report(exc.report)
-        return EXIT_FAIL
-    out.report(report)
-    return EXIT_OK if report.overall else EXIT_FAIL
+    def action(spec, hopf, report, ctx):
+        out.report(report)
+        return EXIT_OK
+
+    return _hopf_command(args, out, action)
 
 
 def cmd_mul(args, out: _Output) -> int:
@@ -164,18 +157,19 @@ def cmd_mul(args, out: _Output) -> int:
 
 
 def _hopf_command(args, out: _Output, action) -> int:
+    """Check the spec, printing the report and failing if the data fails;
+    otherwise run ``action(spec, hopf, report, ctx)``."""
     spec = _load(args.spec, args.field)
     try:
-        hopf, _ = _checked_algebra(spec)
+        hopf, report = _checked_algebra(spec)
     except _CheckFailed as exc:
         out.report(exc.report)
         return EXIT_FAIL
-    ctx = _context(spec, hopf.algebra)
-    return action(spec, hopf, ctx)
+    return action(spec, hopf, report, _context(spec, hopf.algebra))
 
 
 def cmd_coprod(args, out: _Output) -> int:
-    def action(spec, hopf, ctx):
+    def action(spec, hopf, report, ctx):
         elem = _eval_arg(args.expr, ctx)
         out.emit("result", format_tensor(hopf.delta(elem)))
         return EXIT_OK
@@ -184,7 +178,7 @@ def cmd_coprod(args, out: _Output) -> int:
 
 
 def cmd_antipode(args, out: _Output) -> int:
-    def action(spec, hopf, ctx):
+    def action(spec, hopf, report, ctx):
         elem = _eval_arg(args.expr, ctx)
         out.emit("result", format_element(hopf.antipode(elem)))
         out.emit("antipode-form", hopf.antipode_form)
@@ -194,7 +188,7 @@ def cmd_antipode(args, out: _Output) -> int:
 
 
 def cmd_corad(args, out: _Output) -> int:
-    def action(spec, hopf, ctx):
+    def action(spec, hopf, report, ctx):
         elem = _eval_arg(args.expr, ctx)
         corad_ctx = CoradicalContext.for_algebra(hopf)
         out.emit("degree", str(corad_degree(elem, corad_ctx)))
@@ -206,15 +200,12 @@ def cmd_corad(args, out: _Output) -> int:
 
 
 def cmd_classify(args, out: _Output) -> int:
-    spec = _load(args.spec, args.field)
-    try:
-        hopf, report = _checked_algebra(spec)
-    except _CheckFailed as exc:
-        out.report(exc.report)
-        return EXIT_FAIL
-    cases = ", ".join(sorted(report.classification))
-    out.emit("classification", "{" + cases + "}")
-    return EXIT_OK
+    def action(spec, hopf, report, ctx):
+        cases = ", ".join(sorted(report.classification))
+        out.emit("classification", "{" + cases + "}")
+        return EXIT_OK
+
+    return _hopf_command(args, out, action)
 
 
 def cmd_props(args, out: _Output) -> int:
@@ -236,14 +227,12 @@ def cmd_props(args, out: _Output) -> int:
 
 def cmd_relabel(args, out: _Output) -> int:
     spec = _load(args.spec, args.field)
-    if spec.general is not None:
-        gp = spec.general
-    else:
+    gp = spec.general
+    if gp is None:
         # hat-form data is its own general presentation with r+- = 1
-        data = spec.data
-        algebra = AmbiskewAlgebra(spec.base, data.sigma, data.h, data.xi)
         one = spec.base.one()
-        gp = GeneralPresentation(algebra, data.y_plus, data.y_minus, one, one)
+        gp = GeneralPresentation(_raw_algebra(spec), spec.data.y_plus, spec.data.y_minus,
+                                 one, one)
     data, _ = relabel(gp)
     out.emit("xi", format_scalar(data.xi)[0])
     out.emit("h", format_element(data.h))

@@ -91,9 +91,7 @@ def delta_power_closed(hopf: HopfAmbiskewAlgebra, sign: str, m: int) -> Tensor:
             key = ((y_mono, j, 0), (one_mono, m - j, 0))
         else:
             key = ((y_mono, 0, j), (one_mono, 0, m - j))
-        value = coeff * y_scalar
-        prev = out.get(key)
-        out[key] = value if prev is None else prev + value
+        out[key] = coeff * y_scalar
     return Tensor(alg, 2, out)
 
 
@@ -114,10 +112,8 @@ def delta_mixed_closed(hopf: HopfAmbiskewAlgebra, m: int, n: int) -> Tensor:
             cross = xi ** (j * (n - k))
             products = alg.base.mul_monomials(yp_mono, ym_mono)
             (mono, extra), = products.items()
-            value = bj * bk * cross * yp_scalar * ym_scalar * extra
-            key = ((mono, j, k), (one_mono, m - j, n - k))
-            prev = out.get(key)
-            out[key] = value if prev is None else prev + value
+            out[((mono, j, k), (one_mono, m - j, n - k))] = (
+                bj * bk * cross * yp_scalar * ym_scalar * extra)
     return Tensor(alg, 2, out)
 
 

@@ -34,9 +34,10 @@ from .hopfstruct import ExtensionData, GeneralPresentation
 from .scalar import CyclotomicField, Field, RationalField, RationalFunctionField, Scalar
 
 
-# Largest |exponent| accepted after '^'. Every corpus and test exponent is a
-# single digit; the bound keeps a hostile power like (q+1)^3000 from running
-# for seconds. Nested powers still multiply (see docs/spec-format.md).
+# Largest |exponent| accepted after '^', and the largest product of the
+# |exponents| along a chain of nested powers such as ((q+1)^16)^16. Every
+# corpus and test exponent is a single digit; the bound keeps a hostile power
+# like (q+1)^3000 or ((q+1)^256)^256 from running for seconds.
 MAX_EXPONENT = 256
 
 
@@ -90,6 +91,20 @@ class Sum:
 
 
 Node = Num | Name | Pow | Neg | Mul | Sum
+
+
+def _chain_exponent(node: Node) -> int:
+    """The largest product of |exponent| along a chain of nested powers in
+    ``node``: the power that evaluating it raises its deepest base to."""
+    if isinstance(node, Pow):
+        return abs(node.exponent) * _chain_exponent(node.base)
+    if isinstance(node, Neg):
+        return _chain_exponent(node.operand)
+    if isinstance(node, Mul):
+        return max(map(_chain_exponent, node.factors))
+    if isinstance(node, Sum):
+        return max(_chain_exponent(term) for _, term in node.terms)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +237,10 @@ class _Parser:
                 raise ParseError(f"exponent {tok.text} exceeds the limit {MAX_EXPONENT}",
                                  tok.line, tok.column)
             node = Pow(node, sign * int(tok.value))
+            chained = _chain_exponent(node)
+            if chained > MAX_EXPONENT:
+                raise ParseError(f"nested exponents multiply to {chained}, which exceeds "
+                                 f"the limit {MAX_EXPONENT}", tok.line, tok.column)
         return Neg(node) if negate else node
 
     def parse_atom(self) -> Node:
@@ -540,11 +559,8 @@ def format_element(elem) -> str:
     if isinstance(elem, Scalar):
         return format_scalar(elem)[0]
     base = elem.algebra.base
-    groups: dict = {}
-    for (mono, m, n), c in elem.terms():
-        groups.setdefault((mono, m, n), c)
     terms = []
-    for (mono, m, n), c in groups.items():
+    for (mono, m, n), c in elem.terms():
         piece = BaseElement(base, {mono: c})
         displayed = base.display_terms(piece)
         for coeff, factors in displayed:

@@ -224,18 +224,6 @@ class HopfAmbiskewAlgebra:
         return cached
 
 
-def delta(hopf: HopfAmbiskewAlgebra, a: AmbiElement) -> Tensor:
-    return hopf.delta(a)
-
-
-def counit(hopf: HopfAmbiskewAlgebra, a: AmbiElement) -> Scalar:
-    return hopf.counit(a)
-
-
-def antipode(hopf: HopfAmbiskewAlgebra, a: AmbiElement) -> AmbiElement:
-    return hopf.antipode(a)
-
-
 # ---------------------------------------------------------------------------
 # the construction-theorem checker
 
@@ -298,9 +286,13 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
             witness = f"tau^l_chi != ad_l(y+) tau^r_chi on {info.name}"
             break
     report.record("winding-condition", winding_ok, witness)
+    return _attach_algebra(report, base, data)
 
+
+def _attach_algebra(report: CheckReport, base: BaseAlgebra, data: ExtensionData) -> CheckReport:
+    """On a passing data check, hand the report the algebra and its case set."""
     if report.overall:
-        algebra = AmbiskewAlgebra(base, data.sigma, h, data.xi)
+        algebra = AmbiskewAlgebra(base, data.sigma, data.h, data.xi)
         report.algebra = HopfAmbiskewAlgebra(algebra, data)
         report.classification = classify_trichotomy(data)
     return report
@@ -361,14 +353,23 @@ def construct_hopf(base: BaseAlgebra, data: ExtensionData) -> tuple[HopfAmbiskew
         raise HopfDataError(
             "extension data fails: " + ", ".join(c.name for c in report.failures())
         )
+    return report.algebra, verify_checked(report)
+
+
+def verify_checked(report: CheckReport) -> CheckReport:
+    """Re-prove the Hopf axioms on the algebra of a passing data check.
+
+    Returns the data report merged with the axiom report. Checked data
+    whose algebra fails an axiom is a breach of the construction theorem,
+    so it raises InternalError naming every failing condition.
+    """
     axiom_report = verify_hopf_axioms(report.algebra)
-    merged = report.merged_with(axiom_report)
     if not axiom_report.overall:
         raise InternalError(
             "constructed algebra failed axiom verification: "
             + ", ".join(c.name for c in axiom_report.failures())
         )
-    return report.algebra, merged
+    return report.merged_with(axiom_report)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +537,12 @@ def fast_path_check(base: BaseAlgebra, data: ExtensionData,
         raise UnsupportedBaseError("base is not flagged cocommutative")
     chi, y_plus, y_minus, z, h = data.chi, data.y_plus, data.y_minus, data.z, data.h
     one = base.one()
+    report = CheckReport(f"{path} fast path (verified on generators)")
+    report.record("character-valid", True, "validated at construction")
+    xi_ok = chi(y_plus) == chi(y_minus) and not data.xi.is_zero()
+    xi_witness = "" if xi_ok else "xi mismatch: chi(y+) != chi(y-)"
 
     if path == "commutative":
-        report = CheckReport("commutative fast path (verified on generators)")
-        report.record("character-valid", True, "validated at construction")
         ok, witness = True, ""
         for info in base.generator_info():
             g = base.generator(info.name)
@@ -549,19 +552,15 @@ def fast_path_check(base: BaseAlgebra, data: ExtensionData,
         report.record("windings-coincide", ok, witness)
         report.record("y-plus-grouplike", is_grouplike(y_plus))
         report.record("y-minus-grouplike", is_grouplike(y_minus))
-        xi_ok = chi(y_plus) == chi(y_minus) and not data.xi.is_zero()
-        report.record("xi-match", xi_ok, "" if xi_ok else "xi mismatch: chi(y+) != chi(y-)")
+        report.record("xi-match", xi_ok, xi_witness)
         want = BaseTensor.of(h, one) + BaseTensor.of(z, h)
         report.record("h-skew-primitive", base_delta(h) == want)
     else:
-        report = CheckReport("cocommutative fast path (verified on generators)")
-        report.record("character-valid", True, "validated at construction")
         for label, y in (("y-plus", y_plus), ("y-minus", y_minus)):
             report.record(f"{label}-grouplike", is_grouplike(y))
             report.record(f"{label}-central", is_central(y))
         report.record("h-central", is_central(h))
-        xi_ok = chi(y_plus) == chi(y_minus) and not data.xi.is_zero()
-        report.record("xi-match", xi_ok, "" if xi_ok else "xi mismatch: chi(y+) != chi(y-)")
+        report.record("xi-match", xi_ok, xi_witness)
         multiple = scalar_multiple_of(h, z - one)
         if multiple is not None:
             report.record("h-form", True, "h is a multiple of z - 1")
@@ -578,9 +577,4 @@ def fast_path_check(base: BaseAlgebra, data: ExtensionData,
                     pm = xi.is_one() or xi == base.field.from_int(-1)
                     report.record("xi-plus-minus-one", pm,
                                   "" if pm else "xi must be +-1 when h is primitive")
-
-    if report.overall:
-        algebra = AmbiskewAlgebra(base, data.sigma, h, data.xi)
-        report.algebra = HopfAmbiskewAlgebra(algebra, data)
-        report.classification = classify_trichotomy(data)
-    return report
+    return _attach_algebra(report, base, data)

@@ -70,8 +70,7 @@ class UqSl2Base(BaseAlgebra):
     def to_inner(self, elem: BaseElement) -> AmbiElement:
         out: dict = {}
         for (j, m, n), c in elem.coeffs.items():
-            part = out.setdefault((m, n), {})
-            part[j] = part.get(j, self.field.zero()) + c
+            out.setdefault((m, n), {})[j] = c
         return AmbiElement(self.inner, {
             k: BaseElement(self.inner.base, mapping) for k, mapping in out.items()
         })

@@ -191,3 +191,8 @@ def random_element(rng: random.Random, hopf, max_terms=2, max_degree=3,
     if out.is_zero():
         out = alg.one()
     return out
+
+
+def assert_no_zero(x):
+    """The sparse-container invariant: no stored coefficient is zero."""
+    assert all(not c.is_zero() for c in x.coeffs.values()), x

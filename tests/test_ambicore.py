@@ -3,22 +3,19 @@ free-word oracle, and the tensor machinery."""
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abhk.ambicore import (
-    AmbiskewAlgebra,
-    Tensor,
-    apply_sigma_power,
-    embed_base,
-    reduce_word,
-)
+from abhk.ambicore import AmbiskewAlgebra, Tensor, reduce_word
 from abhk.basehopf import Character, LaurentBase, PolynomialBase, winding_automorphism_left
 from abhk.errors import AlgebraMismatchError, HopfDataError
 from abhk.scalar import RationalField, RationalFunctionField
 
-from conftest import CORPUS_BUILDERS, random_base_element, random_element
+from conftest import CORPUS_BUILDERS, assert_no_zero, random_base_element, random_element
 
 QQ = RationalField()
 
@@ -46,22 +43,22 @@ def test_commutation_through_sigma():
     assert A.xminus() * A.embed(t) == A.monomial(t - A.base.one(), 0, 1)
 
 
-def test_apply_sigma_power():
+def test_sigma_apply_powers():
     A = usl2_algebra()
     t = A.base.generator("t")
-    assert apply_sigma_power(A, t, -1) == t - A.base.one()
-    assert apply_sigma_power(A, t, 0) == t
-    assert apply_sigma_power(A, t, 3) == t + A.base.one().scale(QQ.from_int(3))
+    assert A.sigma.apply(t, -1) == t - A.base.one()
+    assert A.sigma.apply(t, 0) == t
+    assert A.sigma.apply(t, 3) == t + A.base.one().scale(QQ.from_int(3))
 
 
-def test_embed_base_is_multiplicative():
+def test_embed_is_multiplicative():
     A = usl2_algebra()
     t = A.base.generator("t")
     a, b = t + A.base.one(), t**2
-    assert embed_base(A, a * b) == embed_base(A, a) * embed_base(A, b)
+    assert A.embed(a * b) == A.embed(a) * A.embed(b)
     # Eq-style instance: X+ h = sigma(h) X+
     h = A.h
-    assert A.xplus() * A.embed(h) == A.embed(apply_sigma_power(A, h, 1)) * A.xplus()
+    assert A.xplus() * A.embed(h) == A.embed(A.sigma.apply(h, 1)) * A.xplus()
 
 
 def test_h_centrality_respected_by_engine():
@@ -70,7 +67,7 @@ def test_h_centrality_respected_by_engine():
         h = A.embed(A.h)
         for x, sign in ((A.xplus(), -1), (A.xminus(), +1)):
             lhs = h * x
-            rhs = x * A.embed(apply_sigma_power(A, A.h, sign))
+            rhs = x * A.embed(A.sigma.apply(A.h, sign))
             assert lhs == rhs, name
 
 
@@ -192,3 +189,42 @@ def test_free_module_normal_forms_unique():
             else:
                 word.append(random_base_element(rng, A.base))
         assert reduce_word(A, word, "leftmost") == reduce_word(A, word, "rightmost")
+
+
+# -- the sparse-container contract -----------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_extension_containers_never_store_zero(corpus, seed):
+    rng = random.Random(seed)
+    for name in ("usl2", "laurent-asym", "uqsl2-case3"):
+        hopf = corpus[name]
+        field = hopf.algebra.field
+        zero, two = field.zero(), field.from_int(-2)
+        a, b, c = (random_element(rng, hopf, max_degree=2) for _ in range(3))
+        for x in (a + b, a - b, a * b, (a + b) - b, a.scale(zero), a.scale(two)):
+            assert_no_zero(x)
+        assert (a - a).coeffs == {}, name
+        ta, tb = Tensor.of(a, b), Tensor.of(b, c)
+        for x in (ta + tb, ta - tb, ta * tb, (ta + tb) - tb, ta.scale(zero), ta.scale(two)):
+            assert_no_zero(x)
+        assert (ta - ta).coeffs == {}, name
+        d = hopf.delta(a)
+        for x in (d.expand_leg(0, hopf.delta_leg), d.map_leg(1, hopf.antipode_leg),
+                  d.contract_leg(0, hopf.counit_leg), d.merge_legs(0),
+                  d.map_leg(0, hopf.antipode_leg).merge_legs(0)):
+            assert_no_zero(x)
+
+
+def test_extension_containers_reject_foreign_operands(corpus):
+    A, B = corpus["usl2"].algebra, corpus["heisenberg"].algebra
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(AlgebraMismatchError):
+            op(A.xplus(), B.xplus())
+        with pytest.raises(AlgebraMismatchError):
+            op(Tensor.of(A.xplus()), Tensor.of(B.xplus()))
+        with pytest.raises(AlgebraMismatchError):
+            op(Tensor.of(A.xplus()), Tensor.of(A.xplus(), A.one()))
+    assert Tensor(A, 1, {}) != Tensor(A, 2, {})
+    assert Tensor(A, 2, {}) == Tensor(A, 2, {})

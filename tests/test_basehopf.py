@@ -3,9 +3,13 @@ windings, adjoints, and coradical degrees."""
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abhk.basehopf import (
     BaseElement,
@@ -38,7 +42,7 @@ from abhk.errors import (
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField
 from abhk.uqsl2 import UqSl2Base
 
-from conftest import random_base_element
+from conftest import assert_no_zero, random_base_element
 
 QQ = RationalField()
 
@@ -382,3 +386,45 @@ def test_sigma_eigenvalue_cache_matches_uncached(corpus):
                 if power:
                     assert all((mono, power) in sigma._cache for mono in a.coeffs)
                 assert sigma.apply(a, power) == want, (name, power)
+
+
+# -- the sparse-container contract -----------------------------------------------
+
+
+@functools.cache
+def _contract_families():
+    # Z/2 has zero divisors, (1 + g)(1 - g) = 0, so products cancel there
+    return all_families() + [("group-torsion", GroupBase(QQ, rank=0, torsion=(2,)))]
+
+
+def _counit_character(base):
+    return Character(base, {info.name: base_counit(base.generator(info.name))
+                            for info in base.generator_info()})
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_base_containers_never_store_zero(seed):
+    rng = random.Random(seed)
+    for name, base in _contract_families():
+        zero, two = base.field.zero(), base.field.from_int(-2)
+        a, b, c = (random_base_element(rng, base) for _ in range(3))
+        for x in (a + b, a - b, a * b, (a + b) - b, a.scale(zero), a.scale(two)):
+            assert_no_zero(x)
+        assert (a - a).coeffs == {}, name
+        ta, tb = BaseTensor.of(a, b), BaseTensor.of(b, c)
+        for x in (ta + tb, ta - tb, ta * tb, (ta + tb) - tb, ta.scale(zero), ta.scale(two)):
+            assert_no_zero(x)
+        assert (ta - ta).coeffs == {}, name
+        chi = _counit_character(base)
+        for x in (base_delta(a), (ta - tb).contract_left(chi), (ta - tb).contract_right(chi)):
+            assert_no_zero(x)
+
+
+def test_base_containers_reject_foreign_operands():
+    a, b = PolynomialBase(QQ).generator("t"), LaurentBase(QQ).generator("t")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(AlgebraMismatchError):
+            op(a, b)
+        with pytest.raises(AlgebraMismatchError):
+            op(BaseTensor.of(a, a), BaseTensor.of(b, b))

@@ -146,6 +146,27 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "internal error" in err
 
 
+def test_axiom_breach_names_the_failing_condition(monkeypatch, capsys):
+    from abhk import hopfstruct
+
+    def broken(hopf):
+        report = hopfstruct.CheckReport("Hopf axiom verification (verified on generators)")
+        report.record("coassociativity[X+]", False)
+        return report
+
+    monkeypatch.setattr(hopfstruct, "verify_hopf_axioms", broken)
+    code, _, err = run(capsys, "check", str(CORPUS / "usl2.abhk"))
+    assert code == 3
+    assert "coassociativity[X+]" in err
+    assert "Traceback" not in err
+
+
+def test_nested_power_at_the_limit_is_accepted(capsys):
+    code, out, _ = run(capsys, "mul", str(CORPUS / "uqsl2-variant.abhk"), "((q+1)^16)^16")
+    assert code == 0
+    assert out.startswith("result: ")
+
+
 @pytest.mark.parametrize("argv", [
     ("--field", "cyclotomic:x", "check", "usl2.abhk"),
     ("--field", "cyclotomic:0", "check", "usl2.abhk"),
@@ -157,6 +178,8 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     ("--field", "rational", "examples"),
     ("--nmax", "5", "examples"),
     ("mul", "uqsl2-variant.abhk", "(q+1)^3000"),
+    ("mul", "uqsl2-variant.abhk", "((q+1)^256)^256"),
+    ("mul", "uqsl2-variant.abhk", "((q+1)^17)^16"),
 ], ids=" ".join)
 def test_malformed_input_is_input_error(capsys, argv):
     argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]

@@ -226,6 +226,15 @@ def test_exponent_limit():
         resolve_spec(parse_spec(bad))
 
 
+def test_nested_exponent_limit():
+    # exponents multiply along every chain of nested powers
+    for text in ("((t+1)^16)^16", "((t+1)^16)^-16", "(-(t^2*t)^16 + 1)^8", "((t+1)^0)^256"):
+        parse_expr(text)
+    for text in ("((t+1)^17)^16", "((t+1)^256)^256", "(t*(t+1)^16)^17", "(((t^2)^2)^2)^33"):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_expr(text)
+
+
 def test_general_form_excludes_hat_keys():
     text = """
 field {
