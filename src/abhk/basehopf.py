@@ -448,12 +448,6 @@ class Character:
             values[info.name] = self(base_antipode(self.algebra.generator(info.name)))
         return Character(self.algebra, values)
 
-    def is_counit(self) -> bool:
-        return all(
-            self.values[info.name] == base_counit(self.algebra.generator(info.name))
-            for info in self.algebra.generator_info()
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented

@@ -3,7 +3,8 @@
 Three field variants are supported, all with exact arithmetic and no
 floating point anywhere:
 
-* rationals (arbitrary-precision ``Fraction``);
+* rationals, stored as a plain ``int`` when integral and as a
+  ``Fraction`` otherwise;
 * cyclotomic fields Q(zeta_N), stored as coefficient vectors in the power
   basis of Q[x]/(Phi_N(x));
 * rational functions in one transcendental symbol ``q`` over Q, stored as
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import FieldMismatchError, NotInvertibleError
 
@@ -197,10 +198,15 @@ def cyclotomic_fold_table(n: int):
     return tuple(rows)
 
 
+def _exact_value(c):
+    """The canonical form of a rational ``int`` or ``Fraction``: an integral
+    value is a plain ``int``, anything else stays a ``Fraction``."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _exact(coeffs):
-    """The canonical entries of a cyclotomic vector: an integral value is a
-    plain ``int``, anything else stays a ``Fraction``."""
-    return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
+    """The canonical entries of a cyclotomic vector (see ``_exact_value``)."""
+    return tuple(map(_exact_value, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +224,22 @@ class Field:
     def from_fraction(self, value) -> "Scalar":
         raise NotImplementedError
 
-    def zero(self) -> "Scalar":
+    # One shared zero and one per field instance; ``Scalar`` is immutable.
+    # ``cached_property`` writes the instance ``__dict__`` directly, so the
+    # frozen dataclasses keep their field-based ``__eq__``/``__hash__``.
+    @cached_property
+    def _zero(self) -> "Scalar":
         return self.from_int(0)
 
-    def one(self) -> "Scalar":
+    @cached_property
+    def _one(self) -> "Scalar":
         return self.from_int(1)
+
+    def zero(self) -> "Scalar":
+        return self._zero
+
+    def one(self) -> "Scalar":
+        return self._one
 
     def root_of_unity(self, n: int) -> "Scalar | None":
         """A primitive n-th root of unity in this field, or None."""
@@ -238,27 +255,39 @@ class Field:
 
 @dataclass(frozen=True)
 class RationalField(Field):
+    """Q. An element is stored as a plain ``int`` when it is integral and
+    as a ``Fraction`` (denominator > 1) otherwise; ``_exact_value`` restores
+    this form after every operation, as ``_exact`` does for each entry of a
+    Q(zeta_N) vector. Equal elements therefore have equal data, and the
+    data compares and hashes like the equal ``Fraction``. A product or sum
+    of integral elements never leaves ``int``.
+    """
+
     kind: str = "rational"
 
     def from_fraction(self, value):
-        return Scalar(self, Fraction(value))
+        if value.__class__ is not int:
+            value = _exact_value(Fraction(value))
+        return Scalar(self, value)
+
+    from_int = from_fraction
 
     def _add(self, a, b):
-        return a + b
+        return _exact_value(a + b)
 
     def _mul(self, a, b):
-        return a * b
+        return _exact_value(a * b)
 
     def _neg(self, a):
         return -a
 
     def _inv(self, a):
-        if a == 0:
+        if not a:
             raise NotInvertibleError("inverse of zero")
-        return 1 / a
+        return _exact_value(Fraction(a.denominator, a.numerator))
 
     def _is_zero(self, a):
-        return a == 0
+        return not a
 
 
 @dataclass(frozen=True)
@@ -446,33 +475,40 @@ class RationalFunctionField(Field):
 
 
 class Scalar:
-    """Immutable element of one of the coefficient fields."""
+    """Immutable element of one of the coefficient fields.
+
+    ``+`` and ``*`` take a fast path when the other operand is a ``Scalar``
+    over the very same field object; anything else goes through ``_lift``,
+    which also accepts an equal but distinct field instance.
+    """
 
     __slots__ = ("field", "data")
 
     def __init__(self, field: Field, data):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", data)
+        _set_field(self, field)
+        _set_data(self, data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     def _lift(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot mix {self.field.describe()} and {other.field.describe()} scalars"
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(Fraction(other))
+            return self.field.from_fraction(other)
         return NotImplemented
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._add(self.data, other.data))
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Scalar(field, field._add(self.data, other.data))
 
     __radd__ = __add__
 
@@ -489,10 +525,12 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._mul(self.data, other.data))
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Scalar(field, field._mul(self.data, other.data))
 
     __rmul__ = __mul__
 
@@ -519,10 +557,11 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_fraction(Fraction(other))
+            other = self.field.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.data == other.data
+        field = self.field
+        return (other.field is field or other.field == field) and self.data == other.data
 
     def __hash__(self):
         return hash((self.field, self.data))
@@ -531,13 +570,19 @@ class Scalar:
         return not self.field._is_zero(self.data)
 
     def is_zero(self) -> bool:
-        return not self
+        return self.field._is_zero(self.data)
 
     def is_one(self) -> bool:
         return self == self.field.one()
 
     def __repr__(self):
         return f"Scalar({self.data!r} over {self.field.describe()})"
+
+
+# ``Scalar.__init__`` stores through the slot descriptors, which costs less than
+# ``object.__setattr__``; assignment from outside still raises in ``__setattr__``
+_set_field = Scalar.field.__set__
+_set_data = Scalar.data.__set__
 
 
 def embed_rational(x: Scalar, target: Field) -> Scalar:
@@ -661,10 +706,6 @@ def hat(m: int, d: int | None) -> HatProfile:
     else:
         q, r = m, 0
     return HatProfile(m=m, d=d, q=q, r=r, hat=q + r)
-
-
-def hat_value(m: int, d: int | None) -> int:
-    return hat(m, d).hat
 
 
 def prec(p: int, m: int, d: int | None) -> bool:

@@ -65,15 +65,7 @@ class UqSl2Base(BaseAlgebra):
     def describe(self) -> str:
         return "uqsl2"
 
-    # -- conversions to and from the internal extension ----------------------
-
-    def to_inner(self, elem: BaseElement) -> AmbiElement:
-        out: dict = {}
-        for (j, m, n), c in elem.coeffs.items():
-            out.setdefault((m, n), {})[j] = c
-        return AmbiElement(self.inner, {
-            k: BaseElement(self.inner.base, mapping) for k, mapping in out.items()
-        })
+    # -- conversion from the internal extension ------------------------------
 
     def from_inner(self, a: AmbiElement) -> BaseElement:
         out: dict = {}

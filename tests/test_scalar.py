@@ -3,6 +3,7 @@ d-adic hat combinatorics."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abhk.errors import FieldMismatchError, NotInvertibleError
+from abhk.exprparse import format_scalar
 from abhk.scalar import (
     CyclotomicField,
     HatProfile,
@@ -78,6 +80,12 @@ def test_scalar_variant_mixing_is_an_error():
         QQ.one() + C8.one()
     with pytest.raises(FieldMismatchError):
         FQ.q() * C8.zeta()
+    c5 = CyclotomicField(5)
+    for x, y in ((C8.zeta(), c5.zeta()), (QQ.from_int(2), FQ.q()), (FQ.q(), QQ.from_int(2))):
+        for op in (lambda a, b: a + b, lambda a, b: a * b,
+                   lambda a, b: a - b, lambda a, b: a / b):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
 
 
 def test_embed_rational_is_explicit():
@@ -524,3 +532,92 @@ def test_scalar_power_and_hash():
     assert hash(C8.zeta(2)) == hash(C8.zeta() ** 2)
     assert bool(QQ.zero()) is False
     assert QQ.from_int(7) == 7
+
+
+# ---------------------------------------------------------------------------
+# the Q kernel (int when integral, else Fraction) against plain Fraction
+
+
+rationals = st.one_of(st.integers(-30, 30), st.sampled_from([0, 1, -1]),
+                      st.fractions(min_value=-8, max_value=8, max_denominator=9))
+
+
+def _assert_rational(x, value):
+    """``x`` holds ``value`` in canonical form and prints like the
+    all-``Fraction`` scalar did."""
+    value = Fraction(value)
+    assert x.field is QQ
+    assert x.data == value
+    assert (type(x.data) is int) == (value.denominator == 1)
+    assert type(x.data) in (int, Fraction)
+    assert format_scalar(x) == format_scalar(Scalar(QQ, value))
+
+
+@settings(max_examples=600, deadline=None)
+@given(rationals, rationals)
+def test_rational_kernel_matches_fraction(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    x, y = QQ.from_fraction(a), QQ.from_fraction(b)
+    _assert_rational(x, fa)
+    _assert_rational(QQ.from_fraction(fa), fa)
+    if fa.denominator == 1:
+        _assert_rational(QQ.from_int(fa.numerator), fa)
+    _assert_rational(x + y, fa + fb)
+    _assert_rational(x - y, fa - fb)
+    _assert_rational(-x, -fa)
+    _assert_rational(x * y, fa * fb)
+    _assert_rational(x + b, fa + fb)
+    _assert_rational(a * y, fa * fb)
+    if fb:
+        _assert_rational(x / y, fa / fb)
+        _assert_rational(y.inverse(), 1 / fb)
+        _assert_rational(a / y, fa / fb)
+    else:
+        with pytest.raises(NotInvertibleError):
+            y.inverse()
+
+
+@pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
+def test_shared_constants(field):
+    assert field.one() is field.one()
+    assert field.zero() is field.zero()
+    assert field.one() == field.from_int(1)
+    assert field.zero() == field.from_int(0)
+    with pytest.raises(AttributeError):
+        field.one().data = field.zero().data
+    with pytest.raises(AttributeError):
+        field.zero().field = QQ
+    # the cached constants leave the field's own equality and hash alone
+    fresh = dataclasses.replace(field)
+    assert fresh == field
+    assert hash(fresh) == hash(field)
+
+
+def test_equal_field_instances_still_mix():
+    other = CyclotomicField(8)
+    assert other is not C8
+    x, y = C8.zeta() + C8.from_fraction(Fraction(1, 3)), other.zeta(3) * 2
+    same = C8.zeta(3) * 2
+    assert x + y == x + same
+    assert x * y == x * same
+    assert x - y == x - same
+    assert x / y == x / same
+    assert y * x == same * x
+
+
+@pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
+def test_int_and_fraction_operands(field):
+    x = field.from_fraction(Fraction(3, 4))
+    if field.kind == "cyclotomic":
+        x = x + field.zeta()
+    elif field.kind == "rational-function":
+        x = x + field.q()
+    two, half = field.from_int(2), field.from_fraction(Fraction(1, 2))
+    assert 2 * x == x * 2 == two * x
+    assert x + 1 == 1 + x == x + field.one()
+    assert x - Fraction(1, 2) == x - half
+    assert Fraction(1, 2) - x == half - x
+    assert 1 / x == x.inverse()
+    assert x / 2 == x * half
+    with pytest.raises(TypeError):
+        x + "1"
