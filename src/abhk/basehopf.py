@@ -12,6 +12,7 @@ out of the extension engine itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AlgebraMismatchError,
@@ -159,8 +160,13 @@ class BaseAlgebra:
     def zero(self) -> "BaseElement":
         return BaseElement(self, {})
 
-    def one(self) -> "BaseElement":
+    # one shared unit per algebra instance: the containers are immutable
+    @cached_property
+    def _one(self) -> "BaseElement":
         return BaseElement(self, {self.one_monomial(): self.field.one()})
+
+    def one(self) -> "BaseElement":
+        return self._one
 
     def from_scalar(self, c: Scalar) -> "BaseElement":
         return BaseElement(self, {self.one_monomial(): c})

@@ -480,7 +480,7 @@ def format_scalar(x: Scalar) -> tuple[str, bool]:
     if kind == "rational":
         return _fraction_text(x.data), True
     if kind == "cyclotomic":
-        text, multi = _poly_text(x.data, "zeta")
+        text, multi = _poly_text(x.field.coefficients(x.data), "zeta")
         return text, not multi
     num, den = x.data
     if den == (1,):

@@ -5,8 +5,9 @@ floating point anywhere:
 
 * rationals, stored as a plain ``int`` when integral and as a
   ``Fraction`` otherwise;
-* cyclotomic fields Q(zeta_N), stored as coefficient vectors in the power
-  basis of Q[x]/(Phi_N(x));
+* cyclotomic fields Q(zeta_N), stored as one integer coefficient vector
+  in the power basis of Q[x]/(Phi_N(x)) over one positive denominator,
+  with inverses taken through the Galois norm;
 * rational functions in one transcendental symbol ``q`` over Q, stored as
   reduced quotients of integer-coefficient polynomials.
 
@@ -43,10 +44,6 @@ def poly_add(a, b):
 
 def poly_neg(a):
     return tuple(-c for c in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
 
 
 def poly_mul(a, b):
@@ -204,11 +201,6 @@ def _exact_value(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _exact(coeffs):
-    """The canonical entries of a cyclotomic vector (see ``_exact_value``)."""
-    return tuple(map(_exact_value, coeffs))
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -257,10 +249,9 @@ class Field:
 class RationalField(Field):
     """Q. An element is stored as a plain ``int`` when it is integral and
     as a ``Fraction`` (denominator > 1) otherwise; ``_exact_value`` restores
-    this form after every operation, as ``_exact`` does for each entry of a
-    Q(zeta_N) vector. Equal elements therefore have equal data, and the
-    data compares and hashes like the equal ``Fraction``. A product or sum
-    of integral elements never leaves ``int``.
+    this form after every operation. Equal elements therefore have equal
+    data, and the data compares and hashes like the equal ``Fraction``. A
+    product or sum of integral elements never leaves ``int``.
     """
 
     kind: str = "rational"
@@ -294,19 +285,25 @@ class RationalField(Field):
 class CyclotomicField(Field):
     """Q(zeta_N) in the power basis of Q[x]/(Phi_N(x)).
 
-    An element is stored as a tuple of exactly ``degree`` = deg Phi_N
-    coefficients, ascending in powers of zeta. Each entry is a plain
-    ``int`` when it is integral and a ``Fraction`` (denominator > 1)
-    otherwise; ``_exact`` restores this form after every operation. Equal
-    elements therefore have equal data, and the data compares and hashes
-    like the all-``Fraction`` vector, since ``Fraction(3) == 3`` and
-    ``hash(Fraction(3)) == hash(3)``.
+    An element is stored as one flat tuple of ``degree + 1`` ints,
+    ``(c_0, ..., c_{d-1}, den)`` with d = ``degree``, for the value
+    (c_0 + c_1 zeta + ... + c_{d-1} zeta^(d-1)) / den: the layout of
+    FLINT's ``fmpq_poly``. The canonical form has ``den > 0`` and
+    ``gcd(c_0, ..., den) == 1``, so an integral element has ``den == 1``,
+    zero is ``(0, ..., 0, 1)`` and equal elements have equal data.
+    ``_normal`` restores it, dividing by the gcd only when ``den != 1``.
+    ``coefficients`` gives the exact rational entries; nothing outside
+    this class reads the layout.
 
-    ``_mul`` takes the schoolbook product of the two vectors, skipping
-    zero entries, and folds each coefficient of degree ``degree`` and above
-    back through ``cyclotomic_fold_table(N)``, the integer rows
-    x^k mod Phi_N. So a product of integral elements never leaves ``int``.
-    ``_inv`` runs the extended Euclid over Q against Phi_N.
+    ``_mul`` takes the schoolbook product of the two integer vectors,
+    skipping zero entries, and folds each coefficient of degree ``degree``
+    and above back through ``cyclotomic_fold_table(N)``, the integer rows
+    x^k mod Phi_N; the denominators multiply. ``_add`` adds the vectors
+    when the denominators agree and cross-multiplies otherwise. ``_inv``
+    stays in integers too: for a = v/den, with v integral, the product P
+    of the other Galois conjugates sigma_k(v) (gcd(k, N) = 1, k != 1) is
+    integral and v*P is the norm N(v), a nonzero integer, so
+    a^-1 = den * P / N(v).
     """
 
     order: int
@@ -325,61 +322,88 @@ class CyclotomicField(Field):
         return len(self.modulus) - 1
 
     def from_fraction(self, value):
-        vec = [0] * self.degree
-        vec[0] = Fraction(value)
-        return Scalar(self, _exact(vec))
+        value = Fraction(value)
+        return Scalar(self, (value.numerator,) + (0,) * (self.degree - 1) + (value.denominator,))
 
     def zeta(self, power: int = 1):
         """zeta_N ** power, for any integer power."""
-        return Scalar(self, cyclotomic_fold_table(self.order)[power % self.order])
+        return Scalar(self, cyclotomic_fold_table(self.order)[power % self.order] + (1,))
 
-    def _fold(self, coeffs):
-        """The canonical vector of ``coeffs``, the ascending coefficient list
-        of a polynomial of degree below max(N, 2*degree - 1), reduced mod
-        Phi_N through the fold table."""
+    def coefficients(self, a):
+        """The entries of ``a`` as exact rationals, ascending in powers of
+        zeta: a plain ``int`` when integral, else a ``Fraction``."""
+        den = a[-1]
+        if den == 1:
+            return a[:-1]
+        return tuple(_exact_value(Fraction(c, den)) for c in a[:-1])
+
+    @staticmethod
+    def _normal(vec):
+        """The canonical tuple of ``vec``, a list of entries ending in a
+        positive denominator."""
+        if vec[-1] != 1:
+            g = math.gcd(*vec)
+            if g != 1:
+                return tuple(c // g for c in vec)
+        return tuple(vec)
+
+    def _add(self, a, b):
+        da, db = a[-1], b[-1]
+        if da == db:
+            out = [x + y for x, y in zip(a, b)]
+            out[-1] = da
+        else:
+            out = [x * db + y * da for x, y in zip(a, b)]
+            out[-1] = da * db
+        return self._normal(out)
+
+    def _mul(self, a, b):
+        deg = len(a) - 1
+        out = [0] * (2 * deg - 1)
+        vb = b[:deg]
+        for i in range(deg):
+            c = a[i]
+            if c:
+                for k, d in enumerate(vb, i):
+                    if d:
+                        out[k] += c * d
         table = cyclotomic_fold_table(self.order)
-        deg = len(table[0])
-        out = coeffs[:deg] + [0] * (deg - len(coeffs))
-        for k in range(deg, len(coeffs)):
-            c = coeffs[k]
+        for k in range(deg, 2 * deg - 1):
+            c = out[k]
             if c:
                 for i, r in enumerate(table[k]):
                     if r:
                         out[i] += c * r
-        return _exact(out)
-
-    def _add(self, a, b):
-        return _exact([x + y for x, y in zip(a, b)])
-
-    def _mul(self, a, b):
-        out = [0] * (2 * len(a) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    if d:
-                        out[i + j] += c * d
-        return self._fold(out)
+        del out[deg:]
+        out.append(a[-1] * b[-1])
+        return self._normal(out)
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return tuple([-x for x in a[:-1]]) + a[-1:]
 
     def _inv(self, a):
-        # extended Euclid in Q[x] against Phi_N, which is coprime to any a != 0
         if self._is_zero(a):
             raise NotInvertibleError("inverse of zero")
-        r0, r1 = self.modulus, _trim(a)
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            quo, rem = poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(s0, poly_mul(quo, s1))
-        if len(r0) != 1:
-            raise ArithmeticError("cyclotomic modulus not coprime to element")
-        inv_lead = 1 / Fraction(r0[0])
-        return self._fold([c * inv_lead for c in s0])
+        n, table = self.order, cyclotomic_fold_table(self.order)
+        v = a[:-1] + (1,)
+        others = self._one.data
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                # sigma_k(v): zeta^i -> zeta^(i*k), each a row of the fold table
+                conj = [0] * len(v)
+                for i, c in enumerate(v[:-1]):
+                    if c:
+                        for j, r in enumerate(table[i * k % n]):
+                            conj[j] += c * r
+                conj[-1] = 1
+                others = self._mul(others, tuple(conj))
+        norm = self._mul(v, others)[0]
+        sign = -1 if norm < 0 else 1
+        return self._normal([sign * a[-1] * c for c in others[:-1]] + [sign * norm])
 
     def _is_zero(self, a):
-        return not any(a)
+        # the denominator is never 0, so a is zero when all other entries are
+        return a.count(0) == len(a) - 1
 
     def root_of_unity(self, n: int):
         # the roots of unity in Q(zeta_N) form the cyclic group <-zeta_N>

@@ -33,12 +33,14 @@ from abhk.basehopf import (
     winding_left,
     winding_right,
 )
+from abhk.cli import corpus_dir
 from abhk.errors import (
     AlgebraMismatchError,
     AutomorphismError,
     CharacterError,
     NotInvertibleError,
 )
+from abhk.exprparse import parse_spec, resolve_spec
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField
 from abhk.uqsl2 import UqSl2Base
 
@@ -428,3 +430,26 @@ def test_base_containers_reject_foreign_operands():
             op(a, b)
         with pytest.raises(AlgebraMismatchError):
             op(BaseTensor.of(a, a), BaseTensor.of(b, b))
+
+
+@pytest.mark.parametrize("path", sorted(corpus_dir().glob("*.abhk")), ids=lambda p: p.stem)
+def test_shared_one_is_never_mutated(path):
+    """``one()`` is one cached element per algebra; no operation on it may
+    change the dict it holds."""
+    base = resolve_spec(parse_spec(path.read_text(encoding="utf-8"))).base
+    one = base.one()
+    assert one is base.one()
+    coeffs, before = one.coeffs, dict(one.coeffs)
+    assert before == {base.one_monomial(): base.field.one()}
+    two = base.field.from_int(2)
+    assert base.generator_elements()
+    for g in base.generator_elements():
+        results = [one + g, g + one, one - g, g - one, one + one, one - one, -one,
+                   one * g, g * one, one * one, one.scale(two), one.scale(base.field.zero()),
+                   2 * one, one ** 3, one ** 0, one ** -1, g ** 0,
+                   BaseTensor.of(one, g), BaseTensor.of(g, one), BaseTensor.of(one, one),
+                   base_delta(one), base_delta(one + g)]
+        assert results[7] == results[8] == g
+        assert results[-2] == BaseTensor.of(one, one)
+        assert one.coeffs is coeffs and coeffs == before, path.stem
+    assert base.one() is one

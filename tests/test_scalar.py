@@ -29,6 +29,7 @@ from abhk.scalar import (
     gaussian_binomial_poly,
     hat,
     mul_order,
+    poly_add,
     poly_divmod,
     poly_mul,
     poly_primitive,
@@ -116,10 +117,16 @@ def test_cyclotomic_inverse_and_power_basis():
     assert z**8 == C8.one()
     x = C8.one() + z + z**3
     assert x * x.inverse() == C8.one()
-    assert len(x.data) == C8.degree
+    assert len(C8.coefficients(x.data)) == C8.degree
 
 
 # -- the Q(zeta_N) kernel against the Fraction-divmod reference --------------
+#
+# Tests speak of an element through two forms: its ``coefficients``, the
+# ``degree`` exact rationals (``int`` when integral, else ``Fraction``), and
+# its data, ``degree`` ints over one positive denominator with no common
+# factor. ``_pack`` turns the first into the second independently of the
+# kernel.
 
 CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
 
@@ -134,9 +141,19 @@ def _reference_cyclotomic_mul(field, a, b):
     return tuple(out[: field.degree])
 
 
+def _pack(values):
+    """The canonical data of the exact rational entries ``values``."""
+    values = [Fraction(c) for c in values]
+    den = math.lcm(*(c.denominator for c in values))
+    return tuple(int(c * den) for c in values) + (den,)
+
+
 def _assert_canonical(field, data):
-    assert len(data) == field.degree
-    for c in data:
+    assert len(data) == field.degree + 1
+    assert all(type(c) is int for c in data)
+    assert data[-1] > 0
+    assert math.gcd(*data) == 1
+    for c in field.coefficients(data):
         assert type(c) in (int, Fraction)
         assert (type(c) is int) == (Fraction(c).denominator == 1)
 
@@ -162,16 +179,101 @@ def cyclotomic_pairs(draw):
 @given(cyclotomic_pairs())
 def test_cyclotomic_kernel_matches_reference(case):
     field, a, b = case
-    product = field._mul(a, b)
-    assert product == _reference_cyclotomic_mul(field, a, b)
+    pa, pb = _pack(a), _pack(b)
+    product = field._mul(pa, pb)
+    assert field.coefficients(product) == _reference_cyclotomic_mul(field, a, b)
     _assert_canonical(field, product)
-    total = field._add(a, b)
-    assert total == tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+    total = field._add(pa, pb)
+    assert field.coefficients(total) == tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
     _assert_canonical(field, total)
     if any(a):
-        inverse = field._inv(a)
-        assert _reference_cyclotomic_mul(field, a, inverse) == field.one().data
+        inverse = field._inv(pa)
+        assert (_reference_cyclotomic_mul(field, a, field.coefficients(inverse))
+                == field.coefficients(field.one().data))
         _assert_canonical(field, inverse)
+
+
+# The int/Fraction-entry kernel that the integer vector over one denominator
+# replaced: ``degree`` entries, each a plain ``int`` when integral and a
+# ``Fraction`` otherwise, with the inverse by the extended Euclid over Q.
+
+
+def _reference_fold(field, coeffs):
+    table = cyclotomic_fold_table(field.order)
+    deg = len(table[0])
+    out = coeffs[:deg] + [0] * (deg - len(coeffs))
+    for k in range(deg, len(coeffs)):
+        c = coeffs[k]
+        if c:
+            for i, r in enumerate(table[k]):
+                if r:
+                    out[i] += c * r
+    return _canonical(out)
+
+
+def _reference_add(field, a, b):
+    return _canonical([x + y for x, y in zip(a, b)])
+
+
+def _reference_mul(field, a, b):
+    out = [0] * (2 * len(a) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                if d:
+                    out[i + j] += c * d
+    return _reference_fold(field, out)
+
+
+def _reference_inv(field, a):
+    r0, r1 = field.modulus, _trim(a)
+    s0, s1 = (), (Fraction(1),)
+    while r1:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, poly_add(s0, tuple(-c for c in poly_mul(quo, s1)))
+    assert len(r0) == 1
+    inv_lead = 1 / Fraction(r0[0])
+    return _reference_fold(field, [c * inv_lead for c in s0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclotomic_pairs(), entries)
+def test_cyclotomic_kernel_matches_parent_kernel(case, r):
+    """Every kernel operation equals the int/Fraction-entry kernel by value
+    and leaves canonical data: the packed form of the reference value."""
+    field, a, b = case
+    pa, pb = _pack(a), _pack(b)
+    zero = (0,) * field.degree
+    cases = [
+        (field._mul(pa, pb), _reference_mul(field, a, b)),
+        (field._add(pa, pb), _reference_add(field, a, b)),
+        (field._neg(pa), _canonical([-c for c in a])),
+        (field._add(pa, field._neg(pa)), zero),
+        (field._mul(field._add(pa, pb), pa),
+         _reference_mul(field, _reference_add(field, a, b), a)),
+        (field.from_fraction(r).data, _canonical((r,) + zero[1:])),
+    ]
+    if any(a):
+        cases.append((field._inv(pa), _reference_inv(field, a)))
+    for got, want in cases:
+        assert field.coefficients(got) == want
+        assert got == _pack(want)
+        _assert_canonical(field, got)
+    assert field._is_zero(pa) == (not any(a))
+    if not any(a):
+        with pytest.raises(NotInvertibleError):
+            field._inv(pa)
+
+
+def test_cyclotomic_inverse_by_norm_at_a_large_order():
+    # N(2 + zeta_97) = Phi_97(-2), since Phi_97 has even degree 96
+    field = CyclotomicField(97)
+    x = field.zeta() + 2
+    inverse = x.inverse()
+    assert inverse.data[-1] == (2**97 + 1) // 3
+    assert (x * inverse).is_one()
+    _assert_canonical(field, inverse.data)
 
 
 def test_cyclotomic_fold_table_against_divmod():
@@ -188,18 +290,32 @@ def test_cyclotomic_fold_table_against_divmod():
         field = CyclotomicField(n)
         for k in range(-2 * n, 2 * n + 1):
             _, rem = poly_divmod((0,) * (k % n) + (1,), field.modulus)
-            assert field.zeta(k).data == tuple(rem) + (0,) * (field.degree - len(rem))
+            zeta = field.zeta(k).data
+            assert field.coefficients(zeta) == tuple(rem) + (0,) * (field.degree - len(rem))
+            _assert_canonical(field, zeta)
+            assert zeta[-1] == 1
 
 
 def test_cyclotomic_data_is_int_when_integral():
     z = C8.zeta()
-    assert C8.one().data == (1, 0, 0, 0)
-    assert all(type(c) is int for c in (z**5 + 3 * z).data)
+    assert C8.coefficients(C8.one().data) == (1, 0, 0, 0)
+    assert C8.one().data == (1, 0, 0, 0, 1)
+    assert C8.zero().data == (0, 0, 0, 0, 1)
+    assert all(type(c) is int for c in C8.coefficients((z**5 + 3 * z).data))
+    assert (z**5 + 3 * z).data == (0, 2, 0, 0, 1)
     half = C8.from_fraction(Fraction(1, 2))
-    assert half.data == (Fraction(1, 2), 0, 0, 0)
-    assert all(type(c) is int for c in (half + half).data)
-    assert all(type(c) is int for c in (half * 2).data)
-    assert hash(C8.from_int(3)) == hash(Scalar(C8, (Fraction(3),) + (Fraction(0),) * 3))
+    assert C8.coefficients(half.data) == (Fraction(1, 2), 0, 0, 0)
+    assert half.data == (1, 0, 0, 0, 2)
+    for x in (half + half, half * 2, half - half, half * half.inverse()):
+        assert all(type(c) is int for c in C8.coefficients(x.data))
+        assert x.data[-1] == 1
+        _assert_canonical(C8, x.data)
+    # equal values reached through different denominators share data and hash
+    three = C8.from_int(3)
+    for x in (C8.from_fraction(Fraction(3, 4)) * 4, half + C8.from_fraction(Fraction(5, 2)),
+              (z * Fraction(1, 6)) * (z**7 * 18)):
+        assert x.data == three.data == (3, 0, 0, 0, 1)
+        assert hash(x) == hash(three)
 
 
 def _sympy_cyclotomic(sympy, x, n, data):
@@ -215,13 +331,17 @@ def test_cyclotomic_arithmetic_against_sympy(case):
     x = sympy.Symbol("x")
     field, a, b = case
     n = field.order
-    a, b = Scalar(field, a), Scalar(field, b)
-    ea, eb = _sympy_cyclotomic(sympy, x, n, a.data), _sympy_cyclotomic(sympy, x, n, b.data)
+    a, b = Scalar(field, _pack(a)), Scalar(field, _pack(b))
+
+    def expr(y):
+        return _sympy_cyclotomic(sympy, x, n, field.coefficients(y.data))
+
+    ea, eb = expr(a), expr(b)
     phi = sympy.cyclotomic_poly(n, x, polys=True)
-    assert _sympy_cyclotomic(sympy, x, n, (a * b).data) == (ea * eb).rem(phi)
-    assert _sympy_cyclotomic(sympy, x, n, (a + b).data) == (ea + eb).rem(phi)
+    assert expr(a * b) == (ea * eb).rem(phi)
+    assert expr(a + b) == (ea + eb).rem(phi)
     if a:
-        assert _sympy_cyclotomic(sympy, x, n, a.inverse().data) == ea.invert(phi)
+        assert expr(a.inverse()) == ea.invert(phi)
 
 
 def test_cyclotomic_poly_against_sympy():
@@ -442,7 +562,6 @@ def test_pascal_recurrences_as_polynomial_identities():
                 poly_mul((0,) * i + (1,), gaussian_binomial_poly(n - 1, i))
                 if i <= n - 1 else ()
             )
-            from abhk.scalar import poly_add
             assert poly_add(left, right) == target
             # the mirrored recurrence with the q^(n-i) weight
             left2 = gaussian_binomial_poly(n - 1, i) if i <= n - 1 else ()
@@ -461,6 +580,26 @@ def test_root_of_unity_vanishing():
             assert q_binomial(n, i, zeta).is_zero()
         assert q_binomial(n, 0, zeta).is_one()
         assert q_binomial(n, n, zeta).is_one()
+
+
+def test_q_binomial_at_roots_of_unity_against_sympy():
+    """Gaussian binomials at q = zeta_N^k, against sympy's product formula
+    reduced mod Phi_N."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(9):
+        for i in range(n + 1):
+            num = sympy.prod([1 - x ** (n - j) for j in range(i)])
+            den = sympy.prod([1 - x ** (j + 1) for j in range(i)])
+            quo, rem = sympy.div(sympy.Poly(num, x, domain="QQ"), sympy.Poly(den, x, domain="QQ"))
+            assert rem.is_zero
+            for order in (3, 4, 5, 8, 12):
+                field = CyclotomicField(order)
+                phi = sympy.cyclotomic_poly(order, x, polys=True)
+                for k in range(order):
+                    got = q_binomial(n, i, field.zeta() ** k)
+                    want = quo.compose(sympy.Poly(x**k, x, domain="QQ")).rem(phi)
+                    assert _sympy_cyclotomic(sympy, x, order, field.coefficients(got.data)) == want
 
 
 def test_q_binomial_index_errors():
