@@ -45,7 +45,6 @@ class AmbiskewAlgebra:
         self.h = h
         self.xi = xi
         self.xi_inv = xi.inverse()
-        self._rx_cache: dict = {}
         self._nf_cache: dict = {}
         self._leg_cache: dict = {}
 
@@ -101,14 +100,9 @@ class AmbiskewAlgebra:
         """Normal form of X+^u X-^v X+ as an (m, n) -> BaseElement mapping."""
         if v == 0:
             return {(u + 1, 0): self.base.one()}
-        key = (u, v)
-        cached = self._rx_cache.get(key)
-        if cached is not None:
-            return cached
         out = {(a, b + 1): c.scale(self.xi_inv) for (a, b), c in self._rx(u, v - 1).items()}
         corr = self.sigma.apply(self.h, u - v + 1).scale(-self.xi_inv)
         combine((((u, v - 1), corr),), out)
-        self._rx_cache[key] = out
         return out
 
     def _nf(self, n: int, p: int) -> dict:
@@ -160,12 +154,8 @@ class AmbiElement(Sparse):
 
     def terms(self):
         key = self.algebra.base.monomial_sort_key
-        out = []
-        for (m, n), r in self.coeffs.items():
-            for mono, c in r.coeffs.items():
-                out.append(((mono, m, n), c))
-        out.sort(key=lambda item: (key(item[0][0]), item[0][1], item[0][2]))
-        return out
+        return sorted(_flatten(self).items(),
+                      key=lambda item: (key(item[0][0]), item[0][1], item[0][2]))
 
     def scale(self, c: Scalar) -> "AmbiElement":
         if c.is_zero():

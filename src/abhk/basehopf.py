@@ -178,9 +178,11 @@ class BaseAlgebra:
         """Generators of the grouplike group G(R) declared by the family."""
         raise NotImplementedError
 
-    def display_terms(self, elem: "BaseElement"):
-        """(coefficient, [(generator, exponent), ...]) pairs in canonical order."""
-        return [(c, self.monomial_factors(mono)) for mono, c in elem.terms()]
+    def display_term(self, mono, c: Scalar) -> tuple[Scalar, list[tuple[str, int]]]:
+        """The term c * mono as it is printed: a coefficient and the
+        [(generator, exponent), ...] factors that follow it. A family whose
+        printed generators are not its monomial's factors rescales c here."""
+        return c, self.monomial_factors(mono)
 
 
 def combine(terms, out: dict | None = None) -> dict:

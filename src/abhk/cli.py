@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 semantic failure (a check or expectation fails),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -386,6 +387,7 @@ def cmd_examples(args, out: _Output) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abhk",

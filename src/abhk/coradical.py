@@ -8,6 +8,7 @@ provided as an oracle route that bypasses the multiplication engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,7 +16,7 @@ from .ambicore import AmbiElement, Tensor
 from .basehopf import BaseElement
 from .errors import InternalError
 from .hopfstruct import HopfAmbiskewAlgebra
-from .scalar import Scalar, hat, mul_order, ordinary_binomial, q_binomial
+from .scalar import Scalar, hat, mul_order, q_binomial
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def sparse_support(m: int, ctx: CoradicalContext, sign: str = "+") -> list[tuple
     for i in range(profile.q + 1):
         for j in range(profile.r + 1):
             p = ctx.d * i + j
-            alpha = q_binomial(profile.r, j, xi) * ordinary_binomial(profile.q, i)
+            alpha = q_binomial(profile.r, j, xi) * math.comb(profile.q, i)
             if alpha.is_zero():
                 raise InternalError(f"alpha_{p} vanished at a primitive root")
             out.append((p, alpha))

@@ -419,10 +419,7 @@ def eval_expr(node: Node, ctx: EvalContext) -> AmbiElement:
     if ctx.algebra is None:
         raise ValueError("eval_expr needs an ambiskew algebra in context")
     value = _eval(node, ctx)
-    result = _to_element(value, ctx)
-    if isinstance(result, BaseElement):
-        result = ctx.algebra.embed(result)
-    return result
+    return _to_element(value, ctx)
 
 
 def eval_base_expr(node: Node, field: Field, base: BaseAlgebra) -> BaseElement:
@@ -544,11 +541,21 @@ def _join_terms(signed_terms: list[tuple[int, str]]) -> str:
     return "".join(out)
 
 
+def _leg_term(base: BaseAlgebra, leg, c: Scalar) -> tuple[int, str]:
+    """(sign, body) for the term c * mono X+^m X-^n of the leg (mono, m, n)."""
+    mono, m, n = leg
+    coeff, factors = base.display_term(mono, c)
+    factors = list(factors)
+    if m:
+        factors.append(("X+", m))
+    if n:
+        factors.append(("X-", n))
+    return _term_text(coeff, factors)
+
+
 def format_base_element(elem: BaseElement) -> str:
-    terms = []
-    for coeff, factors in elem.algebra.display_terms(elem):
-        terms.append(_term_text(coeff, factors))
-    return _join_terms(terms)
+    base = elem.algebra
+    return _join_terms([_leg_term(base, (mono, 0, 0), c) for mono, c in elem.terms()])
 
 
 def format_element(elem) -> str:
@@ -559,33 +566,21 @@ def format_element(elem) -> str:
     if isinstance(elem, Scalar):
         return format_scalar(elem)[0]
     base = elem.algebra.base
-    terms = []
-    for (mono, m, n), c in elem.terms():
-        piece = BaseElement(base, {mono: c})
-        displayed = base.display_terms(piece)
-        for coeff, factors in displayed:
-            full = list(factors)
-            if m:
-                full.append(("X+", m))
-            if n:
-                full.append(("X-", n))
-            terms.append(_term_text(coeff, full))
-    return _join_terms(terms)
+    return _join_terms([_leg_term(base, leg, c) for leg, c in elem.terms()])
 
 
 def format_tensor(tensor) -> str:
-    """Legs joined by (x), each leg printed as an element."""
-    alg = tensor.algebra
+    """Legs joined by (x), each leg printed as a one-term element carrying
+    the coefficient on the first leg."""
+    base = tensor.algebra.base
+    one = tensor.algebra.field.one()
     parts = []
     for key in sorted(tensor.coeffs, key=lambda k: tuple(
-            (alg.base.monomial_sort_key(mono), m, n) for (mono, m, n) in k)):
+            (base.monomial_sort_key(mono), m, n) for (mono, m, n) in k)):
         c = tensor.coeffs[key]
-        legs = []
-        for idx, (mono, m, n) in enumerate(key):
-            coeff = c if idx == 0 else alg.field.one()
-            piece = AmbiElement(alg, {(m, n): BaseElement(alg.base, {mono: coeff})})
-            legs.append(format_element(piece))
-        parts.append(" (x) ".join(legs))
+        parts.append(" (x) ".join(
+            _join_terms([_leg_term(base, leg, c if idx == 0 else one)])
+            for idx, leg in enumerate(key)))
     return "  +  ".join(parts) if parts else "0"
 
 

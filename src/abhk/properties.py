@@ -11,6 +11,7 @@ no homological computation is attempted here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .ambicore import AmbiskewAlgebra
@@ -37,7 +38,7 @@ def sigma_order_detail(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX):
             order = mul_order(c)
             if order is None:
                 return None, f"eigenvalue on {name} has infinite order"
-            acc = acc * order // _gcd(acc, order)
+            acc = math.lcm(acc, order)
         return acc, "exact (diagonal action)"
     if base.family == "polynomial":
         image = sigma.images["t"]
@@ -55,12 +56,6 @@ def sigma_order_detail(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX):
 
 def sigma_order(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX) -> int | None:
     return sigma_order_detail(algebra, n_max)[0]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +294,7 @@ def pi_check(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX) -> PiEntry:
     t = mul_order(algebra.xi)
     if t is None:
         return PiEntry(False, n, None, None, None, note="xi has infinite order")
-    m = n * t // _gcd(n, t)
+    m = math.lcm(n, t)
     decomposition = eigendecompose_h(algebra, n)
     obstruction = None
     if n % t == 0:

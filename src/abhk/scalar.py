@@ -699,10 +699,6 @@ def q_binomial(n: int, i: int, x: Scalar) -> Scalar:
     return eval_int_poly(gaussian_binomial_poly(n, i), x)
 
 
-def ordinary_binomial(n: int, i: int) -> int:
-    return math.comb(n, i)
-
-
 # ---------------------------------------------------------------------------
 # hat arithmetic
 

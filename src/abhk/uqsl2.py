@@ -2,8 +2,10 @@
 
 The family is not hand-coded: it is the verified ambiskew extension of
 the Laurent family with chi(t) = q^-2, y+ = y- = t, h = t^2 - 1 and
-xi = q^-2, wrapped in the base-algebra interface. The presentation
-generators are aliases onto the internal ones,
+xi = q^-2, wrapped in the base-algebra interface. A monomial (j, m, n)
+is exactly the inner leg t^j X+^m X-^n, so the product, coproduct and
+antipode on monomials are the inner extension's cached leg maps. The
+presentation generators are aliases onto the internal ones,
 
     K = t,   E = X+,   F = (q - q^-1)^-1 X- t^-1,
 
@@ -15,7 +17,7 @@ the extension's filtration formula rather than from a table.
 
 from __future__ import annotations
 
-from .ambicore import AmbiElement
+from .ambicore import _flatten
 from .basehopf import (
     BaseAlgebra,
     BaseElement,
@@ -32,7 +34,8 @@ from . import properties
 
 
 class UqSl2Base(BaseAlgebra):
-    """Base family uqsl2(q); monomials are (j, m, n) for t^j X+^m X-^n."""
+    """Base family uqsl2(q); monomials are the inner legs (j, m, n) for
+    t^j X+^m X-^n, and the structure maps are the inner leg maps."""
 
     family = "uqsl2"
 
@@ -52,33 +55,15 @@ class UqSl2Base(BaseAlgebra):
         self.f_scale = (q - q**-1).inverse()
         self._corad_d = mul_order(self.hopf.data.xi)
         self.descriptor = properties.derive_descriptor(self.hopf, self.family)
-        self._mul_cache: dict = {}
-        self._delta_cache: dict = {}
-        self._antipode_cache: dict = {}
-        self._f_element = self.from_inner(
+        self._f_element = BaseElement(self, _flatten(
             (self.inner.xminus() * self.inner.embed(invert_element(t))).scale(self.f_scale)
-        )
+        ))
 
     def key(self):
         return (self.family, self.field, self.q)
 
     def describe(self) -> str:
         return "uqsl2"
-
-    # -- conversion from the internal extension ------------------------------
-
-    def from_inner(self, a: AmbiElement) -> BaseElement:
-        out: dict = {}
-        for (m, n), r in a.coeffs.items():
-            for j, c in r.coeffs.items():
-                out[(j, m, n)] = c
-        return BaseElement(self, out)
-
-    def _inner_monomial(self, mono) -> AmbiElement:
-        j, m, n = mono
-        return AmbiElement(self.inner, {
-            (m, n): BaseElement(self.inner.base, {j: self.field.one()})
-        })
 
     # -- basis ---------------------------------------------------------------
 
@@ -120,33 +105,17 @@ class UqSl2Base(BaseAlgebra):
     # -- structure maps -------------------------------------------------------
 
     def mul_monomials(self, a, b):
-        key = (a, b)
-        cached = self._mul_cache.get(key)
-        if cached is None:
-            product = self._inner_monomial(a) * self._inner_monomial(b)
-            cached = dict(self.from_inner(product).coeffs)
-            self._mul_cache[key] = cached
-        return cached
+        return self.inner.leg_product(a, b)
 
     def delta_monomial(self, mono):
-        cached = self._delta_cache.get(mono)
-        if cached is None:
-            spread = self.hopf.delta(self._inner_monomial(mono))
-            cached = dict(spread.coeffs)  # inner legs are exactly our monomials
-            self._delta_cache[mono] = cached
-        return cached
+        return self.hopf.delta_leg(mono).coeffs
 
     def counit_monomial(self, mono):
         j, m, n = mono
         return self.field.one() if m == 0 and n == 0 else self.field.zero()
 
     def antipode_monomial(self, mono):
-        cached = self._antipode_cache.get(mono)
-        if cached is None:
-            image = self.hopf.antipode(self._inner_monomial(mono))
-            cached = dict(self.from_inner(image).coeffs)
-            self._antipode_cache[mono] = cached
-        return cached
+        return _flatten(self.hopf.antipode_leg(mono))
 
     def coradical_degree_monomial(self, mono):
         j, m, n = mono
@@ -212,17 +181,13 @@ class UqSl2Base(BaseAlgebra):
 
     # -- display --------------------------------------------------------------
 
-    def display_terms(self, elem: BaseElement):
-        """Terms rewritten in the presentation basis E^e F^f K^l."""
+    def display_term(self, mono, c):
+        """The term rewritten in the presentation basis E^e F^f K^l."""
+        j, m, n = mono
+        e, f, l = self._display_exponents(mono)
         q = self.q
-        out = []
-        for mono, c in elem.terms():
-            j, m, n = mono
-            e, f, l = self._display_exponents(mono)
-            coeff = c * (q - q**-1) ** n * q ** (2 * j * (m - n) - n * (n - 1))
-            factors = [(name, exp) for name, exp in (("E", e), ("F", f), ("K", l)) if exp]
-            out.append((coeff, factors))
-        return out
+        coeff = c * (q - q**-1) ** n * q ** (2 * j * (m - n) - n * (n - 1))
+        return coeff, [(name, exp) for name, exp in (("E", e), ("F", f), ("K", l)) if exp]
 
 
 register_family("uqsl2", lambda field, params: UqSl2Base(field, params["q"]))

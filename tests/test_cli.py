@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from abhk.cli import corpus_dir, main
+from abhk.cli import _build_parser, corpus_dir, main
 
 CORPUS = corpus_dir()
 
@@ -117,6 +117,14 @@ def test_outputs_are_deterministic(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second, argv
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    usl2 = str(CORPUS / "usl2.abhk")
+    run(capsys, "--format", "machine", "--field", "cyclotomic:4", "check", usl2)
+    reused = run(capsys, "check", usl2)
+    _build_parser.cache_clear()
+    assert run(capsys, "check", usl2) == reused
 
 
 def test_field_override_allows_reinterpretation(capsys):

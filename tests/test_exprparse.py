@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from abhk.ambicore import Tensor
 from abhk.basehopf import Character, LaurentBase, PolynomialBase
 from abhk.errors import NotInvertibleError
 from abhk.exprparse import (
@@ -25,6 +26,7 @@ from abhk.exprparse import (
     format_ast,
     format_element,
     format_scalar,
+    format_tensor,
     parse_expr,
     parse_spec,
     resolve_spec,
@@ -32,7 +34,7 @@ from abhk.exprparse import (
 from abhk.hopfstruct import ExtensionData, construct_hopf
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField
 
-from conftest import CORPUS_BUILDERS
+from conftest import CORPUS_BUILDERS, random_element
 
 QQ = RationalField()
 FQ = RationalFunctionField()
@@ -129,14 +131,25 @@ def test_ast_print_parse_round_trip_500():
         assert first == second
 
 
-def test_element_print_reparse(usl2_ctx):
-    ctx, hopf = usl2_ctx
+@pytest.mark.parametrize("name", list(CORPUS_BUILDERS))
+def test_element_print_reparse(corpus, name):
+    hopf = corpus[name]
+    alg = hopf.algebra
+    ctx = EvalContext(alg.field, alg.base, alg)
     rng = random.Random(5)
-    from conftest import random_element
     for _ in range(40):
         elem = random_element(rng, hopf, max_terms=3)
         text = format_element(elem)
-        assert eval_expr(parse_expr(text), ctx) == elem
+        assert eval_expr(parse_expr(text), ctx) == elem, text
+    # a tensor prints one term per key, its legs joined by (x)
+    for _ in range(5):
+        delta = hopf.delta(random_element(rng, hopf, max_degree=2))
+        text = format_tensor(delta)
+        back = Tensor(alg, 2, {})
+        for term in text.split("  +  "):
+            legs = [eval_expr(parse_expr(leg), ctx) for leg in term.split(" (x) ")]
+            back = back + Tensor.of(*legs)
+        assert back == delta, text
 
 
 def test_scalar_formatting():

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from abhk.ambicore import AmbiElement
 from abhk.basehopf import (
+    BaseElement,
     BaseTensor,
     base_antipode,
     base_coradical_degree,
@@ -15,6 +17,7 @@ from abhk.basehopf import (
     is_grouplike,
 )
 from abhk.errors import HopfDataError, NotInvertibleError
+from abhk.hopfstruct import verify_hopf_axioms
 from abhk.scalar import CyclotomicField, RationalFunctionField
 from abhk.uqsl2 import UqSl2Base
 
@@ -106,10 +109,10 @@ def test_display_round_trip(uq):
 
 
 def test_display_of_f_is_clean(uq):
-    terms = uq.display_terms(uq.generator("F"))
-    assert terms == [(uq.field.one(), [("F", 1)])]
-    terms = uq.display_terms(uq.generator("F") ** 2)
-    assert terms == [(uq.field.one(), [("F", 2)])]
+    (mono, c), = uq.generator("F").coeffs.items()
+    assert uq.display_term(mono, c) == (uq.field.one(), [("F", 1)])
+    (mono, c), = (uq.generator("F") ** 2).coeffs.items()
+    assert uq.display_term(mono, c) == (uq.field.one(), [("F", 2)])
 
 
 def test_parameter_validation():
@@ -130,3 +133,65 @@ def test_generator_errors(uq):
     with pytest.raises(KeyError):
         uq.generator("L")
     assert uq.generator("K", -2) == invert_element(uq.generator("K")) ** 2
+
+
+# -- the monomial maps against the inner extension ------------------------------
+#
+# The reference converts between uqsl2 monomials and inner elements by hand,
+# as the family did before its maps became the inner leg maps, and works on a
+# second instance so that it shares no cache with the family under test.
+
+
+def _reference_from_inner(uq, a: AmbiElement) -> dict:
+    out: dict = {}
+    for (m, n), r in a.coeffs.items():
+        for j, c in r.coeffs.items():
+            out[(j, m, n)] = c
+    return BaseElement(uq, out).coeffs
+
+
+def _reference_inner_monomial(uq, mono) -> AmbiElement:
+    j, m, n = mono
+    return AmbiElement(uq.inner, {
+        (m, n): BaseElement(uq.inner.base, {j: uq.field.one()})
+    })
+
+
+def _uqsl2_field_and_q(name):
+    if name == "uqsl2":
+        field = RationalFunctionField()
+        return field, field.q()
+    field = CyclotomicField({"uqsl2-case3": 8, "uqsl2-counit-root": 3}[name])
+    return field, field.zeta()
+
+
+@pytest.mark.parametrize("name", ["uqsl2", "uqsl2-case3", "uqsl2-counit-root"])
+def test_monomial_maps_match_inner_extension(name):
+    field, q = _uqsl2_field_and_q(name)
+    uq, ref = UqSl2Base(field, q), UqSl2Base(field, q)
+    monos = [(j, m, n) for j in (-1, 0, 1) for m in range(3) for n in range(3)]
+    inner = {mono: _reference_inner_monomial(ref, mono) for mono in monos}
+    returned = []
+    for a in monos:
+        for b in monos:
+            got = uq.mul_monomials(a, b)
+            assert got == _reference_from_inner(ref, inner[a] * inner[b]), (a, b)
+            returned.append(got)
+    for mono in monos:
+        got = uq.delta_monomial(mono)
+        assert got == ref.hopf.delta(inner[mono]).coeffs, mono
+        returned.append(got)
+        got = uq.antipode_monomial(mono)
+        assert got == _reference_from_inner(ref, ref.hopf.antipode(inner[mono])), mono
+        returned.append(got)
+    snapshots = [dict(d) for d in returned]
+
+    gens = [uq.generator(g) for g in ("E", "F", "K")] + [invert_element(uq.generator("K"))]
+    for x in gens:
+        for y in gens:
+            product = x * y * x
+            base_delta(product)
+            base_antipode(product)
+            base_delta(x) * base_delta(y)
+    assert verify_hopf_axioms(uq.hopf).overall  # the inner maps behind the shared caches
+    assert returned == snapshots
