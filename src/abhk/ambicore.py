@@ -29,7 +29,7 @@ class AmbiskewAlgebra:
     """The ambiskew extension of a base algebra by X+ and X-."""
 
     def __init__(self, base: BaseAlgebra, sigma: BaseAutomorphism, h: BaseElement,
-                 xi: Scalar, check: bool = True):
+                 xi: Scalar):
         if sigma.algebra != base:
             raise AlgebraMismatchError("sigma is not an automorphism of the base")
         if h.algebra != base:
@@ -38,7 +38,7 @@ class AmbiskewAlgebra:
             raise AlgebraMismatchError("xi does not live in the coefficient field")
         if xi.is_zero():
             raise HopfDataError("xi must be nonzero")
-        if check and not is_central(h):
+        if not is_central(h):
             raise HopfDataError("h must be central in the base")
         self.base = base
         self.sigma = sigma
@@ -66,13 +66,7 @@ class AmbiskewAlgebra:
 
     __hash__ = None  # structural equality only
 
-    def describe(self) -> str:
-        return f"ambiskew over {self.base.describe()}"
-
     # -- element constructors ------------------------------------------------
-
-    def element(self, mapping: dict) -> "AmbiElement":
-        return AmbiElement(self, mapping)
 
     def zero(self) -> "AmbiElement":
         return AmbiElement(self, {})

@@ -73,9 +73,6 @@ class BaseAlgebra:
     def __hash__(self):
         return hash(self.key())
 
-    def describe(self) -> str:
-        return self.family
-
     # -- basis -------------------------------------------------------------
 
     def one_monomial(self):
@@ -456,11 +453,6 @@ class Character:
             values[info.name] = self(base_antipode(self.algebra.generator(info.name)))
         return Character(self.algebra, values)
 
-    def __eq__(self, other):
-        if not isinstance(other, Character):
-            return NotImplemented
-        return self.algebra == other.algebra and self.values == other.values
-
 
 def winding_left(chi: Character, a: BaseElement) -> BaseElement:
     """The left winding map: a |-> sum chi(a_1) a_2."""
@@ -498,7 +490,15 @@ def adjoint_right(y: BaseElement, a: BaseElement) -> BaseElement:
 
 class BaseAutomorphism:
     """Algebra automorphism of R stored as generator images plus the
-    generator images of its inverse; both directions are verified."""
+    generator images of its inverse; both directions are verified.
+
+    ``apply`` keeps two caches. A diagonal automorphism (every generator
+    an eigenvector) scales each monomial, and ``_cache`` holds the
+    eigenvalue of sigma**power under the key (mono, power). Otherwise
+    ``_image_cache`` holds the image of a monomial under sigma or sigma^-1
+    under the key (mono, +-1). The inverse checks run before ``diagonal``
+    is known, through the image path.
+    """
 
     def __init__(self, algebra: BaseAlgebra, images: dict[str, BaseElement],
                  inverse_images: dict[str, BaseElement]):
@@ -511,19 +511,15 @@ class BaseAutomorphism:
         self.images = dict(images)
         self.inverse_images = dict(inverse_images)
         self._cache: dict = {}
+        self._image_cache: dict = {}
+        self.diagonal = None
         for name in names:
             gen = algebra.generator(name)
-            if self._map_once(images, self._map_once(inverse_images, gen)) != gen:
+            if self.apply(self.apply(gen, -1), 1) != gen:
                 raise AutomorphismError(f"inverse images do not invert on {name}")
-            if self._map_once(inverse_images, self._map_once(images, gen)) != gen:
+            if self.apply(self.apply(gen, 1), -1) != gen:
                 raise AutomorphismError(f"images do not invert on {name}")
         self.diagonal = self._diagonal_values()
-
-    def _map_once(self, images, a: BaseElement) -> BaseElement:
-        acc = self.algebra.zero()
-        for mono, c in a.coeffs.items():
-            acc = acc + self.algebra.map_monomial(images, mono).scale(c)
-        return acc
 
     def _diagonal_values(self) -> dict[str, Scalar] | None:
         diag = {}
@@ -541,7 +537,7 @@ class BaseAutomorphism:
 
     def apply(self, a: BaseElement, power: int = 1) -> BaseElement:
         """Apply sigma**power (negative powers use the inverse images)."""
-        if a.algebra != self.algebra:
+        if a.algebra is not self.algebra and a.algebra != self.algebra:
             raise AlgebraMismatchError("automorphism applied to foreign element")
         if power == 0 or a.is_zero():
             return a
@@ -559,10 +555,10 @@ class BaseAutomorphism:
         out = self.algebra.zero()
         for mono, c in a.coeffs.items():
             key = (mono, 1 if power > 0 else -1)
-            img = self._cache.get(key)
+            img = self._image_cache.get(key)
             if img is None:
                 img = self.algebra.map_monomial(images, mono)
-                self._cache[key] = img
+                self._image_cache[key] = img
             out = out + img.scale(c)
         if abs(power) > 1:
             return self.apply(out, power - 1 if power > 0 else power + 1)
@@ -760,11 +756,6 @@ class GroupBase(BaseAlgebra):
 
     def key(self):
         return (self.family, self.field, self.rank, self.torsion)
-
-    def describe(self) -> str:
-        if self.torsion:
-            return f"group(Z^{self.rank} x " + " x ".join(f"Z/{m}" for m in self.torsion) + ")"
-        return f"group(Z^{self.rank})"
 
     @property
     def ngens(self) -> int:

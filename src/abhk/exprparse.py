@@ -40,6 +40,13 @@ from .scalar import CyclotomicField, Field, RationalField, RationalFunctionField
 # like (q+1)^3000 or ((q+1)^256)^256 from running for seconds.
 MAX_EXPONENT = 256
 
+# Largest cyclotomic order accepted by make_field. The fold table of
+# Q(zeta_N) holds max(N, 2 phi(N) - 1) rows of phi(N) ints and its set-up
+# grows with the number of prime factors of N: `check usl2.abhk` takes at
+# most about 0.85 s for every N up to 512 (worst N = 420, Python 3.11 on
+# 2 vCPU), and 1.5-2 s at N = 660, 720 or 840.
+MAX_CYCLOTOMIC_ORDER = 512
+
 
 class ParseError(AbhkError):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -563,8 +570,6 @@ def format_element(elem) -> str:
     graded-lex, then X+ power, then X- power."""
     if isinstance(elem, BaseElement):
         return format_base_element(elem)
-    if isinstance(elem, Scalar):
-        return format_scalar(elem)[0]
     base = elem.algebra.base
     return _join_terms([_leg_term(base, leg, c) for leg, c in elem.terms()])
 
@@ -675,7 +680,7 @@ def parse_spec(src: str) -> SpecDocument:
     if kind == "cyclotomic":
         if "order" not in fblock.entries:
             raise SpecError("field.order required for cyclotomic fields")
-        order = _positive_int_value("field.order", fblock.entries["order"])
+        order = _int_value("field.order", fblock.entries["order"], 1)
     elif "order" in fblock.entries:
         raise SpecError("field.order only applies to cyclotomic fields")
 
@@ -694,10 +699,11 @@ def parse_spec(src: str) -> SpecDocument:
     if extras:
         raise SpecError(f"base: unknown key {sorted(extras)[0]!r}")
     if family == "group":
-        params["rank"] = _int_value("base.rank", bblock.entries.get("rank", "0"))
+        params["rank"] = _int_value("base.rank", bblock.entries.get("rank", "0"), 0)
         torsion = bblock.entries.get("torsion", "").strip()
         params["torsion"] = tuple(
-            _int_value("base.torsion", part) for part in torsion.split(",") if part.strip()
+            _int_value("base.torsion", part, 1)
+            for part in torsion.split(",") if part.strip()
         )
     if family == "uqsl2":
         if "q" not in bblock.entries:
@@ -742,7 +748,7 @@ def parse_spec(src: str) -> SpecDocument:
         if extras or oblock.blocks:
             raise SpecError("options: only 'nmax' is supported")
         if "nmax" in oblock.entries:
-            options["nmax"] = _positive_int_value("options.nmax", oblock.entries["nmax"])
+            options["nmax"] = _int_value("options.nmax", oblock.entries["nmax"], 1)
 
     expect = root.blocks.get("expect")
     if expect is not None:
@@ -758,17 +764,13 @@ def parse_spec(src: str) -> SpecDocument:
     return SpecDocument(kind, order, family, params, ext, options, expect)
 
 
-def _int_value(path: str, text: str) -> int:
+def _int_value(path: str, text: str, least: int) -> int:
     try:
-        return int(text.strip())
+        value = int(text.strip())
     except ValueError:
         raise SpecError(f"{path}: expected an integer, found {text!r}")
-
-
-def _positive_int_value(path: str, text: str) -> int:
-    value = _int_value(path, text)
-    if value < 1:
-        raise SpecError(f"{path}: expected an integer >= 1, found {text!r}")
+    if value < least:
+        raise SpecError(f"{path}: expected an integer >= {least}, found {text!r}")
     return value
 
 
@@ -788,6 +790,8 @@ def make_field(kind: str, order: int | None = None) -> Field:
     if kind == "cyclotomic":
         if order is None:
             raise SpecError("cyclotomic field needs an order")
+        if order > MAX_CYCLOTOMIC_ORDER:
+            raise SpecError(f"cyclotomic order {order} exceeds the limit {MAX_CYCLOTOMIC_ORDER}")
         return CyclotomicField(order)
     if kind == "rational-function":
         return RationalFunctionField()

@@ -2,9 +2,11 @@
 
 Provides the executable form of the construction theorem (necessary and
 sufficient data checks, both directions), the coproduct/counit/antipode on
-the extension, mechanical verification of the Hopf axioms, the change of
-variables from a general skew-primitive presentation to hat form, the
-commutative/cocommutative fast paths, and the trichotomy classifier.
+the extension (each defined once, on the legs (mono, m, n) of
+``ambicore.Tensor``, and extended linearly to elements), mechanical
+verification of the Hopf axioms, the change of variables from a general
+skew-primitive presentation to hat form, the commutative/cocommutative
+fast paths, and the trichotomy classifier.
 
 All universally quantified conditions are checked on algebra generators;
 each side of every condition is an algebra map or a composite of
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _leg_element
+from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _flatten
 from .basehopf import (
     BaseAlgebra,
     BaseAutomorphism,
@@ -28,6 +30,7 @@ from .basehopf import (
     base_antipode,
     base_counit,
     base_delta,
+    combine,
     invert_element,
     is_central,
     is_grouplike,
@@ -116,53 +119,44 @@ class CheckReport:
 
 
 class HopfAmbiskewAlgebra:
-    """An ambiskew algebra together with verified hat-form Hopf data."""
+    """An ambiskew algebra together with verified hat-form Hopf data.
+
+    The Hopf structure is fixed on generators, so each structure map is
+    defined once, on legs: the leg (mono, m, n) is the basis element
+    r X+^m X-^n with r = mono, and
+
+        Delta(r X+^m X-^n) = Delta(r) Delta(X+)^m Delta(X-)^n,
+        S(r X+^m X-^n)     = S(X-)^n S(X+)^m S(r),
+
+    with Delta(X+-) = X+- (x) 1 + y+- (x) X+- and S(X+-) = -y+-^-1 X+-.
+    ``delta_leg`` and ``antipode_leg`` cache these per leg; ``delta`` and
+    ``antipode`` are their linear extensions. The antipode's closed form
+    is checked against m(S (x) id)Delta(X+-) = 0 on construction.
+    """
+
+    antipode_form = "-y^-1*X"
 
     def __init__(self, algebra: AmbiskewAlgebra, data: ExtensionData):
         self.algebra = algebra
         self.data = data
-        self.y_plus_inv = invert_element(data.y_plus)
-        self.y_minus_inv = invert_element(data.y_minus)
         self._dxp: list[Tensor] = []
         self._dxm: list[Tensor] = []
         self._leg_delta: dict = {}
         self._leg_antipode: dict = {}
-        self.antipode_form = self._derive_antipode()
         minus_one = algebra.field.from_int(-1)
-        self._s_xp = algebra.monomial(self.y_plus_inv.scale(minus_one), 1, 0)
-        self._s_xm = algebra.monomial(self.y_minus_inv.scale(minus_one), 0, 1)
+        self._s_xp = algebra.monomial(invert_element(data.y_plus).scale(minus_one), 1, 0)
+        self._s_xm = algebra.monomial(invert_element(data.y_minus).scale(minus_one), 0, 1)
+        # with Delta(X) = X (x) 1 + y (x) X the axiom reads S(X) + S(y) X = 0
+        for x, y, s_x in ((algebra.xplus(), data.y_plus, self._s_xp),
+                          (algebra.xminus(), data.y_minus, self._s_xm)):
+            if not (s_x + algebra.embed(base_antipode(y)) * x).is_zero():
+                raise InternalError("S(X) = -y^-1 X fails the antipode axiom on X+-")
 
     @property
     def base(self) -> BaseAlgebra:
         return self.algebra.base
 
-    def _derive_antipode(self) -> str:
-        """Solve m(S (x) id)Delta(X+-) = 0 for S(X+-) given S on the base.
-
-        With Delta(X) = X (x) 1 + y (x) X the axiom reads
-        S(X) + S(y) X = 0, so S(X) = -y^{-1} X. The inverse-free closed
-        form -y X is tried as well and recorded if it is the one the axiom
-        validates (it coincides exactly when y^2 = 1).
-        """
-        alg = self.algebra
-        candidates = {
-            "-y^-1*X": (self.y_plus_inv, self.y_minus_inv),
-            "-y*X": (self.data.y_plus, self.data.y_minus),
-        }
-        for label, (cp, cm) in candidates.items():
-            ok = True
-            for x, y, c in (
-                (alg.xplus(), self.data.y_plus, cp),
-                (alg.xminus(), self.data.y_minus, cm),
-            ):
-                # m(S (x) id)Delta(X) with the candidate S(X) = -c X
-                value = alg.embed(base_antipode(y)) * x - alg.embed(c) * x
-                ok = ok and value.is_zero()
-            if ok:
-                return label
-        raise InternalError("no closed form satisfies the antipode axiom on X+-")
-
-    # -- structure maps ------------------------------------------------------
+    # -- structure maps on legs ----------------------------------------------
 
     def _delta_x(self, sign: int, power: int) -> Tensor:
         cache = self._dxp if sign > 0 else self._dxm
@@ -177,36 +171,15 @@ class HopfAmbiskewAlgebra:
             cache.append(cache[-1] * cache[1])
         return cache[power]
 
-    def delta(self, a: AmbiElement) -> Tensor:
-        if a.algebra != self.algebra:
-            raise AlgebraMismatchError("element from a different algebra")
-        alg = self.algebra
-        out = Tensor(alg, 2, {})
-        for (m, n), r in a.coeffs.items():
-            spread = Tensor(alg, 2, {
-                ((m1, 0, 0), (m2, 0, 0)): c
-                for (m1, m2), c in base_delta(r).coeffs.items()
-            })
-            out = out + spread * self._delta_x(+1, m) * self._delta_x(-1, n)
-        return out
-
-    def counit(self, a: AmbiElement) -> Scalar:
-        return base_counit(a.base_part())
-
-    def antipode(self, a: AmbiElement) -> AmbiElement:
-        alg = self.algebra
-        out = alg.zero()
-        for (m, n), r in a.coeffs.items():
-            term = self._s_xm**n * self._s_xp**m * alg.embed(base_antipode(r))
-            out = out + term
-        return out
-
-    # -- cached per-leg callbacks for tensor surgery ---------------------------
-
     def delta_leg(self, leg) -> Tensor:
         cached = self._leg_delta.get(leg)
         if cached is None:
-            cached = self.delta(_leg_element(self.algebra, leg))
+            mono, m, n = leg
+            spread = Tensor(self.algebra, 2, {
+                ((m1, 0, 0), (m2, 0, 0)): c
+                for (m1, m2), c in self.base.delta_monomial(mono).items()
+            })
+            cached = spread * self._delta_x(+1, m) * self._delta_x(-1, n)
             self._leg_delta[leg] = cached
         return cached
 
@@ -219,9 +192,32 @@ class HopfAmbiskewAlgebra:
     def antipode_leg(self, leg) -> AmbiElement:
         cached = self._leg_antipode.get(leg)
         if cached is None:
-            cached = self.antipode(_leg_element(self.algebra, leg))
+            mono, m, n = leg
+            s_mono = BaseElement(self.base, self.base.antipode_monomial(mono))
+            cached = self._s_xm**n * self._s_xp**m * self.algebra.embed(s_mono)
             self._leg_antipode[leg] = cached
         return cached
+
+    # -- their linear extensions to elements ---------------------------------
+
+    def delta(self, a: AmbiElement) -> Tensor:
+        if a.algebra != self.algebra:
+            raise AlgebraMismatchError("element from a different algebra")
+        return Tensor(self.algebra, 2, combine(
+            (key, c * d)
+            for leg, c in _flatten(a).items()
+            for key, d in self.delta_leg(leg).coeffs.items()
+        ))
+
+    def counit(self, a: AmbiElement) -> Scalar:
+        return base_counit(a.base_part())
+
+    def antipode(self, a: AmbiElement) -> AmbiElement:
+        return AmbiElement(self.algebra, combine(
+            (mn, r.scale(c))
+            for leg, c in _flatten(a).items()
+            for mn, r in self.antipode_leg(leg).coeffs.items()
+        ))
 
 
 # ---------------------------------------------------------------------------

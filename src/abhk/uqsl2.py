@@ -62,9 +62,6 @@ class UqSl2Base(BaseAlgebra):
     def key(self):
         return (self.family, self.field, self.q)
 
-    def describe(self) -> str:
-        return "uqsl2"
-
     # -- basis ---------------------------------------------------------------
 
     def one_monomial(self):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from abhk.cli import _build_parser, corpus_dir, main
+from abhk.errors import HopfDataError
+from abhk.exprparse import parse_spec, resolve_spec
+from abhk.hopfstruct import relabel
 
 CORPUS = corpus_dir()
 
@@ -188,6 +193,9 @@ def test_nested_power_at_the_limit_is_accepted(capsys):
     ("mul", "uqsl2-variant.abhk", "(q+1)^3000"),
     ("mul", "uqsl2-variant.abhk", "((q+1)^256)^256"),
     ("mul", "uqsl2-variant.abhk", "((q+1)^17)^16"),
+    ("mul", "usl2.abhk", "(X+ + 1)^-1"),
+    ("mul", "usl2.abhk", "(2*t)^-1"),
+    ("--field", "cyclotomic:100000", "check", "usl2.abhk"),
 ], ids=" ".join)
 def test_malformed_input_is_input_error(capsys, argv):
     argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]
@@ -199,3 +207,208 @@ def test_malformed_input_is_input_error(capsys, argv):
     assert code == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, expr, same_as", [
+    ("laurent-asym.abhk", "(2*t)^-1", "1/2*t^-1"),
+    ("usl2.abhk", "(t + 1)^2", "t^2 + 2*t + 1"),
+], ids=lambda word: word)
+def test_power_of_a_compound_base(capsys, spec, expr, same_as):
+    code, out, _ = run(capsys, "mul", str(CORPUS / spec), expr)
+    assert code == 0
+    assert (code, out) == run(capsys, "mul", str(CORPUS / spec), same_as)[:2]
+
+
+# -- spec files that fail their schema: one row per refusal ------------------------
+
+HAT_SPEC = """field {
+  kind: rational
+}
+base {
+  family: polynomial
+}
+extension {
+  chi {
+    t: 1
+  }
+  y_plus: 1
+  y_minus: 1
+  h: t
+}
+"""
+
+GROUP_SPEC = """field {
+  kind: rational
+}
+base {
+  family: group
+  rank: 1
+  torsion: 2
+}
+extension {
+  chi {
+    g1: 1
+    g2: 1
+  }
+  y_plus: g1
+  y_minus: g1
+  h: g1^2 - 1
+}
+"""
+
+GENERAL_SPEC = (CORPUS / "uqsl2-general.abhk").read_text()
+
+
+def _spec_file(tmp_path, text):
+    path = tmp_path / "spec.abhk"
+    path.write_text(text)
+    return str(path)
+
+
+def _refused(capsys, *argv):
+    """Run the CLI; return its exit code and stderr, which must carry no
+    traceback."""
+    code, _, err = run(capsys, *argv)
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_valid_variants_of_the_refusal_specs_pass(capsys, tmp_path):
+    for text in (HAT_SPEC, GROUP_SPEC, GENERAL_SPEC):
+        code, _ = _refused(capsys, "check", _spec_file(tmp_path, text))
+        assert code == 0
+
+
+def _swap(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+SPEC_REFUSALS = [
+    # _parse_blocks
+    ("unmatched-brace", HAT_SPEC + "}\n", "unmatched closing brace at line 15"),
+    ("bad-block-name", _swap(HAT_SPEC, "base {", "ba-se {"), "bad block name 'ba-se'"),
+    ("duplicate-block", HAT_SPEC + "base {\n}\n", "duplicate block 'base'"),
+    ("not-key-value", _swap(HAT_SPEC, "family: polynomial", "family polynomial"),
+     "expected 'key: value'"),
+    ("duplicate-key", _swap(HAT_SPEC, "kind: rational", "kind: rational\n  kind: rational"),
+     "duplicate key 'kind' in field"),
+    ("unclosed-block", HAT_SPEC[:-2], "unclosed block 'extension'"),
+    # the document
+    ("top-level-key", "version: 1\n" + HAT_SPEC, "document: unexpected top-level key"),
+    ("unknown-block", HAT_SPEC + "mystery {\n}\n", "document: unknown block 'mystery'"),
+    ("missing-block", _swap(HAT_SPEC, "base {\n  family: polynomial\n}\n", ""),
+     "document: block 'base' required"),
+    # field
+    ("field-nested", _swap(HAT_SPEC, "kind: rational", "kind: rational\n  inner {\n  }"),
+     "field: nested blocks not allowed"),
+    ("field-kind-missing", _swap(HAT_SPEC, "  kind: rational\n", ""), "field.kind required"),
+    ("field-kind-unknown", _swap(HAT_SPEC, "kind: rational", "kind: imaginary"),
+     "field.kind: unknown value"),
+    ("field-extra-key", _swap(HAT_SPEC, "kind: rational", "kind: rational\n  size: 3"),
+     "field: unknown key 'size'"),
+    ("field-order-missing", _swap(HAT_SPEC, "kind: rational", "kind: cyclotomic"),
+     "field.order required"),
+    ("field-order-not-int", _swap(HAT_SPEC, "kind: rational", "kind: cyclotomic\n  order: x"),
+     "field.order: expected an integer, found 'x'"),
+    ("field-order-zero", _swap(HAT_SPEC, "kind: rational", "kind: cyclotomic\n  order: 0"),
+     "field.order: expected an integer >= 1"),
+    ("field-order-too-large",
+     _swap(HAT_SPEC, "kind: rational", "kind: cyclotomic\n  order: 100000"),
+     "cyclotomic order 100000 exceeds the limit"),
+    ("field-order-not-cyclotomic", _swap(HAT_SPEC, "kind: rational", "kind: rational\n  order: 5"),
+     "field.order only applies to cyclotomic fields"),
+    # base
+    ("base-nested", _swap(HAT_SPEC, "family: polynomial", "family: polynomial\n  inner {\n  }"),
+     "base: nested blocks not allowed"),
+    ("base-family-missing", _swap(HAT_SPEC, "  family: polynomial\n", ""), "base.family required"),
+    ("base-family-unknown", _swap(HAT_SPEC, "family: polynomial", "family: matrix"),
+     "base.family: unknown value"),
+    ("base-extra-key", _swap(HAT_SPEC, "family: polynomial", "family: polynomial\n  rank: 2"),
+     "base: unknown key 'rank'"),
+    ("base-q-missing", _swap(HAT_SPEC, "family: polynomial", "family: uqsl2"),
+     "base.q required for the uqsl2 family"),
+    ("base-rank-not-int", _swap(GROUP_SPEC, "rank: 1", "rank: one"),
+     "base.rank: expected an integer, found 'one'"),
+    ("base-rank-negative", _swap(GROUP_SPEC, "rank: 1", "rank: -1"),
+     "base.rank: expected an integer >= 0"),
+    ("base-torsion-zero", _swap(GROUP_SPEC, "torsion: 2", "torsion: 2,0"),
+     "base.torsion: expected an integer >= 1"),
+    ("base-torsion-negative", _swap(GROUP_SPEC, "torsion: 2", "torsion: -3"),
+     "base.torsion: expected an integer >= 1"),
+    # extension, hat form
+    ("extension-y-missing", _swap(HAT_SPEC, "  y_minus: 1\n", ""), "extension.y_minus required"),
+    ("extension-chi-missing", _swap(HAT_SPEC, "  chi {\n    t: 1\n  }\n", ""),
+     "extension.chi block required"),
+    ("extension-extra-key", _swap(HAT_SPEC, "  h: t\n", "  h: t\n  z: 1\n"),
+     "extension: unknown key 'z'"),
+    ("extension-extra-block", _swap(HAT_SPEC, "  h: t\n", "  h: t\n  psi {\n  }\n"),
+     "extension: unknown block 'psi'"),
+    # extension, general form
+    ("general-with-hat-key", _swap(GENERAL_SPEC, "extension {", "extension {\n  y_plus: t"),
+     "extension: hat-form keys not allowed with general_form"),
+    ("general-key-missing", _swap(GENERAL_SPEC, "    xi: 1\n", ""),
+     "extension.general_form.xi required"),
+    ("general-extra-key", _swap(GENERAL_SPEC, "    xi: 1\n", "    xi: 1\n    z: 1\n"),
+     "extension.general_form: unknown key 'z'"),
+    ("general-sigma-missing",
+     _swap(GENERAL_SPEC, "    sigma_inverse {\n      t: q^2*t\n    }\n", ""),
+     "extension.general_form.sigma_inverse block required"),
+    ("general-extra-block", _swap(GENERAL_SPEC, "    xi: 1\n", "    xi: 1\n    tau {\n    }\n"),
+     "extension.general_form: unknown block 'tau'"),
+    # options and expect
+    ("options-unknown", HAT_SPEC + "options {\n  depth: 3\n}\n",
+     "options: only 'nmax' is supported"),
+    ("options-nmax-zero", HAT_SPEC + "options {\n  nmax: 0\n}\n",
+     "options.nmax: expected an integer >= 1"),
+    ("expect-unknown-key", HAT_SPEC + "expect {\n  verdict: pass\n}\n",
+     "expect: unknown key 'verdict'"),
+    ("expect-unknown-block", HAT_SPEC + "expect {\n  extras {\n  }\n}\n",
+     "expect: unknown block 'extras'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [row[1:] for row in SPEC_REFUSALS],
+                         ids=[row[0] for row in SPEC_REFUSALS])
+def test_spec_schema_refusal_is_input_error(capsys, tmp_path, text, message):
+    code, err = _refused(capsys, "check", _spec_file(tmp_path, text))
+    assert code == 2
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["check", "props", "relabel"])
+@pytest.mark.parametrize("old, new, path", [
+    ("rank: 1", "rank: -1", "base.rank"),
+    ("torsion: 2", "torsion: 0", "base.torsion"),
+])
+def test_bad_group_parameters_are_input_errors(capsys, tmp_path, command, old, new, path):
+    code, err = _refused(capsys, command, _spec_file(tmp_path, _swap(GROUP_SPEC, old, new)))
+    assert code == 2
+    assert f"error: {path}: " in err
+
+
+# -- relabel refusals: one row per reachable failed condition ------------------------
+
+SIGMA_INVOLUTION = ("      t: q^-2*t\n    }\n    sigma_inverse {\n      t: q^2*t\n",
+                    "      t: t^-1\n    }\n    sigma_inverse {\n      t: t^-1\n")
+
+
+@pytest.mark.parametrize("old, new, condition", [
+    ("l_plus: t", "l_plus: 2*t", "l+ is not grouplike"),
+    (*SIGMA_INVOLUTION, "sigma(l+) != chi(l+) l+"),
+    (*SIGMA_INVOLUTION, "sigma != ad_l(l+) tau^r_chi on t"),
+    (*SIGMA_INVOLUTION, "sigma != ad_l(r+) tau^l_chi on t"),
+    ("xi: 1", "xi: 2", "xi != chi(l-r+) = chi(l+r-)"),
+    ("xi: 1", "xi: 2", "sigma(l-) (x) r+ != xi l- (x) sigma^-1(r+)"),
+    ("xi: 1", "xi: 2", "l+ (x) sigma(r-) != xi sigma^-1(l+) (x) r-"),
+    ("h: (t - t^-1)*(q - q^-1)^-1", "h: t", "Delta(h) != h(x)r+r- + l+l-(x)h"),
+], ids=lambda word: word.split("\n")[0].strip())
+def test_relabel_refusal_names_the_condition(capsys, tmp_path, old, new, condition):
+    # the two commutativity conditions cannot fail here: every base family's
+    # grouplikes commute
+    text = _swap(GENERAL_SPEC, old, new)
+    with pytest.raises(HopfDataError, match=re.escape(condition)):
+        relabel(resolve_spec(parse_spec(text)).general)
+    code, err = _refused(capsys, "relabel", _spec_file(tmp_path, text))
+    assert code == 1
+    assert err.startswith("error: ") and condition in err

@@ -317,6 +317,16 @@ def test_corpus_files_parse_and_resolve():
         assert resolved.base is not None, path.name
 
 
+def test_eval_base_expr_inverts_a_compound_unit():
+    base = LaurentBase(QQ)
+    half = QQ.from_fraction("1/2")
+    assert eval_base_expr(parse_expr("(2*t)^-1"), QQ, base) == base.generator("t", -1).scale(half)
+    assert eval_base_expr(parse_expr("(2*t^-1)^-2"), QQ, base) == base.generator("t", 2).scale(
+        half * half)
+    with pytest.raises(NotInvertibleError):
+        eval_base_expr(parse_expr("(t + 1)^-1"), QQ, base)
+
+
 def test_eval_base_expr_rejects_x(usl2_ctx):
     base = PolynomialBase(QQ)
     with pytest.raises(ParseError):

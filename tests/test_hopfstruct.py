@@ -13,11 +13,12 @@ from abhk.basehopf import (
     GroupBase,
     LaurentBase,
     PolynomialBase,
+    base_antipode,
     base_delta,
     invert_element,
     is_central,
 )
-from abhk.errors import HopfDataError, UnsupportedBaseError
+from abhk.errors import HopfDataError, InternalError, UnsupportedBaseError
 from abhk.hopfstruct import (
     ExtensionData,
     GeneralPresentation,
@@ -33,6 +34,7 @@ from abhk.scalar import (
     CyclotomicField,
     RationalField,
     RationalFunctionField,
+    Scalar,
     q_int,
 )
 from abhk.uqsl2 import UqSl2Base
@@ -120,6 +122,18 @@ def test_antipode_closed_form_derived_from_axiom():
     assert not convolution.is_zero()
 
 
+def test_antipode_check_refuses_non_grouplike_y():
+    # bypass the data checker: y+- = 2t is a unit but not grouplike, so
+    # S(y) = 2 t^-1 differs from y^-1 and S(X) = -y^-1 X fails the axiom
+    base = LaurentBase(QQ)
+    chi = Character(base, {"t": QQ.one()})
+    y = base.generator("t").scale(QQ.from_int(2))
+    bad = ExtensionData(base, chi, y, y, base.zero())
+    algebra = AmbiskewAlgebra(base, bad.sigma, bad.h, bad.xi)
+    with pytest.raises(InternalError, match="antipode axiom"):
+        HopfAmbiskewAlgebra(algebra, bad)
+
+
 def test_antipode_axiom_on_generators(corpus):
     for name, hopf in corpus.items():
         report = verify_hopf_axioms(hopf)
@@ -159,6 +173,66 @@ def test_delta_is_algebra_map_on_random_elements(corpus):
             a = random_element(rng, hopf)
             b = random_element(rng, hopf)
             assert hopf.delta(a * b) == hopf.delta(a) * hopf.delta(b), name
+
+
+# -- the leg maps against the block-wise reference ------------------------------
+
+
+def _reference_delta(hopf, a):
+    """The block-wise coproduct: Delta(r) Delta(X+)^m Delta(X-)^n summed
+    over the (m, n) blocks of a, with Delta(X+-) = X+- (x) 1 + y+- (x) X+-
+    built here from the data."""
+    alg = hopf.algebra
+    one = alg.one()
+    steps = {
+        sign: Tensor.of(x, one) + Tensor.of(alg.embed(y), x)
+        for sign, x, y in ((+1, alg.xplus(), hopf.data.y_plus),
+                           (-1, alg.xminus(), hopf.data.y_minus))
+    }
+
+    def power(sign, k):
+        acc = Tensor.of(one, one)
+        for _ in range(k):
+            acc = acc * steps[sign]
+        return acc
+
+    out = Tensor(alg, 2, {})
+    for (m, n), r in a.coeffs.items():
+        spread = Tensor(alg, 2, {
+            ((m1, 0, 0), (m2, 0, 0)): c for (m1, m2), c in base_delta(r).coeffs.items()
+        })
+        out = out + spread * power(+1, m) * power(-1, n)
+    return out
+
+
+def _reference_antipode(hopf, a):
+    """The block-wise antipode: S(X-)^n S(X+)^m S(r) summed over the (m, n)
+    blocks of a, with S(X+-) = -y+-^-1 X+- built here from the data."""
+    alg = hopf.algebra
+    minus_one = alg.field.from_int(-1)
+    s_xp = alg.monomial(invert_element(hopf.data.y_plus).scale(minus_one), 1, 0)
+    s_xm = alg.monomial(invert_element(hopf.data.y_minus).scale(minus_one), 0, 1)
+    out = alg.zero()
+    for (m, n), r in a.coeffs.items():
+        out = out + s_xm**n * s_xp**m * alg.embed(base_antipode(r))
+    return out
+
+
+def test_leg_maps_match_blockwise_reference(corpus):
+    """delta and antipode, the linear extensions of the cached leg maps,
+    agree with the block-wise maps on every corpus algebra."""
+    rng = random.Random(20261018)
+    for name, hopf in corpus.items():
+        for _ in range(6):
+            a = random_element(rng, hopf, max_terms=3, base_support=2)
+            assert hopf.delta(a) == _reference_delta(hopf, a), (name, a)
+            assert hopf.antipode(a) == _reference_antipode(hopf, a), (name, a)
+        # the eigenvalue cache of a diagonal sigma holds scalars only, never
+        # the images the inverse checks cached during construction
+        sigma = hopf.algebra.sigma
+        if sigma.diagonal is not None:
+            assert sigma._cache
+            assert all(isinstance(v, Scalar) for v in sigma._cache.values()), name
 
 
 # -- relabel -------------------------------------------------------------------

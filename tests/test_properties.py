@@ -3,10 +3,13 @@ criterion with its eigen-decomposition, and flag propagation."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from abhk.ambicore import AmbiskewAlgebra
 from abhk.basehopf import (
+    BaseAutomorphism,
     Character,
     GroupBase,
     LaurentBase,
@@ -67,6 +70,26 @@ def test_sigma_order_infinite_scaling():
     hopf = CORPUS_BUILDERS["quantum-affine"]()
     order, note = sigma_order_detail(hopf.algebra)
     assert order is None and "infinite order" in note
+
+
+def _polynomial_sigma_algebra(image, inverse_image):
+    """A polynomial-base extension with sigma(t) = image, h = 0, xi = 1."""
+    base = PolynomialBase(QQ)
+    t, one = base.generator("t"), base.one()
+    sigma = BaseAutomorphism(base, {"t": image(t, one)}, {"t": inverse_image(t, one)})
+    return AmbiskewAlgebra(base, sigma, base.zero(), QQ.one())
+
+
+def test_sigma_order_by_iterated_images():
+    # t -> 1 - t is neither diagonal nor a translation: its order is found
+    # by iterating images
+    algebra = _polynomial_sigma_algebra(lambda t, one: one - t, lambda t, one: one - t)
+    assert sigma_order_detail(algebra) == (2, "exact (iterated images)")
+    # t -> 2t + 1 has infinite order; the search stops at n_max
+    half = QQ.from_fraction(Fraction(1, 2))
+    algebra = _polynomial_sigma_algebra(lambda t, one: t.scale(QQ.from_int(2)) + one,
+                                        lambda t, one: (t - one).scale(half))
+    assert sigma_order_detail(algebra, n_max=5) == (None, "order > 5")
 
 
 # -- GK dimension ----------------------------------------------------------------
