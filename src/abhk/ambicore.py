@@ -75,7 +75,7 @@ class AmbiskewAlgebra:
         return AmbiElement(self, {(0, 0): self.base.one()})
 
     def embed(self, r: BaseElement) -> "AmbiElement":
-        if r.algebra != self.base:
+        if r.algebra is not self.base and r.algebra != self.base:
             raise AlgebraMismatchError("element does not live in the base")
         return AmbiElement(self, {(0, 0): r})
 

@@ -179,7 +179,11 @@ class HopfAmbiskewAlgebra:
                 ((m1, 0, 0), (m2, 0, 0)): c
                 for (m1, m2), c in self.base.delta_monomial(mono).items()
             })
-            cached = spread * self._delta_x(+1, m) * self._delta_x(-1, n)
+            cached = spread
+            if m:
+                cached = cached * self._delta_x(+1, m)
+            if n:
+                cached = cached * self._delta_x(-1, n)
             self._leg_delta[leg] = cached
         return cached
 

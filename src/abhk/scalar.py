@@ -504,6 +504,10 @@ class Scalar:
     ``+`` and ``*`` take a fast path when the other operand is a ``Scalar``
     over the very same field object; anything else goes through ``_lift``,
     which also accepts an equal but distinct field instance.
+
+    A product over one field object with the field's one as a factor returns
+    the other operand, skipping the kernel: every field keeps its data
+    canonical, so ``data == field._one.data`` is exact, as in ``is_one``.
     """
 
     __slots__ = ("field", "data")
@@ -554,6 +558,13 @@ class Scalar:
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
+            if other.field is not field:
+                return Scalar(field, field._mul(self.data, other.data))
+        one = field._one.data
+        if other.data == one:
+            return self
+        if self.data == one:
+            return other
         return Scalar(field, field._mul(self.data, other.data))
 
     __rmul__ = __mul__
@@ -597,7 +608,7 @@ class Scalar:
         return self.field._is_zero(self.data)
 
     def is_one(self) -> bool:
-        return self == self.field.one()
+        return self.data == self.field._one.data
 
     def __repr__(self):
         return f"Scalar({self.data!r} over {self.field.describe()})"

@@ -39,7 +39,7 @@ from abhk.scalar import (
 )
 from abhk.uqsl2 import UqSl2Base
 
-from conftest import CORPUS_BUILDERS, build_laurent, random_element
+from conftest import CORPUS_BUILDERS, build_laurent, random_base_element, random_element
 
 QQ = RationalField()
 
@@ -233,6 +233,31 @@ def test_leg_maps_match_blockwise_reference(corpus):
         if sigma.diagonal is not None:
             assert sigma._cache
             assert all(isinstance(v, Scalar) for v in sigma._cache.values()), name
+
+
+def test_delta_leg_matches_three_factor_product(corpus):
+    """Every cached leg coproduct with m, n <= 3 equals the three-factor
+    product spread * Delta(X+)^m * Delta(X-)^n, which multiplies by the unit
+    tensor when a power is zero, term for term and in the same order."""
+    rng = random.Random(20261018)
+    for name, hopf in corpus.items():
+        base = hopf.base
+        monos = {mono for _ in range(4)
+                 for mono in random_base_element(rng, base, max_support=2).coeffs}
+        for mono in monos:
+            for m in range(4):
+                for n in range(4):
+                    hopf.delta_leg((mono, m, n))
+        for (mono, m, n), got in hopf._leg_delta.items():
+            if m > 3 or n > 3:
+                continue
+            spread = Tensor(hopf.algebra, 2, {
+                ((m1, 0, 0), (m2, 0, 0)): c
+                for (m1, m2), c in base.delta_monomial(mono).items()
+            })
+            want = spread * hopf._delta_x(+1, m) * hopf._delta_x(-1, n)
+            assert got == want, (name, mono, m, n)
+            assert list(got.coeffs) == list(want.coeffs), (name, mono, m, n)
 
 
 # -- relabel -------------------------------------------------------------------

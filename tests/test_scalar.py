@@ -760,3 +760,65 @@ def test_int_and_fraction_operands(field):
     assert x / 2 == x * half
     with pytest.raises(TypeError):
         x + "1"
+
+
+# ---------------------------------------------------------------------------
+# the unit short-cut of ``Scalar.__mul__`` against the field kernel
+
+
+def _units(field, b):
+    """Scalars equal to 1 but not the shared ``field.one()``, and the plain
+    int 1; ``b`` is a nonzero element of ``field``."""
+    if field.kind == "cyclotomic":
+        # zeta_1 is 1 itself, and 1 ** 1 returns the shared one
+        root = field.zeta() ** field.order if field.order > 1 else field.zeta()
+    elif field.kind == "rational-function":
+        root = field.q() * field.q() ** -1
+    else:
+        root = field.from_int(-1) ** 2
+    units = [field.from_int(1), b * b.inverse(), root]
+    for u in units:
+        assert u is not field.one() and u.data == field.one().data
+    return units + [1]
+
+
+def _assert_unit_short_cut(a):
+    """``a * u`` returns ``a`` itself, and ``u * a`` its value, for every unit
+    ``u`` of ``_units``; both agree with the kernel and stay over ``a.field``."""
+    field = a.field
+    for u in _units(field, a if a else field.from_int(3)):
+        data = u.data if isinstance(u, Scalar) else field.one().data
+        want = Scalar(field, field._mul(a.data, data))
+        for product in (a * u, u * a):
+            assert product == want
+            assert product.field is field
+        assert (a * u) is a
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclotomic_pairs())
+def test_unit_short_cut_cyclotomic(case):
+    field, a, b = case
+    _assert_unit_short_cut(Scalar(field, _pack(a)))
+    _assert_unit_short_cut(Scalar(field, _pack(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients())
+def test_unit_short_cut_qfunc(pair):
+    _assert_unit_short_cut(Scalar(FQ, FQ._make(*pair)))
+
+
+@pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
+def test_unit_short_cut_random(field):
+    rng = random.Random(20261018)
+    other = dataclasses.replace(field)
+    for _ in range(40):
+        a = random_scalar(rng, field)
+        _assert_unit_short_cut(a)
+        # an equal but distinct field takes the lifting path: the product is
+        # over the left factor's field, whichever factor is the unit
+        u = other.one()
+        want = Scalar(field, field._mul(a.data, u.data))
+        assert a * u == want and (a * u).field is field
+        assert u * a == want and (u * a).field is other
