@@ -69,10 +69,10 @@ class AmbiskewAlgebra:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "AmbiElement":
-        return AmbiElement(self, {})
+        return AmbiElement._of(self, {})
 
     def one(self) -> "AmbiElement":
-        return AmbiElement(self, {(0, 0): self.base.one()})
+        return AmbiElement._of(self, {(0, 0): self.base.one()})
 
     def embed(self, r: BaseElement) -> "AmbiElement":
         if r.algebra is not self.base and r.algebra != self.base:
@@ -80,10 +80,10 @@ class AmbiskewAlgebra:
         return AmbiElement(self, {(0, 0): r})
 
     def xplus(self, power: int = 1) -> "AmbiElement":
-        return AmbiElement(self, {(power, 0): self.base.one()})
+        return AmbiElement._of(self, {(power, 0): self.base.one()})
 
     def xminus(self, power: int = 1) -> "AmbiElement":
-        return AmbiElement(self, {(0, power): self.base.one()})
+        return AmbiElement._of(self, {(0, power): self.base.one()})
 
     def monomial(self, r: BaseElement, m: int, n: int) -> "AmbiElement":
         return AmbiElement(self, {(m, n): r})
@@ -120,12 +120,32 @@ class AmbiskewAlgebra:
         return out
 
     def leg_product(self, leg1, leg2) -> dict:
-        """Cached flattened product of two single-monomial elements,
-        keyed by (base monomial, m, n) legs."""
+        """Cached flattened product of two legs (base monomial, m, n).
+
+        A miss is computed directly. With _nf(n1, m2) = sum c X+^u X-^v,
+
+            r1 X+^m1 X-^n1 * r2 X+^m2 X-^n2
+                = sum r1 sigma^(m1-n1)(r2) sigma^m1(c) X+^(m1+u) X-^(v+n2)
+
+        over the terms (u, v), c of _nf(n1, m2). Distinct (u, v) give
+        distinct (m1 + u, v + n2), so no two terms are added. When n1 or m2
+        is 0, _nf(n1, m2) is the one term X+^m2 X-^n1 and sigma fixes 1, so
+        the sum is the single term r1 sigma^(m1-n1)(r2) X+^(m1+m2) X-^(n1+n2).
+        """
         key = (leg1, leg2)
         cached = self._leg_cache.get(key)
         if cached is None:
-            cached = _flatten(_leg_element(self, leg1) * _leg_element(self, leg2))
+            (r1, m1, n1), (r2, m2, n2) = leg1, leg2
+            base, sigma, one = self.base, self.sigma, self.field.one()
+            coeff = BaseElement._of(base, {r1: one}) * sigma.apply(
+                BaseElement._of(base, {r2: one}), m1 - n1)
+            if not n1 or not m2:
+                cached = {(mono, m1 + m2, n1 + n2): d for mono, d in coeff.coeffs.items()}
+            else:
+                cached = {}
+                for (u, v), c in self._nf(n1, m2).items():
+                    for mono, d in (coeff * sigma.apply(c, m1)).coeffs.items():
+                        cached[(mono, m1 + u, v + n2)] = d
             self._leg_cache[key] = cached
         return cached
 
@@ -213,6 +233,12 @@ class Tensor(Sparse):
         super().__init__(algebra, mapping)
         self.legs = legs
 
+    @classmethod
+    def _of(cls, algebra: AmbiskewAlgebra, coeffs: dict, legs: int) -> "Tensor":
+        new = super()._of(algebra, coeffs)
+        new.legs = legs
+        return new
+
     def _new(self, coeffs: dict, legs: int | None = None) -> "Tensor":
         new = object.__new__(Tensor)
         new.algebra = self.algebra
@@ -233,7 +259,7 @@ class Tensor(Sparse):
                 for key, c in out.items()
                 for leg, d in flat.items()
             }
-        return cls(algebra, len(factors), out)
+        return cls._of(algebra, out, len(factors))
 
     def to_ambi(self) -> AmbiElement:
         if self.legs != 1:

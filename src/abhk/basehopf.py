@@ -155,7 +155,7 @@ class BaseAlgebra:
         return BaseElement(self, mapping)
 
     def zero(self) -> "BaseElement":
-        return BaseElement(self, {})
+        return BaseElement._of(self, {})
 
     # one shared unit per algebra instance: the containers are immutable
     @cached_property
@@ -207,10 +207,16 @@ class Sparse:
     """A finitely supported combination: ``coeffs`` maps basis keys to
     coefficients, over ``algebra``.
 
-    Invariant: no zero coefficient is ever stored. The constructor filters
-    its mapping, ``combine`` drops a key the moment its sum reaches zero,
-    and negation or scaling by a nonzero scalar cannot create a zero over
-    a field. So ``is_zero`` is an empty dict and ``==`` compares the dicts.
+    Invariant: no zero coefficient is ever stored, so ``is_zero`` is an
+    empty dict and ``==`` compares the dicts. Only the public constructor
+    ``Sparse(algebra, mapping)`` filters: it serves mappings whose values
+    may be zero. ``_of`` and ``_new`` store their dict as given, and serve
+    builders that cannot produce a zero. Skipping the filter there is
+    exact: over a field a product of nonzero scalars is nonzero, so only
+    a sum can cancel, and every such builder checks its sums as it forms
+    them (``combine``, or an inline loop that drops a key the moment its
+    running sum reaches zero). Negation and scaling by a nonzero scalar
+    cannot create a zero either.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -218,6 +224,15 @@ class Sparse:
     def __init__(self, algebra, mapping: dict):
         self.algebra = algebra
         self.coeffs = {k: c for k, c in mapping.items() if not c.is_zero()}
+
+    @classmethod
+    def _of(cls, algebra, coeffs: dict):
+        """A container over ``algebra`` holding ``coeffs``, which must
+        already be free of zeros."""
+        new = object.__new__(cls)
+        new.algebra = algebra
+        new.coeffs = coeffs
+        return new
 
     def _new(self, coeffs: dict):
         """A container of the same kind over the same algebra holding
@@ -285,15 +300,20 @@ class BaseElement(Sparse):
         if not isinstance(other, Sparse):
             return self.__rmul__(other)
         self._check(other)
-        out: dict = {}  # summed inline, zeros dropped at the end: the hottest loop
+        out: dict = {}  # the combine loop written inline: the hottest loop
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 c = c1 * c2
                 for m, extra in self.algebra.mul_monomials(m1, m2).items():
-                    v = c * extra
+                    v = c * extra  # nonzero: only the sum below can cancel
                     s = out.get(m)
-                    out[m] = v if s is None else s + v
-        return BaseElement(self.algebra, out)
+                    if s is None:
+                        out[m] = v
+                    elif (v := s + v).is_zero():
+                        del out[m]
+                    else:
+                        out[m] = v
+        return self._new(out)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -338,7 +358,7 @@ class BaseTensor(Sparse):
         for m1, c1 in a.coeffs.items():
             for m2, c2 in b.coeffs.items():
                 out[(m1, m2)] = c1 * c2
-        return cls(a.algebra, out)
+        return cls._of(a.algebra, out)
 
     def __mul__(self, other):
         if not isinstance(other, Sparse):
@@ -357,12 +377,12 @@ class BaseTensor(Sparse):
 
     def contract_left(self, chi: "Character") -> BaseElement:
         """Apply chi (x) id."""
-        return BaseElement(self.algebra, combine(
+        return BaseElement._of(self.algebra, combine(
             (m2, c * chi.on_monomial(m1)) for (m1, m2), c in self.coeffs.items()))
 
     def contract_right(self, chi: "Character") -> BaseElement:
         """Apply id (x) chi."""
-        return BaseElement(self.algebra, combine(
+        return BaseElement._of(self.algebra, combine(
             (m1, c * chi.on_monomial(m2)) for (m1, m2), c in self.coeffs.items()))
 
 
@@ -372,7 +392,7 @@ class BaseTensor(Sparse):
 
 def base_delta(a: BaseElement) -> BaseTensor:
     delta_monomial = a.algebra.delta_monomial
-    return BaseTensor(a.algebra, combine(
+    return BaseTensor._of(a.algebra, combine(
         (key, c * extra)
         for mono, c in a.coeffs.items() for key, extra in delta_monomial(mono).items()))
 
@@ -386,7 +406,7 @@ def base_counit(a: BaseElement) -> Scalar:
 
 def base_antipode(a: BaseElement) -> BaseElement:
     antipode_monomial = a.algebra.antipode_monomial
-    return BaseElement(a.algebra, combine(
+    return a._new(combine(
         (m, c * extra)
         for mono, c in a.coeffs.items() for m, extra in antipode_monomial(mono).items()))
 
@@ -549,8 +569,8 @@ class BaseAutomorphism:
                 if eig is None:
                     eig = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
                     self._cache[key] = eig
-                out[mono] = c * eig
-            return BaseElement(self.algebra, out)
+                out[mono] = c * eig  # eigenvalues of an automorphism are nonzero
+            return BaseElement._of(self.algebra, out)
         images = self.images if power > 0 else self.inverse_images
         out = self.algebra.zero()
         for mono, c in a.coeffs.items():

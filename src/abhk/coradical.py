@@ -103,13 +103,13 @@ def delta_mixed_closed(hopf: HopfAmbiskewAlgebra, m: int, n: int) -> Tensor:
     xi = hopf.data.xi
     xi_inv = xi.inverse()
     one_mono = alg.base.one_monomial()
+    minus = [(q_binomial(n, k, xi_inv), _grouplike_power(hopf.data.y_minus, n - k))
+             for k in range(n + 1)]
     out: dict = {}
     for j in range(m + 1):
         bj = q_binomial(m, j, xi)
         yp_mono, yp_scalar = _grouplike_power(hopf.data.y_plus, m - j)
-        for k in range(n + 1):
-            bk = q_binomial(n, k, xi_inv)
-            ym_mono, ym_scalar = _grouplike_power(hopf.data.y_minus, n - k)
+        for k, (bk, (ym_mono, ym_scalar)) in enumerate(minus):
             cross = xi ** (j * (n - k))
             products = alg.base.mul_monomials(yp_mono, ym_mono)
             (mono, extra), = products.items()

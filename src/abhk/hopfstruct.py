@@ -207,17 +207,17 @@ class HopfAmbiskewAlgebra:
     def delta(self, a: AmbiElement) -> Tensor:
         if a.algebra != self.algebra:
             raise AlgebraMismatchError("element from a different algebra")
-        return Tensor(self.algebra, 2, combine(
+        return Tensor._of(self.algebra, combine(
             (key, c * d)
             for leg, c in _flatten(a).items()
             for key, d in self.delta_leg(leg).coeffs.items()
-        ))
+        ), 2)
 
     def counit(self, a: AmbiElement) -> Scalar:
         return base_counit(a.base_part())
 
     def antipode(self, a: AmbiElement) -> AmbiElement:
-        return AmbiElement(self.algebra, combine(
+        return AmbiElement._of(self.algebra, combine(
             (mn, r.scale(c))
             for leg, c in _flatten(a).items()
             for mn, r in self.antipode_leg(leg).coeffs.items()

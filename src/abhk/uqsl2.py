@@ -46,13 +46,16 @@ class UqSl2Base(BaseAlgebra):
             raise HopfDataError("uqsl2 needs q != 0, 1, -1")
         self.field = field
         self.q = q
+        # q^-1 and q - q^-1 enter every alias rescaling: invert q once
+        self.q_inv = q.inverse()
+        self.q_diff = q - self.q_inv
         inner_base = LaurentBase(field)
-        chi = Character(inner_base, {"t": q**-2})
+        chi = Character(inner_base, {"t": self.q_inv**2})
         t = inner_base.generator("t")
         h = t * t - inner_base.one()
         self.hopf, _ = construct_hopf(inner_base, ExtensionData(inner_base, chi, t, t, h))
         self.inner = self.hopf.algebra
-        self.f_scale = (q - q**-1).inverse()
+        self.f_scale = self.q_diff.inverse()
         self._corad_d = mul_order(self.hopf.data.xi)
         self.descriptor = properties.derive_descriptor(self.hopf, self.family)
         self._f_element = BaseElement(self, _flatten(
@@ -124,7 +127,7 @@ class UqSl2Base(BaseAlgebra):
         """Translate E/F/K assignments to values on t, X+, X-."""
         v_t = values["K"]
         v_xp = values["E"]
-        v_xm = (self.q - self.q**-1) * values["F"] * values["K"]
+        v_xm = self.q_diff * values["F"] * values["K"]
         return v_t, v_xp, v_xm
 
     def check_scalar_map(self, values):
@@ -132,7 +135,7 @@ class UqSl2Base(BaseAlgebra):
         k, e, f = values["K"], values["E"], values["F"]
         if not (k * e * (self.field.one() - q**2)).is_zero():
             raise CharacterError("assignment breaks K E = q^2 E K")
-        if not (k * f * (self.field.one() - q**-2)).is_zero():
+        if not (k * f * (self.field.one() - self.q_inv**2)).is_zero():
             raise CharacterError("assignment breaks K F = q^-2 F K")
         if k * k != self.field.one():
             raise CharacterError("assignment breaks E F - F E = (K - K^-1)/(q - q^-1)")
@@ -146,10 +149,10 @@ class UqSl2Base(BaseAlgebra):
             raise AutomorphismError("image of K must be a unit") from exc
         if k * e != (e * k).scale(q**2):
             raise AutomorphismError("images break K E = q^2 E K")
-        if k * f != (f * k).scale(q**-2):
+        if k * f != (f * k).scale(self.q_inv**2):
             raise AutomorphismError("images break K F = q^-2 F K")
         commutator = e * f - f * e
-        if commutator != (k - k_inv).scale((q - q**-1).inverse()):
+        if commutator != (k - k_inv).scale(self.f_scale):
             raise AutomorphismError("images break E F - F E = (K - K^-1)/(q - q^-1)")
 
     def char_value(self, values, mono):
@@ -162,7 +165,7 @@ class UqSl2Base(BaseAlgebra):
     def map_monomial(self, images, mono):
         j, m, n = mono
         img_t = images["K"]
-        img_xm = (images["F"] * images["K"]).scale(self.q - self.q**-1)
+        img_xm = (images["F"] * images["K"]).scale(self.q_diff)
         acc = img_t**j
         acc = acc * images["E"] ** m
         return acc * img_xm**n
@@ -182,8 +185,8 @@ class UqSl2Base(BaseAlgebra):
         """The term rewritten in the presentation basis E^e F^f K^l."""
         j, m, n = mono
         e, f, l = self._display_exponents(mono)
-        q = self.q
-        coeff = c * (q - q**-1) ** n * q ** (2 * j * (m - n) - n * (n - 1))
+        k = 2 * j * (m - n) - n * (n - 1)
+        coeff = c * self.q_diff**n * (self.q**k if k >= 0 else self.q_inv**-k)
         return coeff, [(name, exp) for name, exp in (("E", e), ("F", f), ("K", l)) if exp]
 
 

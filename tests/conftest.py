@@ -19,6 +19,7 @@ from abhk import (
     UqSl2Base,
     construct_hopf,
 )
+from abhk.basehopf import Sparse
 
 _SUITE_START = time.monotonic()
 
@@ -194,5 +195,9 @@ def random_element(rng: random.Random, hopf, max_terms=2, max_degree=3,
 
 
 def assert_no_zero(x):
-    """The sparse-container invariant: no stored coefficient is zero."""
-    assert all(not c.is_zero() for c in x.coeffs.values()), x
+    """The sparse-container invariant: no stored coefficient is zero, down
+    to the scalars inside the base coefficients of an element of A."""
+    for c in x.coeffs.values():
+        assert not c.is_zero(), x
+        if isinstance(c, Sparse):
+            assert_no_zero(c)

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhk.ambicore import AmbiskewAlgebra, Tensor, reduce_word
-from abhk.basehopf import Character, LaurentBase, PolynomialBase, winding_automorphism_left
+from abhk.ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _flatten, reduce_word
+from abhk.basehopf import (
+    BaseElement,
+    Character,
+    LaurentBase,
+    PolynomialBase,
+    winding_automorphism_left,
+)
 from abhk.errors import AlgebraMismatchError, HopfDataError
 from abhk.scalar import RationalField, RationalFunctionField
 
@@ -215,6 +221,57 @@ def test_extension_containers_never_store_zero(corpus, seed):
                   d.contract_leg(0, hopf.counit_leg), d.merge_legs(0),
                   d.map_leg(0, hopf.antipode_leg).merge_legs(0)):
             assert_no_zero(x)
+        # products whose inner sums cancel, and the builders that skip the
+        # constructor's filter: Tensor.of, delta, antipode and leg products
+        A = hopf.algebra
+        xp, one = A.xplus(), A.one()
+        for g in A.base.generator_elements():
+            r = A.embed(g)
+            cancel = (r + one) * (r - one) - r * r
+            for x in (cancel, (xp + r) * (xp - r) - xp * xp, (a - b) * (r - one),
+                      A.xminus() * cancel * xp, Tensor.of(cancel, a - b),
+                      hopf.delta(cancel), hopf.delta(a - b), hopf.antipode(cancel),
+                      hopf.antipode(a - b)):
+                assert_no_zero(x)
+        fresh = AmbiskewAlgebra(A.base, A.sigma, A.h, A.xi)
+        for leg1 in _flatten(a - b):
+            for leg2 in _flatten(c):
+                assert all(not v.is_zero() for v in fresh.leg_product(leg1, leg2).values())
+
+
+# -- the direct leg product against the element round trip ---------------------
+
+
+def _round_trip_leg_product(A: AmbiskewAlgebra, leg1, leg2) -> dict:
+    """A leg-product miss as computed before the direct formula: both legs
+    as elements of A, multiplied by the engine and flattened."""
+    def element(leg):
+        mono, m, n = leg
+        return AmbiElement(A, {(m, n): BaseElement(A.base, {mono: A.field.one()})})
+    return _flatten(element(leg1) * element(leg2))
+
+
+def _generator_monomials(base) -> set:
+    monos = {base.one_monomial()}
+    for info in base.generator_info():
+        monos.update(base.generator(info.name).coeffs)
+        if info.invertible:
+            monos.update(base.generator(info.name, -1).coeffs)
+    return monos
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
+def test_direct_leg_product_matches_round_trip(corpus, name):
+    built = corpus[name].algebra
+    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
+    monos = sorted(_generator_monomials(A.base), key=A.base.monomial_sort_key)
+    legs = [(mono, m, n) for mono in monos for m in range(3) for n in range(3)]
+    for leg1 in legs:
+        for leg2 in legs:
+            assert (leg1, leg2) not in A._leg_cache
+            got = A.leg_product(leg1, leg2)
+            want = _round_trip_leg_product(A, leg1, leg2)
+            assert list(got.items()) == list(want.items()), (name, leg1, leg2)
 
 
 def test_extension_containers_reject_foreign_operands(corpus):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abhk.basehopf import (
+    BaseAutomorphism,
     BaseElement,
     BaseTensor,
     Character,
@@ -421,6 +422,27 @@ def test_base_containers_never_store_zero(seed):
         chi = _counit_character(base)
         for x in (base_delta(a), (ta - tb).contract_left(chi), (ta - tb).contract_right(chi)):
             assert_no_zero(x)
+        # products whose inner sums cancel, e.g. (t + 1)(t - 1) - t t = -1, and
+        # every builder that stores its dict without the constructor's filter
+        one, sigma = base.one(), _negate_non_units(base)
+        assert sigma.diagonal is not None, name
+        for g in base.generator_elements():
+            cancel = (g + one) * (g - one) - g * g
+            for x in (cancel, (g - one) * (g + one), (a - b) * (g + one), base_delta(cancel),
+                      base_antipode(cancel), base_antipode(a - b), sigma.apply(a - b, 1),
+                      sigma.apply(cancel, -2), BaseTensor.of(cancel, a - b),
+                      base_delta(g - one).contract_left(chi),
+                      base_delta(g - one).contract_right(chi)):
+                assert_no_zero(x)
+
+
+@functools.cache
+def _negate_non_units(base):
+    """The involution negating every non-invertible generator: a diagonal
+    automorphism of each family here (t -> -t, or E, F -> -E, -F)."""
+    images = {info.name: base.generator(info.name).scale(base.field.from_int(
+        1 if info.invertible else -1)) for info in base.generator_info()}
+    return BaseAutomorphism(base, images, images)
 
 
 def test_base_containers_reject_foreign_operands():

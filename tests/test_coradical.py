@@ -7,15 +7,17 @@ import random
 
 import pytest
 
+from abhk.ambicore import Tensor
 from abhk.coradical import (
     CoradicalContext,
+    _grouplike_power,
     corad_breakdown,
     corad_degree,
     delta_mixed_closed,
     delta_power_closed,
     sparse_support,
 )
-from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec
+from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec, q_binomial
 
 from conftest import CORPUS_BUILDERS, build_laurent, random_element
 
@@ -92,6 +94,37 @@ def test_mixed_coproducts_match_engine(name, hopf):
         for n in range(3):
             engine = hopf.delta(A.xplus() ** m * A.xminus() ** n)
             assert delta_mixed_closed(hopf, m, n) == engine, (name, m, n)
+
+
+def _per_pair_mixed_closed(hopf, m, n) -> Tensor:
+    """delta_mixed_closed as first written: the X- binomial and the y- power
+    recomputed inside the loop over j, once per (j, k)."""
+    alg = hopf.algebra
+    xi = hopf.data.xi
+    xi_inv = xi.inverse()
+    one_mono = alg.base.one_monomial()
+    out: dict = {}
+    for j in range(m + 1):
+        bj = q_binomial(m, j, xi)
+        yp_mono, yp_scalar = _grouplike_power(hopf.data.y_plus, m - j)
+        for k in range(n + 1):
+            bk = q_binomial(n, k, xi_inv)
+            ym_mono, ym_scalar = _grouplike_power(hopf.data.y_minus, n - k)
+            cross = xi ** (j * (n - k))
+            products = alg.base.mul_monomials(yp_mono, ym_mono)
+            (mono, extra), = products.items()
+            out[((mono, j, k), (one_mono, m - j, n - k))] = (
+                bj * bk * cross * yp_scalar * ym_scalar * extra)
+    return Tensor(alg, 2, out)
+
+
+def test_mixed_closed_matches_per_pair_loop(corpus):
+    for name, hopf in corpus.items():
+        for m in range(6):
+            for n in range(6):
+                got = delta_mixed_closed(hopf, m, n)
+                want = _per_pair_mixed_closed(hopf, m, n)
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, m, n)
 
 
 def test_power_coproduct_examples():

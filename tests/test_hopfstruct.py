@@ -13,12 +13,15 @@ from abhk.basehopf import (
     GroupBase,
     LaurentBase,
     PolynomialBase,
+    Sparse,
     base_antipode,
     base_delta,
     invert_element,
     is_central,
 )
+from abhk.cli import _checked_algebra, corpus_dir
 from abhk.errors import HopfDataError, InternalError, UnsupportedBaseError
+from abhk.exprparse import parse_spec, resolve_spec
 from abhk.hopfstruct import (
     ExtensionData,
     GeneralPresentation,
@@ -463,3 +466,38 @@ def test_fast_path_refused_for_uqsl2_base():
     data = ExtensionData(base, chi, base.one(), base.one(), base.zero())
     with pytest.raises(UnsupportedBaseError):
         fast_path_check(base, data)
+
+
+# -- work counts of one cold construction -----------------------------------------
+#
+# One cold parse -> resolve -> check -> verify run of a corpus spec, counted by
+# wrapping two library methods inside the test: field inversions (a gcd or a
+# Galois norm each) and passes of the zero filter in the public Sparse
+# constructor. The bounds are the counts the library reaches; a rise means
+# repeated cold-path work has come back.
+
+COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes)
+    "uqsl2-case3": (48, 140),
+    "uqsl2": (42, 132),
+    "usl2": (3, 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_BUILD_BOUNDS))
+def test_cold_build_counts(monkeypatch, name):
+    text = (corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")
+    counts = {"inv": 0, "filter": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for field_class in (RationalField, CyclotomicField, RationalFunctionField):
+        monkeypatch.setattr(field_class, "_inv", counting("inv", field_class._inv))
+    monkeypatch.setattr(Sparse, "__init__", counting("filter", Sparse.__init__))
+    _checked_algebra(resolve_spec(parse_spec(text)))
+    max_inv, max_filter = COLD_BUILD_BOUNDS[name]
+    assert counts["inv"] <= max_inv, counts
+    assert counts["filter"] <= max_filter, counts

@@ -16,7 +16,7 @@ from abhk.basehopf import (
     is_central,
     is_grouplike,
 )
-from abhk.errors import HopfDataError, NotInvertibleError
+from abhk.errors import AutomorphismError, CharacterError, HopfDataError, NotInvertibleError
 from abhk.hopfstruct import verify_hopf_axioms
 from abhk.scalar import CyclotomicField, RationalFunctionField
 from abhk.uqsl2 import UqSl2Base
@@ -195,3 +195,117 @@ def test_monomial_maps_match_inner_extension(name):
             base_delta(x) * base_delta(y)
     assert verify_hopf_axioms(uq.hopf).overall  # the inner maps behind the shared caches
     assert returned == snapshots
+
+
+# -- the cached q^-1 and q - q^-1 against the formulas that invert q each time --
+
+
+def _inverting_alias_values(uq, values):
+    q = uq.q
+    return values["K"], values["E"], (q - q**-1) * values["F"] * values["K"]
+
+
+def _inverting_char_value(uq, values, mono):
+    j, m, n = mono
+    v_t, v_xp, v_xm = _inverting_alias_values(uq, values)
+    return v_t**j * v_xp**m * v_xm**n
+
+
+def _inverting_map_monomial(uq, images, mono):
+    j, m, n = mono
+    img_xm = (images["F"] * images["K"]).scale(uq.q - uq.q**-1)
+    return images["K"]**j * images["E"] ** m * img_xm**n
+
+
+def _inverting_check_scalar_map(uq, values):
+    q, one = uq.q, uq.field.one()
+    k, e, f = values["K"], values["E"], values["F"]
+    if not (k * e * (one - q**2)).is_zero():
+        raise CharacterError("assignment breaks K E = q^2 E K")
+    if not (k * f * (one - q**-2)).is_zero():
+        raise CharacterError("assignment breaks K F = q^-2 F K")
+    if k * k != one:
+        raise CharacterError("assignment breaks E F - F E = (K - K^-1)/(q - q^-1)")
+
+
+def _inverting_check_endo_map(uq, images):
+    q = uq.q
+    k, e, f = images["K"], images["E"], images["F"]
+    try:
+        k_inv = invert_element(k)
+    except NotInvertibleError as exc:
+        raise AutomorphismError("image of K must be a unit") from exc
+    if k * e != (e * k).scale(q**2):
+        raise AutomorphismError("images break K E = q^2 E K")
+    if k * f != (f * k).scale(q**-2):
+        raise AutomorphismError("images break K F = q^-2 F K")
+    if e * f - f * e != (k - k_inv).scale((q - q**-1).inverse()):
+        raise AutomorphismError("images break E F - F E = (K - K^-1)/(q - q^-1)")
+
+
+def _inverting_display_term(uq, mono, c):
+    j, m, n = mono
+    q = uq.q
+    coeff = c * (q - q**-1) ** n * q ** (2 * j * (m - n) - n * (n - 1))
+    return coeff, [(name, exp) for name, exp in (("E", m), ("F", n), ("K", j + n)) if exp]
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except (AutomorphismError, CharacterError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["uqsl2", "uqsl2-case3", "uqsl2-counit-root"])
+def test_cached_q_constants_match_inverting_formulas(name):
+    field, q = _uqsl2_field_and_q(name)
+    uq = UqSl2Base(field, q)
+    assert uq.q_inv == q**-1 and uq.q_diff == q - q**-1
+    monos = [(j, m, n) for j in (-1, 0, 1) for m in range(3) for n in range(3)]
+    pool = [field.zero(), field.one(), field.from_int(-1), q, q**-1, field.from_int(2)]
+    verdicts = set()
+    for k in pool:
+        for e in pool:
+            for f in pool:
+                values = {"K": k, "E": e, "F": f}
+                got = _verdict(uq.check_scalar_map, values)
+                assert got == _verdict(_inverting_check_scalar_map, uq, values), values
+                verdicts.add(got)
+                if k.is_zero():
+                    continue
+                for mono in monos:
+                    assert uq.char_value(values, mono) == \
+                        _inverting_char_value(uq, values, mono), (values, mono)
+    assert len(verdicts) == 4  # every relation both holds and fails somewhere
+
+    e, f, k = uq.generator("E"), uq.generator("F"), uq.generator("K")
+    k_inv, two = invert_element(k), field.from_int(2)
+    image_sets = [
+        {"E": e, "F": f, "K": k},
+        {"E": e.scale(two), "F": f.scale(two.inverse()), "K": k},
+        {"E": f, "F": e, "K": k_inv},
+        {"E": e * k, "F": k_inv * f, "K": k},
+        {"E": e + k, "F": f, "K": k_inv},
+        {"E": e, "F": f.scale(q), "K": k},
+        {"E": e, "F": f, "K": k + uq.one()},
+    ]
+    verdicts = set()
+    for images in image_sets:
+        got = _verdict(uq.check_endo_map, images)
+        assert got == _verdict(_inverting_check_endo_map, uq, images), images
+        verdicts.add(got)
+        for mono in monos:
+            if mono[0] < 0 and len(images["K"].coeffs) != 1:
+                continue
+            assert uq.map_monomial(images, mono) == \
+                _inverting_map_monomial(uq, images, mono), (images, mono)
+    assert len(verdicts) == 4
+
+    for j in range(-2, 3):
+        for m in range(4):
+            for n in range(4):
+                for c in (field.one(), q, field.from_int(-3)):
+                    assert uq.display_term((j, m, n), c) == \
+                        _inverting_display_term(uq, (j, m, n), c), (j, m, n, c)
