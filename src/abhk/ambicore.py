@@ -280,9 +280,42 @@ class Tensor(Sparse):
         return self.legs == other.legs and super().__eq__(other)
 
     def __mul__(self, other):
+        """Leg-wise product: key1 * key2 multiplies leg i of key1 by leg i
+        of key2 through ``leg_product`` on every leg.
+
+        Two legs, the case of every coproduct, take a kernel that sums
+        c1 c2 d1 d2 for leg_product(a1, b1) x leg_product(a2, b2) straight
+        into the result, dropping a key the moment its running sum is zero.
+        Any other leg count takes ``_mul_legwise``, the k-leg loop that the
+        kernel must match in values and in term order.
+        """
         if not isinstance(other, Sparse):
             return self.__rmul__(other)
         self._check(other)
+        if self.legs != 2:
+            return self._mul_legwise(other)
+        leg_product = self.algebra.leg_product
+        out: dict = {}
+        for (a1, a2), c1 in self.coeffs.items():
+            for (b1, b2), c2 in other.coeffs.items():
+                c = c1 * c2
+                right = leg_product(a2, b2).items()
+                for leg1, d1 in leg_product(a1, b1).items():
+                    e = c * d1
+                    for leg2, d2 in right:
+                        v = e * d2  # nonzero: only the sum below can cancel
+                        key = (leg1, leg2)
+                        s = out.get(key)
+                        if s is None:
+                            out[key] = v
+                        elif (v := s + v).is_zero():
+                            del out[key]
+                        else:
+                            out[key] = v
+        return self._new(out)
+
+    def _mul_legwise(self, other) -> "Tensor":
+        """The product for any leg count, leg by leg through partial terms."""
         out: dict = {}
         for key1, c1 in self.coeffs.items():
             for key2, c2 in other.coeffs.items():

@@ -455,9 +455,13 @@ class Character:
         algebra.check_scalar_map(values)
         self.algebra = algebra
         self.values = dict(values)
+        self._on_monomial: dict = {}  # a character never changes: memo per monomial
 
     def on_monomial(self, mono) -> Scalar:
-        return self.algebra.char_value(self.values, mono)
+        value = self._on_monomial.get(mono)
+        if value is None:
+            value = self._on_monomial[mono] = self.algebra.char_value(self.values, mono)
+        return value
 
     def __call__(self, a: BaseElement) -> Scalar:
         if a.algebra != self.algebra:
@@ -514,10 +518,18 @@ class BaseAutomorphism:
 
     ``apply`` keeps two caches. A diagonal automorphism (every generator
     an eigenvector) scales each monomial, and ``_cache`` holds the
-    eigenvalue of sigma**power under the key (mono, power). Otherwise
-    ``_image_cache`` holds the image of a monomial under sigma or sigma^-1
-    under the key (mono, +-1). The inverse checks run before ``diagonal``
-    is known, through the image path.
+    eigenvalue of sigma**power under the key (mono, power); a negative
+    power raises the cached eigenvalue under (mono, -1) to |power|, so each
+    monomial's eigenvalue is inverted once. Otherwise ``_image_cache``
+    holds the image of a monomial under sigma or sigma^-1 under the key
+    (mono, +-1).
+
+    The inverse checks need no image when every generator is one monomial
+    g = d mono that both ``images`` and ``inverse_images`` send to a
+    multiple of itself, c mono and c' mono: then sigma and sigma^-1 scale
+    mono by c/d and c'/d, both composites send g to (c c'/d) mono, and each
+    check reads c c' == d^2. Any other automorphism is checked through the
+    image path, before ``diagonal`` is set.
     """
 
     def __init__(self, algebra: BaseAlgebra, images: dict[str, BaseElement],
@@ -533,27 +545,21 @@ class BaseAutomorphism:
         self._cache: dict = {}
         self._image_cache: dict = {}
         self.diagonal = None
-        for name in names:
-            gen = algebra.generator(name)
+        gens = {name: algebra.generator(name) for name in names}
+        forward = _scalar_images(gens, self.images)
+        backward = None if forward is None else _scalar_images(gens, self.inverse_images)
+        for name, gen in gens.items():
+            if backward is not None:
+                (d, c), (_, c_inv) = forward[name], backward[name]
+                if c * c_inv != d * d:
+                    raise AutomorphismError(f"inverse images do not invert on {name}")
+                continue
             if self.apply(self.apply(gen, -1), 1) != gen:
                 raise AutomorphismError(f"inverse images do not invert on {name}")
             if self.apply(self.apply(gen, 1), -1) != gen:
                 raise AutomorphismError(f"images do not invert on {name}")
-        self.diagonal = self._diagonal_values()
-
-    def _diagonal_values(self) -> dict[str, Scalar] | None:
-        diag = {}
-        for info in self.algebra.generator_info():
-            gen = self.algebra.generator(info.name)
-            img = self.images[info.name]
-            if len(img.coeffs) != 1 or len(gen.coeffs) != 1:
-                return None
-            (mono, c), = img.coeffs.items()
-            (gen_mono, gen_c), = gen.coeffs.items()
-            if mono != gen_mono:
-                return None
-            diag[info.name] = c * gen_c.inverse()
-        return diag
+        if forward is not None:
+            self.diagonal = {name: c * d.inverse() for name, (d, c) in forward.items()}
 
     def apply(self, a: BaseElement, power: int = 1) -> BaseElement:
         """Apply sigma**power (negative powers use the inverse images)."""
@@ -563,12 +569,20 @@ class BaseAutomorphism:
             return a
         if self.diagonal is not None:
             out = {}
+            cache = self._cache
             for mono, c in a.coeffs.items():
                 key = (mono, power)
-                eig = self._cache.get(key)
+                eig = cache.get(key)
                 if eig is None:
-                    eig = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
-                    self._cache[key] = eig
+                    if power > 0:
+                        eig = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
+                    else:
+                        eig = cache.get((mono, -1))
+                        if eig is None:
+                            eig = self.algebra.monomial_eigenvalue(self.diagonal, mono).inverse()
+                            cache[(mono, -1)] = eig
+                        eig = eig ** -power
+                    cache[key] = eig
                 out[mono] = c * eig  # eigenvalues of an automorphism are nonzero
             return BaseElement._of(self.algebra, out)
         images = self.images if power > 0 else self.inverse_images
@@ -595,6 +609,22 @@ class BaseAutomorphism:
             self.images[info.name] == other.images[info.name]
             for info in self.algebra.generator_info()
         )
+
+
+def _scalar_images(gens: dict[str, BaseElement], images: dict[str, BaseElement]):
+    """name -> (d, c) when every generator is one term d mono that
+    ``images`` sends to one term c mono; else None."""
+    out = {}
+    for name, gen in gens.items():
+        img = images[name].coeffs
+        if len(gen.coeffs) != 1 or len(img) != 1:
+            return None
+        (mono, d), = gen.coeffs.items()
+        c = img.get(mono)
+        if c is None:
+            return None
+        out[name] = (d, c)
+    return out
 
 
 def winding_automorphism_left(chi: Character) -> BaseAutomorphism:

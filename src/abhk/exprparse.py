@@ -574,18 +574,22 @@ def format_element(elem) -> str:
     return _join_terms([_leg_term(base, leg, c) for leg, c in elem.terms()])
 
 
-def format_tensor(tensor) -> str:
+def format_tensor(tensor, max_terms: int | None = None) -> str:
     """Legs joined by (x), each leg printed as a one-term element carrying
-    the coefficient on the first leg."""
+    the coefficient on the first leg. With ``max_terms``, only the first
+    terms are printed, followed by a count of the rest."""
     base = tensor.algebra.base
     one = tensor.algebra.field.one()
+    keys = sorted(tensor.coeffs, key=lambda k: tuple(
+        (base.monomial_sort_key(mono), m, n) for (mono, m, n) in k))
     parts = []
-    for key in sorted(tensor.coeffs, key=lambda k: tuple(
-            (base.monomial_sort_key(mono), m, n) for (mono, m, n) in k)):
+    for key in keys[:max_terms]:
         c = tensor.coeffs[key]
         parts.append(" (x) ".join(
             _join_terms([_leg_term(base, leg, c if idx == 0 else one)])
             for idx, leg in enumerate(key)))
+    if len(keys) > len(parts):
+        parts.append(f"... ({len(keys) - len(parts)} more terms)")
     return "  +  ".join(parts) if parts else "0"
 
 

@@ -130,8 +130,11 @@ class HopfAmbiskewAlgebra:
 
     with Delta(X+-) = X+- (x) 1 + y+- (x) X+- and S(X+-) = -y+-^-1 X+-.
     ``delta_leg`` and ``antipode_leg`` cache these per leg; ``delta`` and
-    ``antipode`` are their linear extensions. The antipode's closed form
-    is checked against m(S (x) id)Delta(X+-) = 0 on construction.
+    ``antipode`` are their linear extensions. ``_delta_x`` caches the
+    powers of Delta(X+-), and ``_s_x`` the products S(X-)^n S(X+)^m per
+    (m, n), so the antipode of a leg costs one product, and that of a base
+    leg (m = n = 0) none: it is S(r) itself. The antipode's closed form is
+    checked against m(S (x) id)Delta(X+-) = 0 on construction.
     """
 
     antipode_form = "-y^-1*X"
@@ -143,6 +146,7 @@ class HopfAmbiskewAlgebra:
         self._dxm: list[Tensor] = []
         self._leg_delta: dict = {}
         self._leg_antipode: dict = {}
+        self._s_x_cache: dict = {}
         minus_one = algebra.field.from_int(-1)
         self._s_xp = algebra.monomial(invert_element(data.y_plus).scale(minus_one), 1, 0)
         self._s_xm = algebra.monomial(invert_element(data.y_minus).scale(minus_one), 0, 1)
@@ -198,8 +202,18 @@ class HopfAmbiskewAlgebra:
         if cached is None:
             mono, m, n = leg
             s_mono = BaseElement(self.base, self.base.antipode_monomial(mono))
-            cached = self._s_xm**n * self._s_xp**m * self.algebra.embed(s_mono)
+            cached = self.algebra.embed(s_mono)
+            if m or n:
+                cached = self._s_x(m, n) * cached
             self._leg_antipode[leg] = cached
+        return cached
+
+    def _s_x(self, m: int, n: int) -> AmbiElement:
+        """S(X-)^n S(X+)^m, cached per (m, n)."""
+        cached = self._s_x_cache.get((m, n))
+        if cached is None:
+            cached = self._s_xm**n * self._s_xp**m
+            self._s_x_cache[(m, n)] = cached
         return cached
 
     # -- their linear extensions to elements ---------------------------------
@@ -298,9 +312,25 @@ def _attach_algebra(report: CheckReport, base: BaseAlgebra, data: ExtensionData)
     return report
 
 
+WITNESS_TERMS = 4  # terms of lhs - rhs printed in a failed axiom's witness
+
+
+def _record_equal(report: CheckReport, name: str, lhs: Tensor, rhs: Tensor) -> None:
+    """Record whether lhs == rhs. A failure carries lhs - rhs, cut to
+    WITNESS_TERMS terms, as its witness; a pass formats nothing."""
+    if lhs == rhs:
+        report.record(name, True)
+        return
+    from . import exprparse
+
+    diff = exprparse.format_tensor(lhs - rhs, WITNESS_TERMS)
+    report.record(name, False, f"lhs - rhs = {diff}")
+
+
 def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
     """Mechanically verify the Hopf axioms and relation preservation on
-    every base generator and on X+ and X-."""
+    every base generator and on X+ and X-. A failed condition carries the
+    difference of its two sides as its witness."""
     alg = hopf.algebra
     base = alg.base
     report = CheckReport("Hopf axiom verification (verified on generators)")
@@ -313,32 +343,30 @@ def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
 
     for name, x in samples:
         d = hopf.delta(x)
-        ok = d.expand_leg(0, hopf.delta_leg) == d.expand_leg(1, hopf.delta_leg)
-        report.record(f"coassociativity[{name}]", ok)
+        _record_equal(report, f"coassociativity[{name}]",
+                      d.expand_leg(0, hopf.delta_leg), d.expand_leg(1, hopf.delta_leg))
 
         single = Tensor.of(x)
-        ok = d.contract_leg(0, hopf.counit_leg) == single
-        report.record(f"counit-left[{name}]", ok)
-        ok = d.contract_leg(1, hopf.counit_leg) == single
-        report.record(f"counit-right[{name}]", ok)
+        _record_equal(report, f"counit-left[{name}]", d.contract_leg(0, hopf.counit_leg), single)
+        _record_equal(report, f"counit-right[{name}]", d.contract_leg(1, hopf.counit_leg), single)
 
         target = Tensor.of(alg.one().scale(hopf.counit(x)))
-        ok = d.map_leg(0, hopf.antipode_leg).merge_legs(0) == target
-        report.record(f"antipode-left[{name}]", ok)
-        ok = d.map_leg(1, hopf.antipode_leg).merge_legs(0) == target
-        report.record(f"antipode-right[{name}]", ok)
+        _record_equal(report, f"antipode-left[{name}]",
+                      d.map_leg(0, hopf.antipode_leg).merge_legs(0), target)
+        _record_equal(report, f"antipode-right[{name}]",
+                      d.map_leg(1, hopf.antipode_leg).merge_legs(0), target)
 
     dxp, dxm = hopf.delta(alg.xplus()), hopf.delta(alg.xminus())
     for info in base.generator_info():
         r = base.generator(info.name)
         dr = hopf.delta(alg.embed(r))
-        ok = dxp * dr == hopf.delta(alg.embed(alg.sigma.apply(r, 1))) * dxp
-        report.record(f"delta-preserves-plus-relation[{info.name}]", ok)
-        ok = dxm * dr == hopf.delta(alg.embed(alg.sigma.apply(r, -1))) * dxm
-        report.record(f"delta-preserves-minus-relation[{info.name}]", ok)
+        _record_equal(report, f"delta-preserves-plus-relation[{info.name}]",
+                      dxp * dr, hopf.delta(alg.embed(alg.sigma.apply(r, 1))) * dxp)
+        _record_equal(report, f"delta-preserves-minus-relation[{info.name}]",
+                      dxm * dr, hopf.delta(alg.embed(alg.sigma.apply(r, -1))) * dxm)
 
     rhs = hopf.delta(alg.embed(alg.h)) + (dxm * dxp).scale(alg.xi)
-    report.record("delta-preserves-skew-relation", dxp * dxm == rhs)
+    _record_equal(report, "delta-preserves-skew-relation", dxp * dxm, rhs)
     return report
 
 
@@ -361,13 +389,15 @@ def verify_checked(report: CheckReport) -> CheckReport:
 
     Returns the data report merged with the axiom report. Checked data
     whose algebra fails an axiom is a breach of the construction theorem,
-    so it raises InternalError naming every failing condition.
+    so it raises InternalError naming every failing condition with its
+    witness.
     """
     axiom_report = verify_hopf_axioms(report.algebra)
     if not axiom_report.overall:
         raise InternalError(
             "constructed algebra failed axiom verification: "
-            + ", ".join(c.name for c in axiom_report.failures())
+            + ", ".join(f"{c.name} [{c.witness}]" if c.witness else c.name
+                        for c in axiom_report.failures())
         )
     return report.merged_with(axiom_report)
 

@@ -274,6 +274,26 @@ def test_direct_leg_product_matches_round_trip(corpus, name):
             assert list(got.items()) == list(want.items()), (name, leg1, leg2)
 
 
+# -- the two-leg tensor kernel against the k-leg loop ----------------------------
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_two_leg_kernel_matches_legwise_loop(corpus, seed):
+    """``Tensor.__mul__`` on 2-leg tensors equals the k-leg loop
+    ``_mul_legwise``, in values and in term order, on every corpus algebra."""
+    rng = random.Random(seed)
+    for name, hopf in corpus.items():
+        def random_tensor():
+            a, b, c = (random_element(rng, hopf, max_degree=2) for _ in range(3))
+            return Tensor.of(a, b) - Tensor.of(b, a) + hopf.delta(c)
+        x, y = random_tensor(), random_tensor()
+        for left, right in ((x, y), (y, x), (x, x)):
+            got, want = left * right, left._mul_legwise(right)
+            assert got == want, name
+            assert list(got.coeffs) == list(want.coeffs), name
+
+
 def test_extension_containers_reject_foreign_operands(corpus):
     A, B = corpus["usl2"].algebra, corpus["heisenberg"].algebra
     for op in (operator.add, operator.sub, operator.mul):

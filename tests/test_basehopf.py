@@ -262,6 +262,102 @@ def test_automorphism_rejects_bad_images():
     from abhk.basehopf import BaseAutomorphism
     with pytest.raises(AutomorphismError):
         BaseAutomorphism(group, {"g1": g**2}, {"g1": g})  # wrong inverse
+    two, three = QQ.from_int(2), QQ.from_int(3)
+    with pytest.raises(AutomorphismError, match="inverse images do not invert on t"):
+        # both maps diagonal: refused by the scalar check, 2 * 3 != 1^2
+        BaseAutomorphism(laurent, {"t": t.scale(two)}, {"t": t.scale(three)})
+    poly = PolynomialBase(QQ)
+    s = poly.generator("t")
+    with pytest.raises(AutomorphismError, match="inverse images do not invert on t"):
+        # diagonal images, non-diagonal inverse images: refused through the
+        # image path, sigma(t/2 + 1) = t + 1
+        BaseAutomorphism(poly, {"t": s.scale(two)}, {"t": s.scale(two.inverse()) + poly.one()})
+
+
+# -- the scalar inverse check against the image path -------------------------
+
+
+def _inverts_by_images(algebra, images, inverse_images) -> bool:
+    """The image-path inverse checks: both composites of a bare automorphism
+    whose ``diagonal`` is unset, so ``apply`` maps each monomial through the
+    generator images, must fix every generator."""
+    sigma = object.__new__(BaseAutomorphism)
+    sigma.algebra = algebra
+    sigma.images, sigma.inverse_images = dict(images), dict(inverse_images)
+    sigma._cache, sigma._image_cache, sigma.diagonal = {}, {}, None
+    return all(sigma.apply(sigma.apply(gen, -1), 1) == gen
+               and sigma.apply(sigma.apply(gen, 1), -1) == gen
+               for gen in algebra.generator_elements())
+
+
+def _is_scalar_map(algebra, images) -> bool:
+    """Whether every generator is one term that ``images`` sends to a
+    multiple of itself."""
+    return all(len(g.coeffs) == 1 and images[info.name].coeffs.keys() == g.coeffs.keys()
+               for info in algebra.generator_info() for g in [algebra.generator(info.name)])
+
+
+def _random_character(rng, base):
+    field = base.field
+    if base.family == "uqsl2":  # E, F -> 0 and K -> +-1 are its only characters
+        return Character(base, {"E": field.zero(), "F": field.zero(),
+                                "K": field.from_int(rng.choice((1, -1)))})
+    return Character(base, {info.name: field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+                            for info in base.generator_info()})
+
+
+def _corpus_sigmas(corpus):
+    """Every sigma of a corpus algebra or spec, with the inner sigma of each
+    U_q(sl2) base."""
+    sigmas = []
+    for hopf in corpus.values():
+        sigmas.append(hopf.algebra.sigma)
+        if hopf.base.family == "uqsl2":
+            sigmas.append(hopf.base.inner.sigma)
+    for path in sorted(corpus_dir().glob("*.abhk")):
+        spec = resolve_spec(parse_spec(path.read_text(encoding="utf-8")))
+        source = spec.general.algebra if spec.general is not None else spec.data
+        sigmas.append(source.sigma)
+    return sigmas
+
+
+def test_scalar_inverse_check_matches_image_path(monkeypatch, corpus):
+    """The verdict of BaseAutomorphism's inverse checks equals that of the
+    image path, on every corpus sigma and on windings of random characters
+    of each corpus base, each paired with its true inverse images, with its
+    own images, and with rescaled inverse images; where both maps are
+    diagonal, construction makes no ``apply`` call."""
+    rng = random.Random(20261018)
+    cases = [(s.algebra, s.images, s.inverse_images) for s in _corpus_sigmas(corpus)]
+    for hopf in corpus.values():
+        for _ in range(3):
+            chi = _random_character(rng, hopf.base)
+            s = winding_automorphism_left(chi)
+            cases.append((s.algebra, s.images, s.inverse_images))
+    applied = []
+    right = BaseAutomorphism.apply
+    monkeypatch.setattr(BaseAutomorphism, "apply",
+                        lambda self, *args: applied.append(1) or right(self, *args))
+    verdicts = set()
+    for algebra, images, inverse_images in cases:
+        c = algebra.field.from_int(rng.choice((-1, 2, 3)))
+        rescaled = {name: img.scale(c) for name, img in inverse_images.items()}
+        for inverse in (inverse_images, images, rescaled):
+            try:
+                algebra.check_endo_map(inverse)
+            except AutomorphismError:
+                continue
+            applied.clear()
+            try:
+                BaseAutomorphism(algebra, images, inverse)
+                built = True
+            except AutomorphismError:
+                built = False
+            scalar = _is_scalar_map(algebra, images) and _is_scalar_map(algebra, inverse)
+            assert not (scalar and applied), algebra.family
+            assert built == _inverts_by_images(algebra, images, inverse), algebra.family
+            verdicts.add((scalar, built))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- coradical degrees ---------------------------------------------------------

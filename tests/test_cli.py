@@ -174,6 +174,26 @@ def test_axiom_breach_names_the_failing_condition(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_axiom_breach_prints_its_witness(monkeypatch, capsys):
+    from abhk.hopfstruct import HopfAmbiskewAlgebra
+
+    right = HopfAmbiskewAlgebra.antipode_leg
+
+    def wrong(hopf, leg):
+        # S(X+) = +y^-1 X+: for usl2 (y = 1) m(S (x) id)Delta(X+) = 2 X+
+        s = right(hopf, leg)
+        return s.scale(hopf.algebra.field.from_int(-1)) if leg[1] else s
+
+    monkeypatch.setattr(HopfAmbiskewAlgebra, "antipode_leg", wrong)
+    code, out, err = run(capsys, "check", str(CORPUS / "usl2.abhk"))
+    assert code == 3
+    assert out == ""
+    assert err == ("internal error: constructed algebra failed axiom verification: "
+                   "antipode-left[X+] [lhs - rhs = 2*X+], "
+                   "antipode-right[X+] [lhs - rhs = 2*X+]\n")
+    assert "Traceback" not in err
+
+
 def test_nested_power_at_the_limit_is_accepted(capsys):
     code, out, _ = run(capsys, "mul", str(CORPUS / "uqsl2-variant.abhk"), "((q+1)^16)^16")
     assert code == 0

@@ -150,6 +150,11 @@ def test_element_print_reparse(corpus, name):
             legs = [eval_expr(parse_expr(leg), ctx) for leg in term.split(" (x) ")]
             back = back + Tensor.of(*legs)
         assert back == delta, text
+        # the cut form (axiom witnesses) keeps the first terms and counts the rest
+        terms = text.split("  +  ")
+        cut = format_tensor(delta, 2).split("  +  ")
+        rest = [f"... ({len(terms) - 2} more terms)"] if len(terms) > 2 else []
+        assert cut == terms[:2] + rest, text
 
 
 def test_scalar_formatting():

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from abhk.ambicore import AmbiskewAlgebra, Tensor
+from abhk.ambicore import AmbiElement, AmbiskewAlgebra, Tensor
 from abhk.basehopf import (
+    BaseAutomorphism,
+    BaseElement,
     BaseTensor,
     Character,
     GroupBase,
@@ -156,6 +158,9 @@ def test_corrupted_h_fails_relation_preservation():
     report = verify_hopf_axioms(hopf)
     failing = {c.name for c in report.failures()}
     assert "delta-preserves-skew-relation" in failing
+    # the witness is lhs - rhs = Delta(t) - Delta(t^2) = -2 t (x) t; a pass has none
+    witnesses = {c.name: c.witness for c in report.conditions if c.witness}
+    assert witnesses == {"delta-preserves-skew-relation": "lhs - rhs = -2*t (x) t"}
     assert check_main_theorem(base, good).overall
 
 
@@ -261,6 +266,26 @@ def test_delta_leg_matches_three_factor_product(corpus):
             want = spread * hopf._delta_x(+1, m) * hopf._delta_x(-1, n)
             assert got == want, (name, mono, m, n)
             assert list(got.coeffs) == list(want.coeffs), (name, mono, m, n)
+
+
+def test_antipode_leg_matches_three_factor_product(corpus):
+    """Every leg antipode with m, n <= 3, built cold, equals the three-factor
+    product S(X-)^n * S(X+)^m * S(r), which multiplies by the unit when a
+    power is zero, term for term and in the same order."""
+    rng = random.Random(20261018)
+    for name, built in corpus.items():
+        hopf = HopfAmbiskewAlgebra(built.algebra, built.data)  # empty leg caches
+        base, one = hopf.base, hopf.base.field.one()
+        monos = {mono for _ in range(4)
+                 for mono in random_base_element(rng, base, max_support=2).coeffs}
+        for mono in monos:
+            r = BaseElement(base, {mono: one})
+            for m in range(4):
+                for n in range(4):
+                    got = hopf.antipode_leg((mono, m, n))
+                    want = _reference_antipode(hopf, hopf.algebra.monomial(r, m, n))
+                    assert got == want, (name, mono, m, n)
+                    assert list(got.coeffs) == list(want.coeffs), (name, mono, m, n)
 
 
 # -- relabel -------------------------------------------------------------------
@@ -471,22 +496,24 @@ def test_fast_path_refused_for_uqsl2_base():
 # -- work counts of one cold construction -----------------------------------------
 #
 # One cold parse -> resolve -> check -> verify run of a corpus spec, counted by
-# wrapping two library methods inside the test: field inversions (a gcd or a
-# Galois norm each) and passes of the zero filter in the public Sparse
-# constructor. The bounds are the counts the library reaches; a rise means
-# repeated cold-path work has come back.
+# wrapping four library methods inside the test: field inversions (a gcd or a
+# Galois norm each), passes of the zero filter in the public Sparse
+# constructor, products in A, and sigma applications. The bounds are the
+# counts the library reaches; a rise means repeated cold-path work has come
+# back (products by the unit in a leg antipode, image-path inverse checks of
+# a diagonal sigma).
 
-COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes)
-    "uqsl2-case3": (48, 140),
-    "uqsl2": (42, 132),
-    "usl2": (3, 41),
+COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products, sigma)
+    "uqsl2-case3": (43, 135, 18, 161),
+    "uqsl2": (37, 127, 18, 119),
+    "usl2": (3, 40, 8, 38),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COLD_BUILD_BOUNDS))
 def test_cold_build_counts(monkeypatch, name):
     text = (corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")
-    counts = {"inv": 0, "filter": 0}
+    counts = {"inv": 0, "filter": 0, "mul": 0, "apply": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -497,7 +524,11 @@ def test_cold_build_counts(monkeypatch, name):
     for field_class in (RationalField, CyclotomicField, RationalFunctionField):
         monkeypatch.setattr(field_class, "_inv", counting("inv", field_class._inv))
     monkeypatch.setattr(Sparse, "__init__", counting("filter", Sparse.__init__))
+    monkeypatch.setattr(AmbiElement, "__mul__", counting("mul", AmbiElement.__mul__))
+    monkeypatch.setattr(BaseAutomorphism, "apply", counting("apply", BaseAutomorphism.apply))
     _checked_algebra(resolve_spec(parse_spec(text)))
-    max_inv, max_filter = COLD_BUILD_BOUNDS[name]
+    max_inv, max_filter, max_mul, max_apply = COLD_BUILD_BOUNDS[name]
     assert counts["inv"] <= max_inv, counts
     assert counts["filter"] <= max_filter, counts
+    assert counts["mul"] <= max_mul, counts
+    assert counts["apply"] <= max_apply, counts
