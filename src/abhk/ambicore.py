@@ -20,7 +20,15 @@ from __future__ import annotations
 
 import random
 
-from .basehopf import BaseAlgebra, BaseAutomorphism, BaseElement, Sparse, combine, is_central
+from .basehopf import (
+    BaseAlgebra,
+    BaseAutomorphism,
+    BaseElement,
+    Sparse,
+    combine,
+    is_central,
+    nonnegative_power,
+)
 from .errors import AlgebraMismatchError, HopfDataError
 from .scalar import Scalar
 
@@ -47,6 +55,7 @@ class AmbiskewAlgebra:
         self.xi_inv = xi.inverse()
         self._nf_cache: dict = {}
         self._leg_cache: dict = {}
+        self._one_mono = base.one_monomial()
 
     @property
     def field(self):
@@ -131,14 +140,23 @@ class AmbiskewAlgebra:
         distinct (m1 + u, v + n2), so no two terms are added. When n1 or m2
         is 0, _nf(n1, m2) is the one term X+^m2 X-^n1 and sigma fixes 1, so
         the sum is the single term r1 sigma^(m1-n1)(r2) X+^(m1+m2) X-^(n1+n2).
+
+        The coefficient r1 sigma^(m1-n1)(r2) takes no product when either
+        monomial is the unit: it is r1 when r2 = 1, since sigma fixes 1, and
+        sigma^(m1-n1)(r2) when r1 = 1. Both are what the product would
+        return, by the unit law of the base.
         """
         key = (leg1, leg2)
         cached = self._leg_cache.get(key)
         if cached is None:
             (r1, m1, n1), (r2, m2, n2) = leg1, leg2
             base, sigma, one = self.base, self.sigma, self.field.one()
-            coeff = BaseElement._of(base, {r1: one}) * sigma.apply(
-                BaseElement._of(base, {r2: one}), m1 - n1)
+            if r2 == self._one_mono:
+                coeff = BaseElement._of(base, {r1: one})
+            else:
+                coeff = sigma.apply(BaseElement._of(base, {r2: one}), m1 - n1)
+                if r1 != self._one_mono:
+                    coeff = BaseElement._of(base, {r1: one}) * coeff
             if not n1 or not m2:
                 cached = {(mono, m1 + m2, n1 + n2): d for mono, d in coeff.coeffs.items()}
             else:
@@ -152,7 +170,16 @@ class AmbiskewAlgebra:
 
 class AmbiElement(Sparse):
     """Element of A as a finitely supported (m, n) -> BaseElement map over
-    the free-module basis X+^m X-^n, base coefficients written on the left."""
+    the free-module basis X+^m X-^n, base coefficients written on the left.
+
+    A product with the unit ``{(0, 0): 1}`` as either factor returns the
+    other operand itself, with no rewriting. This is exact: sigma fixes 1,
+    ``mul_monomials`` with X+^0 X-^0 on either side is the one term
+    ``{(m, n): 1}``, and the base product with the unit returns the other
+    factor, so the loop would build the other operand's dict, in the same
+    order, with the same base coefficients. ``x**n`` takes n - 1 products
+    starting from x, so it never multiplies by the unit either.
+    """
 
     __slots__ = ()
 
@@ -180,6 +207,10 @@ class AmbiElement(Sparse):
         if not isinstance(other, Sparse):
             return self.__rmul__(other)
         self._check(other)
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         alg = self.algebra
         out: dict = {}  # the combine loop written inline: the engine's hottest loop
         for (m, n), a in self.coeffs.items():
@@ -198,10 +229,13 @@ class AmbiElement(Sparse):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in A")
-        acc = self.algebra.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return nonnegative_power(self, n)
+
+
+def _is_one(a: AmbiElement) -> bool:
+    """Whether a is the unit of A: the one term 1 X+^0 X-^0."""
+    r = a.coeffs.get((0, 0))
+    return r is not None and len(a.coeffs) == 1 and r.coeffs == a.algebra.base.one().coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +248,6 @@ def _flatten(a: AmbiElement) -> dict:
         for mono, c in r.coeffs.items():
             out[(mono, m, n)] = c
     return out
-
-
-def _leg_element(algebra: AmbiskewAlgebra, leg) -> AmbiElement:
-    mono, m, n = leg
-    return AmbiElement(
-        algebra, {(m, n): BaseElement(algebra.base, {mono: algebra.field.one()})}
-    )
 
 
 class Tensor(Sparse):
@@ -260,14 +287,6 @@ class Tensor(Sparse):
                 for leg, d in flat.items()
             }
         return cls._of(algebra, out, len(factors))
-
-    def to_ambi(self) -> AmbiElement:
-        if self.legs != 1:
-            raise ValueError("only 1-leg tensors convert back to elements")
-        acc = self.algebra.zero()
-        for (leg,), c in self.coeffs.items():
-            acc = acc + _leg_element(self.algebra, leg).scale(c)
-        return acc
 
     def _check(self, other):
         if self.legs != other.legs:

@@ -286,7 +286,17 @@ class Sparse:
 
 
 class BaseElement(Sparse):
-    """Finitely supported Scalar combination of canonical basis monomials."""
+    """Finitely supported Scalar combination of canonical basis monomials.
+
+    A product with the unit as either factor returns the other operand
+    itself, with no kernel loop. The unit is recognised by its coeffs,
+    ``{one_monomial: 1}``, equal to those of ``algebra._one``. This is
+    exact: by the unit law ``mul_monomials(1, m) = mul_monomials(m, 1) =
+    {m: 1}``, and ``Scalar.__mul__`` returns the other operand for a unit
+    factor, so the loop would build the other operand's dict, in the same
+    order, with the same scalars. ``x**n`` takes n - 1 products starting
+    from x, so it never multiplies by the unit either.
+    """
 
     __slots__ = ()
 
@@ -300,6 +310,11 @@ class BaseElement(Sparse):
         if not isinstance(other, Sparse):
             return self.__rmul__(other)
         self._check(other)
+        one = self.algebra._one.coeffs
+        if other.coeffs == one:
+            return self
+        if self.coeffs == one:
+            return other
         out: dict = {}  # the combine loop written inline: the hottest loop
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
@@ -318,10 +333,18 @@ class BaseElement(Sparse):
     def __pow__(self, n: int):
         if n < 0:
             return invert_element(self) ** (-n)
-        acc = self.algebra.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return nonnegative_power(self, n)
+
+
+def nonnegative_power(x: Sparse, n: int) -> Sparse:
+    """x**n for n >= 0: the unit for n = 0, else n - 1 products from x,
+    each multiplying the running product by x on the right."""
+    if n == 0:
+        return x.algebra.one()
+    acc = x
+    for _ in range(n - 1):
+        acc = acc * x
+    return acc
 
 
 def invert_element(a: BaseElement) -> BaseElement:

@@ -176,18 +176,27 @@ class HopfAmbiskewAlgebra:
         return cache[power]
 
     def delta_leg(self, leg) -> Tensor:
+        """Delta(r X+^m X-^n) = spread * Delta(X+)^m * Delta(X-)^n, where
+        spread is Delta(r) on 0-power legs, cached per leg.
+
+        On the one monomial with m + n > 0 the product starts from the
+        first power instead: spread is then Delta(1) = 1 (x) 1, the unit
+        tensor, and the two-leg kernel multiplying by it would rebuild the
+        other factor's dict in the same order with the same scalars.
+        """
         cached = self._leg_delta.get(leg)
         if cached is None:
             mono, m, n = leg
-            spread = Tensor(self.algebra, 2, {
-                ((m1, 0, 0), (m2, 0, 0)): c
-                for (m1, m2), c in self.base.delta_monomial(mono).items()
-            })
-            cached = spread
-            if m:
-                cached = cached * self._delta_x(+1, m)
-            if n:
-                cached = cached * self._delta_x(-1, n)
+            cached = None
+            if mono != self.base.one_monomial() or not (m or n):
+                cached = Tensor(self.algebra, 2, {
+                    ((m1, 0, 0), (m2, 0, 0)): c
+                    for (m1, m2), c in self.base.delta_monomial(mono).items()
+                })
+            for sign, power in ((+1, m), (-1, n)):
+                if power:
+                    step = self._delta_x(sign, power)
+                    cached = step if cached is None else cached * step
             self._leg_delta[leg] = cached
         return cached
 
@@ -201,8 +210,9 @@ class HopfAmbiskewAlgebra:
         cached = self._leg_antipode.get(leg)
         if cached is None:
             mono, m, n = leg
-            s_mono = BaseElement(self.base, self.base.antipode_monomial(mono))
-            cached = self.algebra.embed(s_mono)
+            # S(mono) is a nonzero combination (S is bijective): no filter
+            s_mono = BaseElement._of(self.base, self.base.antipode_monomial(mono))
+            cached = AmbiElement._of(self.algebra, {(0, 0): s_mono})
             if m or n:
                 cached = self._s_x(m, n) * cached
             self._leg_antipode[leg] = cached
@@ -341,8 +351,9 @@ def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
         for info in base.generator_info()
     ]
 
+    deltas = {}  # sample name -> Delta(sample), reused by the relation checks
     for name, x in samples:
-        d = hopf.delta(x)
+        d = deltas[name] = hopf.delta(x)
         _record_equal(report, f"coassociativity[{name}]",
                       d.expand_leg(0, hopf.delta_leg), d.expand_leg(1, hopf.delta_leg))
 
@@ -356,10 +367,10 @@ def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
         _record_equal(report, f"antipode-right[{name}]",
                       d.map_leg(1, hopf.antipode_leg).merge_legs(0), target)
 
-    dxp, dxm = hopf.delta(alg.xplus()), hopf.delta(alg.xminus())
+    dxp, dxm = deltas["X+"], deltas["X-"]
     for info in base.generator_info():
         r = base.generator(info.name)
-        dr = hopf.delta(alg.embed(r))
+        dr = deltas[info.name]
         _record_equal(report, f"delta-preserves-plus-relation[{info.name}]",
                       dxp * dr, hopf.delta(alg.embed(alg.sigma.apply(r, 1))) * dxp)
         _record_equal(report, f"delta-preserves-minus-relation[{info.name}]",
