@@ -200,24 +200,37 @@ def test_nested_power_at_the_limit_is_accepted(capsys):
     assert out.startswith("result: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ("--field", "cyclotomic:x", "check", "usl2.abhk"),
-    ("--field", "cyclotomic:0", "check", "usl2.abhk"),
-    ("--nmax", "-5", "props", "usl2.abhk"),
-    ("--nmax", "0", "props", "usl2.abhk"),
-    ("mul", "uqsl2-variant.abhk", "(q-q)^-1"),
-    ("mul", "usl2.abhk", "(1-1)^-1"),
-    ("--field", "cyclotomic:8", "mul", "usl2.abhk", "(zeta-zeta)^-1"),
-    ("--field", "rational", "examples"),
-    ("--nmax", "5", "examples"),
-    ("mul", "uqsl2-variant.abhk", "(q+1)^3000"),
-    ("mul", "uqsl2-variant.abhk", "((q+1)^256)^256"),
-    ("mul", "uqsl2-variant.abhk", "((q+1)^17)^16"),
-    ("mul", "usl2.abhk", "(X+ + 1)^-1"),
-    ("mul", "usl2.abhk", "(2*t)^-1"),
-    ("--field", "cyclotomic:100000", "check", "usl2.abhk"),
-], ids=" ".join)
-def test_malformed_input_is_input_error(capsys, argv):
+USAGE_ERROR = "abhk: error: argument "
+
+# each malformed command line and the last line it prints on stderr
+MALFORMED_INPUT = [
+    (("--field", "cyclotomic:x", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'cyclotomic:x': invalid literal for int() with base 10: 'x'"),
+    (("--field", "cyclotomic:0", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'cyclotomic:0': cyclotomic order must be >= 1"),
+    (("--nmax", "-5", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '-5' is not a positive integer"),
+    (("--nmax", "0", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '0' is not a positive integer"),
+    (("mul", "uqsl2-variant.abhk", "(q-q)^-1"), "error: inverse of zero"),
+    (("mul", "usl2.abhk", "(1-1)^-1"), "error: inverse of zero"),
+    (("--field", "cyclotomic:8", "mul", "usl2.abhk", "(zeta-zeta)^-1"), "error: inverse of zero"),
+    (("--field", "rational", "examples"), "error: --field does not apply to examples"),
+    (("--nmax", "5", "examples"), "error: --nmax does not apply to examples"),
+    (("mul", "uqsl2-variant.abhk", "(q+1)^3000"),
+     "error: exponent 3000 exceeds the limit 256 at line 1, column 7"),
+    (("mul", "uqsl2-variant.abhk", "((q+1)^256)^256"),
+     "error: nested exponents multiply to 65536, which exceeds the limit 256 at line 1, column 13"),
+    (("mul", "uqsl2-variant.abhk", "((q+1)^17)^16"),
+     "error: nested exponents multiply to 272, which exceeds the limit 256 at line 1, column 12"),
+    (("mul", "usl2.abhk", "(X+ + 1)^-1"), "error: element with X factors is not invertible"),
+    (("mul", "usl2.abhk", "(2*t)^-1"), "error: monomial is not a unit in this family"),
+    (("--field", "cyclotomic:100000", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'cyclotomic:100000': cyclotomic order 100000 exceeds the limit 512"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED_INPUT,
+                         ids=[" ".join(argv) for argv, _ in MALFORMED_INPUT])
+def test_malformed_input_is_input_error(capsys, argv, message):
     argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]
     try:
         code = main(argv)
@@ -225,8 +238,11 @@ def test_malformed_input_is_input_error(capsys, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert "error:" in err
     assert "Traceback" not in err
+    # argparse prints its usage first; every other refusal is one line
+    lines = err.splitlines()
+    assert lines[-1] == message
+    assert message.startswith(USAGE_ERROR) or len(lines) == 1
 
 
 @pytest.mark.parametrize("spec, expr, same_as", [
