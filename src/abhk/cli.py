@@ -100,10 +100,9 @@ def _checked_algebra(spec: ResolvedSpec) -> tuple[HopfAmbiskewAlgebra, CheckRepo
     """Route through the change of variables when needed, check the data,
     and verify the axioms; raises AbhkError with the report on failure."""
     if spec.general is not None:
-        data, _ = relabel(spec.general)
+        _, report = relabel(spec.general)
     else:
-        data = spec.data
-    report = check_main_theorem(spec.base, data)
+        report = check_main_theorem(spec.base, spec.data)
     if not report.overall:
         raise _CheckFailed(report)
     return report.algebra, verify_checked(report)

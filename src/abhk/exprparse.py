@@ -10,6 +10,10 @@ Expression grammar (whitespace insensitive):
     NUMBER := INT ['/' INT]
     IDENT  := letter (letter | digit | '_')*  |  'X+'  |  'X-'
 
+An expression is evaluated in one ring: the field for chi, xi and q
+values, the base R for y+-, h and sigma images, and A on the command line.
+Numbers, q and zeta are lifted into that ring as scalar multiples of 1.
+
 Spec documents are line-oriented UTF-8 with nested named blocks and
 "key: value" entries; '#' starts a comment. Unknown keys are rejected.
 The full grammar ships in docs/spec-format.md.
@@ -321,7 +325,9 @@ def _format_node(node: Node, parent: str) -> str:
 
 class EvalContext:
     """Resolves identifiers against a scalar field, an optional base
-    family, and optionally the ambiskew variables X+ and X-."""
+    family, and optionally the ambiskew variables X+ and X-. Values live
+    in one ring, A if present, else R, else the field: ``lift`` carries
+    numbers, q and zeta into it, and each operator is the ring's own."""
 
     def __init__(self, field: Field, base: BaseAlgebra | None = None,
                  algebra: AmbiskewAlgebra | None = None):
@@ -329,17 +335,19 @@ class EvalContext:
         self.base = base
         self.algebra = algebra
 
-    def scalar_generator(self, ident: str, power: int = 1) -> Scalar | None:
-        if ident == "q" and isinstance(self.field, RationalFunctionField):
-            return self.field.q(power)
-        if ident == "zeta" and isinstance(self.field, CyclotomicField):
-            return self.field.zeta(power)
-        return None
+    def lift(self, c: Scalar):
+        """The scalar c as an element of the context's ring."""
+        if self.algebra is not None:
+            return self.algebra.one().scale(c)
+        if self.base is not None:
+            return self.base.from_scalar(c)
+        return c
 
     def lookup(self, ident: str, power: int = 1):
-        scalar = self.scalar_generator(ident, power)
-        if scalar is not None:
-            return scalar
+        if ident == "q" and isinstance(self.field, RationalFunctionField):
+            return self.lift(self.field.q(power))
+        if ident == "zeta" and isinstance(self.field, CyclotomicField):
+            return self.lift(self.field.zeta(power))
         if ident in ("X+", "X-"):
             if self.algebra is None:
                 raise ParseError(f"{ident} is not available in a base-only expression")
@@ -354,97 +362,64 @@ class EvalContext:
         raise ParseError(f"unknown generator {ident!r}")
 
 
-def _to_element(value, ctx: EvalContext):
-    if isinstance(value, Scalar):
-        if ctx.algebra is not None:
-            return ctx.algebra.one().scale(value)
-        if ctx.base is not None:
-            return ctx.base.from_scalar(value)
-    return value
-
-
 def _eval(node: Node, ctx: EvalContext):
+    """The value of ``node`` in the context's ring. ``Mul`` and ``Pow`` are
+    the only steps that multiply."""
     if isinstance(node, Num):
-        return ctx.field.from_fraction(node.value)
+        return ctx.lift(ctx.field.from_fraction(node.value))
     if isinstance(node, Name):
         return ctx.lookup(node.ident)
     if isinstance(node, Neg):
-        value = _eval(node.operand, ctx)
-        return -value if isinstance(value, Scalar) else value.scale(ctx.field.from_int(-1))
+        return -_eval(node.operand, ctx)
     if isinstance(node, Pow):
         if isinstance(node.base, Name):
             return ctx.lookup(node.base.ident, node.exponent)
         value = _eval(node.base, ctx)
-        if isinstance(value, Scalar):
-            return value**node.exponent
-        if node.exponent >= 0:
-            return value**node.exponent
-        return _invert_value(value) ** (-node.exponent)
+        if node.exponent < 0:
+            return _invert_value(value) ** -node.exponent
+        return value**node.exponent
     if isinstance(node, Mul):
         acc = _eval(node.factors[0], ctx)
         for factor in node.factors[1:]:
-            acc = _combine(acc, _eval(factor, ctx), ctx, "*")
+            acc = acc * _eval(factor, ctx)
         return acc
     if isinstance(node, Sum):
         acc = None
         for sign, term in node.terms:
             value = _eval(term, ctx)
             if sign < 0:
-                value = -value if isinstance(value, Scalar) else value.scale(ctx.field.from_int(-1))
-            acc = value if acc is None else _combine(acc, value, ctx, "+")
+                value = -value
+            acc = value if acc is None else acc + value
         return acc
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _combine(a, b, ctx: EvalContext, op: str):
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return a + b if op == "+" else a * b
-    a2, b2 = a, b
-    if isinstance(a, Scalar):
-        if op == "*":
-            return b.scale(a)
-        a2 = _to_element(a, ctx)
-    if isinstance(b, Scalar):
-        if op == "*":
-            return a.scale(b)
-        b2 = _to_element(b, ctx)
-    return a2 + b2 if op == "+" else a2 * b2
-
-
 def _invert_value(value):
+    if value.is_zero():
+        raise NotInvertibleError("inverse of zero")
+    if isinstance(value, Scalar):
+        return value.inverse()
     if isinstance(value, BaseElement):
         return invert_element(value)
-    if isinstance(value, AmbiElement):
-        if not value.is_base():
-            raise NotInvertibleError("element with X factors is not invertible")
-        return value.algebra.embed(invert_element(value.base_part()))
-    raise NotInvertibleError(f"cannot invert {value!r}")
+    if not value.is_base():
+        raise NotInvertibleError("element with X factors is not invertible")
+    return value.algebra.embed(invert_element(value.base_part()))
 
 
 def eval_expr(node: Node, ctx: EvalContext) -> AmbiElement:
     """Evaluate to a normal-formed element of the extension."""
     if ctx.algebra is None:
         raise ValueError("eval_expr needs an ambiskew algebra in context")
-    value = _eval(node, ctx)
-    return _to_element(value, ctx)
+    return _eval(node, ctx)
 
 
 def eval_base_expr(node: Node, field: Field, base: BaseAlgebra) -> BaseElement:
     """Evaluate to an element of the base family (X+- not in scope)."""
-    ctx = EvalContext(field, base, None)
-    value = _eval(node, ctx)
-    result = _to_element(value, ctx)
-    if not isinstance(result, BaseElement):
-        raise ParseError("expression did not evaluate to a base element")
-    return result
+    return _eval(node, EvalContext(field, base))
 
 
 def eval_scalar_expr(node: Node, field: Field) -> Scalar:
-    ctx = EvalContext(field, None, None)
-    value = _eval(node, ctx)
-    if not isinstance(value, Scalar):
-        raise ParseError("expression did not evaluate to a scalar")
-    return value
+    return _eval(node, EvalContext(field))
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +577,6 @@ class SpecBlock:
     name: str
     entries: dict = dataclass_field(default_factory=dict)   # key -> str value
     blocks: dict = dataclass_field(default_factory=dict)    # name -> SpecBlock
-    order: list = dataclass_field(default_factory=list)     # keys in file order
 
 
 @dataclass
@@ -637,7 +611,6 @@ def _parse_blocks(src: str) -> SpecBlock:
             if name in parent.blocks:
                 raise ParseError(f"duplicate block {name!r}", lineno)
             parent.blocks[name] = block
-            parent.order.append(name)
             stack.append(block)
             continue
         if ":" not in line:
@@ -648,13 +621,43 @@ def _parse_blocks(src: str) -> SpecBlock:
         if key in parent.entries:
             raise ParseError(f"duplicate key {key!r} in {parent.name}", lineno)
         parent.entries[key] = value
-        parent.order.append(key)
     if len(stack) != 1:
         raise ParseError(f"unclosed block {stack[-1].name!r}")
     return root
 
 
 _FIELD_KINDS = {"rational", "cyclotomic", "rational-function"}
+
+# base.family -> the keys that family takes besides "family"
+_FAMILY_KEYS = {"polynomial": (), "laurent": (), "group": ("rank", "torsion"), "uqsl2": ("q",)}
+
+# sorted, so a missing key is named in alphabetical order
+_GENERAL_FORM_KEYS = ("h", "l_minus", "l_plus", "r_minus", "r_plus", "xi")
+
+_EXPECT_KEYS = ("check", "witness", "classification", "gk_dim", "gl_dim", "pi", "note")
+
+
+def _check_block(block: SpecBlock, path: str, required=(), optional=(),
+                 required_blocks=(), optional_blocks=()) -> None:
+    """Refuse the first schema violation of one block, in this order: any
+    sub-block where none is allowed, a missing key, a missing block (each
+    in the order given), an unknown key, an unknown block (each the first
+    in sorted order). Messages name the block by its path."""
+    blocks = (*required_blocks, *optional_blocks)
+    if block.blocks and not blocks:
+        raise SpecError(f"{path}: nested blocks not allowed")
+    for key in required:
+        if key not in block.entries:
+            raise SpecError(f"{path}.{key} required")
+    for name in required_blocks:
+        if name not in block.blocks:
+            raise SpecError(f"{path}.{name} block required")
+    extras = set(block.entries).difference(required, optional)
+    if extras:
+        raise SpecError(f"{path}: unknown key {min(extras)!r}")
+    extras = set(block.blocks).difference(blocks)
+    if extras:
+        raise SpecError(f"{path}: unknown block {min(extras)!r}")
 
 
 def parse_spec(src: str) -> SpecDocument:
@@ -669,18 +672,14 @@ def parse_spec(src: str) -> SpecDocument:
         if required not in root.blocks:
             raise SpecError(f"document: block {required!r} required")
 
+    # an unknown kind or family is refused before the keys it would not take
     fblock = root.blocks["field"]
-    if fblock.blocks:
-        raise SpecError("field: nested blocks not allowed")
     kind = fblock.entries.get("kind")
-    if kind is None:
-        raise SpecError("field.kind required")
+    _check_block(fblock, "field", ("kind",),
+                 ("order",) if kind in _FIELD_KINDS else fblock.entries)
     if kind not in _FIELD_KINDS:
         raise SpecError(f"field.kind: unknown value {kind!r}")
     order = None
-    extras = set(fblock.entries) - {"kind", "order"}
-    if extras:
-        raise SpecError(f"field: unknown key {sorted(extras)[0]!r}")
     if kind == "cyclotomic":
         if "order" not in fblock.entries:
             raise SpecError("field.order required for cyclotomic fields")
@@ -689,19 +688,11 @@ def parse_spec(src: str) -> SpecDocument:
         raise SpecError("field.order only applies to cyclotomic fields")
 
     bblock = root.blocks["base"]
-    if bblock.blocks:
-        raise SpecError("base: nested blocks not allowed")
     family = bblock.entries.get("family")
-    if family is None:
-        raise SpecError("base.family required")
-    params: dict = {}
-    allowed = {"polynomial": set(), "laurent": set(), "group": {"rank", "torsion"},
-               "uqsl2": {"q"}}
-    if family not in allowed:
+    _check_block(bblock, "base", ("family",), _FAMILY_KEYS.get(family, bblock.entries))
+    if family not in _FAMILY_KEYS:
         raise SpecError(f"base.family: unknown value {family!r}")
-    extras = set(bblock.entries) - {"family"} - allowed[family]
-    if extras:
-        raise SpecError(f"base: unknown key {sorted(extras)[0]!r}")
+    params: dict = {}
     if family == "group":
         params["rank"] = _int_value("base.rank", bblock.entries.get("rank", "0"), 0)
         torsion = bblock.entries.get("torsion", "").strip()
@@ -716,34 +707,12 @@ def parse_spec(src: str) -> SpecDocument:
 
     ext = root.blocks["extension"]
     if "general_form" in ext.blocks:
-        gf = ext.blocks["general_form"]
         if set(ext.entries) or set(ext.blocks) - {"general_form"}:
             raise SpecError("extension: hat-form keys not allowed with general_form")
-        needed = {"xi", "h", "l_plus", "l_minus", "r_plus", "r_minus"}
-        missing = needed - set(gf.entries)
-        if missing:
-            raise SpecError(f"extension.general_form.{sorted(missing)[0]} required")
-        extras = set(gf.entries) - needed
-        if extras:
-            raise SpecError(f"extension.general_form: unknown key {sorted(extras)[0]!r}")
-        for sub in ("sigma", "sigma_inverse"):
-            if sub not in gf.blocks:
-                raise SpecError(f"extension.general_form.{sub} block required")
-        extras = set(gf.blocks) - {"sigma", "sigma_inverse"}
-        if extras:
-            raise SpecError(f"extension.general_form: unknown block {sorted(extras)[0]!r}")
+        _check_block(ext.blocks["general_form"], "extension.general_form",
+                     _GENERAL_FORM_KEYS, (), ("sigma", "sigma_inverse"))
     else:
-        for required in ("y_plus", "y_minus", "h"):
-            if required not in ext.entries:
-                raise SpecError(f"extension.{required} required")
-        if "chi" not in ext.blocks:
-            raise SpecError("extension.chi block required")
-        extras = set(ext.entries) - {"y_plus", "y_minus", "h"}
-        if extras:
-            raise SpecError(f"extension: unknown key {sorted(extras)[0]!r}")
-        extras = set(ext.blocks) - {"chi"}
-        if extras:
-            raise SpecError(f"extension: unknown block {sorted(extras)[0]!r}")
+        _check_block(ext, "extension", ("y_plus", "y_minus", "h"), (), ("chi",))
 
     options: dict = {}
     if "options" in root.blocks:
@@ -756,14 +725,7 @@ def parse_spec(src: str) -> SpecDocument:
 
     expect = root.blocks.get("expect")
     if expect is not None:
-        allowed_keys = {"check", "witness", "classification", "gk_dim", "gl_dim",
-                        "pi", "note"}
-        extras = set(expect.entries) - allowed_keys
-        if extras:
-            raise SpecError(f"expect: unknown key {sorted(extras)[0]!r}")
-        extras = set(expect.blocks) - {"identities", "corad"}
-        if extras:
-            raise SpecError(f"expect: unknown block {sorted(extras)[0]!r}")
+        _check_block(expect, "expect", (), _EXPECT_KEYS, (), ("identities", "corad"))
 
     return SpecDocument(kind, order, family, params, ext, options, expect)
 
@@ -806,45 +768,31 @@ def resolve_spec(doc: SpecDocument, field_override: Field | None = None) -> Reso
     """Instantiate the field, base family, and extension data of a parsed
     document; all scalar literals and generator names are resolved here."""
     field = field_override or make_field(doc.field_kind, doc.field_order)
+
+    def scalar(text: str) -> Scalar:
+        return eval_scalar_expr(parse_expr(text), field)
+
+    def element(text: str) -> BaseElement:
+        return eval_base_expr(parse_expr(text), field, base)
+
     params = dict(doc.base_params)
     if doc.base_family == "uqsl2":
-        params["q"] = eval_scalar_expr(parse_expr(params["q"]), field)
+        params["q"] = scalar(params["q"])
     base = make_base(doc.base_family, field, **params)
 
     ext = doc.extension
     if "general_form" in ext.blocks:
         gf = ext.blocks["general_form"]
-        images = {
-            name: eval_base_expr(parse_expr(text), field, base)
-            for name, text in gf.blocks["sigma"].entries.items()
-        }
-        inverse_images = {
-            name: eval_base_expr(parse_expr(text), field, base)
-            for name, text in gf.blocks["sigma_inverse"].entries.items()
-        }
-        sigma = BaseAutomorphism(base, images, inverse_images)
-        xi = eval_scalar_expr(parse_expr(gf.entries["xi"]), field)
-        h = eval_base_expr(parse_expr(gf.entries["h"]), field, base)
-        algebra = AmbiskewAlgebra(base, sigma, h, xi)
-        general = GeneralPresentation(
-            algebra,
-            eval_base_expr(parse_expr(gf.entries["l_plus"]), field, base),
-            eval_base_expr(parse_expr(gf.entries["l_minus"]), field, base),
-            eval_base_expr(parse_expr(gf.entries["r_plus"]), field, base),
-            eval_base_expr(parse_expr(gf.entries["r_minus"]), field, base),
-        )
+        sigma = BaseAutomorphism(base, *(
+            {name: element(text) for name, text in gf.blocks[key].entries.items()}
+            for key in ("sigma", "sigma_inverse")))
+        xi = scalar(gf.entries["xi"])
+        algebra = AmbiskewAlgebra(base, sigma, element(gf.entries["h"]), xi)
+        general = GeneralPresentation(algebra, *(
+            element(gf.entries[key]) for key in ("l_plus", "l_minus", "r_plus", "r_minus")))
         return ResolvedSpec(field, base, None, general, doc.options, doc.expect)
 
-    chi_values = {
-        name: eval_scalar_expr(parse_expr(text), field)
-        for name, text in ext.blocks["chi"].entries.items()
-    }
-    chi = Character(base, chi_values)
-    data = ExtensionData(
-        base,
-        chi,
-        eval_base_expr(parse_expr(ext.entries["y_plus"]), field, base),
-        eval_base_expr(parse_expr(ext.entries["y_minus"]), field, base),
-        eval_base_expr(parse_expr(ext.entries["h"]), field, base),
-    )
+    chi = Character(base, {name: scalar(text) for name, text in ext.blocks["chi"].entries.items()})
+    data = ExtensionData(base, chi, *(
+        element(ext.entries[key]) for key in ("y_plus", "y_minus", "h")))
     return ResolvedSpec(field, base, data, None, doc.options, doc.expect)

@@ -437,14 +437,15 @@ def _counit_compose_sigma(base: BaseAlgebra, sigma: BaseAutomorphism) -> Charact
     return Character(base, values)
 
 
-def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, AmbiskewAlgebra]:
+def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
     """Change variables X+- |-> X+- r+-^{-1} so the new variables are
     (1, y+-)-primitive, adjusting (sigma, h, xi) accordingly.
 
     The necessary conditions of the general presentation are verified
     first; the returned hat-form data is re-checked and the hat relation
     X+X- = h + xi X-X+ is confirmed computationally inside the original
-    algebra before anything is returned.
+    algebra before anything is returned, with the passing
+    ``check_main_theorem`` report of that data.
     """
     alg = gp.algebra
     base = alg.base
@@ -519,7 +520,7 @@ def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, AmbiskewAlgebra]:
         raise HopfDataError(
             "relabelled data fails: " + ", ".join(c.name for c in report.failures())
         )
-    return data, report.algebra.algebra
+    return data, report
 
 
 # ---------------------------------------------------------------------------

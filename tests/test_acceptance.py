@@ -212,7 +212,7 @@ def test_criterion_5_round_trip_relabel():
         h_prime = (A.h * (rp * rm)).scale(chi(rp))
         xi_prime = A.xi * chi(rp * rm)
         A_prime = AmbiskewAlgebra(base, A.sigma, h_prime, xi_prime)
-        data, rebuilt = relabel(GeneralPresentation(A_prime, lp, lm, rp, rm))
+        data, _ = relabel(GeneralPresentation(A_prime, lp, lm, rp, rm))
         assert data.xi == A.xi and data.h == A.h
         assert data.y_plus == hopf.data.y_plus
         assert check_main_theorem(base, data).overall

@@ -146,6 +146,25 @@ def test_corpus_dir_env_override(monkeypatch, tmp_path, capsys):
     assert "no corpus entries" in err
 
 
+def test_general_form_check_runs_the_data_check_once(monkeypatch, capsys):
+    # relabel checks the hat-form data it derives and hands back that report
+    import abhk.cli as cli_module
+    from abhk import hopfstruct
+
+    calls = []
+    real = hopfstruct.check_main_theorem
+
+    def counted(base, data):
+        calls.append(data)
+        return real(base, data)
+
+    monkeypatch.setattr(hopfstruct, "check_main_theorem", counted)
+    monkeypatch.setattr(cli_module, "check_main_theorem", counted)
+    code, out, _ = run(capsys, "check", str(CORPUS / "uqsl2-general.abhk"))
+    assert code == 0 and out.startswith("main-theorem data check")
+    assert len(calls) == 1
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     import abhk.cli as cli_module
     from abhk.errors import InternalError
@@ -218,7 +237,8 @@ MALFORMED_INPUT = [
     (("mul", "uqsl2-variant.abhk", "(q+1)^3000"),
      "error: exponent 3000 exceeds the limit 256 at line 1, column 7"),
     (("mul", "uqsl2-variant.abhk", "((q+1)^256)^256"),
-     "error: nested exponents multiply to 65536, which exceeds the limit 256 at line 1, column 13"),
+     "error: nested exponents multiply to 65536, which exceeds the limit 256 "
+     "at line 1, column 13"),
     (("mul", "uqsl2-variant.abhk", "((q+1)^17)^16"),
      "error: nested exponents multiply to 272, which exceeds the limit 256 at line 1, column 12"),
     (("mul", "usl2.abhk", "(X+ + 1)^-1"), "error: element with X factors is not invertible"),

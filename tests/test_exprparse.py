@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abhk.ambicore import Tensor
-from abhk.basehopf import Character, LaurentBase, PolynomialBase
-from abhk.errors import NotInvertibleError
+from abhk.ambicore import AmbiElement, Tensor
+from abhk.basehopf import BaseElement, Character, LaurentBase, PolynomialBase, invert_element
+from abhk.errors import AbhkError, NotInvertibleError
 from abhk.exprparse import (
     MAX_EXPONENT,
     EvalContext,
@@ -20,6 +23,7 @@ from abhk.exprparse import (
     Pow,
     SpecError,
     Sum,
+    _chain_exponent,
     eval_base_expr,
     eval_expr,
     eval_scalar_expr,
@@ -32,7 +36,7 @@ from abhk.exprparse import (
     resolve_spec,
 )
 from abhk.hopfstruct import ExtensionData, construct_hopf
-from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField
+from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
 
 from conftest import CORPUS_BUILDERS, random_element
 
@@ -104,21 +108,25 @@ def test_x_identifier_lexing():
     assert ast == Mul((Pow(Name("X+"), 2), Name("X-")))
 
 
-def random_ast(rng: random.Random, depth=0):
+AST_NAMES = ("t", "X+", "X-", "q", "zeta", "alpha_1")
+
+
+def random_ast(rng: random.Random, depth=0, names=AST_NAMES):
+    """A random tree whose leaves are numbers and identifiers from
+    ``names`` (only numbers when ``names`` is empty)."""
     roll = rng.random()
     if depth > 3 or roll < 0.3:
-        if rng.random() < 0.5:
-            from fractions import Fraction
+        if not names or rng.random() < 0.5:
             return Num(Fraction(rng.randint(0, 9), rng.randint(1, 9)))
-        return Name(rng.choice(["t", "X+", "X-", "q", "zeta", "alpha_1"]))
+        return Name(rng.choice(names))
     if roll < 0.45:
-        return Neg(random_ast(rng, depth + 1))
+        return Neg(random_ast(rng, depth + 1, names))
     if roll < 0.6:
-        return Pow(random_ast(rng, depth + 1), rng.randint(-3, 3))
+        return Pow(random_ast(rng, depth + 1, names), rng.randint(-3, 3))
     if roll < 0.8:
-        return Mul(tuple(random_ast(rng, depth + 1)
+        return Mul(tuple(random_ast(rng, depth + 1, names)
                          for _ in range(rng.randint(2, 3))))
-    return Sum(tuple((rng.choice([1, -1]), random_ast(rng, depth + 1))
+    return Sum(tuple((rng.choice([1, -1]), random_ast(rng, depth + 1, names))
                      for _ in range(rng.randint(2, 3))))
 
 
@@ -129,6 +137,142 @@ def test_ast_print_parse_round_trip_500():
         first = parse_expr(format_ast(ast))
         second = parse_expr(format_ast(first))
         assert first == second
+
+
+# -- the one-ring evaluator against the parent's two-kind evaluator ---------------
+#
+# The parent evaluated numbers, q and zeta to bare scalars and joined them with
+# ring elements in _combine and _to_element. It is kept here as the reference.
+
+
+def _reference_lookup(ctx, ident, power=1):
+    """The parent's lookup: q and zeta are bare scalars; every other name
+    resolves as in ``EvalContext.lookup``."""
+    if ident == "q" and isinstance(ctx.field, RationalFunctionField):
+        return ctx.field.q(power)
+    if ident == "zeta" and isinstance(ctx.field, CyclotomicField):
+        return ctx.field.zeta(power)
+    return ctx.lookup(ident, power)
+
+
+def _reference_to_element(value, ctx):
+    if isinstance(value, Scalar):
+        if ctx.algebra is not None:
+            return ctx.algebra.one().scale(value)
+        if ctx.base is not None:
+            return ctx.base.from_scalar(value)
+    return value
+
+
+def _reference_eval(node, ctx):
+    if isinstance(node, Num):
+        return ctx.field.from_fraction(node.value)
+    if isinstance(node, Name):
+        return _reference_lookup(ctx, node.ident)
+    if isinstance(node, Neg):
+        value = _reference_eval(node.operand, ctx)
+        return -value if isinstance(value, Scalar) else value.scale(ctx.field.from_int(-1))
+    if isinstance(node, Pow):
+        if isinstance(node.base, Name):
+            return _reference_lookup(ctx, node.base.ident, node.exponent)
+        value = _reference_eval(node.base, ctx)
+        if isinstance(value, Scalar):
+            return value**node.exponent
+        if node.exponent >= 0:
+            return value**node.exponent
+        return _reference_invert(value) ** (-node.exponent)
+    if isinstance(node, Mul):
+        acc = _reference_eval(node.factors[0], ctx)
+        for factor in node.factors[1:]:
+            acc = _reference_combine(acc, _reference_eval(factor, ctx), ctx, "*")
+        return acc
+    if isinstance(node, Sum):
+        acc = None
+        for sign, term in node.terms:
+            value = _reference_eval(term, ctx)
+            if sign < 0:
+                value = -value if isinstance(value, Scalar) else value.scale(ctx.field.from_int(-1))
+            acc = value if acc is None else _reference_combine(acc, value, ctx, "+")
+        return acc
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _reference_combine(a, b, ctx, op):
+    if isinstance(a, Scalar) and isinstance(b, Scalar):
+        return a + b if op == "+" else a * b
+    a2, b2 = a, b
+    if isinstance(a, Scalar):
+        if op == "*":
+            return b.scale(a)
+        a2 = _reference_to_element(a, ctx)
+    if isinstance(b, Scalar):
+        if op == "*":
+            return a.scale(b)
+        b2 = _reference_to_element(b, ctx)
+    return a2 + b2 if op == "+" else a2 * b2
+
+
+def _reference_invert(value):
+    """The parent's inverse of an element, with one intended change: a zero
+    element is refused as "inverse of zero", the message of a zero scalar.
+    The parent read "only single-term elements can be inverted" there."""
+    if value.is_zero():
+        raise NotInvertibleError("inverse of zero")
+    if isinstance(value, BaseElement):
+        return invert_element(value)
+    if isinstance(value, AmbiElement):
+        if not value.is_base():
+            raise NotInvertibleError("element with X factors is not invertible")
+        return value.algebra.embed(invert_element(value.base_part()))
+    raise NotInvertibleError(f"cannot invert {value!r}")
+
+
+def _outcome(evaluate, ast):
+    """(value, None), or (None, (exception class, message)) for a refusal."""
+    try:
+        return evaluate(ast), None
+    except AbhkError as exc:
+        return None, (type(exc), str(exc))
+
+
+# Trees whose nested powers multiply past this are drawn again: the
+# evaluators agree on them as well, but they cost seconds on U_q(sl2).
+DIFFERENTIAL_CHAIN_EXPONENT = 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_ring_eval_matches_the_reference(corpus, seed):
+    """On random trees over the names in scope, in the scalar, base and
+    extension contexts of every corpus algebra, the one-ring evaluator
+    gives the reference's value, or raises the reference's exception class
+    with the reference's message."""
+    rng = random.Random(seed)
+    for name, hopf in corpus.items():
+        A = hopf.algebra
+        field, base = A.field, A.base
+        scalars = {RationalFunctionField: ["q"], CyclotomicField: ["zeta"]}.get(
+            type(field), [])
+        generators = [info.name for info in base.generator_info()]
+        scalar_ctx, base_ctx, ambi_ctx = (EvalContext(field), EvalContext(field, base),
+                                          EvalContext(field, base, A))
+        contexts = [
+            (scalars, lambda ast: eval_scalar_expr(ast, field), scalar_ctx),
+            (scalars + generators, lambda ast: eval_base_expr(ast, field, base), base_ctx),
+            (scalars + generators + ["X+", "X-"], lambda ast: eval_expr(ast, ambi_ctx),
+             ambi_ctx),
+        ]
+        for names, evaluate, ctx in contexts:
+            for _ in range(4):
+                ast = random_ast(rng, names=names)
+                while _chain_exponent(ast) > DIFFERENTIAL_CHAIN_EXPONENT:
+                    ast = random_ast(rng, names=names)
+                got, got_error = _outcome(evaluate, ast)
+                want, want_error = _outcome(
+                    lambda ast: _reference_to_element(_reference_eval(ast, ctx), ctx), ast)
+                context = (name, format_ast(ast), names)
+                assert got_error == want_error, context
+                assert type(got) is type(want) and got == want, context
 
 
 @pytest.mark.parametrize("name", list(CORPUS_BUILDERS))

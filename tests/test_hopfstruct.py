@@ -300,7 +300,7 @@ def test_identity_relabel():
     A = hopf.algebra
     one = A.base.one()
     gp = GeneralPresentation(A, hopf.data.y_plus, hopf.data.y_minus, one, one)
-    data, algebra = relabel(gp)
+    data, _ = relabel(gp)
     assert data.xi == hopf.data.xi
     assert data.h == hopf.data.h
     assert data.y_plus == hopf.data.y_plus
