@@ -84,6 +84,13 @@ class BaseAlgebra:
     def generator(self, name: str, power: int = 1) -> "BaseElement":
         raise NotImplementedError
 
+    @cached_property
+    def generators(self) -> dict[str, "BaseElement"]:
+        """Generator name -> generator element, in ``generator_info()``
+        order. The table is built once per algebra and its elements are
+        shared: like every container they are never mutated."""
+        return {info.name: self.generator(info.name) for info in self.generator_info()}
+
     def monomial_factors(self, mono) -> list[tuple[str, int]]:
         """The monomial written as an ordered product of generator powers."""
         raise NotImplementedError
@@ -126,25 +133,24 @@ class BaseAlgebra:
         defining relation of the family."""
         raise NotImplementedError
 
-    def char_value(self, values: dict[str, Scalar], mono) -> Scalar:
-        acc = self.field.one()
+    def evaluate(self, assignment: dict, mono, one):
+        """The monomial with each generator replaced by its value under
+        ``assignment`` (scalars or elements of R, keyed like ``generators``),
+        multiplied from ``one`` in the order of ``monomial_factors``; a
+        negative exponent inverts the value, as ``Scalar`` and
+        ``BaseElement`` powers do. No value is mutated, so the shared
+        ``generators`` table, built once in ``generator_info()`` order,
+        can itself serve as an assignment."""
+        acc = one
         for name, exp in self.monomial_factors(mono):
-            v = values[name]
-            if exp < 0:
-                v = v.inverse()
-                exp = -exp
-            acc = acc * v**exp
+            acc = acc * assignment[name] ** exp
         return acc
 
+    def char_value(self, values: dict[str, Scalar], mono) -> Scalar:
+        return self.evaluate(values, mono, self.field.one())
+
     def map_monomial(self, images: dict[str, "BaseElement"], mono) -> "BaseElement":
-        acc = self.one()
-        for name, exp in self.monomial_factors(mono):
-            img = images[name]
-            if exp < 0:
-                img = invert_element(img)
-                exp = -exp
-            acc = acc * img**exp
-        return acc
+        return self.evaluate(images, mono, self.one())
 
     def monomial_eigenvalue(self, diag: dict[str, Scalar], mono) -> Scalar:
         return self.char_value(diag, mono)
@@ -167,9 +173,6 @@ class BaseAlgebra:
 
     def from_scalar(self, c: Scalar) -> "BaseElement":
         return BaseElement(self, {self.one_monomial(): c})
-
-    def generator_elements(self) -> list["BaseElement"]:
-        return [self.generator(info.name) for info in self.generator_info()]
 
     def grouplike_generators(self) -> list["BaseElement"]:
         """Generators of the grouplike group G(R) declared by the family."""
@@ -447,7 +450,7 @@ def is_grouplike(a: BaseElement) -> bool:
 
 
 def is_central(a: BaseElement) -> bool:
-    return all(a * g == g * a for g in a.algebra.generator_elements())
+    return all(a * g == g * a for g in a.algebra.generators.values())
 
 
 def is_skew_primitive(a: BaseElement, g: BaseElement, w: BaseElement) -> bool:
@@ -466,7 +469,7 @@ class Character:
     """Algebra homomorphism R -> k, given by its values on generators."""
 
     def __init__(self, algebra: BaseAlgebra, values: dict[str, Scalar]):
-        names = {info.name for info in algebra.generator_info()}
+        names = set(algebra.generators)
         if set(values) != names:
             missing = names - set(values)
             extra = set(values) - names
@@ -495,10 +498,8 @@ class Character:
         return acc
 
     def compose_antipode(self) -> "Character":
-        values = {}
-        for info in self.algebra.generator_info():
-            values[info.name] = self(base_antipode(self.algebra.generator(info.name)))
-        return Character(self.algebra, values)
+        return Character(self.algebra, {
+            name: self(base_antipode(g)) for name, g in self.algebra.generators.items()})
 
 
 def winding_left(chi: Character, a: BaseElement) -> BaseElement:
@@ -557,8 +558,8 @@ class BaseAutomorphism:
 
     def __init__(self, algebra: BaseAlgebra, images: dict[str, BaseElement],
                  inverse_images: dict[str, BaseElement]):
-        names = [info.name for info in algebra.generator_info()]
-        if set(images) != set(names) or set(inverse_images) != set(names):
+        gens = algebra.generators
+        if set(images) != gens.keys() or set(inverse_images) != gens.keys():
             raise AutomorphismError("automorphism must assign every generator")
         algebra.check_endo_map(images)
         algebra.check_endo_map(inverse_images)
@@ -568,7 +569,6 @@ class BaseAutomorphism:
         self._cache: dict = {}
         self._image_cache: dict = {}
         self.diagonal = None
-        gens = {name: algebra.generator(name) for name in names}
         forward = _scalar_images(gens, self.images)
         backward = None if forward is None else _scalar_images(gens, self.inverse_images)
         for name, gen in gens.items():
@@ -622,16 +622,10 @@ class BaseAutomorphism:
         return out
 
     def is_identity(self) -> bool:
-        return all(
-            self.images[info.name] == self.algebra.generator(info.name)
-            for info in self.algebra.generator_info()
-        )
+        return all(self.images[name] == g for name, g in self.algebra.generators.items())
 
     def equals_on_generators(self, other: "BaseAutomorphism") -> bool:
-        return all(
-            self.images[info.name] == other.images[info.name]
-            for info in self.algebra.generator_info()
-        )
+        return all(self.images[name] == other.images[name] for name in self.algebra.generators)
 
 
 def _scalar_images(gens: dict[str, BaseElement], images: dict[str, BaseElement]):
@@ -655,23 +649,19 @@ def winding_automorphism_left(chi: Character) -> BaseAutomorphism:
     winding by chi o S."""
     alg = chi.algebra
     chi_s = chi.compose_antipode()
-    images = {}
-    inverse_images = {}
-    for info in alg.generator_info():
-        gen = alg.generator(info.name)
-        images[info.name] = winding_left(chi, gen)
-        inverse_images[info.name] = winding_left(chi_s, gen)
-    return BaseAutomorphism(alg, images, inverse_images)
+    gens = alg.generators
+    return BaseAutomorphism(alg, {name: winding_left(chi, g) for name, g in gens.items()},
+                            {name: winding_left(chi_s, g) for name, g in gens.items()})
 
 
 # ---------------------------------------------------------------------------
 # the commutative families
 
 
-class PolynomialBase(BaseAlgebra):
-    """k[t] with t primitive; monomials are exponents n >= 0."""
-
-    family = "polynomial"
+class OneVariableBase(BaseAlgebra):
+    """The code k[t] and k[t, t^-1] share: monomials are the exponents of
+    t, multiplied by adding them, and both are one-dimensional affine
+    commutative domains."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -689,27 +679,39 @@ class PolynomialBase(BaseAlgebra):
     def one_monomial(self):
         return 0
 
-    def generator_info(self):
-        return [GeneratorInfo("t", False)]
-
     def generator(self, name, power=1):
         if name != "t":
             raise KeyError(name)
-        if power < 0:
-            raise NotInvertibleError("t is not invertible in the polynomial family")
         return self.element({power: self.field.one()})
 
     def monomial_factors(self, mono):
         return [("t", mono)] if mono else []
+
+    def mul_monomials(self, a, b):
+        return {a + b: self.field.one()}
+
+    def check_scalar_map(self, values):
+        pass  # t is free, or a unit on which Character refuses zero
+
+
+class PolynomialBase(OneVariableBase):
+    """k[t] with t primitive; monomials are exponents n >= 0."""
+
+    family = "polynomial"
+
+    def generator_info(self):
+        return [GeneratorInfo("t", False)]
+
+    def generator(self, name, power=1):
+        if name == "t" and power < 0:
+            raise NotInvertibleError("t is not invertible in the polynomial family")
+        return super().generator(name, power)
 
     def monomial_sort_key(self, mono):
         return (mono,)
 
     def invert_monomial(self, mono):
         return 0 if mono == 0 else None
-
-    def mul_monomials(self, a, b):
-        return {a + b: self.field.one()}
 
     def delta_monomial(self, mono):
         from math import comb
@@ -728,9 +730,6 @@ class PolynomialBase(BaseAlgebra):
     def coradical_degree_monomial(self, mono):
         return mono
 
-    def check_scalar_map(self, values):
-        pass  # t is free: every scalar assignment is a character
-
     def check_endo_map(self, images):
         pass
 
@@ -738,46 +737,19 @@ class PolynomialBase(BaseAlgebra):
         return []  # G(k[t]) = {1}
 
 
-class LaurentBase(BaseAlgebra):
+class LaurentBase(OneVariableBase):
     """k[t, t^-1] with t grouplike; monomials are integers."""
 
     family = "laurent"
 
-    def __init__(self, field: Field):
-        self.field = field
-        self.descriptor = BaseDescriptor(
-            family=self.family, gk_dim=1, gl_dim=1, inj_dim=1,
-            noetherian=True, domain=True, prime=True, semiprime_goldie=True,
-            commutative=True, cocommutative=True, pointed=True,
-            affine_commutative_domain=True, as_gorenstein=True, as_regular=True,
-            auslander_gorenstein=True, auslander_regular=True,
-        )
-
-    def key(self):
-        return (self.family, self.field)
-
-    def one_monomial(self):
-        return 0
-
     def generator_info(self):
         return [GeneratorInfo("t", True)]
-
-    def generator(self, name, power=1):
-        if name != "t":
-            raise KeyError(name)
-        return self.element({power: self.field.one()})
-
-    def monomial_factors(self, mono):
-        return [("t", mono)] if mono else []
 
     def monomial_sort_key(self, mono):
         return (abs(mono), -mono)
 
     def invert_monomial(self, mono):
         return -mono
-
-    def mul_monomials(self, a, b):
-        return {a + b: self.field.one()}
 
     def delta_monomial(self, mono):
         return {(mono, mono): self.field.one()}
@@ -791,10 +763,6 @@ class LaurentBase(BaseAlgebra):
     def coradical_degree_monomial(self, mono):
         return 0  # group algebras are cosemisimple
 
-    def check_scalar_map(self, values):
-        if values["t"].is_zero():
-            raise CharacterError("character of laurent must be nonzero on t")
-
     def check_endo_map(self, images):
         try:
             invert_element(images["t"])
@@ -802,7 +770,7 @@ class LaurentBase(BaseAlgebra):
             raise AutomorphismError("image of t must be a unit") from exc
 
     def grouplike_generators(self):
-        return [self.generator("t")]
+        return [self.generators["t"]]
 
 
 class GroupBase(BaseAlgebra):
@@ -885,16 +853,13 @@ class GroupBase(BaseAlgebra):
                 raise CharacterError(
                     f"character value on g{self.rank + i + 1} must be an {m}-th root of unity"
                 )
-        for name, v in values.items():
-            if v.is_zero():
-                raise CharacterError(f"character of group algebra must be nonzero on {name}")
 
     def check_endo_map(self, images):
-        for info in self.generator_info():
+        for name in self.generators:
             try:
-                invert_element(images[info.name])
+                invert_element(images[name])
             except NotInvertibleError as exc:
-                raise AutomorphismError(f"image of {info.name} must be a unit") from exc
+                raise AutomorphismError(f"image of {name} must be a unit") from exc
         for i, m in enumerate(self.torsion):
             img = images[f"g{self.rank + i + 1}"]
             if img**m != self.one():
@@ -903,7 +868,7 @@ class GroupBase(BaseAlgebra):
                 )
 
     def grouplike_generators(self):
-        return self.generator_elements()
+        return list(self.generators.values())
 
 
 # ---------------------------------------------------------------------------

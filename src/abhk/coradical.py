@@ -43,12 +43,7 @@ def corad_degree(a: AmbiElement, ctx: CoradicalContext) -> int:
     base degree + hat(m) + hat(n)."""
     if a.is_zero():
         raise ValueError("coradical degree of zero is undefined")
-    best = 0
-    for (m, n), r in a.coeffs.items():
-        step = hat(m, ctx.d).hat + hat(n, ctx.d).hat
-        for mono in r.support():
-            best = max(best, ctx.base_degree(mono) + step)
-    return best
+    return max(degree for *_, degree in corad_breakdown(a, ctx))
 
 
 def corad_breakdown(a: AmbiElement, ctx: CoradicalContext) -> list[tuple[int, int, int, int]]:
@@ -76,24 +71,11 @@ def _grouplike_power(y: BaseElement, k: int):
 
 
 def delta_power_closed(hopf: HopfAmbiskewAlgebra, sign: str, m: int) -> Tensor:
-    """Delta(X+-^m) = sum_j binom(m, j)_{xi^{+-1}} y^{m-j} X^j (x) X^{m-j},
-    assembled term by term from Gaussian binomials and grouplike powers."""
+    """Delta(X+-^m) = sum_j binom(m, j)_{xi^{+-1}} y^{m-j} X^j (x) X^{m-j}:
+    the mixed closed form with the other exponent 0."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    alg = hopf.algebra
-    xi = hopf.data.xi if sign == "+" else hopf.data.xi.inverse()
-    y = hopf.data.y_plus if sign == "+" else hopf.data.y_minus
-    one_mono = alg.base.one_monomial()
-    out: dict = {}
-    for j in range(m + 1):
-        coeff = q_binomial(m, j, xi)
-        y_mono, y_scalar = _grouplike_power(y, m - j)
-        if sign == "+":
-            key = ((y_mono, j, 0), (one_mono, m - j, 0))
-        else:
-            key = ((y_mono, 0, j), (one_mono, 0, m - j))
-        out[key] = coeff * y_scalar
-    return Tensor(alg, 2, out)
+    return delta_mixed_closed(hopf, m, 0) if sign == "+" else delta_mixed_closed(hopf, 0, m)
 
 
 def delta_mixed_closed(hopf: HopfAmbiskewAlgebra, m: int, n: int) -> Tensor:

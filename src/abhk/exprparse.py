@@ -354,11 +354,9 @@ class EvalContext:
             if power < 0:
                 raise NotInvertibleError(f"{ident} is not invertible")
             return self.algebra.xplus(power) if ident == "X+" else self.algebra.xminus(power)
-        if self.base is not None:
-            names = {info.name for info in self.base.generator_info()}
-            if ident in names:
-                elem = self.base.generator(ident, power)
-                return self.algebra.embed(elem) if self.algebra is not None else elem
+        if self.base is not None and ident in self.base.generators:
+            elem = self.base.generator(ident, power)
+            return self.algebra.embed(elem) if self.algebra is not None else elem
         raise ParseError(f"unknown generator {ident!r}")
 
 
@@ -642,7 +640,8 @@ def _check_block(block: SpecBlock, path: str, required=(), optional=(),
     """Refuse the first schema violation of one block, in this order: any
     sub-block where none is allowed, a missing key, a missing block (each
     in the order given), an unknown key, an unknown block (each the first
-    in sorted order). Messages name the block by its path."""
+    in sorted order), a block nested in a sub-block. Messages name the
+    block by its path. A sub-block's keys are free: none is checked."""
     blocks = (*required_blocks, *optional_blocks)
     if block.blocks and not blocks:
         raise SpecError(f"{path}: nested blocks not allowed")
@@ -658,6 +657,9 @@ def _check_block(block: SpecBlock, path: str, required=(), optional=(),
     extras = set(block.blocks).difference(blocks)
     if extras:
         raise SpecError(f"{path}: unknown block {min(extras)!r}")
+    for name, sub in block.blocks.items():
+        if sub.blocks:
+            raise SpecError(f"{path}.{name}: nested blocks not allowed")
 
 
 def parse_spec(src: str) -> SpecDocument:

@@ -301,13 +301,12 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
 
     winding_ok = True
     witness = ""
-    for info in base.generator_info():
-        g = base.generator(info.name)
+    for name, g in base.generators.items():
         lhs = winding_left(chi, g)
         rhs = adjoint_left(y_plus, winding_right(chi, g))
         if lhs != rhs:
             winding_ok = False
-            witness = f"tau^l_chi != ad_l(y+) tau^r_chi on {info.name}"
+            witness = f"tau^l_chi != ad_l(y+) tau^r_chi on {name}"
             break
     report.record("winding-condition", winding_ok, witness)
     return _attach_algebra(report, base, data)
@@ -346,10 +345,7 @@ def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
     report = CheckReport("Hopf axiom verification (verified on generators)")
 
     samples = [("X+", alg.xplus()), ("X-", alg.xminus())]
-    samples += [
-        (info.name, alg.embed(base.generator(info.name)))
-        for info in base.generator_info()
-    ]
+    samples += [(name, alg.embed(g)) for name, g in base.generators.items()]
 
     deltas = {}  # sample name -> Delta(sample), reused by the relation checks
     for name, x in samples:
@@ -368,12 +364,11 @@ def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
                       d.map_leg(1, hopf.antipode_leg).merge_legs(0), target)
 
     dxp, dxm = deltas["X+"], deltas["X-"]
-    for info in base.generator_info():
-        r = base.generator(info.name)
-        dr = deltas[info.name]
-        _record_equal(report, f"delta-preserves-plus-relation[{info.name}]",
+    for name, r in base.generators.items():
+        dr = deltas[name]
+        _record_equal(report, f"delta-preserves-plus-relation[{name}]",
                       dxp * dr, hopf.delta(alg.embed(alg.sigma.apply(r, 1))) * dxp)
-        _record_equal(report, f"delta-preserves-minus-relation[{info.name}]",
+        _record_equal(report, f"delta-preserves-minus-relation[{name}]",
                       dxm * dr, hopf.delta(alg.embed(alg.sigma.apply(r, -1))) * dxm)
 
     rhs = hopf.delta(alg.embed(alg.h)) + (dxm * dxp).scale(alg.xi)
@@ -430,11 +425,8 @@ class GeneralPresentation:
 
 
 def _counit_compose_sigma(base: BaseAlgebra, sigma: BaseAutomorphism) -> Character:
-    values = {
-        info.name: base_counit(sigma.apply(base.generator(info.name), 1))
-        for info in base.generator_info()
-    }
-    return Character(base, values)
+    return Character(base, {
+        name: base_counit(sigma.apply(g, 1)) for name, g in base.generators.items()})
 
 
 def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
@@ -474,13 +466,12 @@ def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
     want = BaseTensor.of(alg.h, rp * rm) + BaseTensor.of(lp * lm, alg.h)
     if base_delta(alg.h) != want:
         failures.append("Delta(h) != h(x)r+r- + l+l-(x)h")
-    for info in base.generator_info():
-        g = base.generator(info.name)
+    for name, g in base.generators.items():
         image = alg.sigma.apply(g, 1)
         if image != adjoint_left(lp, winding_right(chi, g)):
-            failures.append(f"sigma != ad_l(l+) tau^r_chi on {info.name}")
+            failures.append(f"sigma != ad_l(l+) tau^r_chi on {name}")
         if image != adjoint_left(rp, winding_left(chi, g)):
-            failures.append(f"sigma != ad_l(r+) tau^l_chi on {info.name}")
+            failures.append(f"sigma != ad_l(r+) tau^l_chi on {name}")
     lhs = BaseTensor.of(alg.sigma.apply(lm, 1), rp)
     rhs = BaseTensor.of(lm, alg.sigma.apply(rp, -1)).scale(alg.xi)
     if lhs != rhs:
@@ -502,11 +493,10 @@ def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
         raise InternalError("hat xi disagrees with chi(y+)")
 
     # sigma-hat must coincide with the fresh winding by chi
-    for info in base.generator_info():
-        g = base.generator(info.name)
+    for name, g in base.generators.items():
         via_adjoint = adjoint_right(rp, alg.sigma.apply(g, 1))
         if data.sigma.apply(g, 1) != via_adjoint:
-            raise InternalError(f"sigma-hat mismatch on {info.name}")
+            raise InternalError(f"sigma-hat mismatch on {name}")
 
     # confirm the hat relation inside the original algebra
     xp_hat = alg.xplus() * alg.embed(rp_inv)
@@ -586,10 +576,9 @@ def fast_path_check(base: BaseAlgebra, data: ExtensionData,
 
     if path == "commutative":
         ok, witness = True, ""
-        for info in base.generator_info():
-            g = base.generator(info.name)
+        for name, g in base.generators.items():
             if winding_left(chi, g) != winding_right(chi, g):
-                ok, witness = False, f"tau^l_chi != tau^r_chi on {info.name}"
+                ok, witness = False, f"tau^l_chi != tau^r_chi on {name}"
                 break
         report.record("windings-coincide", ok, witness)
         report.record("y-plus-grouplike", is_grouplike(y_plus))

@@ -45,11 +45,10 @@ def sigma_order_detail(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX):
         shift = image - base.generator("t")
         if not shift.is_zero() and all(m == 0 for m in shift.support()):
             return None, "translation has infinite order in characteristic 0"
-    current = {info.name: base.generator(info.name) for info in base.generator_info()}
+    current = base.generators
     for n in range(1, n_max + 1):
         current = {name: sigma.apply(elem, 1) for name, elem in current.items()}
-        if all(current[info.name] == base.generator(info.name)
-               for info in base.generator_info()):
+        if current == base.generators:
             return n, "exact (iterated images)"
     return None, f"order > {n_max}"
 
@@ -87,9 +86,8 @@ def sigma_locally_finite(algebra: AmbiskewAlgebra, bound: int = 64) -> bool | No
     space, decided by orbit stabilization up to the bound (None: gave up)."""
     if algebra.sigma.diagonal is not None:
         return True
-    for info in algebra.base.generator_info():
+    for current in algebra.base.generators.values():
         span = _Span()
-        current = algebra.base.generator(info.name)
         stabilized = False
         for _ in range(bound):
             if span.contains_or_add(current):

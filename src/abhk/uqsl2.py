@@ -123,13 +123,6 @@ class UqSl2Base(BaseAlgebra):
 
     # -- generator-defined maps ------------------------------------------------
 
-    def _alias_values(self, values):
-        """Translate E/F/K assignments to values on t, X+, X-."""
-        v_t = values["K"]
-        v_xp = values["E"]
-        v_xm = self.q_diff * values["F"] * values["K"]
-        return v_t, v_xp, v_xm
-
     def check_scalar_map(self, values):
         q = self.q
         k, e, f = values["K"], values["E"], values["F"]
@@ -155,29 +148,22 @@ class UqSl2Base(BaseAlgebra):
         if commutator != (k - k_inv).scale(self.f_scale):
             raise AutomorphismError("images break E F - F E = (K - K^-1)/(q - q^-1)")
 
-    def char_value(self, values, mono):
+    def evaluate(self, assignment, mono, one):
+        """K^j E^m ((q - q^-1) F K)^n on the leg (j, m, n) = t^j X+^m X-^n.
+        K^0 is already the unit, so ``one`` is not multiplied in."""
         j, m, n = mono
-        v_t, v_xp, v_xm = self._alias_values(values)
-        acc = v_t**j
-        acc = acc * v_xp**m
-        return acc * v_xm**n
-
-    def map_monomial(self, images, mono):
-        j, m, n = mono
-        img_t = images["K"]
-        img_xm = (images["F"] * images["K"]).scale(self.q_diff)
-        acc = img_t**j
-        acc = acc * images["E"] ** m
-        return acc * img_xm**n
+        k = assignment["K"]
+        acc = k**j * assignment["E"] ** m
+        return acc * (assignment["F"] * k * self.q_diff) ** n if n else acc
 
     def monomial_eigenvalue(self, diag, mono):
-        # unlike char_value, the alias scale of X- = (q - q^-1) F t cancels
+        # unlike evaluate, the alias scale of X- = (q - q^-1) F t cancels
         # in an eigenvalue: sigma(X-) = diag(F) diag(K) X-
         j, m, n = mono
         return diag["K"] ** j * diag["E"] ** m * (diag["F"] * diag["K"]) ** n
 
     def grouplike_generators(self):
-        return [self.generator("K")]
+        return [self.generators["K"]]
 
     # -- display --------------------------------------------------------------
 

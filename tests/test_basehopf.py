@@ -75,7 +75,7 @@ def _delta3(a: BaseElement, left_first: bool) -> dict:
 @pytest.mark.parametrize("name,base", all_families())
 def test_bialgebra_axioms_on_generators(name, base):
     one = base.one()
-    for gen in base.generator_elements():
+    for gen in base.generators.values():
         assert _delta3(gen, True) == _delta3(gen, False)  # coassociativity
         d = base_delta(gen)
         assert d.contract_left(_counit_char(base)) == gen
@@ -237,7 +237,7 @@ def test_winding_automorphism_inverts(name, base):
         chi = Character(base, {"K": field.from_int(-1), "E": field.zero(),
                                "F": field.zero()})
     sigma = winding_automorphism_left(chi)
-    for gen in base.generator_elements():
+    for gen in base.generators.values():
         assert sigma.apply(sigma.apply(gen, 1), -1) == gen
         assert sigma.apply(sigma.apply(gen, -1), 1) == gen
 
@@ -287,7 +287,7 @@ def _inverts_by_images(algebra, images, inverse_images) -> bool:
     sigma._cache, sigma._image_cache, sigma.diagonal = {}, {}, None
     return all(sigma.apply(sigma.apply(gen, -1), 1) == gen
                and sigma.apply(sigma.apply(gen, 1), -1) == gen
-               for gen in algebra.generator_elements())
+               for gen in algebra.generators.values())
 
 
 def _is_scalar_map(algebra, images) -> bool:
@@ -522,7 +522,7 @@ def test_base_containers_never_store_zero(seed):
         # every builder that stores its dict without the constructor's filter
         one, sigma = base.one(), _negate_non_units(base)
         assert sigma.diagonal is not None, name
-        for g in base.generator_elements():
+        for g in base.generators.values():
             cancel = (g + one) * (g - one) - g * g
             for x in (cancel, (g - one) * (g + one), (a - b) * (g + one), base_delta(cancel),
                       base_antipode(cancel), base_antipode(a - b), sigma.apply(a - b, 1),
@@ -560,8 +560,8 @@ def test_shared_one_is_never_mutated(path):
     coeffs, before = one.coeffs, dict(one.coeffs)
     assert before == {base.one_monomial(): base.field.one()}
     two = base.field.from_int(2)
-    assert base.generator_elements()
-    for g in base.generator_elements():
+    assert base.generators
+    for g in base.generators.values():
         results = [one + g, g + one, one - g, g - one, one + one, one - one, -one,
                    one * g, g * one, one * one, one.scale(two), one.scale(base.field.zero()),
                    2 * one, one ** 3, one ** 0, one ** -1, g ** 0,
@@ -571,3 +571,91 @@ def test_shared_one_is_never_mutated(path):
         assert results[-2] == BaseTensor.of(one, one)
         assert one.coeffs is coeffs and coeffs == before, path.stem
     assert base.one() is one
+
+
+# -- the generator table and the assignment evaluator ------------------------------
+
+
+def test_generator_table_follows_generator_info():
+    """``generators`` lists ``generator(name)`` in ``generator_info()``
+    order, on the three plain families and on every corpus base, and is
+    built once."""
+    bases = [base for name, base in all_families() if name != "uqsl2"]
+    bases += [resolve_spec(parse_spec(path.read_text(encoding="utf-8"))).base
+              for path in sorted(corpus_dir().glob("*.abhk"))]
+    for base in bases:
+        table = base.generators
+        assert list(table) == [info.name for info in base.generator_info()], base.family
+        for name, g in table.items():
+            assert g == base.generator(name), (base.family, name)
+        assert base.generators is table
+
+
+def _reference_char_value(base, values, mono):
+    """The loop ``char_value`` ran before ``evaluate``: invert explicitly,
+    then raise to a positive power."""
+    acc = base.field.one()
+    for name, exp in base.monomial_factors(mono):
+        v = values[name]
+        if exp < 0:
+            v = v.inverse()
+            exp = -exp
+        acc = acc * v**exp
+    return acc
+
+
+def _reference_map_monomial(base, images, mono):
+    """The loop ``map_monomial`` ran before ``evaluate``."""
+    acc = base.one()
+    for name, exp in base.monomial_factors(mono):
+        img = images[name]
+        if exp < 0:
+            img = invert_element(img)
+            exp = -exp
+        acc = acc * img**exp
+    return acc
+
+
+@functools.cache
+def _evaluator_families():
+    return (PolynomialBase(QQ), LaurentBase(QQ),
+            GroupBase(CyclotomicField(3), rank=2, torsion=(3,)))
+
+
+_NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_matches_the_inverting_loops(data):
+    """Nonzero scalar values, unit images of the invertible generators and
+    monomials with negative exponents: ``char_value`` and ``map_monomial``
+    equal the loops they replaced."""
+    base = data.draw(st.sampled_from(_evaluator_families()))
+    field, infos = base.field, base.generator_info()
+    units = [info.name for info in infos if info.invertible]
+    values, images, mono = {}, {}, base.one()
+    for info in infos:
+        values[info.name] = field.from_fraction(data.draw(_NONZERO))
+        c = field.from_fraction(data.draw(_NONZERO))
+        if info.invertible:
+            unit = base.generator(data.draw(st.sampled_from(units)), data.draw(st.integers(-2, 2)))
+            images[info.name] = unit.scale(c)
+        else:
+            images[info.name] = base.one().scale(c) + base.generator(info.name, 2)
+        low = -3 if info.invertible else 0
+        mono = mono * base.generator(info.name, data.draw(st.integers(low, 3)))
+    (mono,) = mono.support()
+    assert base.char_value(values, mono) == _reference_char_value(base, values, mono)
+    assert base.map_monomial(images, mono) == _reference_map_monomial(base, images, mono)
+
+
+def test_zero_on_a_unit_generator_is_refused_by_character():
+    """The refusal comes from Character itself, before any family check."""
+    group = GroupBase(CyclotomicField(3), rank=1, torsion=(3,))
+    cases = [(LaurentBase(QQ), {"t": QQ.zero()}, "t"),
+             (group, {"g1": group.field.zero(), "g2": group.field.zeta()}, "g1")]
+    for base, values, name in cases:
+        with pytest.raises(CharacterError) as refusal:
+            Character(base, values)
+        assert str(refusal.value) == f"character must be nonzero on unit generator {name}"

@@ -421,6 +421,19 @@ SPEC_REFUSALS = [
      "expect: unknown key 'verdict'"),
     ("expect-unknown-block", HAT_SPEC + "expect {\n  extras {\n  }\n}\n",
      "expect: unknown block 'extras'"),
+    # the blocks whose keys are free still take no nested block
+    ("chi-nested", _swap(HAT_SPEC, "    t: 1\n", "    t: 1\n    inner {\n      u: 5\n    }\n"),
+     "extension.chi: nested blocks not allowed"),
+    ("sigma-nested",
+     _swap(GENERAL_SPEC, "      t: q^-2*t\n", "      t: q^-2*t\n      inner {\n      }\n"),
+     "extension.general_form.sigma: nested blocks not allowed"),
+    ("sigma-inverse-nested",
+     _swap(GENERAL_SPEC, "      t: q^2*t\n", "      t: q^2*t\n      inner {\n      }\n"),
+     "extension.general_form.sigma_inverse: nested blocks not allowed"),
+    ("identities-nested", HAT_SPEC + "expect {\n  identities {\n    deeper {\n    }\n  }\n}\n",
+     "expect.identities: nested blocks not allowed"),
+    ("corad-nested", HAT_SPEC + "expect {\n  corad {\n    deeper {\n    }\n  }\n}\n",
+     "expect.corad: nested blocks not allowed"),
 ]
 
 

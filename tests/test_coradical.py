@@ -291,3 +291,54 @@ def test_wedge_membership_of_random_elements(corpus):
             right_deg = (ctx.base_degree(mono2) + hat(m2, ctx.d).hat + hat(n2, ctx.d).hat)
             assert left_deg <= t_deg - 1 or right_deg == 0
         checked += 1
+
+
+# -- the closed forms against the loops they replaced ------------------------------
+
+
+def _reference_delta_power_closed(hopf, sign, m) -> Tensor:
+    """delta_power_closed as first written: its own loop over j."""
+    alg = hopf.algebra
+    xi = hopf.data.xi if sign == "+" else hopf.data.xi.inverse()
+    y = hopf.data.y_plus if sign == "+" else hopf.data.y_minus
+    one_mono = alg.base.one_monomial()
+    out: dict = {}
+    for j in range(m + 1):
+        coeff = q_binomial(m, j, xi)
+        y_mono, y_scalar = _grouplike_power(y, m - j)
+        if sign == "+":
+            key = ((y_mono, j, 0), (one_mono, m - j, 0))
+        else:
+            key = ((y_mono, 0, j), (one_mono, 0, m - j))
+        out[key] = coeff * y_scalar
+    return Tensor(alg, 2, out)
+
+
+def _reference_corad_degree(a, ctx) -> int:
+    """corad_degree as first written: its own loop over the support."""
+    best = 0
+    for (m, n), r in a.coeffs.items():
+        step = hat(m, ctx.d).hat + hat(n, ctx.d).hat
+        for mono in r.support():
+            best = max(best, ctx.base_degree(mono) + step)
+    return best
+
+
+def test_power_closed_form_matches_its_own_loop(corpus):
+    for name, hopf in corpus.items():
+        for sign in ("+", "-"):
+            for m in range(7):
+                got = delta_power_closed(hopf, sign, m)
+                want = _reference_delta_power_closed(hopf, sign, m)
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, sign, m)
+    with pytest.raises(ValueError):
+        delta_power_closed(corpus["usl2"], "*", 1)
+
+
+def test_corad_degree_matches_its_own_loop(corpus):
+    rng = random.Random(1414)
+    for name, hopf in sorted(corpus.items()):
+        ctx = CoradicalContext.for_algebra(hopf)
+        for _ in range(12):
+            a = random_element(rng, hopf, max_terms=3, base_support=2)
+            assert corad_degree(a, ctx) == _reference_corad_degree(a, ctx), name

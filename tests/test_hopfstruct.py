@@ -500,27 +500,30 @@ def test_fast_path_refused_for_uqsl2_base():
 # -- work counts of one cold construction -----------------------------------------
 #
 # One cold parse -> resolve -> check -> verify run of a corpus spec, counted by
-# wrapping six library methods inside the test: field inversions (a gcd or a
+# wrapping library methods inside the test: field inversions (a gcd or a
 # Galois norm each), passes of the zero filter in the public Sparse
 # constructor, products in A, sigma applications, products in R and products
-# of tensors. The bounds are the counts the library reaches; a rise means
+# of tensors, and calls of ``generator_info`` on every family class that
+# defines it. The bounds are the counts the library reaches; a rise means
 # repeated cold-path work has come back (products by the unit in a leg
 # antipode, a power or a leg coproduct, image-path inverse checks of a
 # diagonal sigma, a sigma application or a product for a leg-product miss
-# with the one monomial, recomputed coproducts in the relation checks).
+# with the one monomial, recomputed coproducts in the relation checks, a
+# generator list rebuilt instead of read from ``BaseAlgebra.generators``).
 
 COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products,
-    #                           sigma, R products, tensor products)
-    "uqsl2-case3": (41, 97, 14, 86, 115, 21),
-    "uqsl2": (35, 93, 14, 53, 87, 21),
-    "usl2": (3, 29, 6, 12, 17, 6),
+    #                           sigma, R products, tensor products, generator_info)
+    "uqsl2-case3": (41, 68, 14, 86, 115, 21, 6),
+    "uqsl2": (35, 64, 14, 53, 87, 21, 6),
+    "usl2": (3, 21, 6, 12, 17, 6, 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COLD_BUILD_BOUNDS))
 def test_cold_build_counts(monkeypatch, name):
     text = (corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")
-    counts = {"inv": 0, "filter": 0, "mul": 0, "apply": 0, "base_mul": 0, "tensor_mul": 0}
+    counts = {"inv": 0, "filter": 0, "mul": 0, "apply": 0, "base_mul": 0, "tensor_mul": 0,
+              "generator_info": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -535,6 +538,9 @@ def test_cold_build_counts(monkeypatch, name):
     monkeypatch.setattr(BaseAutomorphism, "apply", counting("apply", BaseAutomorphism.apply))
     monkeypatch.setattr(BaseElement, "__mul__", counting("base_mul", BaseElement.__mul__))
     monkeypatch.setattr(Tensor, "__mul__", counting("tensor_mul", Tensor.__mul__))
+    for family_class in (PolynomialBase, LaurentBase, GroupBase, UqSl2Base):
+        monkeypatch.setattr(family_class, "generator_info",
+                            counting("generator_info", family_class.generator_info))
     _checked_algebra(resolve_spec(parse_spec(text)))
     for key, bound in zip(counts, COLD_BUILD_BOUNDS[name], strict=True):
         assert counts[key] <= bound, (key, counts)
