@@ -91,6 +91,12 @@ class BaseAlgebra:
         shared: like every container they are never mutated."""
         return {info.name: self.generator(info.name) for info in self.generator_info()}
 
+    @cached_property
+    def unit_generators(self) -> tuple[str, ...]:
+        """Names of the generators ``generator_info()`` flags invertible, in
+        its order, read once per algebra like ``generators``."""
+        return tuple(info.name for info in self.generator_info() if info.invertible)
+
     def monomial_factors(self, mono) -> list[tuple[str, int]]:
         """The monomial written as an ordered product of generator powers."""
         raise NotImplementedError
@@ -475,9 +481,9 @@ class Character:
             extra = set(values) - names
             raise CharacterError(f"character must assign exactly {sorted(names)}; "
                                  f"missing {sorted(missing)}, unexpected {sorted(extra)}")
-        for info in algebra.generator_info():
-            if info.invertible and values[info.name].is_zero():
-                raise CharacterError(f"character must be nonzero on unit generator {info.name}")
+        for name in algebra.unit_generators:
+            if values[name].is_zero():
+                raise CharacterError(f"character must be nonzero on unit generator {name}")
         algebra.check_scalar_map(values)
         self.algebra = algebra
         self.values = dict(values)

@@ -133,7 +133,8 @@ class HopfAmbiskewAlgebra:
     ``antipode`` are their linear extensions. ``_delta_x`` caches the
     powers of Delta(X+-), and ``_s_x`` the products S(X-)^n S(X+)^m per
     (m, n), so the antipode of a leg costs one product, and that of a base
-    leg (m = n = 0) none: it is S(r) itself. The antipode's closed form is
+    leg (m = n = 0) or of a leg on the one monomial none: it is S(r) or
+    S(X-)^n S(X+)^m itself. The antipode's closed form is
     checked against m(S (x) id)Delta(X+-) = 0 on construction.
     """
 
@@ -210,19 +211,29 @@ class HopfAmbiskewAlgebra:
         cached = self._leg_antipode.get(leg)
         if cached is None:
             mono, m, n = leg
-            # S(mono) is a nonzero combination (S is bijective): no filter
-            s_mono = BaseElement._of(self.base, self.base.antipode_monomial(mono))
-            cached = AmbiElement._of(self.algebra, {(0, 0): s_mono})
-            if m or n:
-                cached = self._s_x(m, n) * cached
+            if (m or n) and mono == self.base.one_monomial():
+                # S(1) = 1: the leg's antipode is the shared S(X-)^n S(X+)^m
+                cached = self._s_x(m, n)
+            else:
+                # S(mono) is a nonzero combination (S is bijective): no filter
+                s_mono = BaseElement._of(self.base, self.base.antipode_monomial(mono))
+                cached = AmbiElement._of(self.algebra, {(0, 0): s_mono})
+                if m or n:
+                    cached = self._s_x(m, n) * cached
             self._leg_antipode[leg] = cached
         return cached
 
     def _s_x(self, m: int, n: int) -> AmbiElement:
-        """S(X-)^n S(X+)^m, cached per (m, n)."""
+        """S(X-)^n S(X+)^m, cached per (m, n); a single power when the
+        other exponent is 0."""
         cached = self._s_x_cache.get((m, n))
         if cached is None:
-            cached = self._s_xm**n * self._s_xp**m
+            if not n:
+                cached = self._s_xp**m
+            elif not m:
+                cached = self._s_xm**n
+            else:
+                cached = self._s_xm**n * self._s_xp**m
             self._s_x_cache[(m, n)] = cached
         return cached
 

@@ -150,6 +150,39 @@ def _int_exact_div(a, b):
     return quo
 
 
+def _coprime(num, den):
+    """``num`` and ``den``, nonzero trimmed integer polynomials, divided by
+    their gcd in Q[q]. The shared power of q is stripped first; a single
+    term c*q^k is then coprime to the other side. Two sides equal up to
+    sign (the x * x^-1 of most cancellations) reduce to +-1. Only two
+    different multi-term sides run the pseudo-remainder gcd."""
+    low = 0
+    while not (num[low] or den[low]):
+        low += 1
+    if low:
+        num, den = num[low:], den[low:]
+    if any(num[:-1]) and any(den[:-1]):
+        if num == den:
+            return (1,), (1,)
+        if num == poly_neg(den):
+            return (-1,), (1,)
+        g = _int_gcd(num, den)
+        if len(g) > 1:
+            num, den = _int_exact_div(num, g), _int_exact_div(den, g)
+    return num, den
+
+
+def _content_free(num, den):
+    """The tuples of num/den, coprime in Q[q], divided by the integer
+    content of both together, signed so that ``den`` leads positive."""
+    content = math.gcd(*num, *den)
+    if den[-1] < 0:
+        content = -content
+    if content != 1:
+        return (tuple(c // content for c in num), tuple(c // content for c in den))
+    return (tuple(num), tuple(den))
+
+
 def eval_int_poly(coeffs, x: "Scalar") -> "Scalar":
     """Evaluate an integer polynomial at a scalar by Horner's rule."""
     acc = x.field.from_int(0)
@@ -425,15 +458,36 @@ class RationalFunctionField(Field):
     coefficients in ascending powers of q, in one canonical form: ``num``
     and ``den`` are coprime, the gcd of all their coefficients together is
     1, and the leading coefficient of ``den`` is positive. Zero is
-    ``((), (1,))``. Equal elements therefore have equal data.
+    ``((), (1,))``. Equal elements therefore have equal data, so any exact
+    reduction of a quotient yields the same tuples.
 
-    ``_make`` reduces a quotient to this form in integers only. It first
-    strips the power of q the two sides share. If either side is then a
-    single term c*q^k, the other side has a nonzero constant term or the
-    single term is a constant, so the two are coprime and only the integer
-    content and the sign are left to fix. Otherwise the gcd comes from the
-    primitive pseudo-remainder sequence over Z, both sides are divided by
-    it exactly, and the content and the sign are fixed last.
+    ``_make`` reduces an arbitrary quotient to this form in integers only,
+    in two steps. ``_coprime`` first strips the power of q the two sides
+    share. If either side is then a single term c*q^k, the other side has a
+    nonzero constant term or the single term is a constant, so the two are
+    coprime; otherwise the gcd comes from the primitive pseudo-remainder
+    sequence over Z and both sides are divided by it exactly.
+    ``_content_free`` then divides out the integer content and fixes the
+    sign.
+
+    The arithmetic kernels start from canonical operands and skip the work
+    that canonical data makes unnecessary (Henrici's method, Knuth, TAOCP
+    vol. 2, 4.5.1, over Q[q]):
+
+    * ``_mul``: with a = an/ad and b = bn/bd reduced, every common factor
+      of an*bn and ad*bd lies in an and bd or in bn and ad, so
+      gcd(an*bn, ad*bd) = gcd(an, bd) * gcd(bn, ad). Each cross pair goes
+      through ``_coprime``, which needs a polynomial gcd only when both
+      members have two or more terms and differ by more than a sign; the
+      products of the reduced pairs are then coprime and only the content
+      is left. When all four parts are single terms the product,
+      c*q^k / d or c / (d*q^k), comes from integers and exponents only.
+    * ``_add``: a zero operand returns the other; over equal denominators
+      the sum is (an + bn)/ad, reduced against ``ad`` alone; other sums
+      cross-multiply and go to ``_make``.
+    * ``_inv``: ``(den, num)``, with both negated when ``num`` leads with a
+      negative coefficient: canonical data is already coprime and free of
+      content, so the swap is canonical.
     """
 
     kind: str = "rational-function"
@@ -457,38 +511,49 @@ class RationalFunctionField(Field):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return ((), (1,))
-        low = 0
-        while not (num[low] or den[low]):
-            low += 1
-        if low:
-            num, den = num[low:], den[low:]
-        # a single-term side is coprime to the other once the shared q-power is gone
-        if any(num[:-1]) and any(den[:-1]):
-            g = _int_gcd(num, den)
-            if len(g) > 1:
-                num, den = _int_exact_div(num, g), _int_exact_div(den, g)
-        content = math.gcd(*num, *den)
-        if den[-1] < 0:
-            content = -content
-        if content != 1:
-            return (tuple(c // content for c in num), tuple(c // content for c in den))
-        return (tuple(num), tuple(den))
+        return _content_free(*_coprime(num, den))
 
     def _add(self, a, b):
-        return self._make(
-            poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1])), poly_mul(a[1], b[1])
-        )
+        (an, ad), (bn, bd) = a, b
+        if not an:
+            return b
+        if not bn:
+            return a
+        if ad == bd:
+            num = poly_add(an, bn)
+            if not num:
+                return ((), (1,))
+            return _content_free(*_coprime(num, ad))
+        return self._make(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
 
     def _mul(self, a, b):
-        return self._make(poly_mul(a[0], b[0]), poly_mul(a[1], b[1]))
+        (an, ad), (bn, bd) = a, b
+        if not an or not bn:
+            return ((), (1,))
+        if any(an[:-1]) or any(bn[:-1]) or any(ad[:-1]) or any(bd[:-1]):
+            an, bd = _coprime(an, bd)
+            bn, ad = _coprime(bn, ad)
+            return _content_free(poly_mul(an, bn), poly_mul(ad, bd))
+        # (c q^i / d q^j) (c' q^k / d' q^l): the denominators are positive
+        num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
+        g = math.gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+        shift = len(an) + len(bn) - len(ad) - len(bd)
+        if shift >= 0:
+            return ((0,) * shift + (num,), (den,))
+        return ((num,), (0,) * -shift + (den,))
 
     def _neg(self, a):
         return (poly_neg(a[0]), a[1])
 
     def _inv(self, a):
-        if not a[0]:
+        num, den = a
+        if not num:
             raise NotInvertibleError("inverse of zero")
-        return self._make(a[1], a[0])
+        if num[-1] < 0:
+            return (poly_neg(den), poly_neg(num))
+        return (den, num)
 
     def _is_zero(self, a):
         return not a[0]

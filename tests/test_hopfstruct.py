@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from abhk import scalar
 from abhk.ambicore import AmbiElement, AmbiskewAlgebra, Tensor
 from abhk.basehopf import (
     BaseAutomorphism,
@@ -500,22 +501,25 @@ def test_fast_path_refused_for_uqsl2_base():
 # -- work counts of one cold construction -----------------------------------------
 #
 # One cold parse -> resolve -> check -> verify run of a corpus spec, counted by
-# wrapping library methods inside the test: field inversions (a gcd or a
-# Galois norm each), passes of the zero filter in the public Sparse
-# constructor, products in A, sigma applications, products in R and products
-# of tensors, and calls of ``generator_info`` on every family class that
-# defines it. The bounds are the counts the library reaches; a rise means
-# repeated cold-path work has come back (products by the unit in a leg
-# antipode, a power or a leg coproduct, image-path inverse checks of a
-# diagonal sigma, a sigma application or a product for a leg-product miss
-# with the one monomial, recomputed coproducts in the relation checks, a
-# generator list rebuilt instead of read from ``BaseAlgebra.generators``).
+# wrapping library methods inside the test: field inversions (a Galois norm
+# in Q(zeta_N), a swap in Q(q)), passes of the zero filter in the public
+# Sparse constructor, products in A, sigma applications, products in R and
+# products of tensors, calls of ``generator_info`` on every family class that
+# defines it, and polynomial gcds in Q(q) (``scalar._int_gcd``). The bounds
+# are the counts the library reaches; a rise means repeated cold-path work
+# has come back (products by the unit in a leg antipode, S(X-)^0 S(X+)^m, a
+# power or a leg coproduct, image-path inverse checks of a diagonal sigma, a
+# sigma application or a product for a leg-product miss with the one
+# monomial, recomputed coproducts in the relation checks, a generator list
+# rebuilt instead of read from ``BaseAlgebra.generators`` or
+# ``unit_generators``, a gcd on a cross pair with a single-term member).
 
 COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products,
-    #                           sigma, R products, tensor products, generator_info)
-    "uqsl2-case3": (41, 68, 14, 86, 115, 21, 6),
-    "uqsl2": (35, 64, 14, 53, 87, 21, 6),
-    "usl2": (3, 21, 6, 12, 17, 6, 3),
+    #                           sigma, R products, tensor products, generator_info,
+    #                           Q(q) gcds)
+    "uqsl2-case3": (41, 68, 6, 86, 115, 21, 4, 0),
+    "uqsl2": (35, 64, 6, 53, 87, 21, 4, 0),
+    "usl2": (3, 21, 2, 12, 17, 6, 2, 0),
 }
 
 
@@ -523,7 +527,7 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
 def test_cold_build_counts(monkeypatch, name):
     text = (corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")
     counts = {"inv": 0, "filter": 0, "mul": 0, "apply": 0, "base_mul": 0, "tensor_mul": 0,
-              "generator_info": 0}
+              "generator_info": 0, "int_gcd": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -541,6 +545,7 @@ def test_cold_build_counts(monkeypatch, name):
     for family_class in (PolynomialBase, LaurentBase, GroupBase, UqSl2Base):
         monkeypatch.setattr(family_class, "generator_info",
                             counting("generator_info", family_class.generator_info))
+    monkeypatch.setattr(scalar, "_int_gcd", counting("int_gcd", scalar._int_gcd))
     _checked_algebra(resolve_spec(parse_spec(text)))
     for key, bound in zip(counts, COLD_BUILD_BOUNDS[name], strict=True):
         assert counts[key] <= bound, (key, counts)

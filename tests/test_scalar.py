@@ -32,6 +32,7 @@ from abhk.scalar import (
     poly_add,
     poly_divmod,
     poly_mul,
+    poly_neg,
     poly_primitive,
     prec,
     q_binomial,
@@ -404,16 +405,20 @@ def _reference_make(num, den):
 
 int_polys = st.lists(st.integers(-12, 12), max_size=6).map(_trim)
 nonzero_polys = int_polys.filter(bool)
+single_terms = st.builds(lambda k, c: (0,) * k + (c,), st.integers(0, 4),
+                         st.integers(-9, 9).filter(bool))
 
 
 @st.composite
 def quotients(draw):
-    """(num, den) of one of the shapes the reducer branches on, times a
-    planted common factor c*q^k that it must cancel."""
-    shape = draw(st.sampled_from(["monomial", "general", "planted", "zero"]))
-    num = () if shape == "zero" else draw(int_polys)
-    if shape == "monomial":
-        den = (0,) * draw(st.integers(0, 4)) + (draw(st.integers(-9, 9).filter(bool)),)
+    """(num, den) of one of the shapes the reducer and the kernels branch on
+    (a single-term denominator, single terms on both sides, general, a
+    planted common factor, zero), times a planted common factor c*q^k that
+    the reducer must cancel."""
+    shape = draw(st.sampled_from(["monomial", "term", "general", "planted", "zero"]))
+    num = () if shape == "zero" else draw(single_terms if shape == "term" else int_polys)
+    if shape in ("monomial", "term"):
+        den = draw(single_terms)
     else:
         den = draw(nonzero_polys)
     if shape == "planted":
@@ -421,6 +426,29 @@ def quotients(draw):
         num, den = poly_mul(num, factor), poly_mul(den, factor)
     common = (0,) * draw(st.integers(0, 3)) + (draw(st.integers(-6, 6).filter(bool)),)
     return poly_mul(num, common), poly_mul(den, common)
+
+
+@st.composite
+def quotient_pairs(draw):
+    """Two canonical operands reduced from ``quotients()``, often linked so
+    that the kernels' shortcuts are drawn: ``b`` may be given ``a``'s
+    denominator, or be bn - a over it (bn read as a polynomial), whose sum
+    with ``a`` cancels down to bn, or be +-1/a, whose cross pairs with
+    ``a`` are equal up to sign; or a planted factor may join ``a``'s
+    numerator and ``b``'s denominator, a cross pair that needs a gcd."""
+    (an, ad), (bn, bd) = draw(quotients()), draw(quotients())
+    link = draw(st.sampled_from(["none", "same-den", "cancel", "inverse", "cross"]))
+    if link == "cross":
+        factor = draw(nonzero_polys)
+        an, bd = poly_mul(an, factor), poly_mul(bd, factor)
+    a = FQ._make(an, ad)
+    if link == "same-den":
+        bd = a[1]
+    elif link == "cancel":
+        bn, bd = poly_add(poly_mul(bn, a[1]), poly_neg(a[0])), a[1]
+    elif link == "inverse" and a[0]:
+        bn, bd = poly_mul(a[1], draw(st.sampled_from([(1,), (-1,)]))), a[0]
+    return a, FQ._make(bn, bd)
 
 
 @settings(max_examples=1500, deadline=None)
@@ -445,6 +473,31 @@ def test_qfunc_reducer_examples():
     assert FQ._make((1, 1), (0, 0, 3)) == ((1, 1), (0, 0, 3))
 
 
+def _reference_qfunc_add(a, b):
+    """The kernels before cross-cancellation: every result through
+    ``_make``, kept as the reference for the fast paths."""
+    return FQ._make(poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1])), poly_mul(a[1], b[1]))
+
+
+def _reference_qfunc_mul(a, b):
+    return FQ._make(poly_mul(a[0], b[0]), poly_mul(a[1], b[1]))
+
+
+def _reference_qfunc_inv(a):
+    return FQ._make(a[1], a[0])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(quotient_pairs())
+def test_qfunc_kernels_match_reference(pair):
+    a, b = pair
+    assert FQ._add(a, b) == _reference_qfunc_add(a, b)
+    assert FQ._mul(a, b) == _reference_qfunc_mul(a, b)
+    assert FQ._mul(b, a) == _reference_qfunc_mul(b, a)
+    if a[0]:
+        assert FQ._inv(a) == _reference_qfunc_inv(a)
+
+
 def _sympy_canonical(sympy, q, expr):
     """Canonical (num, den) tuples of a rational function reduced by sympy."""
     num, den = sympy.cancel(expr).as_numer_denom()
@@ -458,19 +511,19 @@ def _sympy_canonical(sympy, q, expr):
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_polys, nonzero_polys, int_polys, nonzero_polys)
-def test_qfunc_arithmetic_against_sympy(n1, d1, n2, d2):
+@given(quotient_pairs())
+def test_qfunc_arithmetic_against_sympy(pair):
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
 
     def expr(coeffs):
         return sum((c * q**k for k, c in enumerate(coeffs)), sympy.Integer(0))
 
-    a, b = Scalar(FQ, FQ._make(n1, d1)), Scalar(FQ, FQ._make(n2, d2))
-    ea, eb = expr(n1) / expr(d1), expr(n2) / expr(d2)
+    a, b = (Scalar(FQ, data) for data in pair)
+    ea, eb = (expr(num) / expr(den) for num, den in pair)
     assert (a + b).data == _sympy_canonical(sympy, q, ea + eb)
     assert (a * b).data == _sympy_canonical(sympy, q, ea * eb)
-    if n1:
+    if not a.is_zero():
         assert a.inverse().data == _sympy_canonical(sympy, q, 1 / ea)
 
 
