@@ -29,7 +29,7 @@ from .basehopf import (
     is_central,
     nonnegative_power,
 )
-from .errors import AlgebraMismatchError, HopfDataError
+from .errors import AlgebraMismatchError, HopfDataError, UnsupportedBaseError
 from .scalar import Scalar
 
 
@@ -302,17 +302,18 @@ class Tensor(Sparse):
         """Leg-wise product: key1 * key2 multiplies leg i of key1 by leg i
         of key2 through ``leg_product`` on every leg.
 
-        Two legs, the case of every coproduct, take a kernel that sums
-        c1 c2 d1 d2 for leg_product(a1, b1) x leg_product(a2, b2) straight
-        into the result, dropping a key the moment its running sum is zero.
-        Any other leg count takes ``_mul_legwise``, the k-leg loop that the
-        kernel must match in values and in term order.
+        Only two legs, the case of every coproduct, are supported: the
+        kernel sums c1 c2 d1 d2 for leg_product(a1, b1) x
+        leg_product(a2, b2) straight into the result, dropping a key the
+        moment its running sum is zero. Other leg counts are refused with
+        ``UnsupportedBaseError``.
         """
         if not isinstance(other, Sparse):
             return self.__rmul__(other)
         self._check(other)
         if self.legs != 2:
-            return self._mul_legwise(other)
+            raise UnsupportedBaseError(
+                f"product of tensors with {self.legs} legs; only 2 are supported")
         leg_product = self.algebra.leg_product
         out: dict = {}
         for (a1, a2), c1 in self.coeffs.items():
@@ -331,22 +332,6 @@ class Tensor(Sparse):
                             del out[key]
                         else:
                             out[key] = v
-        return self._new(out)
-
-    def _mul_legwise(self, other) -> "Tensor":
-        """The product for any leg count, leg by leg through partial terms."""
-        out: dict = {}
-        for key1, c1 in self.coeffs.items():
-            for key2, c2 in other.coeffs.items():
-                partial = [((), c1 * c2)]
-                for leg1, leg2 in zip(key1, key2):
-                    flat = self.algebra.leg_product(leg1, leg2)
-                    partial = [
-                        (key + (leg,), c * d)
-                        for key, c in partial
-                        for leg, d in flat.items()
-                    ]
-                combine(partial, out)
         return self._new(out)
 
     # -- leg surgery ---------------------------------------------------------

@@ -30,7 +30,8 @@ class HopfDataError(AbhkError):
 
 
 class UnsupportedBaseError(AbhkError):
-    """The requested computation is not available for this base family."""
+    """The requested computation is not available for this base family or
+    these operands."""
 
 
 class InternalError(AbhkError):

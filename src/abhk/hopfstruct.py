@@ -266,10 +266,7 @@ class HopfAmbiskewAlgebra:
 def _pretty(elem) -> str:
     from . import exprparse
 
-    try:
-        return exprparse.format_element(elem)
-    except Exception:
-        return repr(elem)
+    return exprparse.format_element(elem)
 
 
 def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:

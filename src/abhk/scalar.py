@@ -314,6 +314,15 @@ class RationalField(Field):
         return not a
 
 
+# Entries each per-field memo of ``CyclotomicField`` may hold before a miss
+# clears it. The engine-cyclotomic benchmark's product memos settle at 1,600 to
+# 2,000 entries per field; a limit below such a working set clears it over and
+# over. ``abhk mul uqsl2-case3.abhk "(E + F + K + X+ + X-)^12"`` (Q(zeta_8))
+# grows an unbounded memo to 36,021 entries and the process from 24 to 33 MB of
+# peak RSS; with this limit it stays at 25 MB.
+_CYCLOTOMIC_MEMO_LIMIT = 4096
+
+
 @dataclass(frozen=True)
 class CyclotomicField(Field):
     """Q(zeta_N) in the power basis of Q[x]/(Phi_N(x)).
@@ -328,15 +337,33 @@ class CyclotomicField(Field):
     ``coefficients`` gives the exact rational entries; nothing outside
     this class reads the layout.
 
-    ``_mul`` takes the schoolbook product of the two integer vectors,
-    skipping zero entries, and folds each coefficient of degree ``degree``
-    and above back through ``cyclotomic_fold_table(N)``, the integer rows
-    x^k mod Phi_N; the denominators multiply. ``_add`` adds the vectors
-    when the denominators agree and cross-multiplies otherwise. ``_inv``
-    stays in integers too: for a = v/den, with v integral, the product P
-    of the other Galois conjugates sigma_k(v) (gcd(k, N) = 1, k != 1) is
-    integral and v*P is the norm N(v), a nonzero integer, so
+    ``_mul_kernel`` takes the schoolbook product of the two integer
+    vectors, skipping zero entries, and folds each coefficient of degree
+    ``degree`` and above back through ``cyclotomic_fold_table(N)``, the
+    integer rows x^k mod Phi_N; the denominators multiply. ``_add`` adds
+    the vectors when the denominators agree and cross-multiplies otherwise.
+    ``_inv_kernel`` stays in integers too: for a = v/den, with v integral,
+    the product P of the other Galois conjugates sigma_k(v) (gcd(k, N) = 1,
+    k != 1) is integral and v*P is the norm N(v), a nonzero integer, so
     a^-1 = den * P / N(v).
+
+    ``_mul`` and ``_inv`` run these kernels only on a miss of two memos of
+    this field instance, ``(a, b) -> a*b`` and ``a -> a^-1``: the examples
+    over Q(zeta_N) multiply and invert the same few values again and again
+    (in one census of the engine-cyclotomic benchmark, 108,928 products
+    ran on 6,914 distinct operand pairs). Canonical data makes the keys
+    exact: equal elements have equal data. A product key puts the smaller
+    tuple first, so a*b and b*a share one entry. The products inside
+    ``_inv_kernel`` call ``_mul_kernel`` directly, so the one-off Galois
+    conjugates never enter a memo. A miss that finds a memo holding
+    ``_CYCLOTOMIC_MEMO_LIMIT`` entries clears it first. The memos live on
+    the instance, so two equal fields, or Q(zeta_3) and Q(zeta_6) with
+    their equal data layout, never share an entry.
+
+    Q(q) has no memo: the same memo on ``RationalFunctionField._mul`` took
+    the peak memory of the engine-qfunc benchmark to the edge of its bound.
+    Q has none either: an ``int`` product costs about as much as the
+    lookup, and hashing a ``Fraction`` key costs more than its product.
     """
 
     order: int
@@ -390,7 +417,25 @@ class CyclotomicField(Field):
             out[-1] = da * db
         return self._normal(out)
 
+    @cached_property
+    def _products(self) -> dict:
+        return {}
+
+    @cached_property
+    def _inverses(self) -> dict:
+        return {}
+
     def _mul(self, a, b):
+        products = self._products
+        key = (a, b) if a <= b else (b, a)
+        out = products.get(key)
+        if out is None:
+            if len(products) >= _CYCLOTOMIC_MEMO_LIMIT:
+                products.clear()
+            out = products[key] = self._mul_kernel(a, b)
+        return out
+
+    def _mul_kernel(self, a, b):
         deg = len(a) - 1
         out = [0] * (2 * deg - 1)
         vb = b[:deg]
@@ -415,6 +460,15 @@ class CyclotomicField(Field):
         return tuple([-x for x in a[:-1]]) + a[-1:]
 
     def _inv(self, a):
+        inverses = self._inverses
+        out = inverses.get(a)
+        if out is None:
+            if len(inverses) >= _CYCLOTOMIC_MEMO_LIMIT:
+                inverses.clear()
+            out = inverses[a] = self._inv_kernel(a)
+        return out
+
+    def _inv_kernel(self, a):
         if self._is_zero(a):
             raise NotInvertibleError("inverse of zero")
         n, table = self.order, cyclotomic_fold_table(self.order)
@@ -429,8 +483,8 @@ class CyclotomicField(Field):
                         for j, r in enumerate(table[i * k % n]):
                             conj[j] += c * r
                 conj[-1] = 1
-                others = self._mul(others, tuple(conj))
-        norm = self._mul(v, others)[0]
+                others = self._mul_kernel(others, tuple(conj))
+        norm = self._mul_kernel(v, others)[0]
         sign = -1 if norm < 0 else 1
         return self._normal([sign * a[-1] * c for c in others[:-1]] + [sign * norm])
 

@@ -16,9 +16,10 @@ from abhk.basehopf import (
     Character,
     LaurentBase,
     PolynomialBase,
+    combine,
     winding_automorphism_left,
 )
-from abhk.errors import AlgebraMismatchError, HopfDataError
+from abhk.errors import AlgebraMismatchError, HopfDataError, UnsupportedBaseError
 from abhk.scalar import RationalField, RationalFunctionField
 
 from conftest import CORPUS_BUILDERS, assert_no_zero, random_base_element, random_element
@@ -287,6 +288,24 @@ def test_direct_leg_product_matches_round_trip(corpus, name):
 # -- the two-leg tensor kernel against the k-leg loop ----------------------------
 
 
+def _mul_legwise(left, right):
+    """The product for any leg count, leg by leg through partial terms,
+    kept as the reference for the 2-leg kernel of ``Tensor.__mul__``."""
+    out: dict = {}
+    for key1, c1 in left.coeffs.items():
+        for key2, c2 in right.coeffs.items():
+            partial = [((), c1 * c2)]
+            for leg1, leg2 in zip(key1, key2):
+                flat = left.algebra.leg_product(leg1, leg2)
+                partial = [
+                    (key + (leg,), c * d)
+                    for key, c in partial
+                    for leg, d in flat.items()
+                ]
+            combine(partial, out)
+    return left._new(out)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_two_leg_kernel_matches_legwise_loop(corpus, seed):
@@ -299,9 +318,18 @@ def test_two_leg_kernel_matches_legwise_loop(corpus, seed):
             return Tensor.of(a, b) - Tensor.of(b, a) + hopf.delta(c)
         x, y = random_tensor(), random_tensor()
         for left, right in ((x, y), (y, x), (x, x)):
-            got, want = left * right, left._mul_legwise(right)
+            got, want = left * right, _mul_legwise(left, right)
             assert got == want, name
             assert list(got.coeffs) == list(want.coeffs), name
+
+
+def test_tensor_products_other_than_two_legs_are_refused(corpus):
+    A = corpus["usl2"].algebra
+    x = A.xplus() + A.one()
+    for legs in (1, 3):
+        t = Tensor.of(*[x] * legs)
+        with pytest.raises(UnsupportedBaseError, match=f"tensors with {legs} legs"):
+            t * t
 
 
 def test_extension_containers_reject_foreign_operands(corpus):

@@ -29,6 +29,19 @@ def test_check_pass_and_fail_exit_codes(capsys):
     assert "xi mismatch" in out
 
 
+def test_failed_grouplike_condition_prints_the_element(capsys, tmp_path):
+    # the witness of a failed *-grouplike condition is the element itself,
+    # formatted as the CLI prints elements
+    text = (CORPUS / "usl2.abhk").read_text()
+    spec = tmp_path / "y-plus-2.abhk"
+    spec.write_text(text.replace("y_plus: 1", "y_plus: 2", 1))
+    code, out, err = run(capsys, "check", str(spec))
+    assert code == 1
+    assert err == ""
+    assert "  y-plus-grouplike: FAIL  [2]\n" in out
+    assert "  y-minus-grouplike: pass\n" in out
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(CORPUS / "missing.abhk"))
     assert code == 2

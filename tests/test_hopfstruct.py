@@ -501,25 +501,27 @@ def test_fast_path_refused_for_uqsl2_base():
 # -- work counts of one cold construction -----------------------------------------
 #
 # One cold parse -> resolve -> check -> verify run of a corpus spec, counted by
-# wrapping library methods inside the test: field inversions (a Galois norm
-# in Q(zeta_N), a swap in Q(q)), passes of the zero filter in the public
-# Sparse constructor, products in A, sigma applications, products in R and
-# products of tensors, calls of ``generator_info`` on every family class that
-# defines it, and polynomial gcds in Q(q) (``scalar._int_gcd``). The bounds
-# are the counts the library reaches; a rise means repeated cold-path work
-# has come back (products by the unit in a leg antipode, S(X-)^0 S(X+)^m, a
-# power or a leg coproduct, image-path inverse checks of a diagonal sigma, a
+# wrapping library methods inside the test: field inversions (``_inv`` calls:
+# a memo lookup in Q(zeta_N), a swap in Q(q)), passes of the zero filter in
+# the public Sparse constructor, products in A, sigma applications, products
+# in R and products of tensors, calls of ``generator_info`` on every family
+# class that defines it, polynomial gcds in Q(q) (``scalar._int_gcd``), and runs of the
+# Q(zeta_N) product and Galois-norm kernels behind the field's memos. The
+# bounds are the counts the library reaches; a rise means repeated cold-path
+# work has come back (products by the unit in a leg antipode, S(X-)^0 S(X+)^m,
+# a power or a leg coproduct, image-path inverse checks of a diagonal sigma, a
 # sigma application or a product for a leg-product miss with the one
 # monomial, recomputed coproducts in the relation checks, a generator list
 # rebuilt instead of read from ``BaseAlgebra.generators`` or
-# ``unit_generators``, a gcd on a cross pair with a single-term member).
+# ``unit_generators``, a gcd on a cross pair with a single-term member, a
+# Q(zeta_N) product or inverse recomputed instead of read from its memo).
 
 COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products,
     #                           sigma, R products, tensor products, generator_info,
-    #                           Q(q) gcds)
-    "uqsl2-case3": (41, 68, 6, 86, 115, 21, 4, 0),
-    "uqsl2": (35, 64, 6, 53, 87, 21, 4, 0),
-    "usl2": (3, 21, 2, 12, 17, 6, 2, 0),
+    #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels)
+    "uqsl2-case3": (41, 68, 6, 86, 115, 21, 4, 0, 59, 8),
+    "uqsl2": (35, 64, 6, 53, 87, 21, 4, 0, 0, 0),
+    "usl2": (3, 21, 2, 12, 17, 6, 2, 0, 0, 0),
 }
 
 
@@ -527,7 +529,7 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
 def test_cold_build_counts(monkeypatch, name):
     text = (corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")
     counts = {"inv": 0, "filter": 0, "mul": 0, "apply": 0, "base_mul": 0, "tensor_mul": 0,
-              "generator_info": 0, "int_gcd": 0}
+              "generator_info": 0, "int_gcd": 0, "mul_kernel": 0, "inv_kernel": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -546,6 +548,9 @@ def test_cold_build_counts(monkeypatch, name):
         monkeypatch.setattr(family_class, "generator_info",
                             counting("generator_info", family_class.generator_info))
     monkeypatch.setattr(scalar, "_int_gcd", counting("int_gcd", scalar._int_gcd))
+    for key in ("mul_kernel", "inv_kernel"):
+        monkeypatch.setattr(CyclotomicField, f"_{key}",
+                            counting(key, getattr(CyclotomicField, f"_{key}")))
     _checked_algebra(resolve_spec(parse_spec(text)))
     for key, bound in zip(counts, COLD_BUILD_BOUNDS[name], strict=True):
         assert counts[key] <= bound, (key, counts)

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from abhk import scalar
 from abhk.errors import FieldMismatchError, NotInvertibleError
 from abhk.exprparse import format_scalar
 from abhk.scalar import (
@@ -265,6 +266,124 @@ def test_cyclotomic_kernel_matches_parent_kernel(case, r):
     if not any(a):
         with pytest.raises(NotInvertibleError):
             field._inv(pa)
+
+
+# -- the per-field product and inverse memos -----------------------------------
+
+
+def _reference_cyclotomic_product(field, a, b):
+    """``CyclotomicField._mul`` before the memo, kept as the reference for
+    the data every product returns, from the memo or from the kernel."""
+    deg = len(a) - 1
+    out = [0] * (2 * deg - 1)
+    vb = b[:deg]
+    for i in range(deg):
+        c = a[i]
+        if c:
+            for k, d in enumerate(vb, i):
+                if d:
+                    out[k] += c * d
+    table = cyclotomic_fold_table(field.order)
+    for k in range(deg, 2 * deg - 1):
+        c = out[k]
+        if c:
+            for i, r in enumerate(table[k]):
+                if r:
+                    out[i] += c * r
+    del out[deg:]
+    out.append(a[-1] * b[-1])
+    return field._normal(out)
+
+
+def _reference_cyclotomic_inverse(field, a):
+    """``CyclotomicField._inv`` before the memo."""
+    n, table = field.order, cyclotomic_fold_table(field.order)
+    v = a[:-1] + (1,)
+    others = field.one().data
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            conj = [0] * len(v)
+            for i, c in enumerate(v[:-1]):
+                if c:
+                    for j, r in enumerate(table[i * k % n]):
+                        conj[j] += c * r
+            conj[-1] = 1
+            others = _reference_cyclotomic_product(field, others, tuple(conj))
+    norm = _reference_cyclotomic_product(field, v, others)[0]
+    sign = -1 if norm < 0 else 1
+    return field._normal([sign * a[-1] * c for c in others[:-1]] + [sign * norm])
+
+
+# Q(zeta_3), Q(zeta_4) and Q(zeta_6) share the degree-2 data layout, and
+# Q(zeta_5), Q(zeta_8) and Q(zeta_12) the degree-4 one, so one pool of data
+# tuples per degree feeds every field of that degree.
+MEMO_ORDERS = (3, 4, 5, 6, 8, 12)
+MEMO_TWINS = {3: (3, 6), 6: (6, 3)}
+MEMO_LIMIT = 4
+
+
+def _assert_memos_hold_kernel_results(field):
+    assert len(field._products) <= MEMO_LIMIT
+    assert len(field._inverses) <= MEMO_LIMIT
+    for (a, b), product in field._products.items():
+        assert product == _reference_cyclotomic_product(field, a, b)
+    for a, inverse in field._inverses.items():
+        assert inverse == _reference_cyclotomic_inverse(field, a)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cyclotomic_memo_matches_parent_kernels(monkeypatch, data):
+    """a*b, b*a and a^-1 through the memos equal the parent's kernels in
+    their data, over fields that share data tuples, with the limit lowered
+    so that misses clear the memos."""
+    monkeypatch.setattr(scalar, "_CYCLOTOMIC_MEMO_LIMIT", MEMO_LIMIT)
+    fields = {n: CyclotomicField(n) for n in MEMO_ORDERS}
+    pools = {
+        deg: data.draw(st.lists(st.lists(entries, min_size=deg, max_size=deg)
+                                .map(_canonical).map(_pack), min_size=5, max_size=5))
+        for deg in (2, 4)
+    }
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(MEMO_ORDERS), st.integers(0, 4),
+                                         st.integers(0, 4)), min_size=1, max_size=30))
+    for order, i, j in steps:
+        # the twin runs right after on the same tuples: a memo shared across
+        # fields would hand it the other field's product
+        for n in MEMO_TWINS.get(order, (order,)):
+            field = fields[n]
+            a, b = pools[field.degree][i], pools[field.degree][j]
+            assert field._mul(a, b) == _reference_cyclotomic_product(field, a, b)
+            assert field._mul(b, a) == _reference_cyclotomic_product(field, b, a)
+            if field._is_zero(a):
+                with pytest.raises(NotInvertibleError):
+                    field._inv(a)
+            else:
+                assert field._inv(a) == _reference_cyclotomic_inverse(field, a)
+            assert len(field._products) <= MEMO_LIMIT
+            assert len(field._inverses) <= MEMO_LIMIT
+    for field in fields.values():
+        _assert_memos_hold_kernel_results(field)
+
+
+def test_cyclotomic_memo_is_cleared_at_its_limit(monkeypatch):
+    monkeypatch.setattr(scalar, "_CYCLOTOMIC_MEMO_LIMIT", MEMO_LIMIT)
+    field = CyclotomicField(8)
+    powers = [field.zeta(k).data for k in range(7)]
+    for i in range(7):
+        assert field._inv(powers[i]) == field.zeta(-i).data
+        for j in range(i, 7):
+            # b*a reads the entry of a*b: the key puts the smaller tuple first
+            assert field._mul(powers[i], powers[j]) == field.zeta(i + j).data
+            assert field._mul(powers[j], powers[i]) == field.zeta(i + j).data
+            assert len(field._products) <= MEMO_LIMIT
+            assert len(field._inverses) <= MEMO_LIMIT
+    _assert_memos_hold_kernel_results(field)
+    # a miss that finds the memo full clears it before storing: after 28
+    # distinct products a memo of 4 holds the last 27 % 4 + 1, after 7
+    # distinct inverses the last 6 % 4 + 1
+    assert len(field._products) == 4
+    assert len(field._inverses) == 3
 
 
 def test_cyclotomic_inverse_by_norm_at_a_large_order():
