@@ -22,7 +22,6 @@ from .hopfstruct import (
     check_main_theorem,
     classify_trichotomy,
     construct_hopf,
-    fast_path_check,
     relabel,
     verify_hopf_axioms,
 )
@@ -49,7 +48,7 @@ __all__ = [
     "CoradicalContext", "corad_degree",
     "CheckReport", "ExtensionData", "GeneralPresentation", "HopfAmbiskewAlgebra",
     "check_main_theorem", "classify_trichotomy", "construct_hopf",
-    "fast_path_check", "relabel", "verify_hopf_axioms",
+    "relabel", "verify_hopf_axioms",
     "CyclotomicField", "RationalField", "RationalFunctionField", "Scalar",
     "hat", "mul_order", "prec", "q_binomial", "q_factorial", "q_int",
 ]

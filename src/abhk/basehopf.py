@@ -40,7 +40,6 @@ class BaseDescriptor:
     prime: bool
     semiprime_goldie: bool
     commutative: bool
-    cocommutative: bool
     pointed: bool
     affine_commutative_domain: bool
     as_gorenstein: bool
@@ -367,17 +366,6 @@ def invert_element(a: BaseElement) -> BaseElement:
     return BaseElement(a.algebra, {inv: c.inverse()})
 
 
-def scalar_multiple_of(a: BaseElement, b: BaseElement) -> Scalar | None:
-    """The scalar c with a == c*b, or None when a is not a multiple of b."""
-    if a.is_zero():
-        return a.algebra.field.zero()
-    if b.is_zero():
-        return None
-    mono, coeff = next(iter(b.coeffs.items()))
-    c = a.coeff(mono) * coeff.inverse()
-    return c if a == b.scale(c) else None
-
-
 class BaseTensor(Sparse):
     """Finitely supported element of R (x) R over pairs of basis monomials."""
 
@@ -674,7 +662,7 @@ class OneVariableBase(BaseAlgebra):
         self.descriptor = BaseDescriptor(
             family=self.family, gk_dim=1, gl_dim=1, inj_dim=1,
             noetherian=True, domain=True, prime=True, semiprime_goldie=True,
-            commutative=True, cocommutative=True, pointed=True,
+            commutative=True, pointed=True,
             affine_commutative_domain=True, as_gorenstein=True, as_regular=True,
             auslander_gorenstein=True, auslander_regular=True,
         )
@@ -795,8 +783,8 @@ class GroupBase(BaseAlgebra):
         self.descriptor = BaseDescriptor(
             family=self.family, gk_dim=rank, gl_dim=rank, inj_dim=rank,
             noetherian=True, domain=not has_torsion, prime=not has_torsion,
-            semiprime_goldie=True, commutative=True, cocommutative=True,
-            pointed=True, affine_commutative_domain=not has_torsion,
+            semiprime_goldie=True, commutative=True, pointed=True,
+            affine_commutative_domain=not has_torsion,
             as_gorenstein=True, as_regular=True,
             auslander_gorenstein=True, auslander_regular=True,
         )

@@ -5,8 +5,7 @@ sufficient data checks, both directions), the coproduct/counit/antipode on
 the extension (each defined once, on the legs (mono, m, n) of
 ``ambicore.Tensor``, and extended linearly to elements), mechanical
 verification of the Hopf axioms, the change of variables from a general
-skew-primitive presentation to hat form, the commutative/cocommutative
-fast paths, and the trichotomy classifier.
+skew-primitive presentation to hat form, and the trichotomy classifier.
 
 All universally quantified conditions are checked on algebra generators;
 each side of every condition is an algebra map or a composite of
@@ -34,17 +33,11 @@ from .basehopf import (
     invert_element,
     is_central,
     is_grouplike,
-    scalar_multiple_of,
     winding_left,
     winding_right,
     winding_automorphism_left,
 )
-from .errors import (
-    AlgebraMismatchError,
-    HopfDataError,
-    InternalError,
-    UnsupportedBaseError,
-)
+from .errors import AlgebraMismatchError, HopfDataError, InternalError
 from .scalar import Scalar
 
 
@@ -272,7 +265,8 @@ def _pretty(elem) -> str:
 def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     """Verify the hat-form construction data on generators.
 
-    On success the report carries a HopfAmbiskewAlgebra handle (axioms are
+    On success the report carries a HopfAmbiskewAlgebra handle and the
+    trichotomy case set (axioms are
     verified separately by verify_hopf_axioms; constructors that must not
     trust the theorem run both).
     """
@@ -317,11 +311,6 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
             witness = f"tau^l_chi != ad_l(y+) tau^r_chi on {name}"
             break
     report.record("winding-condition", winding_ok, witness)
-    return _attach_algebra(report, base, data)
-
-
-def _attach_algebra(report: CheckReport, base: BaseAlgebra, data: ExtensionData) -> CheckReport:
-    """On a passing data check, hand the report the algebra and its case set."""
     if report.overall:
         algebra = AmbiskewAlgebra(base, data.sigma, data.h, data.xi)
         report.algebra = HopfAmbiskewAlgebra(algebra, data)
@@ -461,8 +450,6 @@ def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
     chi = _counit_compose_sigma(base, alg.sigma)
     lp, lm, rp, rm = gp.l_plus, gp.l_minus, gp.r_plus, gp.r_minus
 
-    if rp * rm != rm * rp or lp * lm != lm * lp:
-        failures.append("r+r- or l+l- do not commute")
     group = [lp, lm, rp, rm]
     if any(a * b != b * a for a in group for b in group):
         failures.append("<l+-, r+-> is not abelian")
@@ -522,7 +509,7 @@ def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
 
 
 # ---------------------------------------------------------------------------
-# trichotomy and fast paths
+# trichotomy
 
 
 def classify_trichotomy(data: ExtensionData) -> frozenset[str]:
@@ -552,68 +539,3 @@ def classify_trichotomy(data: ExtensionData) -> frozenset[str]:
     if not cases:
         raise InternalError("trichotomy produced an empty case set")
     return frozenset(cases)
-
-
-def fast_path_check(base: BaseAlgebra, data: ExtensionData,
-                    path: str = "auto") -> CheckReport:
-    """Specialized checks for commutative or cocommutative bases.
-
-    The commutative path replaces the adjoint condition by
-    tau^l_chi = tau^r_chi; the cocommutative path requires y+ central and,
-    when h is primitive, z = 1 and xi in {1, -1}. Verdicts agree with the
-    full checker on every base where both apply. ``path`` selects a branch
-    explicitly when the base supports both.
-    """
-    desc = base.descriptor
-    if not (desc.commutative or desc.cocommutative):
-        raise UnsupportedBaseError(
-            "fast path needs a commutative or cocommutative base; use the full checker"
-        )
-    if path == "auto":
-        path = "commutative" if desc.commutative else "cocommutative"
-    if path == "commutative" and not desc.commutative:
-        raise UnsupportedBaseError("base is not flagged commutative")
-    if path == "cocommutative" and not desc.cocommutative:
-        raise UnsupportedBaseError("base is not flagged cocommutative")
-    chi, y_plus, y_minus, z, h = data.chi, data.y_plus, data.y_minus, data.z, data.h
-    one = base.one()
-    report = CheckReport(f"{path} fast path (verified on generators)")
-    report.record("character-valid", True, "validated at construction")
-    xi_ok = chi(y_plus) == chi(y_minus) and not data.xi.is_zero()
-    xi_witness = "" if xi_ok else "xi mismatch: chi(y+) != chi(y-)"
-
-    if path == "commutative":
-        ok, witness = True, ""
-        for name, g in base.generators.items():
-            if winding_left(chi, g) != winding_right(chi, g):
-                ok, witness = False, f"tau^l_chi != tau^r_chi on {name}"
-                break
-        report.record("windings-coincide", ok, witness)
-        report.record("y-plus-grouplike", is_grouplike(y_plus))
-        report.record("y-minus-grouplike", is_grouplike(y_minus))
-        report.record("xi-match", xi_ok, xi_witness)
-        want = BaseTensor.of(h, one) + BaseTensor.of(z, h)
-        report.record("h-skew-primitive", base_delta(h) == want)
-    else:
-        for label, y in (("y-plus", y_plus), ("y-minus", y_minus)):
-            report.record(f"{label}-grouplike", is_grouplike(y))
-            report.record(f"{label}-central", is_central(y))
-        report.record("h-central", is_central(h))
-        report.record("xi-match", xi_ok, xi_witness)
-        multiple = scalar_multiple_of(h, z - one)
-        if multiple is not None:
-            report.record("h-form", True, "h is a multiple of z - 1")
-        else:
-            primitive = base_delta(h) == BaseTensor.of(h, one) + BaseTensor.of(one, h)
-            if not primitive:
-                report.record("h-form", False, "h neither a multiple of z-1 nor primitive")
-            else:
-                z_one = z == one
-                report.record("h-form", z_one,
-                              "" if z_one else "z = 1 is required when h is primitive")
-                if z_one:
-                    xi = data.xi
-                    pm = xi.is_one() or xi == base.field.from_int(-1)
-                    report.record("xi-plus-minus-one", pm,
-                                  "" if pm else "xi must be +-1 when h is primitive")
-    return _attach_algebra(report, base, data)

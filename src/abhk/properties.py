@@ -21,6 +21,7 @@ from .hopfstruct import HopfAmbiskewAlgebra
 from .scalar import Scalar, format_order, mul_order
 
 DEFAULT_N_MAX = 256
+SIGMA_ORBIT_BOUND = 64  # sigma-orbit length tried before local finiteness is undecided
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +82,16 @@ class _Span:
         return False
 
 
-def sigma_locally_finite(algebra: AmbiskewAlgebra, bound: int = 64) -> bool | None:
+def sigma_locally_finite(algebra: AmbiskewAlgebra) -> bool | None:
     """Whether each generator's sigma-orbit spans a finite-dimensional
-    space, decided by orbit stabilization up to the bound (None: gave up)."""
+    space, decided by orbit stabilization within SIGMA_ORBIT_BOUND steps
+    (None: gave up)."""
     if algebra.sigma.diagonal is not None:
         return True
     for current in algebra.base.generators.values():
         span = _Span()
         stabilized = False
-        for _ in range(bound):
+        for _ in range(SIGMA_ORBIT_BOUND):
             if span.contains_or_add(current):
                 stabilized = True
                 break
@@ -330,15 +332,11 @@ def derive_descriptor(hopf: HopfAmbiskewAlgebra, family: str) -> BaseDescriptor:
     """Descriptor of a verified Hopf extension, for reuse as a base family."""
     algebra = hopf.algebra
     desc = algebra.base.descriptor
-    one = algebra.base.one()
     commutative = (
         desc.commutative
         and algebra.sigma.is_identity()
         and algebra.xi.is_one()
         and algebra.h.is_zero()
-    )
-    cocommutative = (
-        desc.cocommutative and hopf.data.y_plus == one and hopf.data.y_minus == one
     )
     gl, inj = dim_bounds(algebra, hopf_verified=True)
     gk, _ = gk_report(algebra, hopf_verified=True)
@@ -352,7 +350,6 @@ def derive_descriptor(hopf: HopfAmbiskewAlgebra, family: str) -> BaseDescriptor:
         prime=desc.prime,
         semiprime_goldie=desc.semiprime_goldie,
         commutative=commutative,
-        cocommutative=cocommutative,
         pointed=desc.pointed,
         affine_commutative_domain=commutative and desc.affine_commutative_domain,
         as_gorenstein=desc.as_gorenstein,

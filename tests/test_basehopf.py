@@ -29,7 +29,6 @@ from abhk.basehopf import (
     is_grouplike,
     is_skew_primitive,
     make_base,
-    scalar_multiple_of,
     winding_automorphism_left,
     winding_left,
     winding_right,
@@ -431,7 +430,6 @@ def test_descriptor_metadata():
     assert uq.descriptor.gk_dim == 3
     assert uq.descriptor.gl_dim == 3
     assert not uq.descriptor.commutative
-    assert not uq.descriptor.cocommutative
     assert uq.descriptor.pointed
 
 
@@ -460,9 +458,6 @@ def test_element_misuse_errors():
         invert_element(poly.generator("t"))
     with pytest.raises(NotInvertibleError):
         poly.generator("t", -1)
-    assert scalar_multiple_of(poly.generator("t", 2).scale(QQ.from_int(3)),
-                              poly.generator("t", 2)) == QQ.from_int(3)
-    assert scalar_multiple_of(poly.generator("t"), poly.one()) is None
 
 
 def test_sigma_eigenvalue_cache_matches_uncached(corpus):

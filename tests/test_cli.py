@@ -486,7 +486,7 @@ SIGMA_INVOLUTION = ("      t: q^-2*t\n    }\n    sigma_inverse {\n      t: q^2*t
     ("h: (t - t^-1)*(q - q^-1)^-1", "h: t", "Delta(h) != h(x)r+r- + l+l-(x)h"),
 ], ids=lambda word: word.split("\n")[0].strip())
 def test_relabel_refusal_names_the_condition(capsys, tmp_path, old, new, condition):
-    # the two commutativity conditions cannot fail here: every base family's
+    # the commutativity condition cannot fail here: every base family's
     # grouplikes commute
     text = _swap(GENERAL_SPEC, old, new)
     with pytest.raises(HopfDataError, match=re.escape(condition)):
@@ -494,3 +494,30 @@ def test_relabel_refusal_names_the_condition(capsys, tmp_path, old, new, conditi
     code, err = _refused(capsys, "relabel", _spec_file(tmp_path, text))
     assert code == 1
     assert err.startswith("error: ") and condition in err
+
+
+# -- a general presentation that relabel refuses is a failed data check ------------
+
+GENERAL_BAD_XI = _swap(GENERAL_SPEC, "xi: 1", "xi: 2")
+
+
+@pytest.mark.parametrize("expect_check, code, lines", [
+    ("check: fail\n  witness: xi != chi(l-r+) = chi(l+r-)", 0,
+     ["general-bad-xi  pass", "2/2 corpus entries pass"]),
+    ("check: pass", 1,
+     ["general-bad-xi  FAIL", "    check: MISMATCH", "1/2 corpus entries pass"]),
+], ids=["expect-fail", "expect-pass"])
+def test_examples_run_a_refused_general_entry(monkeypatch, capsys, tmp_path,
+                                              expect_check, code, lines):
+    (tmp_path / "bad-xi.abhk").write_text((CORPUS / "bad-xi.abhk").read_text())
+    (tmp_path / "general-bad-xi.abhk").write_text(
+        _swap(GENERAL_BAD_XI, "check: pass", expect_check))
+    monkeypatch.setenv("ABHK_CORPUS_DIR", str(tmp_path))
+    assert run(capsys, "examples") == (code, "\n".join(["bad-xi          pass", *lines, ""]), "")
+
+
+def test_props_reports_the_raw_algebra_of_a_refused_general_spec(capsys, tmp_path):
+    code, out, err = run(capsys, "props", _spec_file(tmp_path, GENERAL_BAD_XI))
+    assert (code, err) == (0, "")
+    assert "gk_dim: 3 (sigma locally finite on generators)" in out.splitlines()
+    assert "pi: no (sigma has infinite order: eigenvalue on t has infinite order)" in out

@@ -1,4 +1,4 @@
-"""Checker, Hopf structure maps, relabelling, trichotomy, fast paths."""
+"""Checker, Hopf structure maps, relabelling, trichotomy."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from abhk.basehopf import (
     is_central,
 )
 from abhk.cli import _checked_algebra, corpus_dir
-from abhk.errors import HopfDataError, InternalError, UnsupportedBaseError
+from abhk.errors import HopfDataError, InternalError
 from abhk.exprparse import parse_spec, resolve_spec
 from abhk.hopfstruct import (
     ExtensionData,
@@ -32,7 +32,6 @@ from abhk.hopfstruct import (
     check_main_theorem,
     classify_trichotomy,
     construct_hopf,
-    fast_path_check,
     relabel,
     verify_hopf_axioms,
 )
@@ -91,6 +90,15 @@ def test_non_grouplike_y_fails():
     assert "y-plus-grouplike" in names
     with pytest.raises(HopfDataError):
         construct_hopf(base, data)
+
+
+def test_full_checker_refuses_laurent_h_off_the_skew_primitive_form():
+    # chi(t) = -1, y+- = t: h = t - 1 is (1, t)-primitive, not (1, t^2)
+    base = LaurentBase(QQ)
+    chi = Character(base, {"t": QQ.from_int(-1)})
+    t = base.generator("t")
+    report = check_main_theorem(base, ExtensionData(base, chi, t, t, t - base.one()))
+    assert {c.name for c in report.failures()} == {"h-skew-primitive"}
 
 
 # -- structure maps ------------------------------------------------------------
@@ -439,63 +447,6 @@ def test_trichotomy_nonempty_over_random_grid():
         rhs = (data.z - data.base.one()).scale(data.chi(data.h))
         assert lhs == rhs
         count += 1
-
-
-# -- fast paths ----------------------------------------------------------------
-
-
-def test_fast_path_agrees_with_full_checker(corpus):
-    for name, hopf in corpus.items():
-        base, data = hopf.base, hopf.data
-        if not (base.descriptor.commutative or base.descriptor.cocommutative):
-            with pytest.raises(UnsupportedBaseError):
-                fast_path_check(base, data)
-            continue
-        fast = fast_path_check(base, data)
-        full = check_main_theorem(base, data)
-        assert fast.overall == full.overall, name
-        assert fast.classification == full.classification
-
-
-def test_fast_path_rejects_bad_data_like_full_checker():
-    base = GroupBase(QQ, rank=2)
-    chi = Character(base, {"g1": QQ.from_int(2), "g2": QQ.from_int(3)})
-    data = ExtensionData(base, chi, base.generator("g1"), base.generator("g2"),
-                         base.zero())
-    fast = fast_path_check(base, data)
-    full = check_main_theorem(base, data)
-    assert not fast.overall and not full.overall
-    assert any("xi mismatch" in c.witness for c in fast.failures())
-
-
-def test_cocommutative_path_requires_z_one_for_primitive_h():
-    # force the cocommutative branch on k[t] (it is cocommutative): with
-    # h = t primitive and z = 1 the extra constraints hold
-    base = PolynomialBase(QQ)
-    chi = Character(base, {"t": QQ.one()})
-    data = ExtensionData(base, chi, base.one(), base.one(), base.generator("t"))
-    report = fast_path_check(base, data, path="cocommutative")
-    assert report.overall
-    names = {c.name for c in report.conditions}
-    assert "h-form" in names and "xi-plus-minus-one" in names
-    # over laurent, an h that is neither a multiple of z-1 nor primitive
-    lbase = LaurentBase(QQ)
-    lchi = Character(lbase, {"t": QQ.from_int(-1)})
-    t = lbase.generator("t")
-    bad = ExtensionData(lbase, lchi, t, t, t - lbase.one())
-    report = fast_path_check(lbase, bad, path="cocommutative")
-    assert not report.overall
-    assert any(c.name == "h-form" for c in report.failures())
-    assert not check_main_theorem(lbase, bad).overall
-
-
-def test_fast_path_refused_for_uqsl2_base():
-    field = RationalFunctionField()
-    base = UqSl2Base(field, field.q())
-    chi = Character(base, {"E": field.zero(), "F": field.zero(), "K": field.one()})
-    data = ExtensionData(base, chi, base.one(), base.one(), base.zero())
-    with pytest.raises(UnsupportedBaseError):
-        fast_path_check(base, data)
 
 
 # -- work counts of one cold construction -----------------------------------------
