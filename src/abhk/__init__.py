@@ -1,6 +1,5 @@
 """Exact construction and verification of ambiskew Hopf algebra extensions."""
 
-from . import uqsl2 as _uqsl2  # registers the quantum family  # noqa: F401
 from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, reduce_word
 from .basehopf import (
     BaseAlgebra,
@@ -11,7 +10,6 @@ from .basehopf import (
     GroupBase,
     LaurentBase,
     PolynomialBase,
-    make_base,
 )
 from .coradical import CoradicalContext, corad_degree
 from .hopfstruct import (
@@ -44,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiElement", "AmbiskewAlgebra", "Tensor", "reduce_word",
     "BaseAlgebra", "BaseAutomorphism", "BaseElement", "BaseTensor", "Character",
-    "GroupBase", "LaurentBase", "PolynomialBase", "UqSl2Base", "make_base",
+    "GroupBase", "LaurentBase", "PolynomialBase", "UqSl2Base",
     "CoradicalContext", "corad_degree",
     "CheckReport", "ExtensionData", "GeneralPresentation", "HopfAmbiskewAlgebra",
     "check_main_theorem", "classify_trichotomy", "construct_hopf",

@@ -1,12 +1,13 @@
 """Base Hopf algebra families behind one uniform interface.
 
 Each family exposes a canonical monomial basis, product, coproduct, counit
-and antipode, grouplike/central/skew-primitive tests, characters, winding
+and antipode, grouplike and central tests, characters, winding
 automorphisms, adjoint actions, a coradical-degree function, and declared
 ring-theoretic metadata. Three families live here (univariate polynomials,
 Laurent polynomials, and abelian group algebras Z^r x prod Z/m_i); the
-quantum-sl2 family is registered from its own module because it is built
-out of the extension engine itself.
+quantum-sl2 family lives in its own module because it is built out of the
+extension engine itself. The spec's family names are mapped to these
+classes in one table, ``exprparse._FAMILIES``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class BaseDescriptor:
     never stored here; unknown propagation happens in property reports.
     """
 
-    family: str
     gk_dim: int | None
     gl_dim: int | None
     inj_dim: int | None
@@ -39,8 +39,6 @@ class BaseDescriptor:
     domain: bool
     prime: bool
     semiprime_goldie: bool
-    commutative: bool
-    pointed: bool
     affine_commutative_domain: bool
     as_gorenstein: bool
     as_regular: bool
@@ -447,14 +445,6 @@ def is_central(a: BaseElement) -> bool:
     return all(a * g == g * a for g in a.algebra.generators.values())
 
 
-def is_skew_primitive(a: BaseElement, g: BaseElement, w: BaseElement) -> bool:
-    """Whether Delta(a) == a (x) g + w (x) a, for grouplike g and w."""
-    if not (is_grouplike(g) and is_grouplike(w)):
-        raise CharacterError("skew-primitive test needs grouplike g and w")
-    expected = BaseTensor.of(a, g) + BaseTensor.of(w, a)
-    return base_delta(a) == expected
-
-
 # ---------------------------------------------------------------------------
 # characters, windings, adjoints
 
@@ -660,9 +650,8 @@ class OneVariableBase(BaseAlgebra):
     def __init__(self, field: Field):
         self.field = field
         self.descriptor = BaseDescriptor(
-            family=self.family, gk_dim=1, gl_dim=1, inj_dim=1,
+            gk_dim=1, gl_dim=1, inj_dim=1,
             noetherian=True, domain=True, prime=True, semiprime_goldie=True,
-            commutative=True, pointed=True,
             affine_commutative_domain=True, as_gorenstein=True, as_regular=True,
             auslander_gorenstein=True, auslander_regular=True,
         )
@@ -781,10 +770,9 @@ class GroupBase(BaseAlgebra):
         self.torsion = tuple(torsion)
         has_torsion = any(m > 1 for m in self.torsion)
         self.descriptor = BaseDescriptor(
-            family=self.family, gk_dim=rank, gl_dim=rank, inj_dim=rank,
+            gk_dim=rank, gl_dim=rank, inj_dim=rank,
             noetherian=True, domain=not has_torsion, prime=not has_torsion,
-            semiprime_goldie=True, commutative=True, pointed=True,
-            affine_commutative_domain=not has_torsion,
+            semiprime_goldie=True, affine_commutative_domain=not has_torsion,
             as_gorenstein=True, as_regular=True,
             auslander_gorenstein=True, auslander_regular=True,
         )
@@ -863,27 +851,3 @@ class GroupBase(BaseAlgebra):
 
     def grouplike_generators(self):
         return list(self.generators.values())
-
-
-# ---------------------------------------------------------------------------
-# family registry (the quantum-sl2 family registers itself on import)
-
-FAMILY_BUILDERS: dict = {
-    "polynomial": lambda field, params: PolynomialBase(field),
-    "laurent": lambda field, params: LaurentBase(field),
-    "group": lambda field, params: GroupBase(
-        field, params.get("rank", 0), tuple(params.get("torsion", ()))
-    ),
-}
-
-
-def register_family(name: str, builder) -> None:
-    FAMILY_BUILDERS[name] = builder
-
-
-def make_base(name: str, field: Field, **params) -> BaseAlgebra:
-    try:
-        builder = FAMILY_BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown base family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
-    return builder(field, params)

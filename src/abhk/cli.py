@@ -39,6 +39,7 @@ from .exprparse import (
 )
 from .hopfstruct import (
     CheckReport,
+    DataCheckFailed,
     GeneralPresentation,
     HopfAmbiskewAlgebra,
     check_main_theorem,
@@ -103,25 +104,15 @@ def _positive_int(text: str) -> int:
 
 
 def _checked_algebra(spec: ResolvedSpec) -> tuple[HopfAmbiskewAlgebra, CheckReport]:
-    """Route through the change of variables when needed, check the data,
-    and verify the axioms. Failed data raises HopfDataError: ``_CheckFailed``
-    with the report, or relabel's refusal of a general presentation."""
+    """Route through the change of variables when needed, then check the
+    data and verify the axioms. Failed data raises HopfDataError:
+    DataCheckFailed with the report, or relabel's refusal of a general
+    presentation."""
     if spec.general is not None:
         _, report = relabel(spec.general)
     else:
         report = check_main_theorem(spec.base, spec.data)
-    if not report.overall:
-        raise _CheckFailed(report)
-    return report.algebra, verify_checked(report)
-
-
-class _CheckFailed(HopfDataError):
-    """A failed data check; its message names each failing condition with
-    its witness, as relabel's refusal does."""
-
-    def __init__(self, report: CheckReport):
-        super().__init__(" ".join(f"{c.name} {c.witness}" for c in report.failures()))
-        self.report = report
+    return verify_checked(report)
 
 
 def _raw_algebra(spec: ResolvedSpec) -> AmbiskewAlgebra:
@@ -172,7 +163,7 @@ def _hopf_command(args, out: _Output, action) -> int:
     spec = _load(args.spec, args.field)
     try:
         hopf, report = _checked_algebra(spec)
-    except _CheckFailed as exc:
+    except DataCheckFailed as exc:
         out.report(exc.report)
         return EXIT_FAIL
     return action(spec, hopf, report, _context(spec, hopf.algebra))

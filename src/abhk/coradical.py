@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .ambicore import AmbiElement, Tensor
-from .basehopf import BaseElement
+from .basehopf import BaseElement, base_coradical_degree
 from .errors import InternalError
 from .hopfstruct import HopfAmbiskewAlgebra
 from .scalar import Scalar, hat, mul_order, q_binomial
@@ -21,21 +20,14 @@ from .scalar import Scalar, hat, mul_order, q_binomial
 
 @dataclass(frozen=True)
 class CoradicalContext:
-    """The order parameter d = mul_order(xi) plus the base family's
-    coradical-degree function."""
+    """The parameter xi and its multiplicative order d."""
 
     d: int | None
-    base_degree: Callable  # base monomial -> int
     xi: Scalar
 
     @classmethod
     def for_algebra(cls, hopf: HopfAmbiskewAlgebra) -> "CoradicalContext":
-        base = hopf.base
-        return cls(
-            d=mul_order(hopf.data.xi),
-            base_degree=base.coradical_degree_monomial,
-            xi=hopf.data.xi,
-        )
+        return cls(d=mul_order(hopf.data.xi), xi=hopf.data.xi)
 
 
 def corad_degree(a: AmbiElement, ctx: CoradicalContext) -> int:
@@ -50,7 +42,7 @@ def corad_breakdown(a: AmbiElement, ctx: CoradicalContext) -> list[tuple[int, in
     """Per-term (m, n, base degree, term degree) listing, sorted by key."""
     out = []
     for (m, n), r in sorted(a.coeffs.items()):
-        base_deg = max(ctx.base_degree(mono) for mono in r.support())
+        base_deg = base_coradical_degree(r)
         out.append((m, n, base_deg, base_deg + hat(m, ctx.d).hat + hat(n, ctx.d).hat))
     return out
 

@@ -30,12 +30,15 @@ from .basehopf import (
     BaseAutomorphism,
     BaseElement,
     Character,
+    GroupBase,
+    LaurentBase,
+    PolynomialBase,
     invert_element,
-    make_base,
 )
 from .errors import AbhkError, NotInvertibleError
 from .hopfstruct import ExtensionData, GeneralPresentation
 from .scalar import CyclotomicField, Field, RationalField, RationalFunctionField, Scalar
+from .uqsl2 import UqSl2Base
 
 
 # Largest |exponent| accepted after '^', and the largest product of the
@@ -626,8 +629,14 @@ def _parse_blocks(src: str) -> SpecBlock:
 
 _FIELD_KINDS = {"rational", "cyclotomic", "rational-function"}
 
-# base.family -> the keys that family takes besides "family"
-_FAMILY_KEYS = {"polynomial": (), "laurent": (), "group": ("rank", "torsion"), "uqsl2": ("q",)}
+# base.family -> (the keys that family takes besides "family", its class);
+# the class is called as cls(field, **params) with the resolved keys
+_FAMILIES = {
+    "polynomial": ((), PolynomialBase),
+    "laurent": ((), LaurentBase),
+    "group": (("rank", "torsion"), GroupBase),
+    "uqsl2": (("q",), UqSl2Base),
+}
 
 # sorted, so a missing key is named in alphabetical order
 _GENERAL_FORM_KEYS = ("h", "l_minus", "l_plus", "r_minus", "r_plus", "xi")
@@ -691,8 +700,9 @@ def parse_spec(src: str) -> SpecDocument:
 
     bblock = root.blocks["base"]
     family = bblock.entries.get("family")
-    _check_block(bblock, "base", ("family",), _FAMILY_KEYS.get(family, bblock.entries))
-    if family not in _FAMILY_KEYS:
+    _check_block(bblock, "base", ("family",),
+                 _FAMILIES[family][0] if family in _FAMILIES else bblock.entries)
+    if family not in _FAMILIES:
         raise SpecError(f"base.family: unknown value {family!r}")
     params: dict = {}
     if family == "group":
@@ -753,6 +763,8 @@ class ResolvedSpec:
 
 
 def make_field(kind: str, order: int | None = None) -> Field:
+    if order is not None and kind in ("rational", "rational-function"):
+        raise SpecError("field.order only applies to cyclotomic fields")
     if kind == "rational":
         return RationalField()
     if kind == "cyclotomic":
@@ -780,7 +792,7 @@ def resolve_spec(doc: SpecDocument, field_override: Field | None = None) -> Reso
     params = dict(doc.base_params)
     if doc.base_family == "uqsl2":
         params["q"] = scalar(params["q"])
-    base = make_base(doc.base_family, field, **params)
+    base = _FAMILIES[doc.base_family][1](field, **params)
 
     ext = doc.extension
     if "general_form" in ext.blocks:

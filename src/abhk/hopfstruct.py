@@ -92,12 +92,6 @@ class CheckReport:
     def failures(self) -> list[Condition]:
         return [c for c in self.conditions if not c.ok]
 
-    def merged_with(self, other: "CheckReport") -> "CheckReport":
-        report = CheckReport(self.title, list(self.conditions) + list(other.conditions),
-                             self.classification or other.classification,
-                             self.algebra or other.algebra)
-        return report
-
     def lines(self) -> list[str]:
         out = [f"{self.title}: {'pass' if self.overall else 'fail'}"]
         for c in self.conditions:
@@ -373,28 +367,36 @@ def verify_hopf_axioms(hopf: HopfAmbiskewAlgebra) -> CheckReport:
     return report
 
 
+class DataCheckFailed(HopfDataError):
+    """A failed data check, carrying its report; the message names each
+    failing condition with its witness, as relabel's refusal does."""
+
+    def __init__(self, report: CheckReport):
+        super().__init__(" ".join(f"{c.name} {c.witness}" for c in report.failures()))
+        self.report = report
+
+
 def construct_hopf(base: BaseAlgebra, data: ExtensionData) -> tuple[HopfAmbiskewAlgebra, CheckReport]:
     """Run the data check, build A, then re-prove the Hopf axioms on it.
 
     The construction never trusts the structure theorem: every instance is
     re-verified before the handle is released.
     """
-    report = check_main_theorem(base, data)
-    if not report.overall:
-        raise HopfDataError(
-            "extension data fails: " + ", ".join(c.name for c in report.failures())
-        )
-    return report.algebra, verify_checked(report)
+    return verify_checked(check_main_theorem(base, data))
 
 
-def verify_checked(report: CheckReport) -> CheckReport:
-    """Re-prove the Hopf axioms on the algebra of a passing data check.
+def verify_checked(report: CheckReport) -> tuple[HopfAmbiskewAlgebra, CheckReport]:
+    """The one construct-and-verify step after a data check.
 
-    Returns the data report merged with the axiom report. Checked data
+    A failed report raises DataCheckFailed. Otherwise the Hopf axioms are
+    re-proved on the report's algebra, and the algebra is returned with
+    the data conditions followed by the axiom conditions. Checked data
     whose algebra fails an axiom is a breach of the construction theorem,
     so it raises InternalError naming every failing condition with its
     witness.
     """
+    if not report.overall:
+        raise DataCheckFailed(report)
     axiom_report = verify_hopf_axioms(report.algebra)
     if not axiom_report.overall:
         raise InternalError(
@@ -402,7 +404,9 @@ def verify_checked(report: CheckReport) -> CheckReport:
             + ", ".join(f"{c.name} [{c.witness}]" if c.witness else c.name
                         for c in axiom_report.failures())
         )
-    return report.merged_with(axiom_report)
+    conditions = report.conditions + axiom_report.conditions
+    return report.algebra, CheckReport(report.title, conditions, report.classification,
+                                       report.algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,6 @@ def sigma_order_detail(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX):
     return None, f"order > {n_max}"
 
 
-def sigma_order(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX) -> int | None:
-    return sigma_order_detail(algebra, n_max)[0]
-
-
 # ---------------------------------------------------------------------------
 # small exact linear algebra over the base, for the local-finiteness check
 
@@ -328,20 +324,15 @@ def full_report(algebra: AmbiskewAlgebra, hopf: HopfAmbiskewAlgebra | None = Non
     return report
 
 
-def derive_descriptor(hopf: HopfAmbiskewAlgebra, family: str) -> BaseDescriptor:
-    """Descriptor of a verified Hopf extension, for reuse as a base family."""
+def derive_descriptor(hopf: HopfAmbiskewAlgebra) -> BaseDescriptor:
+    """Descriptor of a verified Hopf extension, for reuse as a base family.
+    A is a commutative affine domain exactly when R is one and A is the
+    polynomial ring over it: sigma = id, xi = 1 and h = 0."""
     algebra = hopf.algebra
     desc = algebra.base.descriptor
-    commutative = (
-        desc.commutative
-        and algebra.sigma.is_identity()
-        and algebra.xi.is_one()
-        and algebra.h.is_zero()
-    )
     gl, inj = dim_bounds(algebra, hopf_verified=True)
     gk, _ = gk_report(algebra, hopf_verified=True)
     return BaseDescriptor(
-        family=family,
         gk_dim=gk,
         gl_dim=gl.upper if gl.exact else None,
         inj_dim=inj.upper if inj.exact else None,
@@ -349,9 +340,12 @@ def derive_descriptor(hopf: HopfAmbiskewAlgebra, family: str) -> BaseDescriptor:
         domain=desc.domain,
         prime=desc.prime,
         semiprime_goldie=desc.semiprime_goldie,
-        commutative=commutative,
-        pointed=desc.pointed,
-        affine_commutative_domain=commutative and desc.affine_commutative_domain,
+        affine_commutative_domain=(
+            desc.affine_commutative_domain
+            and algebra.sigma.is_identity()
+            and algebra.xi.is_one()
+            and algebra.h.is_zero()
+        ),
         as_gorenstein=desc.as_gorenstein,
         as_regular=desc.as_regular,
         auslander_gorenstein=desc.auslander_gorenstein,

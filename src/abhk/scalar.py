@@ -739,13 +739,6 @@ _set_field = Scalar.field.__set__
 _set_data = Scalar.data.__set__
 
 
-def embed_rational(x: Scalar, target: Field) -> Scalar:
-    """Explicitly embed a rational scalar into a larger field."""
-    if x.field.kind != "rational":
-        raise FieldMismatchError("embed_rational expects a rational scalar")
-    return target.from_fraction(x.data)
-
-
 # ---------------------------------------------------------------------------
 # multiplicative order
 

@@ -25,7 +25,6 @@ from .basehopf import (
     LaurentBase,
     Character,
     invert_element,
-    register_family,
 )
 from .errors import AutomorphismError, CharacterError, HopfDataError, NotInvertibleError
 from .hopfstruct import ExtensionData, construct_hopf
@@ -57,7 +56,7 @@ class UqSl2Base(BaseAlgebra):
         self.inner = self.hopf.algebra
         self.f_scale = self.q_diff.inverse()
         self._corad_d = mul_order(self.hopf.data.xi)
-        self.descriptor = properties.derive_descriptor(self.hopf, self.family)
+        self.descriptor = properties.derive_descriptor(self.hopf)
         self._f_element = BaseElement(self, _flatten(
             (self.inner.xminus() * self.inner.embed(invert_element(t))).scale(self.f_scale)
         ))
@@ -174,6 +173,3 @@ class UqSl2Base(BaseAlgebra):
         k = 2 * j * (m - n) - n * (n - 1)
         coeff = c * self.q_diff**n * (self.q**k if k >= 0 else self.q_inv**-k)
         return coeff, [(name, exp) for name, exp in (("E", e), ("F", f), ("K", l)) if exp]
-
-
-register_family("uqsl2", lambda field, params: UqSl2Base(field, params["q"]))

@@ -240,6 +240,10 @@ MALFORMED_INPUT = [
      USAGE_ERROR + "--field: 'cyclotomic:x': invalid literal for int() with base 10: 'x'"),
     (("--field", "cyclotomic:0", "check", "usl2.abhk"),
      USAGE_ERROR + "--field: 'cyclotomic:0': cyclotomic order must be >= 1"),
+    (("--field", "rational:3", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'rational:3': field.order only applies to cyclotomic fields"),
+    (("--field", "rational-function:2", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'rational-function:2': field.order only applies to cyclotomic fields"),
     (("--nmax", "-5", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '-5' is not a positive integer"),
     (("--nmax", "0", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '0' is not a positive integer"),
     (("mul", "uqsl2-variant.abhk", "(q-q)^-1"), "error: inverse of zero"),

@@ -26,6 +26,7 @@ from abhk.cli import _checked_algebra, corpus_dir
 from abhk.errors import HopfDataError, InternalError
 from abhk.exprparse import parse_spec, resolve_spec
 from abhk.hopfstruct import (
+    DataCheckFailed,
     ExtensionData,
     GeneralPresentation,
     HopfAmbiskewAlgebra,
@@ -99,6 +100,34 @@ def test_full_checker_refuses_laurent_h_off_the_skew_primitive_form():
     t = base.generator("t")
     report = check_main_theorem(base, ExtensionData(base, chi, t, t, t - base.one()))
     assert {c.name for c in report.failures()} == {"h-skew-primitive"}
+
+
+def test_construct_hopf_refuses_bad_xi_with_its_report():
+    text = (corpus_dir() / "bad-xi.abhk").read_text(encoding="utf-8")
+    doc = parse_spec(text)
+    spec = resolve_spec(doc)
+    with pytest.raises(DataCheckFailed) as caught:
+        construct_hopf(spec.base, spec.data)
+    assert isinstance(caught.value, HopfDataError)
+    report = caught.value.report
+    assert not report.overall
+    assert report.lines() == check_main_theorem(spec.base, spec.data).lines()
+    assert [c.name for c in report.failures()] == ["xi-match"]
+    assert doc.expect.entries["witness"] in str(caught.value)
+
+
+def test_construct_hopf_reports_data_then_axiom_conditions(usl2):
+    base, data = usl2.base, usl2.data
+    hopf, report = construct_hopf(base, data)
+    checked = check_main_theorem(base, data)
+    axioms = verify_hopf_axioms(hopf)
+    assert report.overall
+    assert report.title == checked.title
+    assert report.conditions == checked.conditions + axioms.conditions
+    assert report.conditions[0].name == "character-valid"
+    assert report.conditions[-1].name == "delta-preserves-skew-relation"
+    assert report.classification == checked.classification == frozenset({"ii"})
+    assert report.algebra is hopf
 
 
 # -- structure maps ------------------------------------------------------------

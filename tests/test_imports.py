@@ -7,7 +7,12 @@ parses each module with ``ast`` and never imports it.
 
 A deletion or rename can also drop a name that ``bench/tracer.py`` wraps
 or ``bench/workloads.py`` calls. The library's own tests never reach
-those files, so the last two tests read them and look each name up.
+those files, so two tests read them and look each name up.
+
+The other way round, a library function that only tests call is dead
+weight: the last two tests require every module-level definition to be
+used by the library, wrapped or called by the benchmark, or exported, and
+the package to import exactly what it exports.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from __future__ import annotations
 import ast
 import importlib.util
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import abhk
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "abhk"
@@ -74,3 +82,40 @@ def test_every_library_name_the_workloads_call_exists():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(f"abhk.{module}"), name)]
     assert missing == []
+
+
+# definitions kept although nothing in src/ or bench/ reaches them: name -> why
+UNREFERENCED_ALLOWED = {"format_ast": "the parser's round-trip printer in tests"}
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_every_module_level_definition_is_used_outside_tests():
+    # a reference is any Name or attribute with the definition's name, in
+    # src/ outside the definition's own body, so a same-named attribute of
+    # another object also counts: the check errs towards passing
+    owners = defaultdict(set)  # name -> {(module, enclosing top-level definition)}
+    definitions = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            owner = (path.stem, top.name if isinstance(top, _DEFINITIONS) else None)
+            if owner[1] is not None:
+                definitions.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    owners[node.id].add(owner)
+                elif isinstance(node, ast.Attribute):
+                    owners[node.attr].add(owner)
+    bench_words = set()
+    for name in ("tracer.py", "workloads.py"):
+        bench_words.update(re.findall(r"\w+", (BENCH / name).read_text(encoding="utf-8")))
+    exempt = bench_words | set(abhk.__all__) | set(UNREFERENCED_ALLOWED)
+    unused = [f"{module}.{name}" for module, name in definitions
+              if name not in exempt and not owners[name] - {(module, name)}]
+    assert unused == []
+
+
+def test_the_package_imports_exactly_what_it_exports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _bound_names(node)]
+    assert sorted(imported) == sorted(abhk.__all__)

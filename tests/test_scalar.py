@@ -24,7 +24,6 @@ from abhk.scalar import (
     _trim,
     cyclotomic_fold_table,
     cyclotomic_poly,
-    embed_rational,
     eval_int_poly,
     format_order,
     gaussian_binomial_poly,
@@ -89,14 +88,6 @@ def test_scalar_variant_mixing_is_an_error():
                    lambda a, b: a - b, lambda a, b: a / b):
             with pytest.raises(FieldMismatchError):
                 op(x, y)
-
-
-def test_embed_rational_is_explicit():
-    x = QQ.from_fraction(Fraction(3, 2))
-    assert embed_rational(x, C8) == C8.from_fraction(Fraction(3, 2))
-    assert embed_rational(x, FQ) == FQ.from_fraction(Fraction(3, 2))
-    with pytest.raises(FieldMismatchError):
-        embed_rational(C8.zeta(), FQ)
 
 
 def test_cyclotomic_polynomials():
