@@ -149,14 +149,8 @@ class BaseAlgebra:
             acc = acc * assignment[name] ** exp
         return acc
 
-    def char_value(self, values: dict[str, Scalar], mono) -> Scalar:
-        return self.evaluate(values, mono, self.field.one())
-
-    def map_monomial(self, images: dict[str, "BaseElement"], mono) -> "BaseElement":
-        return self.evaluate(images, mono, self.one())
-
     def monomial_eigenvalue(self, diag: dict[str, Scalar], mono) -> Scalar:
-        return self.char_value(diag, mono)
+        return self.evaluate(diag, mono, self.field.one())
 
     # -- element constructors ----------------------------------------------
 
@@ -393,16 +387,6 @@ class BaseTensor(Sparse):
                          for m1, e1 in left.items() for m2, e2 in right.items()), out)
         return self._new(out)
 
-    def contract_left(self, chi: "Character") -> BaseElement:
-        """Apply chi (x) id."""
-        return BaseElement._of(self.algebra, combine(
-            (m2, c * chi.on_monomial(m1)) for (m1, m2), c in self.coeffs.items()))
-
-    def contract_right(self, chi: "Character") -> BaseElement:
-        """Apply id (x) chi."""
-        return BaseElement._of(self.algebra, combine(
-            (m1, c * chi.on_monomial(m2)) for (m1, m2), c in self.coeffs.items()))
-
 
 # ---------------------------------------------------------------------------
 # structure maps on elements
@@ -470,7 +454,8 @@ class Character:
     def on_monomial(self, mono) -> Scalar:
         value = self._on_monomial.get(mono)
         if value is None:
-            value = self._on_monomial[mono] = self.algebra.char_value(self.values, mono)
+            value = self._on_monomial[mono] = self.algebra.evaluate(
+                self.values, mono, self.algebra.field.one())
         return value
 
     def __call__(self, a: BaseElement) -> Scalar:
@@ -487,13 +472,15 @@ class Character:
 
 
 def winding_left(chi: Character, a: BaseElement) -> BaseElement:
-    """The left winding map: a |-> sum chi(a_1) a_2."""
-    return base_delta(a).contract_left(chi)
+    """The left winding map: a |-> sum chi(a_1) a_2, chi (x) id on Delta(a)."""
+    return BaseElement._of(a.algebra, combine(
+        (m2, c * chi.on_monomial(m1)) for (m1, m2), c in base_delta(a).coeffs.items()))
 
 
 def winding_right(chi: Character, a: BaseElement) -> BaseElement:
-    """The right winding map: a |-> sum a_1 chi(a_2)."""
-    return base_delta(a).contract_right(chi)
+    """The right winding map: a |-> sum a_1 chi(a_2), id (x) chi on Delta(a)."""
+    return BaseElement._of(a.algebra, combine(
+        (m1, c * chi.on_monomial(m2)) for (m1, m2), c in base_delta(a).coeffs.items()))
 
 
 def adjoint_left(y: BaseElement, a: BaseElement) -> BaseElement:
@@ -598,7 +585,7 @@ class BaseAutomorphism:
             key = (mono, 1 if power > 0 else -1)
             img = self._image_cache.get(key)
             if img is None:
-                img = self.algebra.map_monomial(images, mono)
+                img = self.algebra.evaluate(images, mono, self.algebra.one())
                 self._image_cache[key] = img
             out = out + img.scale(c)
         if abs(power) > 1:

@@ -80,7 +80,10 @@ class _Output:
 
 
 def _load(path: str, field_override: Field | None) -> ResolvedSpec:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8 at byte {exc.start}") from None
     return resolve_spec(parse_spec(text), field_override)
 
 

@@ -7,8 +7,9 @@ Expression grammar (whitespace insensitive):
     term   := factor ('*' factor)*
     factor := ['-'] atom ['^' ['-'] INT]
     atom   := NUMBER | IDENT | '(' expr ')'
-    NUMBER := INT ['/' INT]
-    IDENT  := letter (letter | digit | '_')*  |  'X+'  |  'X-'
+
+with the tokens NUMBER and IDENT of the table _LEXICON below; an INT is a
+NUMBER with an integral value.
 
 An expression is evaluated in one ring: the field for chi, xi and q
 values, the base R for y+-, h and sigma images, and A on the command line.
@@ -21,6 +22,7 @@ The full grammar ships in docs/spec-format.md.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -46,6 +48,12 @@ from .uqsl2 import UqSl2Base
 # corpus and test exponent is a single digit; the bound keeps a hostile power
 # like (q+1)^3000 or ((q+1)^256)^256 from running for seconds.
 MAX_EXPONENT = 256
+
+# Deepest nesting of parentheses accepted. Parsing recurses four frames per
+# level, and _chain_exponent, _eval and _format_node one or two per level of
+# the tree, so 300 levels overran Python's default recursion limit of 1000.
+# The corpus nests at most three deep.
+MAX_NESTING = 64
 
 # Largest cyclotomic order accepted by make_field. The fold table of
 # Q(zeta_N) holds max(N, 2 phi(N) - 1) rows of phi(N) ints and its set-up
@@ -131,66 +139,36 @@ class _Token:
     text: str
     line: int
     column: int
-    value: Fraction | None = None
+
+
+# The lexical grammar: one alternative per token kind, tried in order at each
+# position. Letters and digits are ASCII; a character no token starts with,
+# whitespace aside, is refused.
+_LEXICON = re.compile(r"""
+    (?P<SPACE>\s+)
+  | (?P<NUMBER>[0-9]+(/(?P<den>[0-9]+))?)
+  | (?P<IDENT>X[+-]|[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OP>[-+*^()])
+""", re.VERBOSE)
 
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, col, pos = 1, 1, 0
+    while pos < len(src):
+        match = _LEXICON.match(src, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
+        kind, text = match.lastgroup, match.group()
+        pos = match.end()
+        if kind == "SPACE":
+            line += text.count("\n")
+            col = len(text) - text.rfind("\n") if "\n" in text else col + len(text)
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            num = int(src[i:j])
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                k = j
-                while k < n and src[k].isdigit():
-                    k += 1
-                den = int(src[j:k])
-                if den == 0:
-                    raise ParseError("zero denominator in literal", line, start_col)
-                tokens.append(_Token("NUMBER", src[i:k], line, start_col, Fraction(num, den)))
-                col += k - i
-                i = k
-            else:
-                tokens.append(_Token("NUMBER", src[i:j], line, start_col, Fraction(num)))
-                col += j - i
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            if ch == "X" and i + 1 < n and src[i + 1] in "+-":
-                tokens.append(_Token("IDENT", src[i:i + 2], line, start_col))
-                i += 2
-                col += 2
-                continue
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+        if match["den"] and int(match["den"]) == 0:
+            raise ParseError("zero denominator in literal", line, col)
+        tokens.append(_Token(kind, text, line, col))
+        col += len(text)
     tokens.append(_Token("END", "", line, col))
     return tokens
 
@@ -199,6 +177,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open at the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -245,12 +224,12 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.take()
-            if tok.kind != "NUMBER" or tok.value.denominator != 1:
+            if tok.kind != "NUMBER" or (value := Fraction(tok.text)).denominator != 1:
                 raise ParseError("exponent must be an integer", tok.line, tok.column)
-            if tok.value > MAX_EXPONENT:
+            if value > MAX_EXPONENT:
                 raise ParseError(f"exponent {tok.text} exceeds the limit {MAX_EXPONENT}",
                                  tok.line, tok.column)
-            node = Pow(node, sign * int(tok.value))
+            node = Pow(node, sign * int(value))
             chained = _chain_exponent(node)
             if chained > MAX_EXPONENT:
                 raise ParseError(f"nested exponents multiply to {chained}, which exceeds "
@@ -260,12 +239,17 @@ class _Parser:
     def parse_atom(self) -> Node:
         tok = self.take()
         if tok.kind == "NUMBER":
-            return Num(tok.value)
+            return Num(Fraction(tok.text))
         if tok.kind == "IDENT":
             return Name(tok.text)
         if tok.kind == "OP" and tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected a value, found {tok.text or 'end of input'}",
                          tok.line, tok.column)
@@ -297,16 +281,12 @@ def _format_node(node: Node, parent: str) -> str:
     if isinstance(node, Name):
         return node.ident
     if isinstance(node, Sum):
-        parts = []
-        for i, (sign, term) in enumerate(node.terms):
+        signed_terms = []
+        for sign, term in node.terms:
             while isinstance(term, Neg):
                 sign, term = -sign, term.operand
-            body = _format_node(term, "sum")
-            if i == 0:
-                parts.append(body if sign > 0 else f"-{body}")
-            else:
-                parts.append((" + " if sign > 0 else " - ") + body)
-        text = "".join(parts)
+            signed_terms.append((sign, _format_node(term, "sum")))
+        text = _join_terms(signed_terms)
         return f"({text})" if parent in ("mul", "pow", "neg", "sum") else text
     if isinstance(node, Mul):
         text = "*".join(_format_node(f, "mul") for f in node.factors)
@@ -430,7 +410,7 @@ def eval_scalar_expr(node: Node, field: Field) -> Scalar:
 def _poly_text(coeffs, symbol: str) -> tuple[str, bool]:
     """Ascending-power rendering of a Fraction/int polynomial; the flag
     says whether the result is a multi-term sum."""
-    parts = []
+    signed_terms = []
     for i, c in enumerate(coeffs):
         c = Fraction(c)
         if c == 0:
@@ -441,13 +421,8 @@ def _poly_text(coeffs, symbol: str) -> tuple[str, bool]:
         else:
             sym = symbol if i == 1 else f"{symbol}^{i}"
             body = sym if mag == 1 else f"{_fraction_text(mag)}*{sym}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    if not parts:
-        return "0", False
-    return "".join(parts), len([c for c in coeffs if c != 0]) > 1
+        signed_terms.append((1 if c > 0 else -1, body))
+    return _join_terms(signed_terms), len(signed_terms) > 1
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -513,6 +488,7 @@ def _term_text(coeff: Scalar, factors: list[tuple[str, int]]) -> tuple[int, str]
 
 
 def _join_terms(signed_terms: list[tuple[int, str]]) -> str:
+    """Signed terms as ``-a + b - c``, the one sign convention; none is ``0``."""
     if not signed_terms:
         return "0"
     out = []

@@ -75,8 +75,8 @@ def test_bialgebra_axioms_on_generators(name, base):
     for gen in base.generators.values():
         assert _delta3(gen, True) == _delta3(gen, False)  # coassociativity
         d = base_delta(gen)
-        assert d.contract_left(_counit_char(base)) == gen
-        assert d.contract_right(_counit_char(base)) == gen
+        assert winding_left(_counit_char(base), gen) == gen
+        assert winding_right(_counit_char(base), gen) == gen
         # antipode convolution identities
         acc = base.zero()
         for (m1, m2), c in d.coeffs.items():
@@ -499,7 +499,7 @@ def test_base_containers_never_store_zero(seed):
             assert_no_zero(x)
         assert (ta - ta).coeffs == {}, name
         chi = _counit_character(base)
-        for x in (base_delta(a), (ta - tb).contract_left(chi), (ta - tb).contract_right(chi)):
+        for x in (base_delta(a), winding_left(chi, a - b), winding_right(chi, a - b)):
             assert_no_zero(x)
         # products whose inner sums cancel, e.g. (t + 1)(t - 1) - t t = -1, and
         # every builder that stores its dict without the constructor's filter
@@ -510,8 +510,7 @@ def test_base_containers_never_store_zero(seed):
             for x in (cancel, (g - one) * (g + one), (a - b) * (g + one), base_delta(cancel),
                       base_antipode(cancel), base_antipode(a - b), sigma.apply(a - b, 1),
                       sigma.apply(cancel, -2), BaseTensor.of(cancel, a - b),
-                      base_delta(g - one).contract_left(chi),
-                      base_delta(g - one).contract_right(chi)):
+                      winding_left(chi, g - one), winding_right(chi, g - one)):
                 assert_no_zero(x)
 
 
@@ -575,7 +574,7 @@ def test_generator_table_follows_generator_info():
 
 
 def _reference_char_value(base, values, mono):
-    """The loop ``char_value`` ran before ``evaluate``: invert explicitly,
+    """The loop characters ran before ``evaluate``: invert explicitly,
     then raise to a positive power."""
     acc = base.field.one()
     for name, exp in base.monomial_factors(mono):
@@ -588,7 +587,7 @@ def _reference_char_value(base, values, mono):
 
 
 def _reference_map_monomial(base, images, mono):
-    """The loop ``map_monomial`` ran before ``evaluate``."""
+    """The loop automorphism images ran before ``evaluate``."""
     acc = base.one()
     for name, exp in base.monomial_factors(mono):
         img = images[name]
@@ -612,8 +611,8 @@ _NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(boo
 @given(st.data())
 def test_evaluate_matches_the_inverting_loops(data):
     """Nonzero scalar values, unit images of the invertible generators and
-    monomials with negative exponents: ``char_value`` and ``map_monomial``
-    equal the loops they replaced."""
+    monomials with negative exponents: ``evaluate`` on scalars and on
+    elements equals the loops it replaced."""
     base = data.draw(st.sampled_from(_evaluator_families()))
     field, infos = base.field, base.generator_info()
     units = [info.name for info in infos if info.invertible]
@@ -629,8 +628,9 @@ def test_evaluate_matches_the_inverting_loops(data):
         low = -3 if info.invertible else 0
         mono = mono * base.generator(info.name, data.draw(st.integers(low, 3)))
     (mono,) = mono.support()
-    assert base.char_value(values, mono) == _reference_char_value(base, values, mono)
-    assert base.map_monomial(images, mono) == _reference_map_monomial(base, images, mono)
+    assert base.evaluate(values, mono, field.one()) == _reference_char_value(base, values, mono)
+    assert base.evaluate(images, mono, base.one()) == \
+        _reference_map_monomial(base, images, mono)
 
 
 def test_zero_on_a_unit_generator_is_refused_by_character():

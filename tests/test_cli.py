@@ -262,13 +262,32 @@ MALFORMED_INPUT = [
     (("mul", "usl2.abhk", "(2*t)^-1"), "error: monomial is not a unit in this family"),
     (("--field", "cyclotomic:100000", "check", "usl2.abhk"),
      USAGE_ERROR + "--field: 'cyclotomic:100000': cyclotomic order 100000 exceeds the limit 512"),
+    # letters and digits are ASCII: any other character is refused where it stands
+    (("mul", "usl2.abhk", "\u00b2"), "error: unexpected character '\u00b2' at line 1, column 1"),
+    (("mul", "usl2.abhk", "t^\u00b2"), "error: unexpected character '\u00b2' at line 1, column 3"),
+    (("mul", "usl2.abhk", "\u0663"), "error: unexpected character '\u0663' at line 1, column 1"),
+    (("mul", "usl2.abhk", "t\u00e9"), "error: unexpected character '\u00e9' at line 1, column 2"),
+    (("mul", "usl2.abhk", "(" * 65 + "t" + ")" * 65),
+     "error: parentheses nested deeper than 64 at line 1, column 65"),
+    (("check", "not-utf8.abhk"), "error: {tmp}/not-utf8.abhk: not UTF-8 at byte 0"),
 ]
+
+# spec files the rows above name, written to tmp_path first
+MALFORMED_FILES = {"not-utf8.abhk": b"\xff\xfefield {\n"}
 
 
 @pytest.mark.parametrize("argv, message", MALFORMED_INPUT,
                          ids=[" ".join(argv) for argv, _ in MALFORMED_INPUT])
-def test_malformed_input_is_input_error(capsys, argv, message):
-    argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]
+def test_malformed_input_is_input_error(capsys, tmp_path, argv, message):
+    paths = []
+    for word in argv:
+        if word in MALFORMED_FILES:
+            (tmp_path / word).write_bytes(MALFORMED_FILES[word])
+            word = str(tmp_path / word)
+        elif word.endswith(".abhk"):
+            word = str(CORPUS / word)
+        paths.append(word)
+    argv, message = paths, message.replace("{tmp}", str(tmp_path))
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects bad option values this way
@@ -280,6 +299,32 @@ def test_malformed_input_is_input_error(capsys, argv, message):
     lines = err.splitlines()
     assert lines[-1] == message
     assert message.startswith(USAGE_ERROR) or len(lines) == 1
+
+
+@pytest.mark.parametrize("expr, where", [
+    ("t  +  %", "line 1, column 7"),
+    ("t\n + %", "line 2, column 4"),
+    ("t +\n\n   1/2 * %", "line 3, column 10"),
+], ids=["spaces", "newline", "blank-line"])
+def test_error_column_counts_every_character_since_the_line_start(capsys, expr, where):
+    code, _, err = run(capsys, "mul", str(CORPUS / "usl2.abhk"), expr)
+    assert (code, err) == (2, f"error: unexpected character '%' at {where}\n")
+
+
+def test_nesting_limit_is_inclusive(capsys):
+    text = "(" * 64 + "t" + ")" * 64
+    assert run(capsys, "mul", str(CORPUS / "usl2.abhk"), text) == \
+        run(capsys, "mul", str(CORPUS / "usl2.abhk"), "t")
+
+
+def test_examples_report_a_spec_that_is_not_utf8(monkeypatch, capsys, tmp_path):
+    (tmp_path / "bad-xi.abhk").write_text((CORPUS / "bad-xi.abhk").read_text())
+    (tmp_path / "not-utf8.abhk").write_bytes(MALFORMED_FILES["not-utf8.abhk"])
+    monkeypatch.setenv("ABHK_CORPUS_DIR", str(tmp_path))
+    assert run(capsys, "examples") == (1, "\n".join([
+        "bad-xi    pass", "not-utf8  FAIL",
+        f"    load: ERROR ({tmp_path}/not-utf8.abhk: not UTF-8 at byte 0)",
+        "1/2 corpus entries pass", ""]), "")
 
 
 @pytest.mark.parametrize("spec, expr, same_as", [

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 
 from abhk.ambicore import AmbiElement, Tensor
 from abhk.basehopf import BaseElement, Character, LaurentBase, PolynomialBase, invert_element
+from abhk import exprparse
 from abhk.errors import AbhkError, NotInvertibleError
 from abhk.exprparse import (
     MAX_EXPONENT,
+    MAX_NESTING,
     EvalContext,
     Mul,
     Name,
@@ -24,6 +28,7 @@ from abhk.exprparse import (
     SpecError,
     Sum,
     _chain_exponent,
+    _tokenize,
     eval_base_expr,
     eval_expr,
     eval_scalar_expr,
@@ -106,6 +111,154 @@ def test_x_identifier_lexing():
     assert ast == Sum(((1, Name("X+")), (1, Name("X-"))))
     ast = parse_expr("X+^2*X-")
     assert ast == Mul((Pow(Name("X+"), 2), Name("X-")))
+
+
+def test_token_positions():
+    # a column counts every character since the line start, whitespace included
+    tokens = _tokenize("t \t+\r\n\n 1/2*X-")
+    assert [(tok.kind, tok.text, tok.line, tok.column) for tok in tokens] == [
+        ("IDENT", "t", 1, 1), ("OP", "+", 1, 4), ("NUMBER", "1/2", 3, 2), ("OP", "*", 3, 5),
+        ("IDENT", "X-", 3, 6), ("END", "", 3, 8)]
+
+
+def test_integral_number_is_an_exponent():
+    assert parse_expr("t^4/2") == Pow(Name("t"), 2)
+    with pytest.raises(ParseError, match="exponent must be an integer at line 1, column 3"):
+        parse_expr("t^1/2")
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_expr(deepest) == Name("t")
+    for depth in (MAX_NESTING + 1, 300, 5000):
+        with pytest.raises(ParseError) as info:
+            parse_expr("(" * depth + "t" + ")" * depth)
+        assert str(info.value) == (f"parentheses nested deeper than {MAX_NESTING} "
+                                   f"at line 1, column {MAX_NESTING + 1}")
+    # the limit counts open parentheses, not all of them
+    assert parse_expr("(t)*" * 500 + "t") == Mul((Name("t"),) * 501)
+
+
+# -- the lexical table against the parent's character loop -----------------------
+#
+# The parent scanned with one hand-written loop per token kind and str.isdigit,
+# str.isalpha and str.isalnum, which also accept non-ASCII characters. On ASCII
+# text the table must give the same tokens, positions and errors.
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    column: int
+    value: Fraction | None = None
+
+
+def _reference_tokenize(src: str) -> list[_ReferenceToken]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            num = int(src[i:j])
+            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
+                j += 1
+                k = j
+                while k < n and src[k].isdigit():
+                    k += 1
+                den = int(src[j:k])
+                if den == 0:
+                    raise ParseError("zero denominator in literal", line, start_col)
+                tokens.append(_ReferenceToken("NUMBER", src[i:k], line, start_col,
+                                              Fraction(num, den)))
+                col += k - i
+                i = k
+            else:
+                tokens.append(_ReferenceToken("NUMBER", src[i:j], line, start_col, Fraction(num)))
+                col += j - i
+                i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            if ch == "X" and i + 1 < n and src[i + 1] in "+-":
+                tokens.append(_ReferenceToken("IDENT", src[i:i + 2], line, start_col))
+                i += 2
+                col += 2
+                continue
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(_ReferenceToken("IDENT", src[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^()":
+            tokens.append(_ReferenceToken("OP", ch, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(_ReferenceToken("END", "", line, col))
+    return tokens
+
+
+def _lex_outcome(tokenize, src):
+    """The (kind, text, line, column) of every token, or the error text."""
+    try:
+        return [(tok.kind, tok.text, tok.line, tok.column) for tok in tokenize(src)], None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+def _parse_outcome(src):
+    try:
+        return parse_expr(src), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+# every token kind, the shapes next to its boundaries, and characters no token takes
+_LEXEMES = ("t", "X", "X+", "X-", "Xa", "aX", "q", "_", "_x1", "K2", "0", "7", "12", "007",
+            "1/2", "4/2", "3/0", "0/5", "/", "+", "-", "*", "^", "(", ")", " ", "  ", "\n",
+            "\t", "\r\n", "\x0b", "\x1c", "$", "%", ".", "#")
+
+_ASCII_SOURCES = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=24),
+    st.lists(st.sampled_from(_LEXEMES), max_size=16).map("".join),
+)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(_ASCII_SOURCES)
+def test_lexical_table_matches_the_reference(src):
+    """On ASCII text, ``_tokenize`` gives the reference's tokens and
+    positions or its exact error, every NUMBER reads as the reference's
+    value, and ``parse_expr`` gives the AST or error text it gives on the
+    reference's tokens."""
+    want, want_error = _lex_outcome(_reference_tokenize, src)
+    assert _lex_outcome(_tokenize, src) == (want, want_error), src
+    if want_error is None:
+        for tok in _reference_tokenize(src):
+            if tok.kind == "NUMBER":
+                assert Fraction(tok.text) == tok.value, src
+    got = _parse_outcome(src)
+    with mock.patch.object(exprparse, "_tokenize", _reference_tokenize):
+        assert got == _parse_outcome(src), src
 
 
 AST_NAMES = ("t", "X+", "X-", "q", "zeta", "alpha_1")

@@ -276,7 +276,7 @@ def test_cached_q_constants_match_inverting_formulas(name):
                 if k.is_zero():
                     continue
                 for mono in monos:
-                    assert uq.char_value(values, mono) == \
+                    assert uq.evaluate(values, mono, field.one()) == \
                         _inverting_char_value(uq, values, mono), (values, mono)
     assert len(verdicts) == 4  # every relation both holds and fails somewhere
 
@@ -299,7 +299,7 @@ def test_cached_q_constants_match_inverting_formulas(name):
         for mono in monos:
             if mono[0] < 0 and len(images["K"].coeffs) != 1:
                 continue
-            assert uq.map_monomial(images, mono) == \
+            assert uq.evaluate(images, mono, uq.one()) == \
                 _inverting_map_monomial(uq, images, mono), (images, mono)
     assert len(verdicts) == 4
 
