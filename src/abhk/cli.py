@@ -390,6 +390,23 @@ def cmd_examples(args, out: _Output) -> int:
 # entry point
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser. With ``dash_positional`` every argument that
+    starts with ``-`` but is none of the parser's own options (``-h``,
+    ``--help``) is a positional, so ``abhk mul SPEC -t`` reads the
+    expression ``-t``; ``--`` still ends the options."""
+
+    def __init__(self, *args, dash_positional=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dash_positional = dash_positional
+
+    def _parse_optional(self, arg_string):
+        if (self.dash_positional and arg_string != "--"
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -402,10 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the spec's field, e.g. 'cyclotomic:8'")
     parser.add_argument("--nmax", type=_positive_int, default=None,
                         help="iteration bound for automorphism-order searches")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add(name, fn, *arguments, help=None):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, dash_positional=expr_arg in arguments)
         for arg in arguments:
             p.add_argument(*arg[0], **arg[1])
         p.set_defaults(fn=fn)

@@ -150,18 +150,25 @@ def _int_exact_div(a, b):
     return quo
 
 
+def _cancel_q(num, den):
+    """``num`` and ``den``, nonzero trimmed integer polynomials, divided by
+    the power of q they share."""
+    low = 0
+    while not (num[low] or den[low]):
+        low += 1
+    if low:
+        return num[low:], den[low:]
+    return num, den
+
+
 def _coprime(num, den):
     """``num`` and ``den``, nonzero trimmed integer polynomials, divided by
     their gcd in Q[q]. The shared power of q is stripped first; a single
     term c*q^k is then coprime to the other side. Two sides equal up to
     sign (the x * x^-1 of most cancellations) reduce to +-1. Only two
     different multi-term sides run the pseudo-remainder gcd."""
-    low = 0
-    while not (num[low] or den[low]):
-        low += 1
-    if low:
-        num, den = num[low:], den[low:]
-    if any(num[:-1]) and any(den[:-1]):
+    num, den = _cancel_q(num, den)
+    if num.count(0) != len(num) - 1 and den.count(0) != len(den) - 1:
         if num == den:
             return (1,), (1,)
         if num == poly_neg(den):
@@ -170,6 +177,31 @@ def _coprime(num, den):
         if len(g) > 1:
             num, den = _int_exact_div(num, g), _int_exact_div(den, g)
     return num, den
+
+
+def _scale_shift(c, d, shift, num, den):
+    """The canonical form of c*q^shift*num / (d*den), for canonical
+    ``num``/``den`` and c/d in lowest terms with d > 0: the shift cancels
+    against the low zeros of the other side, and only the integer content
+    is left (none when c = +-1 and d = 1)."""
+    if shift > 0:
+        low = 0
+        while low < shift and not den[low]:
+            low += 1
+        num, den = (0,) * (shift - low) + num, den[low:]
+    elif shift < 0:
+        low = 0
+        while low < -shift and not num[low]:
+            low += 1
+        num, den = num[low:], (0,) * (-shift - low) + den
+    if d == 1:
+        if c == 1:
+            return num, den
+        if c == -1:
+            return poly_neg(num), den
+    else:
+        den = [d * x for x in den]
+    return _content_free([c * x for x in num], den)
 
 
 def _content_free(num, den):
@@ -513,32 +545,53 @@ class RationalFunctionField(Field):
     and ``den`` are coprime, the gcd of all their coefficients together is
     1, and the leading coefficient of ``den`` is positive. Zero is
     ``((), (1,))``. Equal elements therefore have equal data, so any exact
-    reduction of a quotient yields the same tuples.
+    reduction of a quotient yields the same tuples. A side is a single
+    term c*q^k when every coefficient but its last is zero; a canonical
+    single-term element c*q^i / (d*q^j) has i = 0 or j = 0.
 
-    ``_make`` reduces an arbitrary quotient to this form in integers only,
-    in two steps. ``_coprime`` first strips the power of q the two sides
-    share. If either side is then a single term c*q^k, the other side has a
-    nonzero constant term or the single term is a constant, so the two are
-    coprime; otherwise the gcd comes from the primitive pseudo-remainder
-    sequence over Z and both sides are divided by it exactly.
-    ``_content_free`` then divides out the integer content and fixes the
-    sign.
+    The arithmetic kernels start from canonical operands and cancel only
+    what can still be shared (Henrici's method, Knuth, TAOCP vol. 2,
+    4.5.1, over Q[q]). Three helpers do the cancelling in integers only:
+    ``_coprime`` divides two sides by their gcd in Q[q], stripping the
+    power of q they share first and running the primitive pseudo-remainder
+    gcd ``_int_gcd`` only when both sides still have two or more terms and
+    differ by more than a sign (a single term c*q^k is then coprime to a
+    side with a nonzero constant term); ``_cancel_q`` strips only the
+    shared power of q; ``_content_free`` divides out the integer content
+    and fixes the sign.
 
-    The arithmetic kernels start from canonical operands and skip the work
-    that canonical data makes unnecessary (Henrici's method, Knuth, TAOCP
-    vol. 2, 4.5.1, over Q[q]):
-
-    * ``_mul``: with a = an/ad and b = bn/bd reduced, every common factor
-      of an*bn and ad*bd lies in an and bd or in bn and ad, so
-      gcd(an*bn, ad*bd) = gcd(an, bd) * gcd(bn, ad). Each cross pair goes
-      through ``_coprime``, which needs a polynomial gcd only when both
-      members have two or more terms and differ by more than a sign; the
-      products of the reduced pairs are then coprime and only the content
-      is left. When all four parts are single terms the product,
-      c*q^k / d or c / (d*q^k), comes from integers and exponents only.
-    * ``_add``: a zero operand returns the other; over equal denominators
-      the sum is (an + bn)/ad, reduced against ``ad`` alone; other sums
-      cross-multiply and go to ``_make``.
+    * ``_mul`` of a = an/ad and b = bn/bd:
+      - all four sides single terms: the product, c*q^k / d or
+        c / (d*q^k), comes from integers and exponents only;
+      - exactly one factor single-term, c*q^i / (d*q^j) times bn/bd: the
+        product is c*q^i*bn / (d*q^j*bd). A common factor of the two
+        sides other than q or an integer would divide bn and bd, which
+        are coprime; the shift q^(i-j) cancels against the low zeros of
+        the other side, bd for i > 0 or bn for j > 0. So the product is
+        the other factor scaled by c and d and shifted, and only its
+        content is left: one ``math.gcd``, skipped when c = +-1 and
+        d = 1, for bn and bd have none;
+      - otherwise every common factor of an*bn and ad*bd lies in an and
+        bd or in bn and ad, so gcd(an*bn, ad*bd) = gcd(an, bd) *
+        gcd(bn, ad). Each cross pair goes through ``_coprime``; the
+        products of the reduced pairs are coprime and only the content
+        is left.
+    * ``_add``: a zero operand returns the other, and
+      - over equal denominators the sum is (an + bn)/ad, reduced against
+        ``ad`` alone;
+      - when ``ad`` or ``bd`` is a single term d*q^j, the sum is
+        (an*bd + bn*ad) / (ad*bd) and shares no factor with the
+        denominator but q or an integer: an irreducible p dividing the
+        other denominator and the numerator would divide bn*ad (or
+        an*bd), so it would divide the numerator it is coprime to. The
+        shared power of q is stripped and the content divided, with no
+        polynomial gcd;
+      - otherwise, with g = gcd(ad, bd), ad = g*ad' and bd = g*bd', the
+        sum is t / (ad*bd') with t = an*bd' + bn*ad'. An irreducible
+        factor of ad' that divides t divides an*bd', so it divides an, as
+        ad' and bd' are coprime: impossible, for an and ad are coprime;
+        likewise for bd'. So gcd(t, ad*bd') = gcd(t, g), and only that
+        gcd is cancelled before the content.
     * ``_inv``: ``(den, num)``, with both negated when ``num`` leads with a
       negative coefficient: canonical data is already coprime and free of
       content, so the swap is canonical.
@@ -557,16 +610,6 @@ class RationalFunctionField(Field):
             return Scalar(self, ((0,) * power + (1,), (1,)))
         return Scalar(self, ((1,), (0,) * (-power) + (1,)))
 
-    def _make(self, num, den):
-        """Reduce num/den, integer coefficient sequences, to the canonical
-        form of the class docstring."""
-        num, den = _trim(num), _trim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return ((), (1,))
-        return _content_free(*_coprime(num, den))
-
     def _add(self, a, b):
         (an, ad), (bn, bd) = a, b
         if not an:
@@ -578,25 +621,44 @@ class RationalFunctionField(Field):
             if not num:
                 return ((), (1,))
             return _content_free(*_coprime(num, ad))
-        return self._make(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
+        # different denominators: b = -a would share a's, so the sum is not 0
+        if ad.count(0) == len(ad) - 1 or bd.count(0) == len(bd) - 1:
+            num = poly_add(poly_mul(an, bd), poly_mul(bn, ad))
+            return _content_free(*_cancel_q(num, poly_mul(ad, bd)))
+        g = _int_gcd(ad, bd)
+        if len(g) == 1:
+            return _content_free(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
+        bd = _int_exact_div(bd, g)
+        num = poly_add(poly_mul(an, bd), poly_mul(bn, _int_exact_div(ad, g)))
+        den = poly_mul(ad, bd)
+        h = _int_gcd(num, g)
+        if len(h) > 1:
+            num, den = _int_exact_div(num, h), _int_exact_div(den, h)
+        return _content_free(num, den)
 
     def _mul(self, a, b):
         (an, ad), (bn, bd) = a, b
         if not an or not bn:
             return ((), (1,))
-        if any(an[:-1]) or any(bn[:-1]) or any(ad[:-1]) or any(bd[:-1]):
-            an, bd = _coprime(an, bd)
-            bn, ad = _coprime(bn, ad)
-            return _content_free(poly_mul(an, bn), poly_mul(ad, bd))
-        # (c q^i / d q^j) (c' q^k / d' q^l): the denominators are positive
-        num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
-        g = math.gcd(num, den)
-        if g != 1:
-            num, den = num // g, den // g
-        shift = len(an) + len(bn) - len(ad) - len(bd)
-        if shift >= 0:
-            return ((0,) * shift + (num,), (den,))
-        return ((num,), (0,) * -shift + (den,))
+        a_term = an.count(0) == len(an) - 1 and ad.count(0) == len(ad) - 1
+        b_term = bn.count(0) == len(bn) - 1 and bd.count(0) == len(bd) - 1
+        if a_term and b_term:
+            # (c q^i / d q^j) (c' q^k / d' q^l): the denominators are positive
+            num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
+            g = math.gcd(num, den)
+            if g != 1:
+                num, den = num // g, den // g
+            shift = len(an) + len(bn) - len(ad) - len(bd)
+            if shift >= 0:
+                return ((0,) * shift + (num,), (den,))
+            return ((num,), (0,) * -shift + (den,))
+        if a_term:
+            return _scale_shift(an[-1], ad[-1], len(an) - len(ad), bn, bd)
+        if b_term:
+            return _scale_shift(bn[-1], bd[-1], len(bn) - len(bd), an, ad)
+        an, bd = _coprime(an, bd)
+        bn, ad = _coprime(bn, ad)
+        return _content_free(poly_mul(an, bn), poly_mul(ad, bd))
 
     def _neg(self, a):
         return (poly_neg(a[0]), a[1])

@@ -317,6 +317,34 @@ def test_nesting_limit_is_inclusive(capsys):
         run(capsys, "mul", str(CORPUS / "usl2.abhk"), "t")
 
 
+# an expression may start with "-": only -h, --help and -- keep their meaning
+DASH_EXPRESSIONS = [
+    (("mul", "usl2.abhk", "-t"), "result: -t\n"),
+    (("coprod", "usl2.abhk", "-t"), "result: -1 (x) t  +  -t (x) 1\n"),
+    (("antipode", "usl2.abhk", "-t"), "result: t\nantipode-form: -y^-1*X\n"),
+    (("corad", "usl2.abhk", "-t"), "degree: 1\nterm: X+^0 X-^0  base-degree 1  degree 1\n"),
+    (("mul", "uqsl2.abhk", "-E*F"), "result: -E*F\n"),
+    (("mul", "usl2.abhk", "--", "-t"), "result: -t\n"),
+    (("mul", "usl2.abhk", "--", "t"), "result: t\n"),
+]
+
+
+@pytest.mark.parametrize("argv, out", DASH_EXPRESSIONS,
+                         ids=[" ".join(argv) for argv, _ in DASH_EXPRESSIONS])
+def test_an_expression_may_start_with_a_minus(capsys, argv, out):
+    argv = [str(CORPUS / word) if word.endswith(".abhk") else word for word in argv]
+    assert run(capsys, *argv) == (0, out, "")
+
+
+@pytest.mark.parametrize("command", ["mul", "coprod", "antipode", "corad"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_still_wins_over_an_expression(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(CORPUS / "usl2.abhk"), flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: abhk {command} [-h] spec expr\n")
+
+
 def test_examples_report_a_spec_that_is_not_utf8(monkeypatch, capsys, tmp_path):
     (tmp_path / "bad-xi.abhk").write_text((CORPUS / "bad-xi.abhk").read_text())
     (tmp_path / "not-utf8.abhk").write_bytes(MALFORMED_FILES["not-utf8.abhk"])

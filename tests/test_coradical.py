@@ -3,11 +3,18 @@ low-degree layers, and the defining wedge condition."""
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abhk import Character, ExtensionData, construct_hopf
 from abhk.ambicore import Tensor
+from abhk.basehopf import BaseElement, is_grouplike
+from abhk.cli import _checked_algebra, _context, corpus_dir
 from abhk.coradical import (
     CoradicalContext,
     _grouplike_power,
@@ -17,7 +24,9 @@ from abhk.coradical import (
     delta_power_closed,
     sparse_support,
 )
+from abhk.exprparse import eval_expr, parse_expr, parse_spec, resolve_spec
 from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec, q_binomial
+from abhk.uqsl2 import UqSl2Base
 
 from conftest import CORPUS_BUILDERS, build_laurent, random_element
 
@@ -344,3 +353,130 @@ def test_corad_degree_matches_its_own_loop(corpus):
         for _ in range(12):
             a = random_element(rng, hopf, max_terms=3, base_support=2)
             assert corad_degree(a, ctx) == _reference_corad_degree(a, ctx), name
+
+
+# -- the filtration from its definition ---------------------------------------------
+#
+# Every family here is pointed, so the coradical C_0 is spanned by the
+# grouplikes, and C_t is the kernel of pi^(x)(t+1) . Delta^(t), with pi the
+# projection A -> A/C_0 and Delta^(t) the t-fold coproduct (Sweedler, Hopf
+# Algebras, 1969, ch. IX; Montgomery, Hopf Algebras and Their Actions on Rings,
+# 1993, 5.2). The grouplikes of A are basis legs r X+^0 X-^0 with r a grouplike
+# base monomial, so pi kills exactly those legs and keeps the others linearly
+# independent: a lies in C_t iff every key of Delta^(t)(a) has a grouplike leg.
+# The oracle shares only ``delta_leg`` with ``corad_degree``, and decides
+# grouplike legs with ``is_grouplike``, not with a degree function.
+
+POINTED_FAMILIES = ("polynomial", "laurent", "group", "uqsl2")
+
+
+def corad_degree_by_definition(hopf, a):
+    """The least t < 16 with a in C_t, read off the iterated coproduct."""
+    base = hopf.algebra.base
+    if base.family not in POINTED_FAMILIES:
+        raise ValueError(f"the {base.family} family is not known to be pointed")
+    one = base.field.one()
+
+    @functools.cache
+    def grouplike(leg):
+        mono, m, n = leg
+        # eps(r X+^m X-^n) = 0 when m + n > 0, so only base legs can be grouplike
+        return m == n == 0 and is_grouplike(BaseElement(base, {mono: one}))
+
+    tensor = Tensor.of(a)
+    for t in range(16):
+        if all(any(grouplike(leg) for leg in key) for key in tensor.coeffs):
+            return t
+        tensor = tensor.expand_leg(0, hopf.delta_leg)
+    raise AssertionError("no C_t with t < 16 holds the element")
+
+
+def _uqsl2_at_root(order, chi_k=1, power=None):
+    """U_q(sl2) at q = zeta_order, extended with chi(K) = chi_k, y+- = K^power
+    and h = 1 - K^(2 power). The default power is the order of q^2, the least
+    with K^power central; xi = chi_k^power."""
+    field = CyclotomicField(order)
+    base = UqSl2Base(field, field.zeta())
+    chi = Character(base, {"E": field.zero(), "F": field.zero(), "K": field.from_int(chi_k)})
+    y = base.generator("K", power or order // math.gcd(order, 2))
+    return construct_hopf(base, ExtensionData(base, chi, y, y, base.one() - y * y))[0]
+
+
+# Laurent extensions with xi = zeta_N, N = 2 .. 6 (d = N); U_q(sl2) extensions
+# at q = zeta_N, N = 3 .. 6 (q = zeta_2 = -1 is not a U_q(sl2) parameter), whose
+# base filtration runs at the order of q^-2 (3, 2, 5, 3) with xi = 1, and one
+# at q = zeta_4 with xi = chi(K) = -1 (d = 2)
+ROOT_EXTENSIONS = {
+    **{f"laurent-zeta{n}": functools.partial(laurent_at_root, n) for n in range(2, 7)},
+    **{f"uqsl2-zeta{n}": functools.partial(_uqsl2_at_root, n) for n in range(3, 7)},
+    "uqsl2-zeta4-xi-1": functools.partial(_uqsl2_at_root, 4, chi_k=-1, power=1),
+}
+
+
+@functools.cache
+def _root_algebra(name):
+    return ROOT_EXTENSIONS[name]()
+
+
+def _random_element(rng, hopf):
+    """One or two terms c r X+^m X-^n, r a product of generator powers, with
+    m + n plus the exponents of the generators that are not invertible at
+    most 4 (invertible ones take -2 .. 2), so base powers reach past the
+    base's own order too."""
+    alg = hopf.algebra
+    base = alg.base
+    out = alg.zero()
+    for _ in range(rng.randint(1, 2)):
+        budget = 4
+        r = base.one()
+        for info in base.generator_info():
+            if info.invertible:
+                k = rng.randint(-2, 2)
+            else:
+                k = rng.randint(0, budget)
+                budget -= k
+            r = r * base.generator(info.name, k)
+        m = rng.randint(0, budget)
+        n = rng.randint(0, budget - m)
+        out = out + alg.monomial(r.scale(base.field.from_int(rng.choice((1, -1, 2)))), m, n)
+    return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(CORPUS_BUILDERS) + sorted(ROOT_EXTENSIONS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_corad_degree_is_the_least_layer_of_the_definition(corpus, name, seed):
+    hopf = corpus[name] if name in corpus else _root_algebra(name)
+    a = _random_element(random.Random(seed), hopf)
+    if a.is_zero():
+        return
+    assert corad_degree_by_definition(hopf, a) == corad_degree(a, CoradicalContext.for_algebra(hopf))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS) + sorted(ROOT_EXTENSIONS))
+def test_corad_degree_of_powers_by_the_definition(corpus, name):
+    """X+^k and X-^k up to one past the order of xi, where the d-adic hat
+    drops, and X+^2 X-^2."""
+    hopf = corpus[name] if name in corpus else _root_algebra(name)
+    ctx = CoradicalContext.for_algebra(hopf)
+    alg = hopf.algebra
+    top = min(ctx.d or 3, 6) + 1
+    elements = [alg.xplus(k) for k in range(top + 1)] + [alg.xminus(k) for k in range(1, top + 1)]
+    for a in elements + [alg.xplus(2) * alg.xminus(2)]:
+        assert corad_degree_by_definition(hopf, a) == corad_degree(a, ctx), a
+
+
+CORAD_SPECS = sorted(path.stem for path in corpus_dir().glob("*.abhk")
+                     if "corad {" in path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", CORAD_SPECS)
+def test_every_expected_corad_entry_by_the_definition(name):
+    spec = resolve_spec(parse_spec((corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")))
+    hopf, _ = _checked_algebra(spec)
+    ctx = _context(spec, hopf.algebra)
+    entries = spec.expect.blocks["corad"].entries
+    assert entries
+    for text, want in entries.items():
+        a = eval_expr(parse_expr(text), ctx)
+        assert corad_degree_by_definition(hopf, a) == int(want), text

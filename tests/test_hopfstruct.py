@@ -485,8 +485,9 @@ def test_trichotomy_nonempty_over_random_grid():
 # a memo lookup in Q(zeta_N), a swap in Q(q)), passes of the zero filter in
 # the public Sparse constructor, products in A, sigma applications, products
 # in R and products of tensors, calls of ``generator_info`` on every family
-# class that defines it, polynomial gcds in Q(q) (``scalar._int_gcd``), and runs of the
-# Q(zeta_N) product and Galois-norm kernels behind the field's memos. The
+# class that defines it, polynomial gcds in Q(q) (``scalar._int_gcd``), runs of the
+# Q(zeta_N) product and Galois-norm kernels behind the field's memos, and
+# integer polynomial products (``scalar.poly_mul``, run only by Q(q)). The
 # bounds are the counts the library reaches; a rise means repeated cold-path
 # work has come back (products by the unit in a leg antipode, S(X-)^0 S(X+)^m,
 # a power or a leg coproduct, image-path inverse checks of a diagonal sigma, a
@@ -494,14 +495,20 @@ def test_trichotomy_nonempty_over_random_grid():
 # monomial, recomputed coproducts in the relation checks, a generator list
 # rebuilt instead of read from ``BaseAlgebra.generators`` or
 # ``unit_generators``, a gcd on a cross pair with a single-term member, a
-# Q(zeta_N) product or inverse recomputed instead of read from its memo).
+# Q(zeta_N) product or inverse recomputed instead of read from its memo, a
+# Q(q) product by a single-term factor or a sum over a single-term
+# denominator that multiplies polynomials instead of scaling and shifting).
+# ``uqsl2-general`` routes through the change of variables, and its cold
+# build is the one that runs Q(q) gcds.
 
 COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products,
     #                           sigma, R products, tensor products, generator_info,
-    #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels)
-    "uqsl2-case3": (41, 68, 6, 86, 115, 21, 4, 0, 59, 8),
-    "uqsl2": (35, 64, 6, 53, 87, 21, 4, 0, 0, 0),
-    "usl2": (3, 21, 2, 12, 17, 6, 2, 0, 0, 0),
+    #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels,
+    #                           Q(q) polynomial products)
+    "uqsl2-case3": (41, 68, 6, 86, 115, 21, 4, 0, 59, 8, 0),
+    "uqsl2": (35, 64, 6, 53, 87, 21, 4, 0, 0, 0, 26),
+    "uqsl2-general": (22, 48, 6, 37, 89, 6, 2, 5, 0, 0, 18),
+    "usl2": (3, 21, 2, 12, 17, 6, 2, 0, 0, 0, 0),
 }
 
 
@@ -509,7 +516,8 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
 def test_cold_build_counts(monkeypatch, name):
     text = (corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")
     counts = {"inv": 0, "filter": 0, "mul": 0, "apply": 0, "base_mul": 0, "tensor_mul": 0,
-              "generator_info": 0, "int_gcd": 0, "mul_kernel": 0, "inv_kernel": 0}
+              "generator_info": 0, "int_gcd": 0, "mul_kernel": 0, "inv_kernel": 0,
+              "poly_mul": 0}
 
     def counting(key, fn):
         def wrapper(*args):
@@ -527,7 +535,8 @@ def test_cold_build_counts(monkeypatch, name):
     for family_class in (PolynomialBase, LaurentBase, GroupBase, UqSl2Base):
         monkeypatch.setattr(family_class, "generator_info",
                             counting("generator_info", family_class.generator_info))
-    monkeypatch.setattr(scalar, "_int_gcd", counting("int_gcd", scalar._int_gcd))
+    for key, attr in (("int_gcd", "_int_gcd"), ("poly_mul", "poly_mul")):
+        monkeypatch.setattr(scalar, attr, counting(key, getattr(scalar, attr)))
     for key in ("mul_kernel", "inv_kernel"):
         monkeypatch.setattr(CyclotomicField, f"_{key}",
                             counting(key, getattr(CyclotomicField, f"_{key}")))

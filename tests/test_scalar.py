@@ -21,6 +21,8 @@ from abhk.scalar import (
     RationalField,
     RationalFunctionField,
     Scalar,
+    _content_free,
+    _coprime,
     _trim,
     cyclotomic_fold_table,
     cyclotomic_poly,
@@ -475,6 +477,17 @@ def test_rational_function_normalization():
 # -- the Q(q) reducer against the Fraction-Euclid reference ------------------
 
 
+def _qfunc_make(num, den):
+    """Any quotient of integer polynomials, ``den`` nonzero, in the
+    canonical form of ``RationalFunctionField``, by the library's own
+    reducers: ``_coprime`` (the shared power of q, then the gcd in Q[q])
+    and ``_content_free`` (the integer content and the sign)."""
+    num, den = _trim(num), _trim(den)
+    if not num:
+        return ((), (1,))
+    return _content_free(*_coprime(num, den))
+
+
 def _reference_gcd(a, b):
     """Euclid over Fraction; primitive result with positive leading coeff."""
     while b:
@@ -538,34 +551,74 @@ def quotients(draw):
     return poly_mul(num, common), poly_mul(den, common)
 
 
+two_term_polys = nonzero_polys.filter(lambda p: len(p) - p.count(0) >= 2)
+
+
 @st.composite
 def quotient_pairs(draw):
     """Two canonical operands reduced from ``quotients()``, often linked so
-    that the kernels' shortcuts are drawn: ``b`` may be given ``a``'s
-    denominator, or be bn - a over it (bn read as a polynomial), whose sum
-    with ``a`` cancels down to bn, or be +-1/a, whose cross pairs with
-    ``a`` are equal up to sign; or a planted factor may join ``a``'s
-    numerator and ``b``'s denominator, a cross pair that needs a gcd."""
+    that every path of the kernels is drawn:
+
+    * ``same-den``: ``b`` is given ``a``'s denominator;
+    * ``cancel``: ``b`` is bn - a over it (bn read as a polynomial), whose
+      sum with ``a`` cancels down to bn;
+    * ``negate``: ``b`` is -a, a sum that cancels to zero (canonical
+      operands with different denominators never sum to zero);
+    * ``inverse``: ``b`` is +-1/a, whose cross pairs with ``a`` are equal
+      up to sign;
+    * ``cross``: a planted factor joins ``a``'s numerator and ``b``'s
+      denominator, a cross pair that needs a gcd;
+    * ``monomial``: ``b`` is c*q^k/d, its power of q in the numerator for
+      k > 0 and in the denominator for k < 0, a single-term factor of the
+      product and a single-term denominator of the sum;
+    * ``shared-factor``: a planted factor of two or more terms joins both
+      denominators, so gcd(ad, bd) != 1 in the sum;
+    * ``shared-q``: both denominators gain a power of q, the only factor
+      they may then share;
+    * ``sum-to``: ``b`` is c - a for a drawn c, so the sum cancels the
+      least common denominator down to c's: gcd(t, g) != 1 in Henrici's
+      addition."""
     (an, ad), (bn, bd) = draw(quotients()), draw(quotients())
-    link = draw(st.sampled_from(["none", "same-den", "cancel", "inverse", "cross"]))
+    link = draw(st.sampled_from(["none", "same-den", "cancel", "negate", "inverse", "cross",
+                                 "monomial", "shared-factor", "shared-q", "sum-to"]))
     if link == "cross":
         factor = draw(nonzero_polys)
         an, bd = poly_mul(an, factor), poly_mul(bd, factor)
-    a = FQ._make(an, ad)
+    elif link == "shared-factor":
+        factor = draw(two_term_polys)
+        ad, bd = poly_mul(ad, factor), poly_mul(bd, factor)
+    elif link == "shared-q":
+        ad = (0,) * draw(st.integers(1, 3)) + ad
+        bd = (0,) * draw(st.integers(1, 3)) + bd
+    elif link == "monomial":
+        shift = draw(st.integers(-4, 4))
+        c, d = draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))
+        bn, bd = (0,) * max(shift, 0) + (c,), (0,) * max(-shift, 0) + (d,)
+        # low zeros for the shift to cancel against: in a's denominator for
+        # q^k, k > 0, in its numerator for q^-k
+        low = (0,) * draw(st.integers(0, 3))
+        an, ad = (an, low + ad) if shift > 0 else (low + an, ad)
+    elif link == "sum-to":
+        an, ad = draw(nonzero_polys), draw(two_term_polys)
+    a = _qfunc_make(an, ad)
     if link == "same-den":
         bd = a[1]
     elif link == "cancel":
         bn, bd = poly_add(poly_mul(bn, a[1]), poly_neg(a[0])), a[1]
+    elif link == "negate":
+        bn, bd = poly_neg(a[0]), a[1]
     elif link == "inverse" and a[0]:
         bn, bd = poly_mul(a[1], draw(st.sampled_from([(1,), (-1,)]))), a[0]
-    return a, FQ._make(bn, bd)
+    elif link == "sum-to":
+        bn, bd = poly_add(poly_mul(bn, a[1]), poly_neg(poly_mul(a[0], bd))), poly_mul(bd, a[1])
+    return a, _qfunc_make(bn, bd)
 
 
 @settings(max_examples=1500, deadline=None)
 @given(quotients())
 def test_qfunc_reducer_matches_reference(pair):
     num, den = pair
-    got = FQ._make(num, den)
+    got = _qfunc_make(num, den)
     assert got == _reference_make(num, den)
     rnum, rden = got
     assert all(type(c) is int for c in rnum + rden)
@@ -576,25 +629,25 @@ def test_qfunc_reducer_matches_reference(pair):
 
 
 def test_qfunc_reducer_examples():
-    assert FQ._make((0, 0, -2), (0, -4)) == ((0, 1), (2,))
-    assert FQ._make((), (0, -3)) == ((), (1,))
-    assert FQ._make((0, -1, 0, 1), (0, 1, 1)) == ((-1, 1), (1,))  # (q^3-q)/(q^2+q)
-    assert FQ._make((6, 6), (-4, 0, 4)) == ((3,), (-2, 2))
-    assert FQ._make((1, 1), (0, 0, 3)) == ((1, 1), (0, 0, 3))
+    assert _qfunc_make((0, 0, -2), (0, -4)) == ((0, 1), (2,))
+    assert _qfunc_make((), (0, -3)) == ((), (1,))
+    assert _qfunc_make((0, -1, 0, 1), (0, 1, 1)) == ((-1, 1), (1,))  # (q^3-q)/(q^2+q)
+    assert _qfunc_make((6, 6), (-4, 0, 4)) == ((3,), (-2, 2))
+    assert _qfunc_make((1, 1), (0, 0, 3)) == ((1, 1), (0, 0, 3))
 
 
 def _reference_qfunc_add(a, b):
-    """The kernels before cross-cancellation: every result through
-    ``_make``, kept as the reference for the fast paths."""
-    return FQ._make(poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1])), poly_mul(a[1], b[1]))
+    """The kernels before cross-cancellation: every result reduced as a
+    whole quotient, kept as the reference for the fast paths."""
+    return _qfunc_make(poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1])), poly_mul(a[1], b[1]))
 
 
 def _reference_qfunc_mul(a, b):
-    return FQ._make(poly_mul(a[0], b[0]), poly_mul(a[1], b[1]))
+    return _qfunc_make(poly_mul(a[0], b[0]), poly_mul(a[1], b[1]))
 
 
 def _reference_qfunc_inv(a):
-    return FQ._make(a[1], a[0])
+    return _qfunc_make(a[1], a[0])
 
 
 @settings(max_examples=1000, deadline=None)
@@ -606,6 +659,77 @@ def test_qfunc_kernels_match_reference(pair):
     assert FQ._mul(b, a) == _reference_qfunc_mul(b, a)
     if a[0]:
         assert FQ._inv(a) == _reference_qfunc_inv(a)
+
+
+def _parent_qfunc_add(a, b):
+    """``RationalFunctionField._add`` before Henrici's addition: sums over
+    different denominators cross-multiply and reduce the whole quotient."""
+    (an, ad), (bn, bd) = a, b
+    if not an:
+        return b
+    if not bn:
+        return a
+    if ad == bd:
+        num = poly_add(an, bn)
+        if not num:
+            return ((), (1,))
+        return _content_free(*_coprime(num, ad))
+    return _qfunc_make(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
+
+
+def _parent_qfunc_mul(a, b):
+    """``RationalFunctionField._mul`` before the single-term factor path: a
+    product with one multi-term side reduces both cross pairs."""
+    (an, ad), (bn, bd) = a, b
+    if not an or not bn:
+        return ((), (1,))
+    if any(an[:-1]) or any(bn[:-1]) or any(ad[:-1]) or any(bd[:-1]):
+        an, bd = _coprime(an, bd)
+        bn, ad = _coprime(bn, ad)
+        return _content_free(poly_mul(an, bn), poly_mul(ad, bd))
+    num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    shift = len(an) + len(bn) - len(ad) - len(bd)
+    if shift >= 0:
+        return ((0,) * shift + (num,), (den,))
+    return ((num,), (0,) * -shift + (den,))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(quotient_pairs())
+def test_qfunc_kernels_match_parent_kernels(pair):
+    """a*b, b*a, a+b and b+a are the data the kernels gave before the
+    single-term factor path and Henrici's addition."""
+    a, b = pair
+    assert FQ._mul(a, b) == _parent_qfunc_mul(a, b)
+    assert FQ._mul(b, a) == _parent_qfunc_mul(b, a)
+    assert FQ._add(a, b) == _parent_qfunc_add(a, b)
+    assert FQ._add(b, a) == _parent_qfunc_add(b, a)
+
+
+@pytest.mark.parametrize("op, a, b, want", [
+    # a single-term factor: the shift cancels against the other side's low zeros
+    ("mul", ((0, 0, 1), (1,)), ((1, 1), (0, 2, 1)), ((0, 1, 1), (2, 1))),
+    ("mul", ((1,), (0, 0, 1)), ((0, 1, 1), (1, 2)), ((1, 1), (0, 1, 2))),
+    # ... and the integer content: 2/3 * (3q + 3)/(2q + 1)
+    ("mul", ((2,), (3,)), ((3, 3), (1, 2)), ((2, 2), (1, 2))),
+    ("mul", ((-1,), (1,)), ((1, 1), (0, 2, 1)), ((-1, -1), (0, 2, 1))),
+    # a single-term denominator: 1/q + 1/(q^2 + q) = (q + 2)/(q^2 + q)
+    ("add", ((1,), (0, 1)), ((1,), (0, 1, 1)), ((2, 1), (0, 1, 1))),
+    # denominators sharing only q: 1/(q(q+1)) + 1/(q^2(q+2))
+    ("add", ((1,), (0, 1, 1)), ((1,), (0, 0, 2, 1)), ((1, 3, 1), (0, 0, 2, 3, 1))),
+    # g = q - 1 and gcd(t, g) = q - 1:
+    # 1/((q-1)(q+1)) - 3/(2(q-1)(q+2)) = -1/(2(q+1)(q+2))
+    ("add", ((1,), (-1, 0, 1)), ((-3,), (-4, 2, 2)), ((-1,), (4, 6, 2))),
+    # coprime multi-term denominators: 1/(q+1) + 1/(q+2)
+    ("add", ((1,), (1, 1)), ((1,), (2, 1)), ((3, 2), (2, 3, 1))),
+])
+def test_qfunc_kernel_paths(op, a, b, want):
+    kernel, parent = (FQ._mul, _parent_qfunc_mul) if op == "mul" else (FQ._add, _parent_qfunc_add)
+    assert kernel(a, b) == kernel(b, a) == want
+    assert parent(a, b) == want
 
 
 def _sympy_canonical(sympy, q, expr):
@@ -969,7 +1093,7 @@ def test_unit_short_cut_cyclotomic(case):
 @settings(max_examples=300, deadline=None)
 @given(quotients())
 def test_unit_short_cut_qfunc(pair):
-    _assert_unit_short_cut(Scalar(FQ, FQ._make(*pair)))
+    _assert_unit_short_cut(Scalar(FQ, _qfunc_make(*pair)))
 
 
 @pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
