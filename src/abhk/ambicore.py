@@ -33,8 +33,29 @@ from .errors import AlgebraMismatchError, HopfDataError, UnsupportedBaseError
 from .scalar import Scalar
 
 
+# Scalars the words of one ``AmbiskewAlgebra._word_cache`` may hold before a
+# miss clears it. Powers of (X+ + X-) on usl2 up to ^64 hold at most 8,171,
+# and every benchmark algebra at most 22 words; the product
+# ``(X+ + X-)^20 * (X+ + X-)^20`` asks for 2,761 words of 72,035 scalars,
+# nearly all of them once, which took that process from 22 to 32 MB.
+_WORD_CACHE_LIMIT = 16384
+
+
 class AmbiskewAlgebra:
-    """The ambiskew extension of a base algebra by X+ and X-."""
+    """The ambiskew extension of a base algebra by X+ and X-.
+
+    Three caches live on each algebra, and nowhere else: ``_nf_cache``
+    holds the normal forms of X-^n X+^p, ``_leg_cache`` the leg products,
+    and ``_word_cache`` the normal forms of the words X+^m X-^n X+^p,
+    keyed by (m, n, p). A word is a function of its key and of the
+    algebra's fixed (sigma, h, xi) alone, so a cached word is exactly the
+    word the loop would rebuild; ``mul_monomials(m, n, p, q)`` and the
+    product kernels raise its powers of X- by q as they read it, so the
+    cache holds one word for every q. A word coefficient equal to the unit
+    of R is stored as the shared ``base._one`` itself, so that the product
+    kernels can skip it by identity. A miss that finds the cached words
+    holding ``_WORD_CACHE_LIMIT`` scalars clears them first.
+    """
 
     def __init__(self, base: BaseAlgebra, sigma: BaseAutomorphism, h: BaseElement,
                  xi: Scalar):
@@ -55,6 +76,8 @@ class AmbiskewAlgebra:
         self.xi_inv = xi.inverse()
         self._nf_cache: dict = {}
         self._leg_cache: dict = {}
+        self._word_cache: dict = {}
+        self._word_scalars = 0  # scalars held by the words in _word_cache
         self._one_mono = base.one_monomial()
 
     @property
@@ -121,12 +144,30 @@ class AmbiskewAlgebra:
         self._nf_cache[key] = out
         return out
 
+    def _word(self, m: int, n: int, p: int) -> dict:
+        """Normal form of X+^m X-^n X+^p, cached per (m, n, p): the terms
+        sigma^m(c) X+^(m+u) X-^v over the terms c X+^u X-^v of _nf(n, p).
+        A coefficient c equal to 1 is stored as ``base._one``, which is
+        sigma^m(c), since sigma fixes 1. Callers only read the dict."""
+        key = (m, n, p)
+        words = self._word_cache
+        word = words.get(key)
+        if word is None:
+            if self._word_scalars >= _WORD_CACHE_LIMIT:
+                words.clear()
+                self._word_scalars = 0
+            one = self.base._one
+            apply = self.sigma.apply
+            word = {(m + u, v): one if c.coeffs == one.coeffs else apply(c, m)
+                    for (u, v), c in self._nf(n, p).items()}
+            words[key] = word
+            self._word_scalars += sum(len(c.coeffs) for c in word.values())
+        return word
+
     def mul_monomials(self, m: int, n: int, p: int, q: int) -> dict:
-        """Normal form of X+^m X-^n X+^p X-^q."""
-        out: dict = {}
-        for (u, v), c in self._nf(n, p).items():
-            out[(m + u, v + q)] = self.sigma.apply(c, m)
-        return out
+        """Normal form of X+^m X-^n X+^p X-^q: the cached word X+^m X-^n X+^p
+        with every power of X- raised by q."""
+        return {(u, v + q): c for (u, v), c in self._word(m, n, p).items()}
 
     def leg_product(self, leg1, leg2) -> dict:
         """Cached flattened product of two legs (base monomial, m, n).
@@ -136,10 +177,13 @@ class AmbiskewAlgebra:
             r1 X+^m1 X-^n1 * r2 X+^m2 X-^n2
                 = sum r1 sigma^(m1-n1)(r2) sigma^m1(c) X+^(m1+u) X-^(v+n2)
 
-        over the terms (u, v), c of _nf(n1, m2). Distinct (u, v) give
-        distinct (m1 + u, v + n2), so no two terms are added. When n1 or m2
-        is 0, _nf(n1, m2) is the one term X+^m2 X-^n1 and sigma fixes 1, so
-        the sum is the single term r1 sigma^(m1-n1)(r2) X+^(m1+m2) X-^(n1+n2).
+        over the terms (u, v), c of _nf(n1, m2): the terms of the cached
+        word X+^m1 X-^n1 X+^m2, each multiplied on the left by
+        r1 sigma^(m1-n1)(r2), and not at all when the word's coefficient
+        is ``base._one``. Distinct (u, v) give distinct (m1 + u, v + n2), so
+        no two terms are added. When n1 or m2 is 0, _nf(n1, m2) is the one
+        term X+^m2 X-^n1 and sigma fixes 1, so the sum is the single term
+        r1 sigma^(m1-n1)(r2) X+^(m1+m2) X-^(n1+n2).
 
         The coefficient r1 sigma^(m1-n1)(r2) takes no product when either
         monomial is the unit: it is r1 when r2 = 1, since sigma fixes 1, and
@@ -161,9 +205,9 @@ class AmbiskewAlgebra:
                 cached = {(mono, m1 + m2, n1 + n2): d for mono, d in coeff.coeffs.items()}
             else:
                 cached = {}
-                for (u, v), c in self._nf(n1, m2).items():
-                    for mono, d in (coeff * sigma.apply(c, m1)).coeffs.items():
-                        cached[(mono, m1 + u, v + n2)] = d
+                for (u, v), c in self._word(m1, n1, m2).items():
+                    for mono, d in (coeff if c is base._one else coeff * c).coeffs.items():
+                        cached[(mono, u, v + n2)] = d
             self._leg_cache[key] = cached
         return cached
 
@@ -179,6 +223,12 @@ class AmbiElement(Sparse):
     factor, so the loop would build the other operand's dict, in the same
     order, with the same base coefficients. ``x**n`` takes n - 1 products
     starting from x, so it never multiplies by the unit either.
+
+    Inside the loop, a base coefficient or word coefficient that *is* the
+    shared ``base._one`` is not multiplied, and sigma^(m-n) is not applied
+    when m == n. Both skips are exact: ``BaseElement.__mul__`` returns the
+    other operand itself for a unit factor, and ``apply`` with power 0
+    returns its argument.
     """
 
     __slots__ = ()
@@ -212,18 +262,22 @@ class AmbiElement(Sparse):
         if _is_one(self):
             return other
         alg = self.algebra
+        one, apply, words = alg.base._one, alg.sigma.apply, alg._word
         out: dict = {}  # the combine loop written inline: the engine's hottest loop
+        get = out.get
         for (m, n), a in self.coeffs.items():
             for (p, q), b in other.coeffs.items():
-                coeff = a * alg.sigma.apply(b, m - n)
-                for (u, v), c in alg.mul_monomials(m, n, p, q).items():
-                    term = coeff * c
-                    s = out.get((u, v))
+                r = apply(b, m - n) if m != n else b
+                coeff = r if a is one else a if r is one else a * r
+                for (u, v), c in words(m, n, p).items():
+                    term = coeff if c is one else coeff * c
+                    uv = (u, v + q)
+                    s = get(uv)
                     merged = term if s is None else s + term
                     if merged.is_zero():
-                        out.pop((u, v), None)
+                        out.pop(uv, None)
                     else:
-                        out[(u, v)] = merged
+                        out[uv] = merged
         return self._new(out)
 
     def __pow__(self, n: int):

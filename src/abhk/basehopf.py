@@ -279,7 +279,9 @@ class Sparse:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
+            return False
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"{type(self).__name__}({self.coeffs!r})"
@@ -296,6 +298,10 @@ class BaseElement(Sparse):
     factor, so the loop would build the other operand's dict, in the same
     order, with the same scalars. ``x**n`` takes n - 1 products starting
     from x, so it never multiplies by the unit either.
+
+    Inside the loop, a scalar that *is* the field's shared one, as a
+    coefficient or as a ``mul_monomials`` structure coefficient, is not
+    multiplied: ``Scalar.__mul__`` would return the other factor itself.
     """
 
     __slots__ = ()
@@ -315,13 +321,15 @@ class BaseElement(Sparse):
             return self
         if self.coeffs == one:
             return other
+        unit, words = self.algebra.field._one, self.algebra.mul_monomials
         out: dict = {}  # the combine loop written inline: the hottest loop
+        get = out.get
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
-                c = c1 * c2
-                for m, extra in self.algebra.mul_monomials(m1, m2).items():
-                    v = c * extra  # nonzero: only the sum below can cancel
-                    s = out.get(m)
+                c = c2 if c1 is unit else c1 if c2 is unit else c1 * c2
+                for m, extra in words(m1, m2).items():
+                    v = c if extra is unit else c * extra  # nonzero: only the sum can cancel
+                    s = get(m)
                     if s is None:
                         out[m] = v
                     elif (v := s + v).is_zero():
@@ -515,7 +523,9 @@ class BaseAutomorphism:
     an eigenvector) scales each monomial, and ``_cache`` holds the
     eigenvalue of sigma**power under the key (mono, power); a negative
     power raises the cached eigenvalue under (mono, -1) to |power|, so each
-    monomial's eigenvalue is inverted once. Otherwise ``_image_cache``
+    monomial's eigenvalue is inverted once. An eigenvalue equal to 1 is
+    stored as the field's shared one, and the diagonal loop does not
+    multiply by it. Otherwise ``_image_cache``
     holds the image of a monomial under sigma or sigma^-1 under the key
     (mono, +-1).
 
@@ -563,7 +573,7 @@ class BaseAutomorphism:
             return a
         if self.diagonal is not None:
             out = {}
-            cache = self._cache
+            cache, one = self._cache, self.algebra.field._one
             for mono, c in a.coeffs.items():
                 key = (mono, power)
                 eig = cache.get(key)
@@ -576,8 +586,9 @@ class BaseAutomorphism:
                             eig = self.algebra.monomial_eigenvalue(self.diagonal, mono).inverse()
                             cache[(mono, -1)] = eig
                         eig = eig ** -power
-                    cache[key] = eig
-                out[mono] = c * eig  # eigenvalues of an automorphism are nonzero
+                    cache[key] = eig = one if eig.is_one() else eig
+                # eigenvalues of an automorphism are nonzero
+                out[mono] = c if eig is one else c * eig
             return BaseElement._of(self.algebra, out)
         images = self.images if power > 0 else self.inverse_images
         out = self.algebra.zero()

@@ -216,14 +216,14 @@ def gk_report(algebra: AmbiskewAlgebra, hopf_verified: bool = False) -> tuple[in
     (automatic for verified Hopf extensions, where sigma is a winding)."""
     base_gk = algebra.base.descriptor.gk_dim
     if base_gk is None:
-        return None, "infinite (infinite base growth)"
+        return None, "infinite base growth"
     if hopf_verified:
         return base_gk + 2, "sigma is a winding automorphism"
     finite = sigma_locally_finite(algebra)
     if finite is None:
-        return None, "unknown (sigma local finiteness undecided)"
+        return None, "sigma local finiteness undecided"
     if not finite:
-        return None, "unknown (sigma not locally finite)"
+        return None, "sigma not locally finite"
     return base_gk + 2, "sigma locally finite on generators"
 
 

@@ -682,9 +682,11 @@ class RationalFunctionField(Field):
 class Scalar:
     """Immutable element of one of the coefficient fields.
 
-    ``+`` and ``*`` take a fast path when the other operand is a ``Scalar``
-    over the very same field object; anything else goes through ``_lift``,
-    which also accepts an equal but distinct field instance.
+    ``+``, ``*`` and ``==`` take a fast path when the other operand is a
+    ``Scalar`` over the very same field object; anything else goes through
+    ``_lift`` (or, for ``==``, the ``int``/``Fraction`` check), which also
+    accepts an equal but distinct field instance. ``x**k`` for k != 0
+    takes |k| - 1 products starting from x or its inverse.
 
     A product over one field object with the field's one as a factor returns
     the other operand, skipping the kernel: every field keeps its data
@@ -765,13 +767,17 @@ class Scalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        result = self.field.one()
-        for _ in range(abs(exponent)):
+        if not exponent:
+            return self.field.one()
+        base = self if exponent > 0 else self.inverse()
+        result = base
+        for _ in range(abs(exponent) - 1):
             result = result * base
         return result
 
     def __eq__(self, other):
+        if other.__class__ is Scalar and other.field is self.field:
+            return self.data == other.data
         if isinstance(other, (int, Fraction)):
             other = self.field.from_fraction(other)
         if not isinstance(other, Scalar):

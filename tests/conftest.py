@@ -170,11 +170,13 @@ def random_base_element(rng: random.Random, base, max_support=2, small=True):
             mono = base.one()
             for info in base.generator_info():
                 mono = mono * base.generator(info.name, rng.randint(-1, 1))
-        else:  # uqsl2
+        else:  # uqsl2: K^k E^a F^b with a + b <= 3, past the first power
+            # so that the base's own hat acts, and small enough that products
+            # of such elements stay cheap
             mono = base.generator("K", rng.randint(-1, 1))
             if rng.random() < 0.5:
-                name = rng.choice(["E", "F"])
-                mono = mono * base.generator(name, 1)
+                a = rng.randint(0, 3)
+                mono = mono * base.generator("E", a) * base.generator("F", rng.randint(0, 3 - a))
         out = out + mono.scale(rng.choice(scalars))
     return out
 

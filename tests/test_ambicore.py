@@ -3,6 +3,7 @@ free-word oracle, and the tensor machinery."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abhk import ambicore
 from abhk.ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _flatten, reduce_word
 from abhk.basehopf import (
     BaseElement,
     Character,
     LaurentBase,
     PolynomialBase,
+    Sparse,
     combine,
     winding_automorphism_left,
 )
@@ -283,6 +286,8 @@ def test_direct_leg_product_matches_round_trip(corpus, name):
             got = A.leg_product(leg1, leg2)
             want = _round_trip_leg_product(A, leg1, leg2)
             assert list(got.items()) == list(want.items()), (name, leg1, leg2)
+            parent = _parent_leg_product(A, leg1, leg2)
+            assert list(got.items()) == list(parent.items()), (name, leg1, leg2)
 
 
 # -- the two-leg tensor kernel against the k-leg loop ----------------------------
@@ -366,15 +371,25 @@ def _loop_base_mul(a: BaseElement, b: BaseElement) -> BaseElement:
     return BaseElement._of(a.algebra, out)
 
 
+def _parent_mul_monomials(A: AmbiskewAlgebra, m: int, n: int, p: int, q: int) -> dict:
+    """``mul_monomials`` as the uncached loop: sigma^m applied to every
+    coefficient of _nf(n, p), on every call."""
+    out: dict = {}
+    for (u, v), c in A._nf(n, p).items():
+        out[(m + u, v + q)] = A.sigma.apply(c, m)
+    return out
+
+
 def _loop_ambi_mul(a: AmbiElement, b: AmbiElement) -> AmbiElement:
-    """``AmbiElement.__mul__`` as the rewriting loop, every base product
-    through ``_loop_base_mul``: no unit short-cut at either layer."""
+    """``AmbiElement.__mul__`` as the rewriting loop, every word from the
+    uncached ``_parent_mul_monomials`` and every base product through
+    ``_loop_base_mul``: no cache, no skip and no unit short-cut."""
     alg = a.algebra
     out: dict = {}
     for (m, n), x in a.coeffs.items():
         for (p, q), y in b.coeffs.items():
             coeff = _loop_base_mul(x, alg.sigma.apply(y, m - n))
-            for uv, c in alg.mul_monomials(m, n, p, q).items():
+            for uv, c in _parent_mul_monomials(alg, m, n, p, q).items():
                 term = _loop_base_mul(coeff, c)
                 s = out.get(uv)
                 merged = term if s is None else s + term
@@ -483,3 +498,105 @@ def test_unit_monomial_leg_products_match_the_formula(corpus, name):
         got = A.leg_product(leg1, leg2)
         want = _parent_leg_product(A, leg1, leg2)
         assert list(got.items()) == list(want.items()), (name, leg1, leg2)
+
+
+# -- the word cache and the identity skips against the parent's loops ----------------
+
+
+def _layout(x) -> list:
+    """A container's coefficients in dict order, down to the scalars inside
+    base coefficients; a plain dict is read as a container's coeffs. Equal
+    layouts mean equal values in the same order at every level."""
+    coeffs = x if isinstance(x, dict) else x.coeffs
+    return [(k, _layout(v) if isinstance(v, Sparse) else v) for k, v in coeffs.items()]
+
+
+def _scalars_held(A: AmbiskewAlgebra) -> int:
+    return sum(len(c.coeffs) for word in A._word_cache.values() for c in word.values())
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
+def test_cached_words_match_the_uncached_loop(corpus, name):
+    """Every word X+^m X-^n X+^p X-^q with m, n, p, q <= 4, asked for in a
+    shuffled order on an algebra with empty caches, equals the parent's
+    uncached loop in value and in order. A coefficient equal to 1 is the
+    shared ``base._one`` and no other is; the cache holds one word per
+    (m, n, p), and a second call returns the cached word itself."""
+    built = corpus[name].algebra
+    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
+    one = A.base._one
+    keys = list(itertools.product(range(5), repeat=4))
+    random.Random(name).shuffle(keys)
+    for key in keys:
+        got = A.mul_monomials(*key)
+        assert _layout(got) == _layout(_parent_mul_monomials(A, *key)), (name, key)
+        assert all((c is one) == (c == one) for c in got.values()), (name, key)
+        assert A._word(*key[:3]) is A._word_cache[key[:3]], (name, key)
+    assert set(A._word_cache) == set(itertools.product(range(5), repeat=3))
+    assert A._word_scalars == _scalars_held(A)
+
+
+@pytest.mark.parametrize("name", ["usl2", "uqsl2-variant", "uqsl2-case3"])
+def test_a_full_word_cache_clears_and_products_stay_exact(corpus, name, monkeypatch):
+    """With a limit of 8 scalars, the word cache clears again and again
+    while powers of X+ + X- + h are formed, keeps its count of held
+    scalars, and every power equals the uncached loop in value and order."""
+    monkeypatch.setattr(ambicore, "_WORD_CACHE_LIMIT", 8)
+    built = corpus[name].algebra
+    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
+    x = A.xplus() + A.xminus() + A.embed(A.h)
+    got = want = x
+    sizes = []
+    for _ in range(4):
+        got, want = got * x, _loop_ambi_mul(want, x)
+        _assert_same(got, want, name)
+        assert A._word_scalars == _scalars_held(A), name
+        sizes.append(len(A._word_cache))
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), (name, sizes)
+
+
+def _loop_tensor_mul(left: Tensor, right: Tensor) -> Tensor:
+    """The two-leg ``Tensor.__mul__`` kernel with every scalar product
+    taken, its leg products from ``_parent_leg_product`` (the formula with
+    uncached words and no unit short-cut), memoized for this call only."""
+    A = left.algebra
+    legs: dict = {}
+
+    def leg_product(a, b):
+        if (a, b) not in legs:
+            legs[(a, b)] = _parent_leg_product(A, a, b)
+        return legs[(a, b)]
+
+    out: dict = {}
+    for (a1, a2), c1 in left.coeffs.items():
+        for (b1, b2), c2 in right.coeffs.items():
+            c = c1 * c2
+            right_legs = leg_product(a2, b2).items()
+            combine((((leg1, leg2), c * d1 * d2)
+                     for leg1, d1 in leg_product(a1, b1).items()
+                     for leg2, d2 in right_legs), out)
+    return Tensor._of(A, out, 2)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_products_match_the_parent_loops(corpus, seed):
+    """Products in R, A and A (x) A equal the parent's loops, which take
+    every product, apply sigma^0 and rebuild every word, in value and in
+    dict order at every level, on every corpus algebra."""
+    rng = random.Random(seed)
+    for name, hopf in corpus.items():
+        A = hopf.algebra
+        base = A.base
+        rs = [random_base_element(rng, base, max_support=3) for _ in range(2)]
+        for x, y in itertools.product(rs + [base.one()], repeat=2):
+            assert _layout(x * y) == _layout(_loop_base_mul(x, y)), (name, "R")
+        xs = [random_element(rng, hopf, max_terms=3, max_degree=3, base_support=2)
+              for _ in range(2)]
+        xs.append(A.xplus() * A.xminus() + A.embed(rs[0]))
+        for x, y in itertools.product(xs, repeat=2):
+            assert _layout(x * y) == _layout(_loop_ambi_mul(x, y)), (name, "A")
+        ys = [random_element(rng, hopf, max_terms=2, max_degree=2) for _ in range(2)]
+        ts = [hopf.delta(ys[0]), Tensor.of(ys[1], A.xminus()) - hopf.delta(A.xplus() + ys[1])]
+        for s, t in itertools.product(ts, repeat=2):
+            assert _layout(s * t) == _layout(_loop_tensor_mul(s, t)), (name, "A (x) A")

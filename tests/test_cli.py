@@ -598,3 +598,46 @@ def test_props_reports_the_raw_algebra_of_a_refused_general_spec(capsys, tmp_pat
     assert (code, err) == (0, "")
     assert "gk_dim: 3 (sigma locally finite on generators)" in out.splitlines()
     assert "pi: no (sigma has infinite order: eigenvalue on t has infinite order)" in out
+
+
+# -- props states each note once -----------------------------------------------------
+
+Z2_SHEAR_SPEC = """field {
+  kind: rational
+}
+base {
+  family: group
+  rank: 2
+}
+extension {
+  general_form {
+    sigma {
+      g1: g1*g2
+      g2: g2
+    }
+    sigma_inverse {
+      g1: g1*g2^-1
+      g2: g2
+    }
+    xi: 1
+    h: 0
+    l_plus: 1
+    l_minus: 1
+    r_plus: 1
+    r_minus: 1
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("text", "gk_dim: unknown (sigma local finiteness undecided)"),
+    ("machine", "gk_dim\tunknown (sigma local finiteness undecided)"),
+])
+def test_props_states_an_undecided_gk_note_once(capsys, tmp_path, fmt, line):
+    # sigma: g1 -> g1 g2 has infinite orbits on Z^2, so relabel refuses
+    # the form and props reports the raw algebra, whose local finiteness
+    # the orbit bound cannot decide
+    code, out, err = run(capsys, "--format", fmt, "props", _spec_file(tmp_path, Z2_SHEAR_SPEC))
+    assert (code, err) == (0, "")
+    assert [row for row in out.splitlines() if row.startswith("gk_dim")] == [line]

@@ -28,7 +28,7 @@ from abhk.exprparse import eval_expr, parse_expr, parse_spec, resolve_spec
 from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec, q_binomial
 from abhk.uqsl2 import UqSl2Base
 
-from conftest import CORPUS_BUILDERS, build_laurent, random_element
+from conftest import CORPUS_BUILDERS, build_laurent, random_base_element, random_element
 
 
 def laurent_at_root(order):
@@ -278,29 +278,37 @@ def test_uqsl2_filtration_by_iteration(corpus):
 
 
 def test_wedge_membership_of_random_elements(corpus):
-    """Delta(a) - a (x) 1 lies in A_(t-1) (x) A + A (x) A_0 for t >= 1:
-    both spaces are spanned by basis tensors, so support inspection is a
-    complete membership test."""
+    """Delta(a) - a (x) 1 lies in A_(t-1) (x) A + A (x) A_0 for t >= 1,
+    and not in A_(t-2) (x) A + A (x) A_0, so t is the least such degree
+    (A_n = A_(n-1) wedge A_0, and A_(-1) = 0): both spaces are spanned by
+    basis tensors, so support inspection is a complete membership test."""
     rng = random.Random(62)
-    checked = 0
-    names = ["usl2", "uqsl2-variant", "laurent-asym", "uqsl2-counit-root"]
-    while checked < 50:
-        hopf = corpus[rng.choice(names)]
+    total = 0  # draws with t >= 1, each checked
+    for name in ("usl2", "uqsl2-variant", "laurent-asym", "uqsl2-counit-root"):
+        hopf = corpus[name]
         ctx = CoradicalContext.for_algebra(hopf)
         A = hopf.algebra
-        a = random_element(rng, hopf)
-        if a.is_zero():
-            continue
-        t_deg = corad_degree(a, ctx)
-        if t_deg < 1:
-            continue
-        spread = hopf.delta(a) - __import__("abhk.ambicore", fromlist=["Tensor"]).Tensor.of(a, A.one())
         base_degree = A.base.coradical_degree_monomial
-        for ((mono1, m1, n1), (mono2, m2, n2)) in spread.coeffs:
-            left_deg = (base_degree(mono1) + hat(m1, ctx.d).hat + hat(n1, ctx.d).hat)
-            right_deg = (base_degree(mono2) + hat(m2, ctx.d).hat + hat(n2, ctx.d).hat)
-            assert left_deg <= t_deg - 1 or right_deg == 0
-        checked += 1
+        # half the draws are base elements, where the base's own degree
+        # alone sets t
+        draws = [random_element(rng, hopf) for _ in range(15)]
+        draws += [A.embed(random_base_element(rng, A.base, max_support=2)) for _ in range(15)]
+        checked = 0
+        for a in draws:
+            if a.is_zero() or (t_deg := corad_degree(a, ctx)) < 1:
+                continue
+            checked += 1
+            spread = hopf.delta(a) - Tensor.of(a, A.one())
+            reaches = False  # a key outside A_(t-2) (x) A + A (x) A_0
+            for ((mono1, m1, n1), (mono2, m2, n2)) in spread.coeffs:
+                left_deg = (base_degree(mono1) + hat(m1, ctx.d).hat + hat(n1, ctx.d).hat)
+                right_deg = (base_degree(mono2) + hat(m2, ctx.d).hat + hat(n2, ctx.d).hat)
+                assert left_deg <= t_deg - 1 or right_deg == 0, (name, a)
+                reaches = reaches or (left_deg >= t_deg - 1 and right_deg > 0)
+            assert reaches, (name, a, t_deg)
+        assert checked >= 12, (name, checked)  # 15 to 29 with this seed
+        total += checked
+    assert total >= 50, total
 
 
 # -- the closed forms against the loops they replaced ------------------------------

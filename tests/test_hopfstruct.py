@@ -492,7 +492,9 @@ def test_trichotomy_nonempty_over_random_grid():
 # work has come back (products by the unit in a leg antipode, S(X-)^0 S(X+)^m,
 # a power or a leg coproduct, image-path inverse checks of a diagonal sigma, a
 # sigma application or a product for a leg-product miss with the one
-# monomial, recomputed coproducts in the relation checks, a generator list
+# monomial, a word of A rebuilt instead of read from the word cache, a
+# product by a unit word coefficient, recomputed coproducts in the relation
+# checks, a generator list
 # rebuilt instead of read from ``BaseAlgebra.generators`` or
 # ``unit_generators``, a gcd on a cross pair with a single-term member, a
 # Q(zeta_N) product or inverse recomputed instead of read from its memo, a
@@ -505,10 +507,10 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
     #                           sigma, R products, tensor products, generator_info,
     #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels,
     #                           Q(q) polynomial products)
-    "uqsl2-case3": (41, 68, 6, 86, 115, 21, 4, 0, 59, 8, 0),
-    "uqsl2": (35, 64, 6, 53, 87, 21, 4, 0, 0, 0, 26),
-    "uqsl2-general": (22, 48, 6, 37, 89, 6, 2, 5, 0, 0, 18),
-    "usl2": (3, 21, 2, 12, 17, 6, 2, 0, 0, 0, 0),
+    "uqsl2-case3": (41, 68, 6, 73, 103, 21, 4, 0, 59, 8, 0),
+    "uqsl2": (35, 64, 6, 44, 79, 21, 4, 0, 0, 0, 26),
+    "uqsl2-general": (22, 48, 6, 30, 80, 6, 2, 5, 0, 0, 18),
+    "usl2": (3, 21, 2, 11, 16, 6, 2, 0, 0, 0, 0),
 }
 
 

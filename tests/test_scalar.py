@@ -1109,3 +1109,62 @@ def test_unit_short_cut_random(field):
         want = Scalar(field, field._mul(a.data, u.data))
         assert a * u == want and (a * u).field is field
         assert u * a == want and (u * a).field is other
+
+
+# ---------------------------------------------------------------------------
+# powers from the base and the same-field equality path
+
+
+def _parent_power(x, k):
+    """``Scalar.__pow__`` as the loop of |k| products starting from the
+    shared one."""
+    base = x if k >= 0 else x.inverse()
+    result = x.field.one()
+    for _ in range(abs(k)):
+        result = result * base
+    return result
+
+
+@pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
+def test_powers_start_from_the_base(monkeypatch, field):
+    """x**k equals the loop from one in data and field, takes |k| - 1
+    products, none of them by the unit, and returns x itself for k = 1."""
+    rng = random.Random(20261019)
+    mul = Scalar.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    for _ in range(20):
+        x = random_scalar(rng, field, nonzero=True)
+        for k in range(-4, 5):
+            want = _parent_power(x, k)
+            monkeypatch.setattr(Scalar, "__mul__", counted)
+            calls.clear()
+            got = x**k
+            monkeypatch.setattr(Scalar, "__mul__", mul)
+            assert got == want and got.data == want.data and got.field is field, k
+            assert len(calls) == max(abs(k) - 1, 0), k
+            assert all(c is not field.one() for c in calls), k
+        assert x**1 is x
+        assert x**0 is field.one()
+    assert field.zero() ** 3 == field.zero()
+
+
+@pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
+def test_equality_over_one_field_object_matches_the_general_path(field):
+    """``==`` with a Scalar over the same field object agrees with the
+    comparison over an equal but distinct field instance, and with the
+    ``int``/``Fraction`` path."""
+    rng = random.Random(20261019)
+    other = dataclasses.replace(field)
+    xs = [random_scalar(rng, field) for _ in range(30)] + [field.one(), field.zero()]
+    for x in xs:
+        for y in xs:
+            same = x == y
+            assert same == (Scalar(other, y.data) == x) == (x.data == y.data)
+        for n in (0, 1, 2, Fraction(1, 2)):
+            assert (x == n) == (x.data == field.from_fraction(n).data)
+        assert x != "x"
