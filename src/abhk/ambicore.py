@@ -49,12 +49,12 @@ class AmbiskewAlgebra:
     and ``_word_cache`` the normal forms of the words X+^m X-^n X+^p,
     keyed by (m, n, p). A word is a function of its key and of the
     algebra's fixed (sigma, h, xi) alone, so a cached word is exactly the
-    word the loop would rebuild; ``mul_monomials(m, n, p, q)`` and the
-    product kernels raise its powers of X- by q as they read it, so the
-    cache holds one word for every q. A word coefficient equal to the unit
-    of R is stored as the shared ``base._one`` itself, so that the product
-    kernels can skip it by identity. A miss that finds the cached words
-    holding ``_WORD_CACHE_LIMIT`` scalars clears them first.
+    word the loop would rebuild; the product kernels raise its powers of
+    X- by q as they read it, so the cache holds one word for every q. A
+    word coefficient equal to the unit of R is stored as the shared
+    ``base._one`` itself, so that the product kernels can skip it by
+    identity. A miss that finds the cached words holding
+    ``_WORD_CACHE_LIMIT`` scalars clears them first.
     """
 
     def __init__(self, base: BaseAlgebra, sigma: BaseAutomorphism, h: BaseElement,
@@ -164,11 +164,6 @@ class AmbiskewAlgebra:
             self._word_scalars += sum(len(c.coeffs) for c in word.values())
         return word
 
-    def mul_monomials(self, m: int, n: int, p: int, q: int) -> dict:
-        """Normal form of X+^m X-^n X+^p X-^q: the cached word X+^m X-^n X+^p
-        with every power of X- raised by q."""
-        return {(u, v + q): c for (u, v), c in self._word(m, n, p).items()}
-
     def leg_product(self, leg1, leg2) -> dict:
         """Cached flattened product of two legs (base monomial, m, n).
 
@@ -218,7 +213,7 @@ class AmbiElement(Sparse):
 
     A product with the unit ``{(0, 0): 1}`` as either factor returns the
     other operand itself, with no rewriting. This is exact: sigma fixes 1,
-    ``mul_monomials`` with X+^0 X-^0 on either side is the one term
+    the word X+^m X-^n times X+^0 X-^0, on either side, is the one term
     ``{(m, n): 1}``, and the base product with the unit returns the other
     factor, so the loop would build the other operand's dict, in the same
     order, with the same base coefficients. ``x**n`` takes n - 1 products

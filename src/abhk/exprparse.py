@@ -55,11 +55,12 @@ MAX_EXPONENT = 256
 # The corpus nests at most three deep.
 MAX_NESTING = 64
 
-# Largest cyclotomic order accepted by make_field. The fold table of
-# Q(zeta_N) holds max(N, 2 phi(N) - 1) rows of phi(N) ints and its set-up
-# grows with the number of prime factors of N: `check usl2.abhk` takes at
-# most about 0.85 s for every N up to 512 (worst N = 420, Python 3.11 on
-# 2 vCPU), and 1.5-2 s at N = 660, 720 or 840.
+# Largest cyclotomic order accepted by make_field. Phi_N comes from exact
+# integer division, and the fold table of Q(zeta_N) holds
+# max(N, 2 phi(N) - 1) rows of phi(N) ints: in process, `check usl2.abhk`
+# takes at most about 0.23 s for every N up to 512 (worst at the primes
+# near 512, where phi(N) is largest; Python 3.11 on 2 vCPU), and
+# 0.19-0.25 s at N = 660, 720 or 840.
 MAX_CYCLOTOMIC_ORDER = 512
 
 

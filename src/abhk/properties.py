@@ -79,9 +79,9 @@ class _Span:
 
 
 def sigma_locally_finite(algebra: AmbiskewAlgebra) -> bool | None:
-    """Whether each generator's sigma-orbit spans a finite-dimensional
-    space, decided by orbit stabilization within SIGMA_ORBIT_BOUND steps
-    (None: gave up)."""
+    """True when each generator's sigma-orbit spans a finite-dimensional
+    space, seen by orbit stabilization within SIGMA_ORBIT_BOUND steps;
+    None when some orbit has not stabilized by then (gave up)."""
     if algebra.sigma.diagonal is not None:
         return True
     for current in algebra.base.generators.values():
@@ -103,14 +103,12 @@ def sigma_locally_finite(algebra: AmbiskewAlgebra) -> bool | None:
 
 @dataclass
 class DimensionEntry:
-    lower: int | None
-    upper: int | None
+    lower: int
+    upper: int
     exact: bool
     note: str = ""
 
     def describe(self) -> str:
-        if self.lower is None:
-            return f"unknown ({self.note})" if self.note else "unknown"
         if self.exact:
             return f"{self.upper} (exact: {self.note})" if self.note else f"{self.upper} (exact)"
         return f"[{self.lower}, {self.upper}]"
@@ -177,8 +175,7 @@ class PropertyReport:
             if name == "prime" and value:
                 suffix = " (base prime)"
             out.append(f"{name}: {flag(value)}{suffix}")
-        gk = "unknown" if self.gk_dim is None and "infinite" not in self.gk_note else (
-            "infinite" if self.gk_dim is None else str(self.gk_dim))
+        gk = "unknown" if self.gk_dim is None else str(self.gk_dim)
         note = f" ({self.gk_note})" if self.gk_note else ""
         out.append(f"gk_dim: {gk}{note}")
         out.append(f"gl_dim: {self.gl_dim.describe()}")
@@ -215,15 +212,10 @@ def gk_report(algebra: AmbiskewAlgebra, hopf_verified: bool = False) -> tuple[in
     subset of the base sits in a finite-dimensional sigma-stable subspace
     (automatic for verified Hopf extensions, where sigma is a winding)."""
     base_gk = algebra.base.descriptor.gk_dim
-    if base_gk is None:
-        return None, "infinite base growth"
     if hopf_verified:
         return base_gk + 2, "sigma is a winding automorphism"
-    finite = sigma_locally_finite(algebra)
-    if finite is None:
+    if sigma_locally_finite(algebra) is None:
         return None, "sigma local finiteness undecided"
-    if not finite:
-        return None, "sigma not locally finite"
     return base_gk + 2, "sigma locally finite on generators"
 
 
@@ -231,15 +223,11 @@ def dim_bounds(algebra: AmbiskewAlgebra, hopf_verified: bool = False) -> tuple[D
     """Global and injective dimension entries; Hopf-verified extensions
     get exact values at base + 2."""
     desc = algebra.base.descriptor
-    if desc.gl_dim is None:
-        gl = DimensionEntry(None, None, False, "base global dimension not finite")
-    elif hopf_verified:
+    if hopf_verified:
         gl = DimensionEntry(desc.gl_dim + 2, desc.gl_dim + 2, True, "Hopf sharpening")
     else:
         gl = DimensionEntry(desc.gl_dim + 1, desc.gl_dim + 2, False)
-    if desc.inj_dim is None:
-        inj = DimensionEntry(None, None, False, "base injective dimension not finite")
-    elif hopf_verified and desc.as_gorenstein:
+    if hopf_verified and desc.as_gorenstein:
         inj = DimensionEntry(desc.inj_dim + 2, desc.inj_dim + 2, True, "Hopf sharpening")
     else:
         inj = DimensionEntry(desc.inj_dim + 1, desc.inj_dim + 2, False)
@@ -327,15 +315,19 @@ def full_report(algebra: AmbiskewAlgebra, hopf: HopfAmbiskewAlgebra | None = Non
 def derive_descriptor(hopf: HopfAmbiskewAlgebra) -> BaseDescriptor:
     """Descriptor of a verified Hopf extension, for reuse as a base family.
     A is a commutative affine domain exactly when R is one and A is the
-    polynomial ring over it: sigma = id, xi = 1 and h = 0."""
+    polynomial ring over it: sigma = id, xi = 1 and h = 0. Its dimensions
+    are the exact values of the Hopf sharpening, which needs an
+    AS-Gorenstein base for the injective dimension."""
     algebra = hopf.algebra
     desc = algebra.base.descriptor
     gl, inj = dim_bounds(algebra, hopf_verified=True)
+    if not inj.exact:
+        raise InternalError("no exact injective dimension over a base not AS-Gorenstein")
     gk, _ = gk_report(algebra, hopf_verified=True)
     return BaseDescriptor(
         gk_dim=gk,
-        gl_dim=gl.upper if gl.exact else None,
-        inj_dim=inj.upper if inj.exact else None,
+        gl_dim=gl.upper,
+        inj_dim=inj.upper,
         noetherian=desc.noetherian,
         domain=desc.domain,
         prime=desc.prime,

@@ -58,42 +58,6 @@ def poly_mul(a, b):
     return _trim(out)
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder in Q[x]; coefficients become ``Fraction``."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
-    while len(rem) >= len(b):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        factor = rem[-1] / lead
-        shift = len(rem) - len(b)
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * Fraction(c)
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def poly_primitive(a):
-    """Primitive integer part of a Fraction/int polynomial, leading coeff > 0."""
-    if not a:
-        return ()
-    lcm_den = 1
-    for c in a:
-        lcm_den = lcm_den * Fraction(c).denominator // math.gcd(lcm_den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * lcm_den) for c in a]
-    g = math.gcd(*(abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
 def _int_primitive(a):
     """``a`` divided by the gcd of its integer coefficients (sign kept)."""
     g = math.gcd(*a)
@@ -225,17 +189,21 @@ def eval_int_poly(coeffs, x: "Scalar") -> "Scalar":
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int):
-    """The n-th cyclotomic polynomial, by iterated exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial: x^n - 1 divided in turn by Phi_d for
+    every proper divisor d of n. Each Phi_d is monic, so the quotient is
+    taken exactly in Z by ``_int_exact_div``; a product that does not give
+    back the dividend raises ``ArithmeticError``."""
     if n <= 0:
         raise ValueError("cyclotomic index must be positive")
     poly = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            quo, rem = poly_divmod(poly, cyclotomic_poly(d))
-            if rem:
+            phi = cyclotomic_poly(d)
+            quo = tuple(_int_exact_div(poly, phi))
+            if poly_mul(quo, phi) != poly:
                 raise ArithmeticError("cyclotomic division left a remainder")
-            poly = poly_primitive(quo)
-    return tuple(int(c) for c in poly)
+            poly = quo
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -528,7 +496,7 @@ class CyclotomicField(Field):
         # the roots of unity in Q(zeta_N) form the cyclic group <-zeta_N>
         group_order = self.order if self.order % 2 == 0 else 2 * self.order
         if n < 1 or group_order % n:
-            return super().root_of_unity(n) if n <= 2 else None
+            return None
         gen = self.zeta() * self.from_int(-1) if self.order % 2 else self.zeta()
         return gen ** (group_order // n)
 
@@ -813,32 +781,22 @@ _set_data = Scalar.data.__set__
 def mul_order(x: Scalar) -> int | None:
     """Smallest n >= 1 with x**n == 1, or None when no such n exists.
 
-    Cyclotomic scalars are settled exactly by iterating powers up to
-    2N, a bound on the order of any root of unity in Q(zeta_N).
-    Rational-function scalars have finite order only for the constants 1, -1.
+    Only 1 and -1 have finite order in Q and Q(q). In Q(zeta_N) the
+    powers are iterated up to 2N, a bound on the order of any root of
+    unity there.
     """
     if x.is_zero():
         raise ValueError("multiplicative order of zero is undefined")
+    if x.is_one():
+        return 1
     field = x.field
-    if field.kind == "rational":
-        if x.data == 1:
-            return 1
-        if x.data == -1:
-            return 2
-        return None
-    if field.kind == "rational-function":
-        num, den = x.data
-        if num == (1,) and den == (1,):
-            return 1
-        if num == (-1,) and den == (1,):
-            return 2
-        return None
-    bound = 2 * field.order
+    if field.kind != "cyclotomic":
+        return 2 if x == -1 else None
     power = x
-    for n in range(1, bound + 1):
+    for n in range(2, 2 * field.order + 1):
+        power = power * x
         if power.is_one():
             return n
-        power = power * x
     return None
 
 

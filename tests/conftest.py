@@ -12,6 +12,7 @@ from abhk import (
     Character,
     CyclotomicField,
     ExtensionData,
+    GroupBase,
     LaurentBase,
     PolynomialBase,
     RationalField,
@@ -126,6 +127,34 @@ def build_uqsl2_case3(lam=1):
     return construct_hopf(base, ExtensionData(base, chi, y, y, h))[0]
 
 
+def build_group(field, torsion, chi, y, lam=1):
+    """Extension of the group algebra of Z^2 (no torsion) or of
+    Z x Z/m_1 x ... over ``field``, with chi(g_i) the i-th entry of ``chi``,
+    y+ = y- the monomial with the exponents ``y``, and h = lam (z - 1)."""
+    base = GroupBase(field, rank=1 if torsion else 2, torsion=torsion)
+    names = [info.name for info in base.generator_info()]
+    chi = Character(base, {name: field.from_int(c) if isinstance(c, int) else c
+                           for name, c in zip(names, chi)})
+    y_elem = base.one()
+    for name, e in zip(names, y):
+        y_elem = y_elem * base.generator(name, e)
+    h = (y_elem * y_elem - base.one()).scale(field.from_int(lam))
+    return construct_hopf(base, ExtensionData(base, chi, y_elem, y_elem, h))[0]
+
+
+def build_group_z2():
+    return build_group(RationalField(), (), (2, 1), (1, 1))
+
+
+def build_group_z_z2():
+    return build_group(RationalField(), (2,), (1, -1), (1, 1))
+
+
+def build_group_z_z4():
+    field = CyclotomicField(4)
+    return build_group(field, (4,), (1, field.zeta()), (0, 1))   # xi = zeta, order 4
+
+
 CORPUS_BUILDERS = {
     "usl2": build_usl2,
     "heisenberg": build_heisenberg,
@@ -138,6 +167,9 @@ CORPUS_BUILDERS = {
     "uqsl2-counit-root": build_uqsl2_counit_root,
     "uqsl2-case3": build_uqsl2_case3,
     "uqsl2-case3-h0": lambda: build_uqsl2_case3(lam=0),
+    "group-z2": build_group_z2,
+    "group-z-z2": build_group_z_z2,
+    "group-z-z4": build_group_z_z4,
 }
 
 
@@ -167,9 +199,11 @@ def random_base_element(rng: random.Random, base, max_support=2, small=True):
         elif family == "laurent":
             mono = base.generator("t", rng.randint(-2, 2))
         elif family == "group":
+            # a torsion exponent is drawn past its order, so that it wraps
             mono = base.one()
-            for info in base.generator_info():
-                mono = mono * base.generator(info.name, rng.randint(-1, 1))
+            for i, info in enumerate(base.generator_info()):
+                m = base.torsion[i - base.rank] if i >= base.rank else 0
+                mono = mono * base.generator(info.name, rng.randint(-1 - m, 1 + m))
         else:  # uqsl2: K^k E^a F^b with a + b <= 3, past the first power
             # so that the base's own hat acts, and small enough that products
             # of such elements stay cheap

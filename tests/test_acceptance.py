@@ -230,7 +230,9 @@ def test_criterion_6_invariant_reports(algebras):
         base_gk = hopf.base.descriptor.gk_dim
         gk, _ = gk_report(hopf.algebra, hopf_verified=True)
         assert gk == base_gk + 2, name
-        expected = 3 if hopf.base.family in ("polynomial", "laurent") else 5
+        family = hopf.base.family
+        expected = (3 if family in ("polynomial", "laurent")
+                    else hopf.base.rank + 2 if family == "group" else 5)
         assert gk == expected, name
         gl, _ = dim_bounds(hopf.algebra, hopf_verified=True)
         assert gl.exact and gl.upper == hopf.base.descriptor.gl_dim + 2, name

@@ -297,8 +297,14 @@ def _random_character(rng, base):
     if base.family == "uqsl2":  # E, F -> 0 and K -> +-1 are its only characters
         return Character(base, {"E": field.zero(), "F": field.zero(),
                                 "K": field.from_int(rng.choice((1, -1)))})
-    return Character(base, {info.name: field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
-                            for info in base.generator_info()})
+    values = {}
+    for i, info in enumerate(base.generator_info()):
+        if base.family == "group" and i >= base.rank:  # a torsion generator of order m
+            m = base.torsion[i - base.rank]
+            values[info.name] = field.root_of_unity(m) ** rng.randrange(m)
+        else:
+            values[info.name] = field.from_int(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Character(base, values)
 
 
 def _corpus_sigmas(corpus):

@@ -246,6 +246,11 @@ MALFORMED_INPUT = [
      USAGE_ERROR + "--field: 'rational-function:2': field.order only applies to cyclotomic fields"),
     (("--nmax", "-5", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '-5' is not a positive integer"),
     (("--nmax", "0", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '0' is not a positive integer"),
+    (("--nmax", "x", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: 'x' is not an integer"),
+    (("--field", "cyclotomic", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'cyclotomic': cyclotomic field needs an order"),
+    (("--field", "foo", "check", "usl2.abhk"),
+     USAGE_ERROR + "--field: 'foo': unknown field kind 'foo'"),
     (("mul", "uqsl2-variant.abhk", "(q-q)^-1"), "error: inverse of zero"),
     (("mul", "usl2.abhk", "(1-1)^-1"), "error: inverse of zero"),
     (("--field", "cyclotomic:8", "mul", "usl2.abhk", "(zeta-zeta)^-1"), "error: inverse of zero"),
@@ -641,3 +646,103 @@ def test_props_states_an_undecided_gk_note_once(capsys, tmp_path, fmt, line):
     code, out, err = run(capsys, "--format", fmt, "props", _spec_file(tmp_path, Z2_SHEAR_SPEC))
     assert (code, err) == (0, "")
     assert [row for row in out.splitlines() if row.startswith("gk_dim")] == [line]
+
+
+# -- a sigma that is not an automorphism of the base is a failed data check ------------
+
+GROUP_GENERAL_SPEC = """field {
+  kind: rational
+}
+base {
+  family: group
+  rank: 1
+  torsion: 2
+}
+extension {
+  general_form {
+    sigma {
+      g1: g1
+      g2: g2
+    }
+    sigma_inverse {
+      g1: g1
+      g2: g2
+    }
+    xi: 1
+    h: 0
+    l_plus: 1
+    l_minus: 1
+    r_plus: 1
+    r_minus: 1
+  }
+}
+"""
+
+UQSL2_GENERAL_SPEC = """field {
+  kind: rational-function
+}
+base {
+  family: uqsl2
+  q: q
+}
+extension {
+  general_form {
+    sigma {
+      E: E
+      F: F
+      K: K
+    }
+    sigma_inverse {
+      E: E
+      F: F
+      K: K
+    }
+    xi: 1
+    h: 0
+    l_plus: 1
+    l_minus: 1
+    r_plus: 1
+    r_minus: 1
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (_swap(GROUP_GENERAL_SPEC, "g1: g1", "g1: g1 + 1"), "image of g1 must be a unit"),
+    (_swap(GROUP_GENERAL_SPEC, "g2: g2", "g2: g1"), "image of g2 must have order dividing 2"),
+    (_swap(UQSL2_GENERAL_SPEC, "F: F", "F: E"), "images break K F = q^-2 F K"),
+], ids=["group-unit", "group-torsion", "uqsl2-kf"])
+@pytest.mark.parametrize("command", ["check", "props"])
+def test_a_sigma_that_breaks_the_base_is_refused(capsys, tmp_path, text, message, command):
+    assert _refused(capsys, command, _spec_file(tmp_path, text)) == (1, f"error: {message}\n")
+
+
+def test_props_states_that_xi_has_infinite_order(capsys, tmp_path):
+    # sigma = id and xi = 2 on the Laurent base: relabel refuses the form
+    # (xi != chi(l-r+)), and props reports the raw algebra
+    text = _swap(_swap(_swap(GENERAL_SPEC, "t: q^-2*t", "t: t"), "t: q^2*t", "t: t"),
+                 "xi: 1", "xi: 2")
+    code, out, err = run(capsys, "props", _spec_file(tmp_path, text))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == ["pi: no (xi has infinite order)", "pi_sigma_order: 1",
+                                     "pi_xi_order: infinite"]
+
+
+# -- the corpus runner on expectations its entries do not meet ----------------------
+
+def test_examples_report_the_pi_expectations_they_miss(monkeypatch, capsys, tmp_path):
+    usl2 = (CORPUS / "usl2.abhk").read_text()
+    pi_line = "  pi: none                       # sigma is a translation, infinite order\n"
+    (tmp_path / "pi-unknown.abhk").write_text(_swap(usl2, pi_line, "  pi: unknown\n"))
+    (tmp_path / "pi-unsupported.abhk").write_text(_swap(usl2, pi_line, "  pi: unsupported\n"))
+    (tmp_path / "no-expect.abhk").write_text(usl2[:usl2.index("expect {")])
+    monkeypatch.setenv("ABHK_CORPUS_DIR", str(tmp_path))
+    code, out, err = run(capsys, "examples")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "no-expect       pass"
+    assert "    pi: MISMATCH (no (sigma has infinite order: translation has infinite order "\
+           "in characteristic 0))" in lines
+    assert "    pi: MISMATCH (expected unsupported, criterion ran)" in lines
+    assert lines[-1] == "1/3 corpus entries pass"

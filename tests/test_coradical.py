@@ -284,7 +284,7 @@ def test_wedge_membership_of_random_elements(corpus):
     basis tensors, so support inspection is a complete membership test."""
     rng = random.Random(62)
     total = 0  # draws with t >= 1, each checked
-    for name in ("usl2", "uqsl2-variant", "laurent-asym", "uqsl2-counit-root"):
+    for name in ("usl2", "uqsl2-variant", "laurent-asym", "uqsl2-counit-root", "group-z-z4"):
         hopf = corpus[name]
         ctx = CoradicalContext.for_algebra(hopf)
         A = hopf.algebra

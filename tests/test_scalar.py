@@ -4,6 +4,7 @@ d-adic hat combinatorics."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from fractions import Fraction
@@ -32,10 +33,8 @@ from abhk.scalar import (
     hat,
     mul_order,
     poly_add,
-    poly_divmod,
     poly_mul,
     poly_neg,
-    poly_primitive,
     prec,
     q_binomial,
     q_factorial,
@@ -45,6 +44,59 @@ from abhk.scalar import (
 QQ = RationalField()
 C8 = CyclotomicField(8)
 FQ = RationalFunctionField()
+
+
+# -- Fraction polynomial division: the library's former path, kept here as a
+# reference that shares no code with the integer kernels
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder in Q[x]; coefficients become ``Fraction``."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    lead = Fraction(b[-1])
+    while len(rem) >= len(b):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(b):
+            break
+        factor = rem[-1] / lead
+        shift = len(rem) - len(b)
+        quo[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] -= factor * Fraction(c)
+        rem.pop()
+    return _trim(quo), _trim(rem)
+
+
+def poly_primitive(a):
+    """Primitive integer part of a Fraction/int polynomial, leading coeff > 0."""
+    if not a:
+        return ()
+    lcm_den = 1
+    for c in a:
+        lcm_den = lcm_den * Fraction(c).denominator // math.gcd(lcm_den, Fraction(c).denominator)
+    ints = [int(Fraction(c) * lcm_den) for c in a]
+    g = math.gcd(*(abs(c) for c in ints))
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_cyclotomic_poly(n):
+    """``cyclotomic_poly`` as it was: x^n - 1 divided by each Phi_d in Q[x]
+    by ``poly_divmod``, the quotient made primitive by ``poly_primitive``."""
+    poly = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            quo, rem = poly_divmod(poly, _fraction_cyclotomic_poly(d))
+            assert not rem
+            poly = poly_primitive(quo)
+    return tuple(int(c) for c in poly)
 
 
 def random_scalar(rng, field, nonzero=False):
@@ -105,6 +157,28 @@ def test_cyclotomic_polynomials():
             if n % d == 0:
                 product = poly_mul(product, cyclotomic_poly(d))
         assert product == (-1,) + (0,) * (n - 1) + (1,)
+
+
+@pytest.mark.parametrize("orders", [range(1, 129), (210, 360, 420, 512)],
+                         ids=["1-128", "large"])
+def test_cyclotomic_poly_matches_the_fraction_division(orders):
+    for n in orders:
+        got = cyclotomic_poly(n)
+        assert got == _fraction_cyclotomic_poly(n), n
+        assert all(type(c) is int for c in got)
+
+
+def test_cyclotomic_poly_refuses_a_remainder(monkeypatch):
+    # Phi_4 = x^2 + 1 does not divide x^6 - 1: handed in for Phi_3, whose
+    # place it takes among the divisors of 6, it must leave the guard to fire
+    real = scalar.cyclotomic_poly.__wrapped__
+
+    def wrong(n):
+        return (1, 0, 1) if n == 3 else real(n)
+
+    monkeypatch.setattr(scalar, "cyclotomic_poly", wrong)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        real(6)
 
 
 def test_cyclotomic_inverse_and_power_basis():
@@ -789,6 +863,57 @@ def test_mul_order_formal_parameter():
     assert mul_order(FQ.q()) is None
     assert mul_order(FQ.from_int(-1)) == 2
     assert mul_order((FQ.q() + 1) / (FQ.q() + 1)) == 1
+
+
+def _parent_mul_order(x):
+    """``mul_order`` as it was, one branch per field kind reading the data
+    layout, kept as the reference."""
+    field = x.field
+    if field.kind == "rational":
+        return 1 if x.data == 1 else 2 if x.data == -1 else None
+    if field.kind == "rational-function":
+        num, den = x.data
+        if num == (1,) and den == (1,):
+            return 1
+        if num == (-1,) and den == (1,):
+            return 2
+        return None
+    power = x
+    for n in range(1, 2 * field.order + 1):
+        if power.is_one():
+            return n
+        power = power * x
+    return None
+
+
+def _order_probes():
+    rng = random.Random(7102)
+    yield from (QQ.one(), QQ.from_int(-1), FQ.one(), FQ.from_int(-1))
+    for _ in range(60):
+        yield random_scalar(rng, QQ, nonzero=True)
+        yield random_scalar(rng, FQ, nonzero=True)
+    for k in range(-4, 5):
+        if k:
+            yield FQ.q(k)
+            yield -FQ.q(k)
+    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 15):
+        field = CyclotomicField(n)
+        yield from (field.one(), field.from_int(-1), field.from_int(2))
+        for k in range(-n, 2 * n + 1):
+            yield field.zeta(k)
+            yield -field.zeta(k)
+        for _ in range(5):
+            yield random_scalar(rng, field, nonzero=True)
+
+
+def test_mul_order_matches_the_per_kind_reference():
+    seen = set()
+    for x in _order_probes():
+        assert mul_order(x) == _parent_mul_order(x), x
+        seen.add(mul_order(x))
+    # the probes reach infinite order and every finite order of a root of
+    # unity in those fields: n and 2n for odd n, n for even n
+    assert seen == {None, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 30}
 
 
 def test_mul_order_zero_rejected():
