@@ -33,11 +33,12 @@ from .errors import AlgebraMismatchError, HopfDataError, UnsupportedBaseError
 from .scalar import Scalar
 
 
-# Scalars the words of one ``AmbiskewAlgebra._word_cache`` may hold before a
-# miss clears it. Powers of (X+ + X-) on usl2 up to ^64 hold at most 8,171,
-# and every benchmark algebra at most 22 words; the product
-# ``(X+ + X-)^20 * (X+ + X-)^20`` asks for 2,761 words of 72,035 scalars,
-# nearly all of them once, which took that process from 22 to 32 MB.
+# Scalars the normal forms in ``AmbiskewAlgebra._nf_cache`` and ``_word_cache``
+# may hold together before a miss clears both. Powers of (X+ + X-) on usl2 up
+# to ^64 hold at most 8,171 in words, and every benchmark algebra at most 39
+# in both; the product ``(X+ + X-)^20 * (X+ + X-)^20`` asks for 2,761 words of
+# 72,035 scalars and 400 normal forms of 18,438, nearly all of them once, and
+# unbounded words alone took that process from 22 to 32 MB.
 _WORD_CACHE_LIMIT = 16384
 
 
@@ -53,8 +54,8 @@ class AmbiskewAlgebra:
     X- by q as they read it, so the cache holds one word for every q. A
     word coefficient equal to the unit of R is stored as the shared
     ``base._one`` itself, so that the product kernels can skip it by
-    identity. A miss that finds the cached words holding
-    ``_WORD_CACHE_LIMIT`` scalars clears them first.
+    identity. A miss that finds the normal forms and words holding
+    ``_WORD_CACHE_LIMIT`` scalars together clears both caches first.
     """
 
     def __init__(self, base: BaseAlgebra, sigma: BaseAutomorphism, h: BaseElement,
@@ -74,15 +75,12 @@ class AmbiskewAlgebra:
         self.h = h
         self.xi = xi
         self.xi_inv = xi.inverse()
+        self.field = base.field
         self._nf_cache: dict = {}
         self._leg_cache: dict = {}
         self._word_cache: dict = {}
-        self._word_scalars = 0  # scalars held by the words in _word_cache
+        self._cached_scalars = 0  # scalars held by _nf_cache and _word_cache
         self._one_mono = base.one_monomial()
-
-    @property
-    def field(self):
-        return self.base.field
 
     def __eq__(self, other):
         if self is other:
@@ -126,9 +124,10 @@ class AmbiskewAlgebra:
         """Normal form of X+^u X-^v X+ as an (m, n) -> BaseElement mapping."""
         if v == 0:
             return {(u + 1, 0): self.base.one()}
-        out = {(a, b + 1): c.scale(self.xi_inv) for (a, b), c in self._rx(u, v - 1).items()}
-        corr = self.sigma.apply(self.h, u - v + 1).scale(-self.xi_inv)
-        combine((((u, v - 1), corr),), out)
+        xi_inv = self.xi_inv.data
+        out = {(a, b + 1): c._scale(xi_inv) for (a, b), c in self._rx(u, v - 1).items()}
+        corr = self.sigma.apply(self.h, u - v + 1)._scale(self.field._neg(xi_inv))
+        combine(self.base, (((u, v - 1), corr),), out)
         return out
 
     def _nf(self, n: int, p: int) -> dict:
@@ -139,10 +138,9 @@ class AmbiskewAlgebra:
         cached = self._nf_cache.get(key)
         if cached is not None:
             return cached
-        out = combine((ab, c * extra) for (u, v), c in self._nf(n, p - 1).items()
-                      for ab, extra in self._rx(u, v).items())
-        self._nf_cache[key] = out
-        return out
+        return self._store(self._nf_cache, key, combine(self.base, (
+            (ab, c * extra) for (u, v), c in self._nf(n, p - 1).items()
+            for ab, extra in self._rx(u, v).items())))
 
     def _word(self, m: int, n: int, p: int) -> dict:
         """Normal form of X+^m X-^n X+^p, cached per (m, n, p): the terms
@@ -150,19 +148,25 @@ class AmbiskewAlgebra:
         A coefficient c equal to 1 is stored as ``base._one``, which is
         sigma^m(c), since sigma fixes 1. Callers only read the dict."""
         key = (m, n, p)
-        words = self._word_cache
-        word = words.get(key)
+        word = self._word_cache.get(key)
         if word is None:
-            if self._word_scalars >= _WORD_CACHE_LIMIT:
-                words.clear()
-                self._word_scalars = 0
             one = self.base._one
             apply = self.sigma.apply
-            word = {(m + u, v): one if c.coeffs == one.coeffs else apply(c, m)
-                    for (u, v), c in self._nf(n, p).items()}
-            words[key] = word
-            self._word_scalars += sum(len(c.coeffs) for c in word.values())
+            word = self._store(self._word_cache, key, {
+                (m + u, v): one if c.coeffs == one.coeffs else apply(c, m)
+                for (u, v), c in self._nf(n, p).items()})
         return word
+
+    def _store(self, cache: dict, key, form: dict) -> dict:
+        """Store a normal form in ``_nf_cache`` or ``_word_cache``, clearing
+        both first when they hold ``_WORD_CACHE_LIMIT`` scalars together."""
+        if self._cached_scalars >= _WORD_CACHE_LIMIT:
+            self._nf_cache.clear()
+            self._word_cache.clear()
+            self._cached_scalars = 0
+        cache[key] = form
+        self._cached_scalars += sum(len(c.coeffs) for c in form.values())
+        return form
 
     def leg_product(self, leg1, leg2) -> dict:
         """Cached flattened product of two legs (base monomial, m, n).
@@ -189,7 +193,7 @@ class AmbiskewAlgebra:
         cached = self._leg_cache.get(key)
         if cached is None:
             (r1, m1, n1), (r2, m2, n2) = leg1, leg2
-            base, sigma, one = self.base, self.sigma, self.field.one()
+            base, sigma, one = self.base, self.sigma, self.field._one.data
             if r2 == self._one_mono:
                 coeff = BaseElement._of(base, {r1: one})
             else:
@@ -227,6 +231,7 @@ class AmbiElement(Sparse):
     """
 
     __slots__ = ()
+    _RING = "base"
 
     def coeff(self, m: int, n: int) -> BaseElement:
         return self.coeffs.get((m, n), self.algebra.base.zero())
@@ -238,15 +243,18 @@ class AmbiElement(Sparse):
     def is_base(self) -> bool:
         return all(k == (0, 0) for k in self.coeffs)
 
-    def terms(self):
-        key = self.algebra.base.monomial_sort_key
-        return sorted(_flatten(self).items(),
-                      key=lambda item: (key(item[0][0]), item[0][1], item[0][2]))
+    def terms(self) -> list[tuple[tuple, Scalar]]:
+        field, key = self.algebra.field, self.algebra.base.monomial_sort_key
+        return [(leg, Scalar(field, c)) for leg, c in sorted(
+            _flatten(self).items(), key=lambda item: (key(item[0][0]), item[0][1], item[0][2]))]
 
-    def scale(self, c: Scalar) -> "AmbiElement":
-        if c.is_zero():
+    def _scale(self, c) -> "AmbiElement":
+        if self.algebra.field._is_zero(c):
             return self._new({})
-        return self._new({k: v.scale(c) for k, v in self.coeffs.items()})
+        return self._new({k: v._scale(c) for k, v in self.coeffs.items()})
+
+    def __repr__(self):
+        return f"AmbiElement({self.coeffs!r})"
 
     def __mul__(self, other):
         if not isinstance(other, Sparse):
@@ -325,13 +333,14 @@ class Tensor(Sparse):
     @classmethod
     def of(cls, *factors: AmbiElement) -> "Tensor":
         algebra = factors[0].algebra
-        out = {(): algebra.field.one()}
+        one, mul, _, _ = algebra.field._kernel
+        out = {(): one}
         for f in factors:
             if f.algebra != algebra:
                 raise AlgebraMismatchError("tensor factors from different algebras")
             flat = _flatten(f)
             out = {
-                key + (leg,): c * d
+                key + (leg,): c if d == one else d if c == one else mul(c, d)
                 for key, c in out.items()
                 for leg, d in flat.items()
             }
@@ -364,20 +373,22 @@ class Tensor(Sparse):
             raise UnsupportedBaseError(
                 f"product of tensors with {self.legs} legs; only 2 are supported")
         leg_product = self.algebra.leg_product
+        one, mul, add, is_zero = self.algebra.field._kernel
         out: dict = {}
+        get = out.get
         for (a1, a2), c1 in self.coeffs.items():
             for (b1, b2), c2 in other.coeffs.items():
-                c = c1 * c2
+                c = c1 if c2 == one else c2 if c1 == one else mul(c1, c2)
                 right = leg_product(a2, b2).items()
                 for leg1, d1 in leg_product(a1, b1).items():
-                    e = c * d1
+                    e = c if d1 == one else d1 if c == one else mul(c, d1)
                     for leg2, d2 in right:
-                        v = e * d2  # nonzero: only the sum below can cancel
+                        v = e if d2 == one else d2 if e == one else mul(e, d2)
                         key = (leg1, leg2)
-                        s = out.get(key)
+                        s = get(key)  # v is nonzero: only the sum can cancel
                         if s is None:
                             out[key] = v
-                        elif (v := s + v).is_zero():
+                        elif is_zero(v := add(s, v)):
                             del out[key]
                         else:
                             out[key] = v
@@ -387,35 +398,50 @@ class Tensor(Sparse):
 
     def expand_leg(self, i: int, fn) -> "Tensor":
         """Replace leg i by the 2-leg tensor fn(leg)."""
-        return self._new(combine(
-            (key[:i] + ekey + key[i + 1:], c * d)
-            for key, c in self.coeffs.items() for ekey, d in fn(key[i]).coeffs.items()
-        ), self.legs + 1)
+        field = self.algebra.field
+        one, mul, _, _ = field._kernel
+        return self._new(combine(field, (
+            (key[:i] + ekey + key[i + 1:], c if d == one else d if c == one else mul(c, d))
+            for key, c in self.coeffs.items() for ekey, d in self._own(fn(key[i])).coeffs.items()
+        )), self.legs + 1)
 
     def map_leg(self, i: int, fn) -> "Tensor":
         """Replace leg i by the element fn(leg)."""
-        return self._new(combine(
-            (key[:i] + (leg,) + key[i + 1:], c * d)
-            for key, c in self.coeffs.items() for leg, d in _flatten(fn(key[i])).items()
-        ))
+        field = self.algebra.field
+        one, mul, _, _ = field._kernel
+        return self._new(combine(field, (
+            (key[:i] + (leg,) + key[i + 1:], c if d == one else d if c == one else mul(c, d))
+            for key, c in self.coeffs.items() for leg, d in _flatten(self._own(fn(key[i]))).items()
+        )))
+
+    def _own(self, x):
+        """x, the image of a leg, refused unless it lies over this tensor's
+        algebra: its raw data is read as data of this algebra's field."""
+        if x.algebra is not self.algebra:
+            Sparse._check(self, x)
+        return x
 
     def contract_leg(self, i: int, fn) -> "Tensor":
         """Drop leg i, multiplying each coefficient by the scalar fn(leg)."""
-        # zero products are skipped here, not added to a running sum
-        return self._new(combine(
-            (key[:i] + key[i + 1:], v)
-            for key, c in self.coeffs.items() if not (v := c * fn(key[i])).is_zero()
-        ), self.legs - 1)
+        field = self.algebra.field
+        one, mul, _, is_zero = field._kernel
+        unwrap = field._unwrap
+        # a zero factor drops its term here, before any running sum
+        return self._new(combine(field, (
+            (key[:i] + key[i + 1:], c if d == one else d if c == one else mul(c, d))
+            for key, c in self.coeffs.items() if not is_zero(d := unwrap(fn(key[i])))
+        )), self.legs - 1)
 
     def merge_legs(self, i: int) -> "Tensor":
         """Multiply legs i and i+1 together (the multiplication map on
         those tensorands)."""
-        leg_product = self.algebra.leg_product
-        return self._new(combine(
-            (key[:i] + (leg,) + key[i + 2:], c * d)
+        leg_product, field = self.algebra.leg_product, self.algebra.field
+        one, mul, _, _ = field._kernel
+        return self._new(combine(field, (
+            (key[:i] + (leg,) + key[i + 2:], c if d == one else d if c == one else mul(c, d))
             for key, c in self.coeffs.items()
             for leg, d in leg_product(key[i], key[i + 1]).items()
-        ), self.legs - 1)
+        )), self.legs - 1)
 
 
 # ---------------------------------------------------------------------------

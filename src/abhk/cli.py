@@ -329,8 +329,6 @@ def run_corpus_entry(path: Path) -> EntryResult:
             entry = properties.pi_check(hopf.algebra)
             if pi_want == "none":
                 note("pi", entry.satisfies_pi is False, entry.describe())
-            elif pi_want == "unknown":
-                note("pi", entry.satisfies_pi is None, entry.describe())
             elif pi_want == "unsupported":
                 note("pi", False, "expected unsupported, criterion ran")
             else:

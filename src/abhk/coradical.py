@@ -54,11 +54,13 @@ def corad_breakdown(a: AmbiElement, ctx: CoradicalContext) -> list[tuple[int, in
 def _grouplike_power(y: BaseElement, k: int):
     """(monomial, scalar) of y**k for a grouplike single-term y."""
     (mono, c), = y.coeffs.items()
-    acc_mono, acc_scalar = y.algebra.one_monomial(), c.field.one()
+    field = y.algebra.field
+    c = Scalar(field, c)
+    acc_mono, acc_scalar = y.algebra.one_monomial(), field.one()
     for _ in range(k):
         products = y.algebra.mul_monomials(acc_mono, mono)
         (acc_mono, extra), = products.items()
-        acc_scalar = acc_scalar * c * extra
+        acc_scalar = acc_scalar * c * Scalar(field, extra)
     return acc_mono, acc_scalar
 
 
@@ -88,7 +90,7 @@ def delta_mixed_closed(hopf: HopfAmbiskewAlgebra, m: int, n: int) -> Tensor:
             products = alg.base.mul_monomials(yp_mono, ym_mono)
             (mono, extra), = products.items()
             out[((mono, j, k), (one_mono, m - j, n - k))] = (
-                bj * bk * cross * yp_scalar * ym_scalar * extra)
+                bj * bk * cross * yp_scalar * ym_scalar * Scalar(alg.field, extra))
     return Tensor(alg, 2, out)
 
 

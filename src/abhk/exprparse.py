@@ -531,13 +531,13 @@ def format_tensor(tensor, max_terms: int | None = None) -> str:
     """Legs joined by (x), each leg printed as a one-term element carrying
     the coefficient on the first leg. With ``max_terms``, only the first
     terms are printed, followed by a count of the rest."""
-    base = tensor.algebra.base
-    one = tensor.algebra.field.one()
+    base, field = tensor.algebra.base, tensor.algebra.field
+    one = field.one()
     keys = sorted(tensor.coeffs, key=lambda k: tuple(
         (base.monomial_sort_key(mono), m, n) for (mono, m, n) in k))
     parts = []
     for key in keys[:max_terms]:
-        c = tensor.coeffs[key]
+        c = Scalar(field, tensor.coeffs[key])
         parts.append(" (x) ".join(
             _join_terms([_leg_term(base, leg, c if idx == 0 else one)])
             for idx, leg in enumerate(key)))
@@ -715,8 +715,29 @@ def parse_spec(src: str) -> SpecDocument:
     expect = root.blocks.get("expect")
     if expect is not None:
         _check_block(expect, "expect", (), _EXPECT_KEYS, (), ("identities", "corad"))
+        _check_expect_values(expect)
 
     return SpecDocument(kind, order, family, params, ext, options, expect)
+
+
+def _check_expect_values(expect: SpecBlock) -> None:
+    """Refuse an ``expect`` value the corpus runner cannot compare with."""
+    entries = expect.entries
+    if entries.get("check", "pass") not in ("pass", "fail"):
+        raise SpecError(f"expect.check: unknown value {entries['check']!r}")
+    for key in ("gk_dim", "gl_dim"):
+        if key in entries:
+            _int_value(f"expect.{key}", entries[key], 0)
+    pi = entries.get("pi", "none")
+    if pi not in ("none", "unsupported"):
+        try:
+            _int_value("expect.pi", pi, 1)
+        except SpecError:
+            raise SpecError(f"expect.pi: expected none, unsupported or an integer >= 1, "
+                            f"found {pi!r}") from None
+    if "corad" in expect.blocks:
+        for expr, degree in expect.blocks["corad"].entries.items():
+            _int_value(f"expect.corad[{expr}]", degree, 0)
 
 
 def _int_value(path: str, text: str, least: int) -> int:

@@ -177,10 +177,10 @@ class HopfAmbiskewAlgebra:
             mono, m, n = leg
             cached = None
             if mono != self.base.one_monomial() or not (m or n):
-                cached = Tensor(self.algebra, 2, {
+                cached = Tensor._of(self.algebra, {
                     ((m1, 0, 0), (m2, 0, 0)): c
                     for (m1, m2), c in self.base.delta_monomial(mono).items()
-                })
+                }, 2)
             for sign, power in ((+1, m), (-1, n)):
                 if power:
                     step = self._delta_x(sign, power)
@@ -190,9 +190,10 @@ class HopfAmbiskewAlgebra:
 
     def counit_leg(self, leg) -> Scalar:
         mono, m, n = leg
+        field = self.algebra.field
         if m or n:
-            return self.algebra.field.zero()
-        return self.base.counit_monomial(mono)
+            return field.zero()
+        return Scalar(field, self.base.counit_monomial(mono))
 
     def antipode_leg(self, leg) -> AmbiElement:
         cached = self._leg_antipode.get(leg)
@@ -229,21 +230,23 @@ class HopfAmbiskewAlgebra:
     def delta(self, a: AmbiElement) -> Tensor:
         if a.algebra != self.algebra:
             raise AlgebraMismatchError("element from a different algebra")
-        return Tensor._of(self.algebra, combine(
-            (key, c * d)
+        field = self.algebra.field
+        one, mul, _, _ = field._kernel
+        return Tensor._of(self.algebra, combine(field, (
+            (key, c if d == one else d if c == one else mul(c, d))
             for leg, c in _flatten(a).items()
             for key, d in self.delta_leg(leg).coeffs.items()
-        ), 2)
+        )), 2)
 
     def counit(self, a: AmbiElement) -> Scalar:
         return base_counit(a.base_part())
 
     def antipode(self, a: AmbiElement) -> AmbiElement:
-        return AmbiElement._of(self.algebra, combine(
-            (mn, r.scale(c))
+        return AmbiElement._of(self.algebra, combine(self.base, (
+            (mn, r._scale(c))
             for leg, c in _flatten(a).items()
             for mn, r in self.antipode_leg(leg).coeffs.items()
-        ))
+        )))
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def eigendecompose_h(algebra: AmbiskewAlgebra, n: int) -> EigenDecomposition:
             raise InternalError("eigenvalue of h-monomial is not an n-th root of unity")
         buckets.setdefault(i, {})[mono] = c
     components = [
-        (i, BaseElement(algebra.base, mapping)) for i, mapping in sorted(buckets.items())
+        (i, BaseElement._of(algebra.base, mapping)) for i, mapping in sorted(buckets.items())
     ]
     decomposition = EigenDecomposition(eta, n, components)
     decomposition.verify(algebra)

@@ -260,6 +260,12 @@ class Field:
     def _one(self) -> "Scalar":
         return self.from_int(1)
 
+    @cached_property
+    def _kernel(self) -> tuple:
+        """(data of one, ``_mul``, ``_add``, ``_is_zero``): what a container
+        loop calls on raw data, bound once per field instance."""
+        return self._one.data, self._mul, self._add, self._is_zero
+
     def zero(self) -> "Scalar":
         return self._zero
 
@@ -276,6 +282,14 @@ class Field:
 
     def describe(self) -> str:
         return self.kind
+
+    def _unwrap(self, c: "Scalar"):
+        """The data of ``c``, a scalar over this field: a container checks
+        the field here, as its raw data does not carry one."""
+        if c.field is not self and c.field != self:
+            raise FieldMismatchError(
+                f"cannot mix {self.describe()} and {c.field.describe()} scalars")
+        return c.data
 
 
 @dataclass(frozen=True)
@@ -648,7 +662,11 @@ class RationalFunctionField(Field):
 
 
 class Scalar:
-    """Immutable element of one of the coefficient fields.
+    """Immutable element of one of the coefficient fields: the type of the
+    API edges. Containers (``basehopf.Sparse``) hold raw field data and their
+    kernels call the field methods on it; a ``Scalar`` is built where a value
+    leaves them (``coeff``, ``terms``, counits, characters, the formatter)
+    and unwrapped, with its field checked, where one enters.
 
     ``+``, ``*`` and ``==`` take a fast path when the other operand is a
     ``Scalar`` over the very same field object; anything else goes through

@@ -57,7 +57,7 @@ class UqSl2Base(BaseAlgebra):
         self.f_scale = self.q_diff.inverse()
         self._corad_d = mul_order(self.hopf.data.xi)
         self.descriptor = properties.derive_descriptor(self.hopf)
-        self._f_element = BaseElement(self, _flatten(
+        self._f_element = BaseElement._of(self, _flatten(
             (self.inner.xminus() * self.inner.embed(invert_element(t))).scale(self.f_scale)
         ))
 
@@ -111,7 +111,7 @@ class UqSl2Base(BaseAlgebra):
 
     def counit_monomial(self, mono):
         j, m, n = mono
-        return self.field.one() if m == 0 and n == 0 else self.field.zero()
+        return (self.field._one if m == 0 and n == 0 else self.field._zero).data
 
     def antipode_monomial(self, mono):
         return _flatten(self.hopf.antipode_leg(mono))

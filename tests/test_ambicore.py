@@ -19,13 +19,25 @@ from abhk.basehopf import (
     LaurentBase,
     PolynomialBase,
     Sparse,
-    combine,
     winding_automorphism_left,
 )
-from abhk.errors import AlgebraMismatchError, HopfDataError, UnsupportedBaseError
-from abhk.scalar import RationalField, RationalFunctionField
+from abhk.errors import (
+    AlgebraMismatchError,
+    FieldMismatchError,
+    HopfDataError,
+    UnsupportedBaseError,
+)
+from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
 
-from conftest import CORPUS_BUILDERS, assert_no_zero, random_base_element, random_element
+from conftest import (
+    CORPUS_BUILDERS,
+    assert_no_zero,
+    combine_scalars,
+    random_base_element,
+    random_element,
+    raw,
+    scalars,
+)
 
 QQ = RationalField()
 
@@ -153,7 +165,7 @@ def _one_leg_to_element(tensor: Tensor) -> AmbiElement:
     assert tensor.legs == 1
     A = tensor.algebra
     acc = A.zero()
-    for ((mono, m, n),), c in tensor.coeffs.items():
+    for ((mono, m, n),), c in scalars(tensor).items():
         acc = acc + A.monomial(BaseElement(A.base, {mono: c}), m, n)
     return acc
 
@@ -250,7 +262,7 @@ def test_extension_containers_never_store_zero(corpus, seed):
         fresh = AmbiskewAlgebra(A.base, A.sigma, A.h, A.xi)
         for leg1 in _flatten(a - b):
             for leg2 in _flatten(c):
-                assert all(not v.is_zero() for v in fresh.leg_product(leg1, leg2).values())
+                assert all(not field._is_zero(v) for v in fresh.leg_product(leg1, leg2).values())
 
 
 # -- the direct leg product against the element round trip ---------------------
@@ -296,19 +308,20 @@ def test_direct_leg_product_matches_round_trip(corpus, name):
 def _mul_legwise(left, right):
     """The product for any leg count, leg by leg through partial terms,
     kept as the reference for the 2-leg kernel of ``Tensor.__mul__``."""
+    field = left.algebra.field
     out: dict = {}
-    for key1, c1 in left.coeffs.items():
-        for key2, c2 in right.coeffs.items():
+    for key1, c1 in scalars(left).items():
+        for key2, c2 in scalars(right).items():
             partial = [((), c1 * c2)]
             for leg1, leg2 in zip(key1, key2):
                 flat = left.algebra.leg_product(leg1, leg2)
                 partial = [
-                    (key + (leg,), c * d)
+                    (key + (leg,), c * Scalar(field, d))
                     for key, c in partial
                     for leg, d in flat.items()
                 ]
-            combine(partial, out)
-    return left._new(out)
+            combine_scalars(partial, out)
+    return left._new(raw(out))
 
 
 @settings(max_examples=10, deadline=None)
@@ -354,13 +367,15 @@ def test_extension_containers_reject_foreign_operands(corpus):
 
 
 def _loop_base_mul(a: BaseElement, b: BaseElement) -> BaseElement:
-    """``BaseElement.__mul__`` as the kernel loop, with no unit short-cut."""
+    """``BaseElement.__mul__`` as the kernel loop on ``Scalar`` arithmetic,
+    with no unit short-cut of the container."""
+    field = a.algebra.field
     out: dict = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
+    for m1, c1 in scalars(a).items():
+        for m2, c2 in scalars(b).items():
             c = c1 * c2
             for m, extra in a.algebra.mul_monomials(m1, m2).items():
-                v = c * extra
+                v = c * Scalar(field, extra)
                 s = out.get(m)
                 if s is None:
                     out[m] = v
@@ -368,7 +383,7 @@ def _loop_base_mul(a: BaseElement, b: BaseElement) -> BaseElement:
                     del out[m]
                 else:
                     out[m] = v
-    return BaseElement._of(a.algebra, out)
+    return BaseElement._of(a.algebra, raw(out))
 
 
 def _parent_mul_monomials(A: AmbiskewAlgebra, m: int, n: int, p: int, q: int) -> dict:
@@ -470,7 +485,7 @@ def _parent_leg_product(A: AmbiskewAlgebra, leg1, leg2) -> dict:
     """A leg-product miss by the formula with no unit short-cut: the
     coefficient is always r1 sigma^(m1-n1)(r2), formed by the loop."""
     (r1, m1, n1), (r2, m2, n2) = leg1, leg2
-    base, sigma, one = A.base, A.sigma, A.field.one()
+    base, sigma, one = A.base, A.sigma, A.field.one().data
     coeff = _loop_base_mul(BaseElement._of(base, {r1: one}),
                            sigma.apply(BaseElement._of(base, {r2: one}), m1 - n1))
     if not n1 or not m2:
@@ -513,7 +528,8 @@ def _layout(x) -> list:
 
 
 def _scalars_held(A: AmbiskewAlgebra) -> int:
-    return sum(len(c.coeffs) for word in A._word_cache.values() for c in word.values())
+    return sum(len(c.coeffs) for cache in (A._nf_cache, A._word_cache)
+               for form in cache.values() for c in form.values())
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
@@ -535,14 +551,15 @@ def test_cached_words_match_the_uncached_loop(corpus, name):
         assert all((c is one) == (c == one) for c in got.values()), (name, key)
         assert A._word(*key[:3]) is A._word_cache[key[:3]], (name, key)
     assert set(A._word_cache) == set(itertools.product(range(5), repeat=3))
-    assert A._word_scalars == _scalars_held(A)
+    assert A._cached_scalars == _scalars_held(A)
 
 
 @pytest.mark.parametrize("name", ["usl2", "uqsl2-variant", "uqsl2-case3"])
 def test_a_full_word_cache_clears_and_products_stay_exact(corpus, name, monkeypatch):
-    """With a limit of 8 scalars, the word cache clears again and again
-    while powers of X+ + X- + h are formed, keeps its count of held
-    scalars, and every power equals the uncached loop in value and order."""
+    """With a limit of 8 scalars, the normal-form and word caches clear
+    again and again while powers of X+ + X- + h are formed, keep their
+    count of held scalars, and every power equals the uncached loop in
+    value and order."""
     monkeypatch.setattr(ambicore, "_WORD_CACHE_LIMIT", 8)
     built = corpus[name].algebra
     A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
@@ -552,9 +569,11 @@ def test_a_full_word_cache_clears_and_products_stay_exact(corpus, name, monkeypa
     for _ in range(4):
         got, want = got * x, _loop_ambi_mul(want, x)
         _assert_same(got, want, name)
-        assert A._word_scalars == _scalars_held(A), name
-        sizes.append(len(A._word_cache))
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), (name, sizes)
+        assert A._cached_scalars == _scalars_held(A), name
+        sizes.append((len(A._nf_cache), len(A._word_cache)))
+    for cache in (0, 1):
+        assert any(later[cache] < earlier[cache]
+                   for earlier, later in zip(sizes, sizes[1:])), (name, sizes)
 
 
 def _loop_tensor_mul(left: Tensor, right: Tensor) -> Tensor:
@@ -569,15 +588,16 @@ def _loop_tensor_mul(left: Tensor, right: Tensor) -> Tensor:
             legs[(a, b)] = _parent_leg_product(A, a, b)
         return legs[(a, b)]
 
+    field = A.field
     out: dict = {}
-    for (a1, a2), c1 in left.coeffs.items():
-        for (b1, b2), c2 in right.coeffs.items():
+    for (a1, a2), c1 in scalars(left).items():
+        for (b1, b2), c2 in scalars(right).items():
             c = c1 * c2
             right_legs = leg_product(a2, b2).items()
-            combine((((leg1, leg2), c * d1 * d2)
-                     for leg1, d1 in leg_product(a1, b1).items()
-                     for leg2, d2 in right_legs), out)
-    return Tensor._of(A, out, 2)
+            combine_scalars((((leg1, leg2), c * Scalar(field, d1) * Scalar(field, d2))
+                             for leg1, d1 in leg_product(a1, b1).items()
+                             for leg2, d2 in right_legs), out)
+    return Tensor._of(A, raw(out), 2)
 
 
 @settings(max_examples=8, deadline=None)
@@ -602,3 +622,128 @@ def test_products_match_the_parent_loops(corpus, seed):
         ts = [hopf.delta(ys[0]), Tensor.of(ys[1], A.xminus()) - hopf.delta(A.xplus() + ys[1])]
         for s, t in itertools.product(ts, repeat=2):
             assert _layout(s * t) == _layout(_loop_tensor_mul(s, t)), (name, "A (x) A")
+
+
+# -- raw-data containers against the parent's Scalar-arithmetic loops --------------
+
+
+def _loop_delta(hopf, a: AmbiElement) -> Tensor:
+    """``delta`` as the parent's sum of c * d over the leg coproducts, on
+    Scalars."""
+    field = hopf.algebra.field
+    out = combine_scalars((key, Scalar(field, c) * d)
+                          for leg, c in _flatten(a).items()
+                          for key, d in scalars(hopf.delta_leg(leg)).items())
+    return Tensor._of(hopf.algebra, raw(out), 2)
+
+
+def _loop_antipode(hopf, a: AmbiElement) -> AmbiElement:
+    """``antipode`` as the parent's sum of c * S(leg), on Scalars inside
+    each base coefficient."""
+    A, field = hopf.algebra, hopf.algebra.field
+    out: dict = {}
+    for leg, c in _flatten(a).items():
+        for mn, r in hopf.antipode_leg(leg).coeffs.items():
+            term = {mono: s * Scalar(field, c) for mono, s in scalars(r).items()}
+            s = out.get(mn)
+            merged = term if s is None else combine_scalars(term.items(), dict(s))
+            if merged:
+                out[mn] = merged
+            else:
+                out.pop(mn, None)
+    return AmbiElement._of(A, {mn: BaseElement._of(A.base, raw(d)) for mn, d in out.items()})
+
+
+def _loop_counit(hopf, a: AmbiElement) -> Scalar:
+    base, field = hopf.base, hopf.algebra.field
+    acc = field.zero()
+    for mono, c in scalars(a.base_part()).items():
+        acc = acc + c * Scalar(field, base.counit_monomial(mono))
+    return acc
+
+
+def _loop_sum(x, y):
+    """x + y as the parent's ``combine`` on Scalars, down to the base
+    coefficients of an element of A."""
+    if not isinstance(x, AmbiElement):
+        return x._new(raw(combine_scalars(scalars(y).items(), scalars(x))))
+    out = dict(x.coeffs)
+    for mn, r in y.coeffs.items():
+        s = out.get(mn)
+        merged = r if s is None else _loop_sum(s, r)
+        if merged.coeffs:
+            out[mn] = merged
+        else:
+            out.pop(mn, None)
+    return x._new(out)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_raw_containers_match_the_scalar_loops(corpus, seed):
+    """Over Q (usl2), Q(zeta_8) (uqsl2-case3), Q(q) (quantum-affine) and
+    Q(zeta_3) (uqsl2-counit-root): products in R, A and A (x) A, delta,
+    antipode, counit and sums, cancelling ones among them, equal the
+    parent's loops on Scalar arithmetic in value and dict order at every
+    level. A scalar over Q(zeta_6), whose data has the layout of
+    Q(zeta_3), is refused by a Q(zeta_3) container, the field's one too."""
+    rng = random.Random(seed)
+    for name in ("usl2", "uqsl2-case3", "quantum-affine", "uqsl2-counit-root"):
+        hopf = corpus[name]
+        A, base = hopf.algebra, hopf.algebra.base
+        rs = [random_base_element(rng, base, max_support=3) for _ in range(2)]
+        for x, y in itertools.product(rs + [base.one()], repeat=2):
+            assert _layout(x * y) == _layout(_loop_base_mul(x, y)), (name, "R")
+            for s, t in ((x, y), (x, -x), (x - y, y)):
+                assert _layout(s + t) == _layout(_loop_sum(s, t)), (name, "R sum")
+        xs = [random_element(rng, hopf, max_terms=3, max_degree=2, base_support=2)
+              for _ in range(2)] + [A.embed(rs[0]) + A.xplus()]
+        for x, y in itertools.product(xs, repeat=2):
+            assert _layout(x * y) == _layout(_loop_ambi_mul(x, y)), (name, "A")
+            for s, t in ((x, y), (x, -x), (x - y, y), (x * y, -(y * x))):
+                assert _layout(s + t) == _layout(_loop_sum(s, t)), (name, "A sum")
+        for x in xs:
+            assert _layout(hopf.delta(x)) == _layout(_loop_delta(hopf, x)), (name, "delta")
+            assert _layout(hopf.antipode(x)) == _layout(_loop_antipode(hopf, x)), name
+            counit = hopf.counit(x)
+            assert counit == _loop_counit(hopf, x) and counit.field is A.field, name
+        ts = [hopf.delta(xs[0]), Tensor.of(xs[1], A.xminus()) - hopf.delta(xs[2])]
+        for s, t in itertools.product(ts, repeat=2):
+            assert _layout(s * t) == _layout(_loop_tensor_mul(s, t)), (name, "A (x) A")
+            assert _layout(s + t) == _layout(_loop_sum(s, t)), (name, "A (x) A sum")
+        assert _layout(ts[0] - ts[0]) == [], name
+        if name == "uqsl2-counit-root":
+            twin = CyclotomicField(6)
+            assert twin.one().data == A.field.one().data
+            for c in (twin.one(), twin.zeta()):
+                for refused in (lambda: xs[0].scale(c), lambda: rs[0].scale(c),
+                                lambda: ts[0].scale(c), lambda: base.from_scalar(c),
+                                lambda: Tensor(A, 1, {((base.one_monomial(), 0, 0),): c})):
+                    with pytest.raises(FieldMismatchError):
+                        refused()
+
+
+def test_warm_products_in_a_build_no_scalar(monkeypatch):
+    """50 seeded products in A over Q(zeta_8), repeated on warm caches,
+    build no ``Scalar`` and call the field's ``_mul`` a pinned number of
+    times, memo hits included; the parent's containers of Scalars built
+    512 of them for the same 498 calls."""
+    counts = {"scalar": 0, "mul": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    # patched before the build: a field binds its kernels once (Field._kernel)
+    monkeypatch.setattr(Scalar, "__init__", counting("scalar", Scalar.__init__))
+    monkeypatch.setattr(CyclotomicField, "_mul", counting("mul", CyclotomicField._mul))
+    hopf = CORPUS_BUILDERS["uqsl2-case3"]()  # no cache shared with another test
+    rng = random.Random(20261019)
+    pairs = [tuple(random_element(rng, hopf, max_terms=2, max_degree=2, base_support=2)
+                   for _ in range(2)) for _ in range(50)]
+    want = [a * b for a, b in pairs]
+    counts.update(scalar=0, mul=0)
+    assert [a * b for a, b in pairs] == want
+    assert counts == {"scalar": 0, "mul": 498}

@@ -25,7 +25,7 @@ from abhk.coradical import (
     sparse_support,
 )
 from abhk.exprparse import eval_expr, parse_expr, parse_spec, resolve_spec
-from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec, q_binomial
+from abhk.scalar import CyclotomicField, RationalFunctionField, Scalar, hat, prec, q_binomial
 from abhk.uqsl2 import UqSl2Base
 
 from conftest import CORPUS_BUILDERS, build_laurent, random_base_element, random_element
@@ -123,7 +123,7 @@ def _per_pair_mixed_closed(hopf, m, n) -> Tensor:
             products = alg.base.mul_monomials(yp_mono, ym_mono)
             (mono, extra), = products.items()
             out[((mono, j, k), (one_mono, m - j, n - k))] = (
-                bj * bk * cross * yp_scalar * ym_scalar * extra)
+                bj * bk * cross * yp_scalar * ym_scalar * Scalar(alg.field, extra))
     return Tensor(alg, 2, out)
 
 

@@ -26,10 +26,16 @@ from abhk import (
     Tensor,
     UqSl2Base,
     check_main_theorem,
+    construct_hopf,
     reduce_word,
 )
 from abhk.basehopf import BaseTensor
-from abhk.errors import AlgebraMismatchError, AutomorphismError, HopfDataError
+from abhk.errors import (
+    AlgebraMismatchError,
+    AutomorphismError,
+    FieldMismatchError,
+    HopfDataError,
+)
 from abhk.exprparse import EvalContext, eval_expr, parse_expr
 from abhk.scalar import cyclotomic_poly, q_factorial, q_int
 from conftest import build_usl2
@@ -50,6 +56,16 @@ def _translation():
     return BaseAutomorphism(R, {"t": t + R.one()}, {"t": t - R.one()})
 
 
+def _laurent_hopf(order):
+    """A Hopf extension of k[t, t^-1] over Q(zeta_order), chi(t) = zeta."""
+    field = CyclotomicField(order)
+    base = LaurentBase(field)
+    t = base.generator("t")
+    data = ExtensionData(base, Character(base, {"t": field.zeta()}), t, t, base.zero())
+    return construct_hopf(base, data)[0]
+
+
+H3, H6 = _laurent_hopf(3), _laurent_hopf(6)   # Q(zeta_3), Q(zeta_6): one data layout
 A = AmbiskewAlgebra(R, _translation(), R.generator("t"), QQ.one())   # U(sl2)
 B = AmbiskewAlgebra(S, _identity(S), S.zero(), C4.one())
 U = UqSl2Base(QQ, QQ.from_int(2))
@@ -66,6 +82,14 @@ REFUSALS = [
      HopfDataError, "h must be central in the base"),
     ("embed-foreign", lambda: A.embed(S.one()),
      AlgebraMismatchError, "element does not live in the base"),
+    ("monomial-foreign", lambda: A.monomial(S.one(), 1, 0),
+     AlgebraMismatchError, "element does not live in the base"),
+    ("scalar-foreign", lambda: R.generator("t").scale(C4.one()),
+     FieldMismatchError, "cannot mix rational and cyclotomic(4) scalars"),
+    ("expand-leg-foreign", lambda: H3.delta(H3.algebra.xplus()).expand_leg(0, H6.delta_leg),
+     AlgebraMismatchError, "Tensor operands belong to different algebras"),
+    ("map-leg-foreign", lambda: H3.delta(H3.algebra.xplus()).map_leg(1, H6.antipode_leg),
+     AlgebraMismatchError, "Tensor operands belong to different algebras"),
     ("negative-power", lambda: A.xplus() ** -1,
      ValueError, "negative powers are not defined in A"),
     ("tensor-foreign", lambda: Tensor.of(A.one(), B.one()),
@@ -149,6 +173,7 @@ def test_random_reduction_defaults_to_a_fixed_seed():
 def test_reprs_name_the_value():
     assert repr(QQ.from_int(2)) == "Scalar(2 over rational)"
     assert repr(R.generator("t")) == "BaseElement({1: Scalar(1 over rational)})"
+    assert repr(A.xplus()) == "AmbiElement({(1, 0): BaseElement({0: Scalar(1 over rational)})})"
 
 
 def test_fields_without_the_asked_root_of_unity():
