@@ -33,29 +33,28 @@ from .errors import AlgebraMismatchError, HopfDataError, UnsupportedBaseError
 from .scalar import Scalar
 
 
-# Scalars the normal forms in ``AmbiskewAlgebra._nf_cache`` and ``_word_cache``
-# may hold together before a miss clears both. Powers of (X+ + X-) on usl2 up
-# to ^64 hold at most 8,171 in words, and every benchmark algebra at most 39
-# in both; the product ``(X+ + X-)^20 * (X+ + X-)^20`` asks for 2,761 words of
-# 72,035 scalars and 400 normal forms of 18,438, nearly all of them once, and
-# unbounded words alone took that process from 22 to 32 MB.
+# Scalars the words in ``AmbiskewAlgebra._word_cache`` may hold before a miss
+# clears it. Powers of (X+ + X-) on usl2 up to ^64 hold at most 8,171, and
+# every benchmark algebra at most 39; the product ``(X+ + X-)^20 *
+# (X+ + X-)^20`` builds 4,522 words of 128,082 scalars, clears included, and
+# unbounded words took that process from 22 to 32 MB.
 _WORD_CACHE_LIMIT = 16384
 
 
 class AmbiskewAlgebra:
     """The ambiskew extension of a base algebra by X+ and X-.
 
-    Three caches live on each algebra, and nowhere else: ``_nf_cache``
-    holds the normal forms of X-^n X+^p, ``_leg_cache`` the leg products,
-    and ``_word_cache`` the normal forms of the words X+^m X-^n X+^p,
-    keyed by (m, n, p). A word is a function of its key and of the
+    Two caches live on each algebra, and nowhere else: ``_leg_cache`` holds
+    the leg products, and ``_word_cache`` the normal forms of the words
+    X+^m X-^n X+^p, keyed by (m, n, p); the normal forms of X-^n X+^p are
+    its words (0, n, p). A word is a function of its key and of the
     algebra's fixed (sigma, h, xi) alone, so a cached word is exactly the
     word the loop would rebuild; the product kernels raise its powers of
     X- by q as they read it, so the cache holds one word for every q. A
     word coefficient equal to the unit of R is stored as the shared
     ``base._one`` itself, so that the product kernels can skip it by
-    identity. A miss that finds the normal forms and words holding
-    ``_WORD_CACHE_LIMIT`` scalars together clears both caches first.
+    identity. A miss that finds the words holding ``_WORD_CACHE_LIMIT``
+    scalars clears the cache first.
     """
 
     def __init__(self, base: BaseAlgebra, sigma: BaseAutomorphism, h: BaseElement,
@@ -76,10 +75,9 @@ class AmbiskewAlgebra:
         self.xi = xi
         self.xi_inv = xi.inverse()
         self.field = base.field
-        self._nf_cache: dict = {}
         self._leg_cache: dict = {}
         self._word_cache: dict = {}
-        self._cached_scalars = 0  # scalars held by _nf_cache and _word_cache
+        self._cached_scalars = 0  # scalars held by _word_cache
         self._one_mono = base.one_monomial()
 
     def __eq__(self, other):
@@ -130,57 +128,48 @@ class AmbiskewAlgebra:
         combine(self.base, (((u, v - 1), corr),), out)
         return out
 
-    def _nf(self, n: int, p: int) -> dict:
-        """Normal form of X-^n X+^p."""
-        if n == 0 or p == 0:
-            return {(p, n): self.base.one()}
-        key = (n, p)
-        cached = self._nf_cache.get(key)
-        if cached is not None:
-            return cached
-        return self._store(self._nf_cache, key, combine(self.base, (
-            (ab, c * extra) for (u, v), c in self._nf(n, p - 1).items()
-            for ab, extra in self._rx(u, v).items())))
-
     def _word(self, m: int, n: int, p: int) -> dict:
-        """Normal form of X+^m X-^n X+^p, cached per (m, n, p): the terms
-        sigma^m(c) X+^(m+u) X-^v over the terms c X+^u X-^v of _nf(n, p).
+        """Normal form of X+^m X-^n X+^p, cached per (m, n, p). The word
+        (0, n, p) is the word (0, n, p - 1) times X+, each of its terms
+        rewritten by ``_rx``; a word with m > 0 is the terms
+        sigma^m(c) X+^(m+u) X-^v over the terms c X+^u X-^v of (0, n, p).
         A coefficient c equal to 1 is stored as ``base._one``, which is
         sigma^m(c), since sigma fixes 1. Callers only read the dict."""
         key = (m, n, p)
         word = self._word_cache.get(key)
         if word is None:
             one = self.base._one
-            apply = self.sigma.apply
-            word = self._store(self._word_cache, key, {
-                (m + u, v): one if c.coeffs == one.coeffs else apply(c, m)
-                for (u, v), c in self._nf(n, p).items()})
+            if not n or not p:
+                word = {(m + p, n): one}
+            elif m:
+                apply = self.sigma.apply
+                word = {(m + u, v): one if c is one else apply(c, m)
+                        for (u, v), c in self._word(0, n, p).items()}
+            else:
+                form = combine(self.base, (
+                    (ab, c * extra) for (u, v), c in self._word(0, n, p - 1).items()
+                    for ab, extra in self._rx(u, v).items()))
+                word = {uv: one if c.coeffs == one.coeffs else c for uv, c in form.items()}
+            if self._cached_scalars >= _WORD_CACHE_LIMIT:
+                self._word_cache.clear()
+                self._cached_scalars = 0
+            self._word_cache[key] = word
+            self._cached_scalars += sum(len(c.coeffs) for c in word.values())
         return word
-
-    def _store(self, cache: dict, key, form: dict) -> dict:
-        """Store a normal form in ``_nf_cache`` or ``_word_cache``, clearing
-        both first when they hold ``_WORD_CACHE_LIMIT`` scalars together."""
-        if self._cached_scalars >= _WORD_CACHE_LIMIT:
-            self._nf_cache.clear()
-            self._word_cache.clear()
-            self._cached_scalars = 0
-        cache[key] = form
-        self._cached_scalars += sum(len(c.coeffs) for c in form.values())
-        return form
 
     def leg_product(self, leg1, leg2) -> dict:
         """Cached flattened product of two legs (base monomial, m, n).
 
-        A miss is computed directly. With _nf(n1, m2) = sum c X+^u X-^v,
+        A miss is computed directly. With X-^n1 X+^m2 = sum c X+^u X-^v,
 
             r1 X+^m1 X-^n1 * r2 X+^m2 X-^n2
                 = sum r1 sigma^(m1-n1)(r2) sigma^m1(c) X+^(m1+u) X-^(v+n2)
 
-        over the terms (u, v), c of _nf(n1, m2): the terms of the cached
+        over the terms (u, v), c of that normal form: the terms of the cached
         word X+^m1 X-^n1 X+^m2, each multiplied on the left by
         r1 sigma^(m1-n1)(r2), and not at all when the word's coefficient
         is ``base._one``. Distinct (u, v) give distinct (m1 + u, v + n2), so
-        no two terms are added. When n1 or m2 is 0, _nf(n1, m2) is the one
+        no two terms are added. When n1 or m2 is 0, X-^n1 X+^m2 is the one
         term X+^m2 X-^n1 and sigma fixes 1, so the sum is the single term
         r1 sigma^(m1-n1)(r2) X+^(m1+m2) X-^(n1+n2).
 

@@ -323,6 +323,9 @@ class Sparse:
             return self.scale(other)
         return NotImplemented
 
+    # x * c for a number c; a subclass with a product of its own overrides it
+    __mul__ = __rmul__
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -434,25 +437,6 @@ class BaseTensor(Sparse):
             for m2, c2 in b.coeffs.items():
                 out[(m1, m2)] = c1 if c2 == one else c2 if c1 == one else mul(c1, c2)
         return cls._of(a.algebra, out)
-
-    def __mul__(self, other):
-        if not isinstance(other, Sparse):
-            return self.__rmul__(other)
-        self._check(other)
-        alg = self.algebra
-        field = alg.field
-        one, mul, _, _ = field._kernel
-        out: dict = {}
-        for (a1, a2), c1 in self.coeffs.items():
-            for (b1, b2), c2 in other.coeffs.items():
-                c = c1 if c2 == one else c2 if c1 == one else mul(c1, c2)
-                right = alg.mul_monomials(a2, b2).items()
-                for m1, e1 in alg.mul_monomials(a1, b1).items():
-                    d = c if e1 == one else e1 if c == one else mul(c, e1)
-                    combine(field, (((m1, m2), d if e2 == one else e2 if d == one else mul(d, e2))
-                                    for m2, e2 in right), out)
-        return self._new(out)
-
 
 # ---------------------------------------------------------------------------
 # structure maps on elements
@@ -569,27 +553,25 @@ def _wind(chi: Character, a: BaseElement, side: int) -> BaseElement:
 
 def adjoint_left(y: BaseElement, a: BaseElement) -> BaseElement:
     """ad_l(y)(a) = sum y_1 a S(y_2)."""
-    y._check(a)
-    alg = y.algebra
-    acc = alg.zero()
-    one = alg.field._one.data
-    for (m1, m2), c in base_delta(y).coeffs.items():
-        left = BaseElement._of(alg, {m1: c})
-        right = base_antipode(BaseElement._of(alg, {m2: one}))
-        acc = acc + left * a * right
-    return acc
+    return _adjoint(y, a, 1)
 
 
 def adjoint_right(y: BaseElement, a: BaseElement) -> BaseElement:
     """ad_r(y)(a) = sum S(y_1) a y_2."""
+    return _adjoint(y, a, 0)
+
+
+def _adjoint(y: BaseElement, a: BaseElement, side: int) -> BaseElement:
+    """sum y_1 a y_2 with S applied to tensorand ``side`` of Delta(y); the
+    coefficient of each term of Delta(y) rides on y_1."""
     y._check(a)
     alg = y.algebra
     acc = alg.zero()
     one = alg.field._one.data
     for (m1, m2), c in base_delta(y).coeffs.items():
-        left = base_antipode(BaseElement._of(alg, {m1: c}))
-        right = BaseElement._of(alg, {m2: one})
-        acc = acc + left * a * right
+        pair = [BaseElement._of(alg, {m1: c}), BaseElement._of(alg, {m2: one})]
+        pair[side] = base_antipode(pair[side])
+        acc = acc + pair[0] * a * pair[1]
     return acc
 
 

@@ -117,12 +117,11 @@ class HopfAmbiskewAlgebra:
 
     with Delta(X+-) = X+- (x) 1 + y+- (x) X+- and S(X+-) = -y+-^-1 X+-.
     ``delta_leg`` and ``antipode_leg`` cache these per leg; ``delta`` and
-    ``antipode`` are their linear extensions. ``_delta_x`` caches the
-    powers of Delta(X+-), and ``_s_x`` the products S(X-)^n S(X+)^m per
-    (m, n), so the antipode of a leg costs one product, and that of a base
-    leg (m = n = 0) or of a leg on the one monomial none: it is S(r) or
-    S(X-)^n S(X+)^m itself. The antipode's closed form is
-    checked against m(S (x) id)Delta(X+-) = 0 on construction.
+    ``antipode`` are their linear extensions. The powers of Delta(X+-) and
+    S(X+-) are the legs (1, p, 0) and (1, 0, p) of these caches, and
+    S(X-)^n S(X+)^m the leg (1, m, n), so the antipode of any other leg
+    costs one product. The antipode's closed form is checked against
+    m(S (x) id)Delta(X+-) = 0 on construction.
     """
 
     antipode_form = "-y^-1*X"
@@ -130,38 +129,23 @@ class HopfAmbiskewAlgebra:
     def __init__(self, algebra: AmbiskewAlgebra, data: ExtensionData):
         self.algebra = algebra
         self.data = data
-        self._dxp: list[Tensor] = []
-        self._dxm: list[Tensor] = []
         self._leg_delta: dict = {}
-        self._leg_antipode: dict = {}
-        self._s_x_cache: dict = {}
         minus_one = algebra.field.from_int(-1)
-        self._s_xp = algebra.monomial(invert_element(data.y_plus).scale(minus_one), 1, 0)
-        self._s_xm = algebra.monomial(invert_element(data.y_minus).scale(minus_one), 0, 1)
+        s_xp = algebra.monomial(invert_element(data.y_plus).scale(minus_one), 1, 0)
+        s_xm = algebra.monomial(invert_element(data.y_minus).scale(minus_one), 0, 1)
         # with Delta(X) = X (x) 1 + y (x) X the axiom reads S(X) + S(y) X = 0
-        for x, y, s_x in ((algebra.xplus(), data.y_plus, self._s_xp),
-                          (algebra.xminus(), data.y_minus, self._s_xm)):
+        for x, y, s_x in ((algebra.xplus(), data.y_plus, s_xp),
+                          (algebra.xminus(), data.y_minus, s_xm)):
             if not (s_x + algebra.embed(base_antipode(y)) * x).is_zero():
                 raise InternalError("S(X) = -y^-1 X fails the antipode axiom on X+-")
+        one = algebra.base.one_monomial()
+        self._leg_antipode: dict = {(one, 1, 0): s_xp, (one, 0, 1): s_xm}
 
     @property
     def base(self) -> BaseAlgebra:
         return self.algebra.base
 
     # -- structure maps on legs ----------------------------------------------
-
-    def _delta_x(self, sign: int, power: int) -> Tensor:
-        cache = self._dxp if sign > 0 else self._dxm
-        if not cache:
-            alg = self.algebra
-            x = alg.xplus() if sign > 0 else alg.xminus()
-            y = self.data.y_plus if sign > 0 else self.data.y_minus
-            unit = Tensor.of(alg.one(), alg.one())
-            step = Tensor.of(x, alg.one()) + Tensor.of(alg.embed(y), x)
-            cache.extend([unit, step])
-        while len(cache) <= power:
-            cache.append(cache[-1] * cache[1])
-        return cache[power]
 
     def delta_leg(self, leg) -> Tensor:
         """Delta(r X+^m X-^n) = spread * Delta(X+)^m * Delta(X-)^n, where
@@ -175,18 +159,43 @@ class HopfAmbiskewAlgebra:
         cached = self._leg_delta.get(leg)
         if cached is None:
             mono, m, n = leg
-            cached = None
-            if mono != self.base.one_monomial() or not (m or n):
-                cached = Tensor._of(self.algebra, {
-                    ((m1, 0, 0), (m2, 0, 0)): c
-                    for (m1, m2), c in self.base.delta_monomial(mono).items()
-                }, 2)
-            for sign, power in ((+1, m), (-1, n)):
-                if power:
-                    step = self._delta_x(sign, power)
-                    cached = step if cached is None else cached * step
+            one = self.base.one_monomial()
+            if mono == one and m + n == 1:  # Delta(X+-) = X+- (x) 1 + y+- (x) X+-
+                alg = self.algebra
+                x = alg.xplus() if m else alg.xminus()
+                y = self.data.y_plus if m else self.data.y_minus
+                cached = Tensor.of(x, alg.one()) + Tensor.of(alg.embed(y), x)
+            elif mono == one and not (m and n) and m + n:
+                cached = self._power_leg(self._leg_delta, leg,
+                                         self.delta_leg((one, min(m, 1), min(n, 1))))
+            else:
+                if mono != one or not (m or n):
+                    cached = Tensor._of(self.algebra, {
+                        ((m1, 0, 0), (m2, 0, 0)): c
+                        for (m1, m2), c in self.base.delta_monomial(mono).items()
+                    }, 2)
+                for power in (m, 0), (0, n):
+                    if any(power):
+                        step = self.delta_leg((one, *power))
+                        cached = step if cached is None else cached * step
             self._leg_delta[leg] = cached
         return cached
+
+    @staticmethod
+    def _power_leg(cache: dict, leg, first):
+        """A leg map's value at (1, p, 0) or (1, 0, p), p >= 2: the value at
+        the leg before it times ``first``, the value at X+ or X-. Powers
+        missing from ``cache`` are built and stored in a loop, not by
+        recursion: p can pass Python's recursion limit."""
+        mono, m, n = leg
+        dm, dn = min(m, 1), min(n, 1)
+        k = m + n - 1
+        while (mono, k * dm, k * dn) not in cache:  # stops at the first power
+            k -= 1
+        acc = cache[(mono, k * dm, k * dn)]
+        for j in range(k + 1, m + n + 1):
+            acc = cache[(mono, j * dm, j * dn)] = acc * first
+        return acc
 
     def counit_leg(self, leg) -> Scalar:
         mono, m, n = leg
@@ -199,30 +208,19 @@ class HopfAmbiskewAlgebra:
         cached = self._leg_antipode.get(leg)
         if cached is None:
             mono, m, n = leg
-            if (m or n) and mono == self.base.one_monomial():
-                # S(1) = 1: the leg's antipode is the shared S(X-)^n S(X+)^m
-                cached = self._s_x(m, n)
-            else:
+            one = self.base.one_monomial()
+            if mono != one or not (m or n):
                 # S(mono) is a nonzero combination (S is bijective): no filter
                 s_mono = BaseElement._of(self.base, self.base.antipode_monomial(mono))
                 cached = AmbiElement._of(self.algebra, {(0, 0): s_mono})
                 if m or n:
-                    cached = self._s_x(m, n) * cached
+                    cached = self.antipode_leg((one, m, n)) * cached
+            elif m and n:
+                cached = self.antipode_leg((one, 0, n)) * self.antipode_leg((one, m, 0))
+            else:  # S(X+-)^p with p >= 2: S(X+-) is stored on construction
+                cached = self._power_leg(self._leg_antipode, leg,
+                                         self.antipode_leg((one, min(m, 1), min(n, 1))))
             self._leg_antipode[leg] = cached
-        return cached
-
-    def _s_x(self, m: int, n: int) -> AmbiElement:
-        """S(X-)^n S(X+)^m, cached per (m, n); a single power when the
-        other exponent is 0."""
-        cached = self._s_x_cache.get((m, n))
-        if cached is None:
-            if not n:
-                cached = self._s_xp**m
-            elif not m:
-                cached = self._s_xm**n
-            else:
-                cached = self._s_xm**n * self._s_xp**m
-            self._s_x_cache[(m, n)] = cached
         return cached
 
     # -- their linear extensions to elements ---------------------------------

@@ -20,6 +20,7 @@ from abhk.basehopf import (
     LaurentBase,
     PolynomialBase,
     adjoint_left,
+    adjoint_right,
     base_antipode,
     base_coradical_degree,
     base_counit,
@@ -97,13 +98,27 @@ def _counit_char(base) -> Character:
     return Character(base, values)
 
 
+def _tensor_mul(x: BaseTensor, y: BaseTensor) -> BaseTensor:
+    """The product in R (x) R, term by term:
+    (c a1 (x) a2)(d b1 (x) b2) = c d a1 b1 (x) a2 b2."""
+    alg = x.algebra
+    one = alg.field.one()
+    out = BaseTensor(alg, {})
+    for (a1, a2), c in scalars(x).items():
+        for (b1, b2), d in scalars(y).items():
+            left = BaseElement(alg, {a1: one}) * BaseElement(alg, {b1: one})
+            right = BaseElement(alg, {a2: one}) * BaseElement(alg, {b2: one})
+            out = out + BaseTensor.of(left, right).scale(c * d)
+    return out
+
+
 @pytest.mark.parametrize("name,base", all_families())
 def test_delta_is_an_algebra_map_on_random_pairs(name, base):
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(200):
         a = random_base_element(rng, base, max_support=3)
         b = random_base_element(rng, base, max_support=3)
-        assert base_delta(a * b) == base_delta(a) * base_delta(b)
+        assert base_delta(a * b) == _tensor_mul(base_delta(a), base_delta(b))
 
 
 def test_base_mul_examples():
@@ -244,6 +259,37 @@ def test_adjoint_is_conjugation_for_grouplikes():
     k, e = uq.generator("K"), uq.generator("E")
     assert adjoint_left(k, e) == k * e * invert_element(k)
     assert adjoint_left(k, e) == e.scale(ff.q() ** 2)
+
+
+def _parent_adjoint(y: BaseElement, a: BaseElement, left_side: bool) -> BaseElement:
+    """The former separate bodies of ``adjoint_left`` (sum y_1 a S(y_2)) and
+    ``adjoint_right`` (sum S(y_1) a y_2), term by term."""
+    alg = y.algebra
+    acc = alg.zero()
+    one = alg.field._one.data
+    for (m1, m2), c in base_delta(y).coeffs.items():
+        left = BaseElement._of(alg, {m1: c})
+        right = BaseElement._of(alg, {m2: one})
+        if left_side:
+            right = base_antipode(right)
+        else:
+            left = base_antipode(left)
+        acc = acc + left * a * right
+    return acc
+
+
+@pytest.mark.parametrize("name,base", all_families())
+def test_adjoints_match_the_separate_loops(name, base):
+    """Both adjoint actions equal the loops they replaced, in value and in
+    term order, on random elements y and a."""
+    rng = random.Random(hash(name) & 0xFFFF)
+    for _ in range(20):
+        y = random_base_element(rng, base, max_support=3)
+        a = random_base_element(rng, base, max_support=3)
+        for fn, left_side in ((adjoint_left, True), (adjoint_right, False)):
+            got, want = fn(y, a), _parent_adjoint(y, a, left_side)
+            assert got == want, (name, fn.__name__)
+            assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, fn.__name__)
 
 
 def test_automorphism_rejects_bad_images():
@@ -502,7 +548,7 @@ def test_base_containers_never_store_zero(seed):
             assert_no_zero(x)
         assert (a - a).coeffs == {}, name
         ta, tb = BaseTensor.of(a, b), BaseTensor.of(b, c)
-        for x in (ta + tb, ta - tb, ta * tb, (ta + tb) - tb, ta.scale(zero), ta.scale(two)):
+        for x in (ta + tb, ta - tb, (ta + tb) - tb, ta.scale(zero), ta.scale(two)):
             assert_no_zero(x)
         assert (ta - ta).coeffs == {}, name
         chi = _counit_character(base)
@@ -535,6 +581,7 @@ def test_base_containers_reject_foreign_operands():
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(AlgebraMismatchError):
             op(a, b)
+    for op in (operator.add, operator.sub):
         with pytest.raises(AlgebraMismatchError):
             op(BaseTensor.of(a, a), BaseTensor.of(b, b))
 

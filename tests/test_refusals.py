@@ -139,6 +139,7 @@ UNKNOWN_OPERANDS = [
     ("scalar-truediv", lambda: QQ.one() / None),
     ("scalar-pow", lambda: QQ.one() ** 0.5),
     ("base-rmul", lambda: None * R.one()),
+    ("base-tensor-mul", lambda: BaseTensor.of(R.one(), R.one()) * BaseTensor.of(R.one(), R.one())),
 ]
 
 
