@@ -110,9 +110,18 @@ class BaseAlgebra:
 
     # The structure maps give raw field data, free of zeros, as containers hold it.
 
+    # A fact of the family, not a setting: when the basis monomials form a
+    # monoid under the product, so that the product of two monomials is one
+    # monomial with coefficient 1, this is that monoid's product (monomial,
+    # monomial) -> monomial. ``BaseElement.__mul__`` then keys each product
+    # of coefficients by it, with no structure dict. None for a family whose
+    # monomial products are sums (U_q(sl2)), which overrides ``mul_monomials``.
+    monomial_product = None
+
     def mul_monomials(self, a, b) -> dict:
-        """Product of two basis monomials as a monomial -> data mapping."""
-        raise NotImplementedError
+        """Product of two basis monomials as a monomial -> data mapping: by
+        default the one monomial ``monomial_product(a, b)`` with coefficient 1."""
+        return {self.monomial_product(a, b): self.field._one.data}
 
     def delta_monomial(self, mono) -> dict:
         """Coproduct of a basis monomial as a (mono, mono) -> data mapping."""
@@ -352,9 +361,17 @@ class BaseElement(Sparse):
     takes n - 1 products starting from x, so it never multiplies by the
     unit either.
 
-    Inside the loop, a coefficient or ``mul_monomials`` structure
-    coefficient equal to one is not multiplied: the product is the other
-    factor.
+    Two kernel loops, which build equal dicts. On a family that states a
+    ``monomial_product`` (polynomial, Laurent, group), each product of
+    coefficients c1 c2 is keyed by ``monomial_product(m1, m2)``: no
+    structure dict is built and no structure coefficient is tested. The
+    general loop (U_q(sl2)) reads every term of ``mul_monomials(m1, m2)``.
+    On a monoid family that dict is ``{monomial_product(m1, m2): 1}``, and a
+    structure coefficient equal to one is not multiplied, so both loops add
+    the same data under the same keys in the same order.
+
+    Inside either loop, a coefficient equal to one is not multiplied: the
+    product is the other factor.
     """
 
     __slots__ = ()
@@ -377,10 +394,24 @@ class BaseElement(Sparse):
             return self
         if self.coeffs == alg._one.coeffs:
             return other
-        words = alg.mul_monomials
         one, mul, add, is_zero = alg.field._kernel
         out: dict = {}  # the combine loop written inline: the hottest loop
         get = out.get
+        product = alg.monomial_product
+        if product is not None:
+            for m1, c1 in self.coeffs.items():
+                for m2, c2 in other.coeffs.items():
+                    m = product(m1, m2)
+                    v = c2 if c1 == one else c1 if c2 == one else mul(c1, c2)
+                    s = get(m)  # v is nonzero: only the sum can cancel
+                    if s is None:
+                        out[m] = v
+                    elif is_zero(v := add(s, v)):
+                        del out[m]
+                    else:
+                        out[m] = v
+            return self._new(out)
+        words = alg.mul_monomials
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 c = c2 if c1 == one else c1 if c2 == one else mul(c1, c2)
@@ -575,6 +606,11 @@ def _adjoint(y: BaseElement, a: BaseElement, side: int) -> BaseElement:
     return acc
 
 
+# Scalars the images in ``BaseAutomorphism._image_cache`` may hold before a
+# miss clears it.
+_IMAGE_CACHE_LIMIT = 16384
+
+
 class BaseAutomorphism:
     """Algebra automorphism of R stored as generator images plus the
     generator images of its inverse.
@@ -592,9 +628,15 @@ class BaseAutomorphism:
     monomial's eigenvalue is inverted once. Eigenvalues are cached as raw
     field data; one equal to 1 is stored as the field's shared
     ``_one.data``, and the diagonal loop does not multiply by it. Otherwise
-    ``_image_cache``
-    holds the image of a monomial under sigma or sigma^-1 under the key
-    (mono, +-1).
+    ``_image_cache`` holds the image of a monomial under sigma**power under
+    the key (mono, power): sigma^p(a) is the sum of c sigma^p(mono) over
+    the terms c mono of a. A missing power is built in a loop, not by
+    recursion, from the highest cached lower power of the same sign (or
+    from the monomial itself), one step of sigma or sigma^-1 at a time, and
+    every power passed is stored. One step maps each monomial through the
+    generator images, under the key (mono, +-1). A miss that finds the
+    images holding ``_IMAGE_CACHE_LIMIT`` scalars clears the cache first,
+    as ``AmbiskewAlgebra._word_cache`` is bounded.
 
     The inverse checks need no image when every generator is one monomial
     g = d mono that both ``images`` and ``inverse_images`` send to a
@@ -616,6 +658,7 @@ class BaseAutomorphism:
         self.inverse_images = dict(inverse_images)
         self._cache: dict = {}
         self._image_cache: dict = {}
+        self._image_scalars = 0  # scalars held by _image_cache
         self.diagonal = None
         forward = _scalar_images(gens, self.images)
         backward = None if forward is None else _scalar_images(gens, self.inverse_images)
@@ -656,18 +699,46 @@ class BaseAutomorphism:
                 # eigenvalues of an automorphism are nonzero
                 out[mono] = c if eig is one else eig if c == one else mul(c, eig)
             return BaseElement._of(self.algebra, out)
-        images = self.images if power > 0 else self.inverse_images
-        out = self.algebra.zero()
+        return self._sum_images(a, power)
+
+    def _sum_images(self, a: BaseElement, power: int) -> BaseElement:
+        """The sum of c sigma^power(mono) over the terms c mono of a, for a
+        sigma that is not diagonal, added in the order of a's terms."""
+        field = self.algebra.field
+        one, mul, _, _ = field._kernel
+        out: dict = {}
         for mono, c in a.coeffs.items():
-            key = (mono, 1 if power > 0 else -1)
-            img = self._image_cache.get(key)
-            if img is None:
-                img = self.algebra.evaluate(images, mono, self.algebra.one())
-                self._image_cache[key] = img
-            out = out + img._scale(c)
-        if abs(power) > 1:
-            return self.apply(out, power - 1 if power > 0 else power + 1)
-        return out
+            img = self._power_image(mono, power).coeffs.items()
+            if c != one:
+                img = ((m, c if v == one else mul(v, c)) for m, v in img)
+            combine(field, img, out)
+        return BaseElement._of(self.algebra, out)
+
+    def _power_image(self, mono, power: int) -> BaseElement:
+        """sigma**power of one monomial, power != 0, from ``_image_cache``."""
+        cache = self._image_cache
+        img = cache.get((mono, power))
+        if img is not None:
+            return img
+        alg = self.algebra
+        step = 1 if power > 0 else -1
+        done = power - step
+        while done and (mono, done) not in cache:
+            done -= step
+        img = cache.get((mono, done))  # None when done is 0: the first step evaluates
+        while done != power:
+            done += step
+            if done == step:
+                images = self.images if step > 0 else self.inverse_images
+                img = alg.evaluate(images, mono, alg.one())
+            else:
+                img = self._sum_images(img, step)
+            if self._image_scalars >= _IMAGE_CACHE_LIMIT:
+                cache.clear()
+                self._image_scalars = 0
+            cache[(mono, done)] = img
+            self._image_scalars += len(img.coeffs)
+        return img
 
     def is_identity(self) -> bool:
         return all(self.images[name] == g for name, g in self.algebra.generators.items())
@@ -731,11 +802,10 @@ class OneVariableBase(BaseAlgebra):
             raise KeyError(name)
         return self.element({power: self.field.one()})
 
+    monomial_product = operator.add
+
     def monomial_factors(self, mono):
         return [("t", mono)] if mono else []
-
-    def mul_monomials(self, a, b):
-        return {a + b: self.field._one.data}
 
     def check_scalar_map(self, values):
         pass  # t is free, or a unit on which Character refuses zero
@@ -877,8 +947,8 @@ class GroupBase(BaseAlgebra):
     def invert_monomial(self, mono):
         return self._reduce(-e for e in mono)
 
-    def mul_monomials(self, a, b):
-        return {self._reduce(x + y for x, y in zip(a, b)): self.field._one.data}
+    def monomial_product(self, a, b):
+        return self._reduce(map(operator.add, a, b))
 
     def delta_monomial(self, mono):
         return {(mono, mono): self.field._one.data}

@@ -559,6 +559,12 @@ class RationalFunctionField(Field):
         products of the reduced pairs are coprime and only the content
         is left.
     * ``_add``: a zero operand returns the other, and
+      - all four sides single terms, c*q^e/d + c'*q^e'/d' with e, e' the
+        exponents of q: for e = e' the sum is (c*d' + c'*d)*q^e / (d*d'),
+        zero or one term reduced by one ``math.gcd``; otherwise it is
+        q^k*(c*d'*q^(e-k) + c'*d*q^(e'-k)) / (d*d') with k = min(e, e'),
+        a two-term side with a nonzero constant term over an integer times
+        a power of q, so only the content is left: no ``poly_mul``;
       - over equal denominators the sum is (an + bn)/ad, reduced against
         ``ad`` alone;
       - when ``ad`` or ``bd`` is a single term d*q^j, the sum is
@@ -598,6 +604,32 @@ class RationalFunctionField(Field):
             return b
         if not bn:
             return a
+        if (an.count(0) == len(an) - 1 and ad.count(0) == len(ad) - 1
+                and bn.count(0) == len(bn) - 1 and bd.count(0) == len(bd) - 1):
+            # c q^e / d + c' q^e' / d', with d, d' > 0
+            c, d, e = an[-1], ad[-1], len(an) - len(ad)
+            c2, d2, e2 = bn[-1], bd[-1], len(bn) - len(bd)
+            den = d * d2
+            if e == e2:
+                num = c * d2 + c2 * d
+                if not num:
+                    return ((), (1,))
+                g = math.gcd(num, den)
+                if g != 1:
+                    num, den = num // g, den // g
+                if e >= 0:
+                    return ((0,) * e + (num,), (den,))
+                return ((num,), (0,) * -e + (den,))
+            # q^low (x + y q^(high - low)) / (d d'): x != 0, so the sides
+            # share no power of q and only the content is left
+            if e < e2:
+                low, high, x, y = e, e2, c * d2, c2 * d
+            else:
+                low, high, x, y = e2, e, c2 * d, c * d2
+            num = (x,) + (0,) * (high - low - 1) + (y,)
+            if low >= 0:
+                return _content_free((0,) * low + num, (den,))
+            return _content_free(num, (0,) * -low + (den,))
         if ad == bd:
             num = poly_add(an, bn)
             if not num:

@@ -48,8 +48,8 @@ ALLOWED = [
     *[("basehopf", f"BaseAlgebra.{name}", "raise NotImplementedError",
        "abstract stub: every base family overrides it")
       for name in ("key", "one_monomial", "generator", "generator_info", "monomial_factors",
-                   "monomial_sort_key", "invert_monomial", "mul_monomials",
-                   "delta_monomial", "counit_monomial", "antipode_monomial",
+                   "monomial_sort_key", "invert_monomial", "delta_monomial",
+                   "counit_monomial", "antipode_monomial",
                    "coradical_degree_monomial", "check_scalar_map", "check_endo_map",
                    "grouplike_generators")],
     ("scalar", "Field.from_fraction", "raise NotImplementedError",

@@ -16,6 +16,7 @@ from abhk.ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _flatten, reduce
 from abhk.basehopf import (
     BaseElement,
     Character,
+    GroupBase,
     LaurentBase,
     PolynomialBase,
     Sparse,
@@ -367,15 +368,17 @@ def test_extension_containers_reject_foreign_operands(corpus):
 # -- unit short-cuts against the kernel loops they skip ---------------------------
 
 
-def _loop_base_mul(a: BaseElement, b: BaseElement) -> BaseElement:
+def _loop_base_mul(a: BaseElement, b: BaseElement, words=None) -> BaseElement:
     """``BaseElement.__mul__`` as the kernel loop on ``Scalar`` arithmetic,
-    with no unit short-cut of the container."""
+    with no unit short-cut of the container; ``words`` gives the product of
+    two monomials as a mapping (by default the base's ``mul_monomials``)."""
     field = a.algebra.field
+    words = words or a.algebra.mul_monomials
     out: dict = {}
     for m1, c1 in scalars(a).items():
         for m2, c2 in scalars(b).items():
             c = c1 * c2
-            for m, extra in a.algebra.mul_monomials(m1, m2).items():
+            for m, extra in words(m1, m2).items():
                 v = c * Scalar(field, extra)
                 s = out.get(m)
                 if s is None:
@@ -385,6 +388,96 @@ def _loop_base_mul(a: BaseElement, b: BaseElement) -> BaseElement:
                 else:
                     out[m] = v
     return BaseElement._of(a.algebra, raw(out))
+
+
+def _stated_words(base):
+    """The monomial product of a commutative family as this test states it,
+    with no use of ``monomial_product``: exponents of t add, and group
+    exponents add coordinate by coordinate, the torsion ones mod their order."""
+    one = base.field._one.data
+    if base.family != "group":
+        return lambda a, b: {a + b: one}
+
+    def words(a, b):
+        exps = [x + y for x, y in zip(a, b)]
+        for i, order in enumerate(base.torsion):
+            exps[base.rank + i] %= order
+        return {tuple(exps): one}
+    return words
+
+
+_MONOID_FIELDS = (QQ, RationalFunctionField(), CyclotomicField(8), CyclotomicField(3))
+
+
+def _monoid_bases(field):
+    return [PolynomialBase(field), LaurentBase(field), GroupBase(field, 2),
+            GroupBase(field, 1, (3,)), GroupBase(field, 0, (2, 4))]
+
+
+@st.composite
+def monoid_products(draw):
+    """A commutative base over Q, Q(q), Q(zeta_8) or Q(zeta_3), and two
+    elements of it. Monomials come from a small box and coefficients from
+    +-1, +-2, +-q and +-zeta, so products often land on one monomial and
+    their sums often cancel; half the draws add m - m' to b, two terms of
+    opposite sign whose products with a meet whenever m and m' are moved
+    onto one monomial by a's support."""
+    field = draw(st.sampled_from(_MONOID_FIELDS))
+    base = draw(st.sampled_from(_monoid_bases(field)))
+    units = [field.from_int(k) for k in (1, -1, 2, -2)]
+    if field.kind == "rational-function":
+        units += [field.q(), -field.q(), field.q(-1)]
+    elif field.kind == "cyclotomic":
+        units += [field.zeta(), -field.zeta(), field.zeta(-1)]
+    if base.family == "polynomial":
+        monos = st.integers(0, 3)
+    elif base.family == "laurent":
+        monos = st.integers(-2, 2)
+    else:
+        monos = st.tuples(*[st.integers(-2, 2)] * base.ngens).map(
+            lambda e: e[:base.rank] + tuple(x % m for x, m in zip(e[base.rank:], base.torsion)))
+    terms = st.lists(st.tuples(monos, st.sampled_from(units)), min_size=1, max_size=4)
+
+    def element(pairs):
+        out = base.zero()
+        for mono, c in pairs:
+            out = out + BaseElement(base, {mono: c})
+        return out
+    a, b = element(draw(terms)), element(draw(terms))
+    if draw(st.booleans()):
+        m, m2 = draw(monos), draw(monos)
+        b = b + element([(m, units[0]), (m2, units[1])])
+    return base, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(monoid_products())
+def test_monoid_loop_matches_the_general_loop(case):
+    """``BaseElement.__mul__`` on a family with a ``monomial_product`` (the
+    monoid loop) equals the general kernel loop on the family's product as
+    stated here, in value and dict order, with cancelling sums drawn; the
+    default ``mul_monomials`` agrees with it."""
+    base, a, b = case
+    words = _stated_words(base)
+    for x, y in ((a, b), (b, a), (a, a), (a - b, a + b)):
+        got, want = x * y, _loop_base_mul(x, y, words)
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), (base.key(), x, y)
+        for m1 in x.coeffs:
+            for m2 in y.coeffs:
+                assert base.mul_monomials(m1, m2) == words(m1, m2)
+
+
+def test_monoid_loop_cancels_to_the_general_loop():
+    """(g + 1)(g - 1) = g^2 - 1 and (g + g^2)(g - 1) = g^3 - g cancel inside
+    the monoid loop exactly as in the general loop, on the last generator g
+    of every commutative family."""
+    for field in _MONOID_FIELDS:
+        for base in _monoid_bases(field):
+            g, one = base.generator(base.generator_info()[-1].name), base.one()
+            pairs = [(g + one, g - one), (g + g * g, g - one)]
+            for x, y in pairs:
+                got, want = x * y, _loop_base_mul(x, y, _stated_words(base))
+                assert list(got.coeffs.items()) == list(want.coeffs.items()), base.key()
 
 
 def _parent_nf(A: AmbiskewAlgebra, n: int, p: int) -> dict:
@@ -754,3 +847,33 @@ def test_warm_products_in_a_build_no_scalar(monkeypatch):
     counts.update(scalar=0, mul=0)
     assert [a * b for a, b in pairs] == want
     assert counts == {"scalar": 0, "mul": 498}
+
+
+def test_warm_products_on_a_monoid_base_build_no_structure_dict(monkeypatch):
+    """50 seeded products in A on uqsl2-variant (a Laurent base over Q(q)),
+    cold and then on warm caches, make no ``mul_monomials`` call: every
+    product in R runs the monoid loop. They call ``_mul`` of Q(q) as often
+    as the general loop did (which also made 388 and 376
+    ``mul_monomials`` calls)."""
+    counts = {"words": 0, "mul": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    # patched before the build: a field binds its kernels once (Field._kernel)
+    monkeypatch.setattr(LaurentBase, "mul_monomials", counting("words", LaurentBase.mul_monomials))
+    monkeypatch.setattr(RationalFunctionField, "_mul",
+                        counting("mul", RationalFunctionField._mul))
+    hopf = CORPUS_BUILDERS["uqsl2-variant"]()  # no cache shared with another test
+    rng = random.Random(20261020)
+    pairs = [tuple(random_element(rng, hopf, max_terms=2, max_degree=2, base_support=2)
+                   for _ in range(2)) for _ in range(50)]
+    counts.update(words=0, mul=0)
+    want = [a * b for a, b in pairs]
+    assert counts == {"words": 0, "mul": 434}
+    counts.update(words=0, mul=0)
+    assert [a * b for a, b in pairs] == want
+    assert counts == {"words": 0, "mul": 387}

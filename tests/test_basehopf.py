@@ -6,11 +6,13 @@ from __future__ import annotations
 import functools
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abhk import basehopf
 from abhk.basehopf import (
     BaseAutomorphism,
     BaseElement,
@@ -326,7 +328,7 @@ def _inverts_by_images(algebra, images, inverse_images) -> bool:
     sigma = object.__new__(BaseAutomorphism)
     sigma.algebra = algebra
     sigma.images, sigma.inverse_images = dict(images), dict(inverse_images)
-    sigma._cache, sigma._image_cache, sigma.diagonal = {}, {}, None
+    sigma._cache, sigma._image_cache, sigma._image_scalars, sigma.diagonal = {}, {}, 0, None
     return all(sigma.apply(sigma.apply(gen, -1), 1) == gen
                and sigma.apply(sigma.apply(gen, 1), -1) == gen
                for gen in algebra.generators.values())
@@ -521,6 +523,111 @@ def test_sigma_eigenvalue_cache_matches_uncached(corpus):
                 if power:
                     assert all((mono, power) in sigma._cache for mono in a.coeffs)
                 assert sigma.apply(a, power) == want, (name, power)
+
+
+def _parent_apply(sigma, a, power, steps):
+    """``BaseAutomorphism.apply`` of the image path before the per-power
+    cache: one step of sigma or sigma^-1, each monomial mapped through the
+    generator images (memoized in ``steps`` under (mono, +-1)), then the
+    same on the result with |power| one less, by recursion."""
+    if power == 0 or a.is_zero():
+        return a
+    alg = a.algebra
+    images = sigma.images if power > 0 else sigma.inverse_images
+    out = alg.zero()
+    for mono, c in a.coeffs.items():
+        key = (mono, 1 if power > 0 else -1)
+        if key not in steps:
+            steps[key] = alg.evaluate(images, mono, alg.one())
+        out = out + steps[key]._scale(c)
+    if abs(power) > 1:
+        return _parent_apply(sigma, out, power - 1 if power > 0 else power + 1, steps)
+    return out
+
+
+def _sigma_cases(rng, base):
+    """Single terms c*mono (the unit, each generator, each monomial of two
+    random elements, each with a random coefficient) and the random
+    elements themselves."""
+    randoms = [random_base_element(rng, base, max_support=3) for _ in range(2)]
+    monos = [base.one_monomial()] + [m for g in base.generators.values() for m in g.coeffs]
+    monos += [m for a in randoms for m in a.coeffs]
+    units = [base.field.from_int(k) for k in (1, -1, 2, 3)]
+    return [BaseElement(base, {m: rng.choice(units)}) for m in monos], randoms
+
+
+def _assert_parent_powers(sigma, powers, terms, elements, steps, label):
+    """sigma^p equals the parent's recursion in value on every element and,
+    on every single term, in dict order too. On a sum the order can differ
+    where a partial sum cancels: usl2's sigma^-2(1 + t) is t - 1, whose
+    key t comes first in the parent's steps (1 cancels against sigma^-1(t) =
+    t - 1) and last in the sum of the cached sigma^-2(1) = 1 and
+    sigma^-2(t) = t - 2."""
+    for p in powers:
+        for a in terms:
+            got, want = sigma.apply(a, p), _parent_apply(sigma, a, p, steps)
+            assert list(got.coeffs.items()) == list(want.coeffs.items()), (label, p, a)
+        for a in elements:
+            assert sigma.apply(a, p) == _parent_apply(sigma, a, p, steps), (label, p, a)
+
+
+def test_sigma_powers_match_the_parent_recursion(corpus):
+    """sigma^p for p in -40..40, drawn in a shuffled order, on every corpus
+    sigma built afresh (so its caches start empty), against the parent's
+    recursion. The recursion's steps are valid on a diagonal sigma too,
+    where they reach every eigenvalue through the images."""
+    rng = random.Random(20261020)
+    for source in _corpus_sigmas(corpus):
+        sigma = BaseAutomorphism(source.algebra, source.images, source.inverse_images)
+        terms, elements = _sigma_cases(rng, sigma.algebra)
+        powers = list(range(-40, 41))
+        rng.shuffle(powers)
+        _assert_parent_powers(sigma, powers, terms, elements, {}, sigma.algebra.key())
+
+
+def test_a_sum_may_order_its_keys_unlike_the_parent():
+    """The case named in ``_assert_parent_powers``: equal values, keys in
+    another order."""
+    base = PolynomialBase(QQ)
+    t, one = base.generator("t"), base.one()
+    sigma = BaseAutomorphism(base, {"t": t + one}, {"t": t - one})
+    got, want = sigma.apply(one + t, -2), _parent_apply(sigma, one + t, -2, {})
+    assert got == want == t - one
+    assert list(got.coeffs) == [0, 1] and list(want.coeffs) == [1, 0]
+
+
+def test_sigma_powers_pass_the_recursion_limit(usl2):
+    """On usl2, sigma(t) = t + 1, so sigma^p(t^2 - 3t) = (t + p)^2 - 3(t + p)
+    for p past the recursion limit, either sign."""
+    base = usl2.algebra.sigma.algebra
+    t, one = base.generator("t"), base.one()
+    limit = sys.getrecursionlimit() + 10
+    for p in (limit, -limit):
+        sigma = BaseAutomorphism(base, usl2.algebra.sigma.images,
+                                 usl2.algebra.sigma.inverse_images)
+        shifted = t + one.scale(QQ.from_int(p))
+        assert sigma.apply(t * t - t.scale(QQ.from_int(3)), p) == (
+            shifted * shifted - shifted.scale(QQ.from_int(3)))
+
+
+def test_a_full_image_cache_clears_and_powers_stay_exact(monkeypatch, corpus):
+    """With a limit of 8 scalars, the per-power image cache of a sigma that
+    is not diagonal clears again and again, keeps its count of held
+    scalars, and every power still equals the parent's recursion."""
+    monkeypatch.setattr(basehopf, "_IMAGE_CACHE_LIMIT", 8)
+    rng = random.Random(20261021)
+    for name in ("usl2", "solvable"):
+        source = corpus[name].algebra.sigma
+        assert source.diagonal is None, name
+        sigma = BaseAutomorphism(source.algebra, source.images, source.inverse_images)
+        terms, elements = _sigma_cases(rng, sigma.algebra)
+        steps, sizes = {}, []
+        for p in (*range(1, 13), *range(-1, -13, -1)):
+            _assert_parent_powers(sigma, [p], terms, elements, steps, name)
+            assert sigma._image_scalars == sum(
+                len(img.coeffs) for img in sigma._image_cache.values()), (name, p)
+            sizes.append(len(sigma._image_cache))
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), (name, sizes)
 
 
 # -- the sparse-container contract -----------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from math import comb
 
 import pytest
 
@@ -93,6 +94,25 @@ def test_coprod_and_antipode(capsys):
     assert code == 0
     assert "result: -X+" in out
     assert "antipode-form: -y^-1*X" in out
+
+
+def _xplus(k):
+    return "1" if k == 0 else "X+" if k == 1 else f"X+^{k}"
+
+
+def test_a_power_past_the_recursion_limit_has_a_coproduct_and_an_antipode(capsys):
+    """X+^1024 on usl2, whose sigma (t -> t + 1) is not diagonal: sigma^p is
+    built in a loop, so no power of it overruns the recursion limit. X+ is
+    primitive there, so Delta(X+^1024) is the binomial sum, and S(X+^1024) =
+    (-X+)^1024 = X+^1024."""
+    expr = "X+^256*X+^256*X+^256*X+^256"
+    code, out, err = run(capsys, "antipode", str(CORPUS / "usl2.abhk"), expr)
+    assert (code, out, err) == (0, "result: X+^1024\nantipode-form: -y^-1*X\n", "")
+    code, out, err = run(capsys, "coprod", str(CORPUS / "usl2.abhk"), expr)
+    terms = [("" if comb(1024, k) == 1 else f"{comb(1024, k)}*") + f"{_xplus(k)} (x) "
+             f"{_xplus(1024 - k)}" for k in range(1025)]
+    assert (code, err) == (0, "")
+    assert out == "result: " + "  +  ".join(terms) + "\n"
 
 
 def test_props_machine_format(capsys):

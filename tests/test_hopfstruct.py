@@ -540,7 +540,10 @@ def test_trichotomy_nonempty_over_random_grid():
 # ``unit_generators``, a gcd on a cross pair with a single-term member, a
 # Q(zeta_N) product or inverse recomputed instead of read from its memo, a
 # Q(q) product by a single-term factor or a sum over a single-term
-# denominator that multiplies polynomials instead of scaling and shifting).
+# denominator that multiplies polynomials instead of scaling and shifting,
+# or a sum of two single terms that multiplies polynomials instead of
+# adding integers; the parent of that sum read 26 and 18 polynomial
+# products on ``uqsl2`` and ``uqsl2-general``).
 # ``uqsl2-general`` routes through the change of variables, and its cold
 # build is the one that runs Q(q) gcds. The last two columns count the
 # ``Scalar`` objects built (containers hold raw field data, so a rise means a
@@ -555,8 +558,8 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
     #                           Q(q) polynomial products, Scalars built,
     #                           field _mul and _add calls)
     "uqsl2-case3": (41, 68, 6, 70, 103, 21, 4, 0, 59, 8, 0, 182, 150),
-    "uqsl2": (35, 64, 6, 42, 79, 21, 4, 0, 0, 0, 26, 139, 87),
-    "uqsl2-general": (22, 48, 6, 27, 80, 6, 2, 5, 0, 0, 18, 72, 43),
+    "uqsl2": (35, 64, 6, 42, 79, 21, 4, 0, 0, 0, 8, 139, 87),
+    "uqsl2-general": (22, 48, 6, 27, 80, 6, 2, 5, 0, 0, 9, 72, 43),
     "usl2": (3, 21, 2, 8, 16, 6, 2, 0, 0, 0, 0, 48, 13),
 }
 

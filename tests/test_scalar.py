@@ -651,10 +651,25 @@ def quotient_pairs(draw):
       they may then share;
     * ``sum-to``: ``b`` is c - a for a drawn c, so the sum cancels the
       least common denominator down to c's: gcd(t, g) != 1 in Henrici's
-      addition."""
+      addition;
+    * ``single-terms``: ``a`` and ``b`` are c*q^e/d and c'*q^e'/d' with e
+      and e' in -4..4, at equal exponents, at different ones, or with
+      b = -a: the sum of four single-term sides."""
     (an, ad), (bn, bd) = draw(quotients()), draw(quotients())
     link = draw(st.sampled_from(["none", "same-den", "cancel", "negate", "inverse", "cross",
-                                 "monomial", "shared-factor", "shared-q", "sum-to"]))
+                                 "monomial", "shared-factor", "shared-q", "sum-to",
+                                 "single-terms"]))
+    if link == "single-terms":
+        exps = st.integers(-4, 4)
+        e, c, d = draw(exps), draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))
+        kind = draw(st.sampled_from(["equal", "different", "cancel"]))
+        if kind == "cancel":
+            e2, c2, d2 = e, -c, d
+        else:
+            e2 = e if kind == "equal" else draw(exps.filter(lambda k: k != e))
+            c2, d2 = draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))
+        return tuple(_qfunc_make((0,) * max(k, 0) + (num,), (0,) * max(-k, 0) + (den,))
+                     for k, num, den in ((e, c, d), (e2, c2, d2)))
     if link == "cross":
         factor = draw(nonzero_polys)
         an, bd = poly_mul(an, factor), poly_mul(bd, factor)
@@ -799,6 +814,14 @@ def test_qfunc_kernels_match_parent_kernels(pair):
     ("add", ((1,), (-1, 0, 1)), ((-3,), (-4, 2, 2)), ((-1,), (4, 6, 2))),
     # coprime multi-term denominators: 1/(q+1) + 1/(q+2)
     ("add", ((1,), (1, 1)), ((1,), (2, 1)), ((3, 2), (2, 3, 1))),
+    # four single-term sides at one exponent: q/2 + q/3 = 5q/6, and
+    # 3/(2q) - 3/(2q) = 0
+    ("add", ((0, 1), (2,)), ((0, 1), (3,)), ((0, 5), (6,))),
+    ("add", ((3,), (0, 2)), ((-3,), (0, 2)), ((), (1,))),
+    # ... at two exponents: 1/q + q/2 = (q^2 + 2)/(2q), and the content of
+    # 2q^2/3 + 4/3 = (2q^2 + 4)/3
+    ("add", ((1,), (0, 1)), ((0, 1), (2,)), ((2, 0, 1), (0, 2))),
+    ("add", ((0, 0, 2), (3,)), ((4,), (3,)), ((4, 0, 2), (3,))),
 ])
 def test_qfunc_kernel_paths(op, a, b, want):
     kernel, parent = (FQ._mul, _parent_qfunc_mul) if op == "mul" else (FQ._add, _parent_qfunc_add)
