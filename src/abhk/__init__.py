@@ -32,8 +32,6 @@ from .scalar import (
     mul_order,
     prec,
     q_binomial,
-    q_factorial,
-    q_int,
 )
 from .uqsl2 import UqSl2Base
 
@@ -48,5 +46,5 @@ __all__ = [
     "check_main_theorem", "classify_trichotomy", "construct_hopf",
     "relabel", "verify_hopf_axioms",
     "CyclotomicField", "RationalField", "RationalFunctionField", "Scalar",
-    "hat", "mul_order", "prec", "q_binomial", "q_factorial", "q_int",
+    "hat", "mul_order", "prec", "q_binomial",
 ]

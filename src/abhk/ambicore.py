@@ -35,9 +35,9 @@ from .scalar import Scalar
 
 # Scalars the words in ``AmbiskewAlgebra._word_cache`` may hold before a miss
 # clears it. Powers of (X+ + X-) on usl2 up to ^64 hold at most 8,171, and
-# every benchmark algebra at most 39; the product ``(X+ + X-)^20 *
-# (X+ + X-)^20`` builds 4,522 words of 128,082 scalars, clears included, and
-# unbounded words took that process from 22 to 32 MB.
+# every benchmark algebra at most 30; the product ``(X+ + X-)^20 *
+# (X+ + X-)^20`` builds 6,979 words of 137,162 scalars, clears included, and
+# unbounded words took that process from 21 to 28 MB.
 _WORD_CACHE_LIMIT = 16384
 
 
@@ -47,14 +47,16 @@ class AmbiskewAlgebra:
     Two caches live on each algebra, and nowhere else: ``_leg_cache`` holds
     the leg products, and ``_word_cache`` the normal forms of the words
     X+^m X-^n X+^p, keyed by (m, n, p); the normal forms of X-^n X+^p are
-    its words (0, n, p). A word is a function of its key and of the
-    algebra's fixed (sigma, h, xi) alone, so a cached word is exactly the
-    word the loop would rebuild; the product kernels raise its powers of
-    X- by q as they read it, so the cache holds one word for every q. A
-    word coefficient equal to the unit of R is stored as the shared
-    ``base._one`` itself, so that the product kernels can skip it by
-    identity. A miss that finds the words holding ``_WORD_CACHE_LIMIT``
-    scalars clears the cache first.
+    its words (0, n, p). ``_word`` is the one route to every word, in two
+    loops and no recursion: X-^n X+ applies the relation once per X-, and
+    X-^n X+^p reads X-^n X+^(p-1) through the cached words X+^u X-^v X+.
+    A word is a function of its key and of the algebra's fixed
+    (sigma, h, xi) alone, so a cached word is exactly the word the loop
+    would rebuild; the product kernels raise its powers of X- by q as they
+    read it, so the cache holds one word for every q. A word coefficient
+    equal to the unit of R is stored as the shared ``base._one`` itself,
+    so that the product kernels can skip it by identity. A miss that finds
+    the words holding ``_WORD_CACHE_LIMIT`` scalars clears the cache first.
     """
 
     def __init__(self, base: BaseAlgebra, sigma: BaseAutomorphism, h: BaseElement,
@@ -118,43 +120,56 @@ class AmbiskewAlgebra:
 
     # -- the rewriting engine ------------------------------------------------
 
-    def _rx(self, u: int, v: int) -> dict:
-        """Normal form of X+^u X-^v X+ as an (m, n) -> BaseElement mapping."""
-        if v == 0:
-            return {(u + 1, 0): self.base.one()}
-        xi_inv = self.xi_inv.data
-        out = {(a, b + 1): c._scale(xi_inv) for (a, b), c in self._rx(u, v - 1).items()}
-        corr = self.sigma.apply(self.h, u - v + 1)._scale(self.field._neg(xi_inv))
-        combine(self.base, (((u, v - 1), corr),), out)
-        return out
-
     def _word(self, m: int, n: int, p: int) -> dict:
-        """Normal form of X+^m X-^n X+^p, cached per (m, n, p). The word
-        (0, n, p) is the word (0, n, p - 1) times X+, each of its terms
-        rewritten by ``_rx``; a word with m > 0 is the terms
-        sigma^m(c) X+^(m+u) X-^v over the terms c X+^u X-^v of (0, n, p).
-        A coefficient c equal to 1 is stored as ``base._one``, which is
-        sigma^m(c), since sigma fixes 1. Callers only read the dict."""
-        key = (m, n, p)
-        word = self._word_cache.get(key)
-        if word is None:
-            one = self.base._one
-            if not n or not p:
-                word = {(m + p, n): one}
-            elif m:
-                apply = self.sigma.apply
-                word = {(m + u, v): one if c is one else apply(c, m)
-                        for (u, v), c in self._word(0, n, p).items()}
-            else:
-                form = combine(self.base, (
-                    (ab, c * extra) for (u, v), c in self._word(0, n, p - 1).items()
-                    for ab, extra in self._rx(u, v).items()))
-                word = {uv: one if c.coeffs == one.coeffs else c for uv, c in form.items()}
-            if self._cached_scalars >= _WORD_CACHE_LIMIT:
-                self._word_cache.clear()
-                self._cached_scalars = 0
-            self._word_cache[key] = word
-            self._cached_scalars += sum(len(c.coeffs) for c in word.values())
+        """Normal form of X+^m X-^n X+^p, cached per (m, n, p), with no
+        recursion over n or p. The word (0, n, 1) applies the relation once
+        per X-: from X+, step k shifts every term by one X-, scales it by
+        xi^-1 and adds -xi^-1 sigma^(1-k)(h) X-^(k-1). The word (0, n, p),
+        p >= 2, is (0, n, p - 1) times X+, its term c X+^u X-^v read as c
+        times the word (u, v, 1), built from the highest cached (0, n, p')
+        with every p passed stored. A word with m > 0 is the terms
+        sigma^m(c) X+^(m+u) X-^v over the terms c X+^u X-^v of (0, n, p);
+        a c that is ``base._one`` stays so, since sigma fixes 1. Callers
+        only read the dict."""
+        word = self._word_cache.get((m, n, p))
+        if word is not None:
+            return word
+        one = self.base._one
+        if not n or not p:
+            return self._keep((m, n, p), {(m + p, n): one})
+        if m:
+            apply = self.sigma.apply
+            return self._keep((m, n, p), {(m + u, v): one if c is one else apply(c, m)
+                                          for (u, v), c in self._word(0, n, p).items()})
+        if p == 1:
+            xi_inv = self.xi_inv.data
+            neg, h, apply = self.field._neg(xi_inv), self.h, self.sigma.apply
+            form = {(1, 0): one}
+            for k in range(1, n + 1):
+                form = {(a, b + 1): c._scale(xi_inv) for (a, b), c in form.items()}
+                combine(self.base, (((0, k - 1), apply(h, 1 - k)._scale(neg)),), form)
+            return self._keep((0, n, 1), form)
+        done = p - 1
+        while done > 1 and (0, n, done) not in self._word_cache:
+            done -= 1
+        word = self._word(0, n, done)
+        for j in range(done + 1, p + 1):
+            word = self._keep((0, n, j), combine(self.base, (
+                (ab, c * extra) for (u, v), c in word.items()
+                for ab, extra in self._word(u, v, 1).items())))
+        return word
+
+    def _keep(self, key: tuple, form: dict) -> dict:
+        """Store the word ``form`` in ``_word_cache``, each coefficient equal
+        to 1 as ``base._one``, and return it; a cache whose words hold
+        ``_WORD_CACHE_LIMIT`` scalars is cleared first."""
+        one = self.base._one
+        word = {uv: one if c.coeffs == one.coeffs else c for uv, c in form.items()}
+        if self._cached_scalars >= _WORD_CACHE_LIMIT:
+            self._word_cache.clear()
+            self._cached_scalars = 0
+        self._word_cache[key] = word
+        self._cached_scalars += sum(len(c.coeffs) for c in word.values())
         return word
 
     def leg_product(self, leg1, leg2) -> dict:

@@ -49,6 +49,8 @@ def poly_neg(a):
 def poly_mul(a, b):
     if not a or not b:
         return ()
+    if b.count(0) > a.count(0):  # the outer loop skips zeros: run it over the sparser side
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c == 0:
@@ -856,27 +858,6 @@ def format_order(n: int | None) -> str:
 
 # ---------------------------------------------------------------------------
 # Gaussian binomials
-
-def q_int(n: int, x: Scalar) -> Scalar:
-    """1 + x + ... + x**(n-1)."""
-    if n < 0:
-        raise ValueError("q_int needs n >= 0")
-    acc = x.field.zero()
-    power = x.field.one()
-    for _ in range(n):
-        acc = acc + power
-        power = power * x
-    return acc
-
-
-def q_factorial(n: int, x: Scalar) -> Scalar:
-    if n < 0:
-        raise ValueError("q_factorial needs n >= 0")
-    acc = x.field.one()
-    for k in range(1, n + 1):
-        acc = acc * q_int(k, x)
-    return acc
-
 
 @lru_cache(maxsize=None)
 def gaussian_binomial_poly(n: int, i: int):

@@ -480,14 +480,27 @@ def test_monoid_loop_cancels_to_the_general_loop():
                 assert list(got.coeffs.items()) == list(want.coeffs.items()), base.key()
 
 
+def _parent_rx(A: AmbiskewAlgebra, u: int, v: int) -> dict:
+    """The normal form of X+^u X-^v X+ by the recursion of the former
+    ``AmbiskewAlgebra._rx``, uncached: the form of X+^u X-^(v-1) X+ times
+    X- on the left, the relation applied once at the front."""
+    if v == 0:
+        return {(u + 1, 0): A.base.one()}
+    xi_inv = A.xi_inv.data
+    out = {(a, b + 1): c._scale(xi_inv) for (a, b), c in _parent_rx(A, u, v - 1).items()}
+    corr = A.sigma.apply(A.h, u - v + 1)._scale(A.field._neg(xi_inv))
+    combine(A.base, (((u, v - 1), corr),), out)
+    return out
+
+
 def _parent_nf(A: AmbiskewAlgebra, n: int, p: int) -> dict:
     """The normal form of X-^n X+^p by the recursion of the former
     ``AmbiskewAlgebra._nf``, uncached: the form of X-^n X+^(p-1) times X+,
-    each of its terms rewritten by ``_rx``."""
+    each of its terms rewritten by ``_parent_rx``."""
     if n == 0 or p == 0:
         return {(p, n): A.base.one()}
     return combine(A.base, ((ab, c * extra) for (u, v), c in _parent_nf(A, n, p - 1).items()
-                            for ab, extra in A._rx(u, v).items()))
+                            for ab, extra in _parent_rx(A, u, v).items()))
 
 
 def _parent_mul_monomials(A: AmbiskewAlgebra, m: int, n: int, p: int, q: int) -> dict:
@@ -655,6 +668,35 @@ def test_cached_words_match_the_uncached_loop(corpus, name):
         assert A._word(*key[:3]) is A._word_cache[key[:3]], (name, key)
     assert set(A._word_cache) == set(itertools.product(range(5), repeat=3))
     assert A._cached_scalars == _scalars_held(A)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
+def test_words_with_one_last_x_plus_match_the_parent_recursion(corpus, name):
+    """The loop that builds X+^u X-^n X+ equals the parent's recursion over
+    n in value and in order, down to base coefficients, for n up to 300
+    (the reference recurses once per X-, inside the default limit)."""
+    built = corpus[name].algebra
+    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
+    for n in (1, 2, 3, 7, 31, 128, 300):
+        for u in (0, 1, 3):
+            assert _layout(A._word(u, n, 1)) == _layout(_parent_rx(A, u, n)), (name, u, n)
+
+
+@pytest.mark.parametrize("k", [1024, 2048])
+def test_long_words_on_usl2_match_their_closed_forms(k):
+    """On usl2 (h = t, sigma(t) = t + 1, xi = 1), past the recursion limit:
+    X-^k X+ = X+ X-^k - (k t - k(k-1)/2) X-^(k-1) and
+    X- X+^k = X+^k X- - (k t + k(k-1)/2) X+^(k-1). The loop over p stores
+    every word X- X+^p it passes."""
+    A = usl2_algebra()
+    t, one = A.base.generator("t"), A.base.one()
+    half = QQ.from_int(k * (k - 1) // 2)
+    kt = t.scale(QQ.from_int(k))
+    assert A.xminus(k) * A.xplus() == (
+        A.monomial(one, 1, k) - A.monomial(kt - one.scale(half), 0, k - 1))
+    assert A.xminus() * A.xplus(k) == (
+        A.monomial(one, k, 1) - A.monomial(kt + one.scale(half), k - 1, 0))
+    assert all((0, 1, p) in A._word_cache for p in range(1, k + 1))
 
 
 @pytest.mark.parametrize("name", ["usl2", "uqsl2-variant", "uqsl2-case3"])
@@ -852,9 +894,10 @@ def test_warm_products_in_a_build_no_scalar(monkeypatch):
 def test_warm_products_on_a_monoid_base_build_no_structure_dict(monkeypatch):
     """50 seeded products in A on uqsl2-variant (a Laurent base over Q(q)),
     cold and then on warm caches, make no ``mul_monomials`` call: every
-    product in R runs the monoid loop. They call ``_mul`` of Q(q) as often
-    as the general loop did (which also made 388 and 376
-    ``mul_monomials`` calls)."""
+    product in R runs the monoid loop (the general loop made 388 and 376
+    ``mul_monomials`` calls). Cold, they call ``_mul`` of Q(q) 426 times,
+    where rewriting each term of a word by an uncached X+^u X-^v X+ took
+    434; warm, 387 times, as the general loop did."""
     counts = {"words": 0, "mul": 0}
 
     def counting(key, fn):
@@ -873,7 +916,7 @@ def test_warm_products_on_a_monoid_base_build_no_structure_dict(monkeypatch):
                    for _ in range(2)) for _ in range(50)]
     counts.update(words=0, mul=0)
     want = [a * b for a, b in pairs]
-    assert counts == {"words": 0, "mul": 434}
+    assert counts == {"words": 0, "mul": 426}
     counts.update(words=0, mul=0)
     assert [a * b for a, b in pairs] == want
     assert counts == {"words": 0, "mul": 387}

@@ -115,6 +115,28 @@ def test_a_power_past_the_recursion_limit_has_a_coproduct_and_an_antipode(capsys
     assert out == "result: " + "  +  ".join(terms) + "\n"
 
 
+LONG_WORD = "X-^256*X-^256*X-^256*X-^256*X+"
+LONG_WORDS = [
+    ("mul", "usl2", LONG_WORD,
+     "result: 523776*X-^1023 + X+*X-^1024 - 1024*t*X-^1023\n"),
+    ("mul", "usl2", "X- * (X+^256*X+^256*X+^256*X+^256)",
+     "result: -523776*X+^1023 + X+^1024*X- - 1024*t*X+^1023\n"),
+    ("antipode", "usl2", LONG_WORD, "result: -X+*X-^1024\nantipode-form: -y^-1*X\n"),
+    ("antipode", "laurent-asym", LONG_WORD,
+     "result: -t^-1027*X+*X-^1024\nantipode-form: -y^-1*X\n"),
+]
+
+
+@pytest.mark.parametrize("command, spec, expr, want", LONG_WORDS,
+                         ids=[f"{row[0]}-{row[1]}-{i}" for i, row in enumerate(LONG_WORDS)])
+def test_words_past_the_recursion_limit_reduce(capsys, command, spec, expr, want):
+    """X-^1024 X+ and X- X+^1024: the word cache builds X-^n X+ and X-^n X+^p
+    in loops, so neither n nor p overruns the recursion limit. On usl2
+    X-^n X+ = X+ X-^n - (n t - n(n-1)/2) X-^(n-1) and
+    X- X+^p = X+^p X- - (p t + p(p-1)/2) X+^(p-1)."""
+    assert run(capsys, command, str(CORPUS / f"{spec}.abhk"), expr) == (0, want, "")
+
+
 def test_props_machine_format(capsys):
     code, out, _ = run(capsys, "--format", "machine", "props",
                        str(CORPUS / "laurent-asym.abhk"))

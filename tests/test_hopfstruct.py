@@ -42,7 +42,6 @@ from abhk.scalar import (
     RationalField,
     RationalFunctionField,
     Scalar,
-    q_int,
 )
 from abhk.uqsl2 import UqSl2Base
 
@@ -144,7 +143,7 @@ def test_delta_of_xplus_squared_closed_form(usl2):
     A = usl2.algebra
     xp = A.xplus()
     y = usl2.data.y_plus
-    two = q_int(2, usl2.data.xi)  # the xi-integer (2)
+    two = 1 + usl2.data.xi  # the xi-integer (2)
     expected = (Tensor.of(xp * xp, A.one())
                 + Tensor.of(A.embed(y) * xp, xp).scale(two)
                 + Tensor.of(A.embed(y * y), xp * xp))
@@ -557,10 +556,10 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
     #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels,
     #                           Q(q) polynomial products, Scalars built,
     #                           field _mul and _add calls)
-    "uqsl2-case3": (41, 68, 6, 70, 103, 21, 4, 0, 59, 8, 0, 182, 150),
-    "uqsl2": (35, 64, 6, 42, 79, 21, 4, 0, 0, 0, 8, 139, 87),
-    "uqsl2-general": (22, 48, 6, 27, 80, 6, 2, 5, 0, 0, 9, 72, 43),
-    "usl2": (3, 21, 2, 8, 16, 6, 2, 0, 0, 0, 0, 48, 13),
+    "uqsl2-case3": (41, 37, 6, 70, 99, 21, 4, 0, 57, 8, 0, 182, 150),
+    "uqsl2": (35, 36, 6, 42, 76, 21, 4, 0, 0, 0, 8, 139, 87),
+    "uqsl2-general": (22, 27, 6, 27, 76, 6, 2, 5, 0, 0, 9, 72, 43),
+    "usl2": (3, 15, 2, 8, 14, 6, 2, 0, 0, 0, 0, 48, 13),
 }
 
 

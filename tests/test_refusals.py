@@ -37,7 +37,7 @@ from abhk.errors import (
     HopfDataError,
 )
 from abhk.exprparse import EvalContext, eval_expr, parse_expr
-from abhk.scalar import cyclotomic_poly, q_factorial, q_int
+from abhk.scalar import cyclotomic_poly
 from conftest import build_usl2
 
 QQ = RationalField()
@@ -121,8 +121,6 @@ REFUSALS = [
      HopfDataError, "q must live in the session field"),
     ("cyclotomic-index", lambda: cyclotomic_poly(0),
      ValueError, "cyclotomic index must be positive"),
-    ("q-int", lambda: q_int(-1, QQ.one()), ValueError, "q_int needs n >= 0"),
-    ("q-factorial", lambda: q_factorial(-1, QQ.one()), ValueError, "q_factorial needs n >= 0"),
 ]
 
 

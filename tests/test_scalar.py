@@ -37,8 +37,6 @@ from abhk.scalar import (
     poly_neg,
     prec,
     q_binomial,
-    q_factorial,
-    q_int,
 )
 
 QQ = RationalField()
@@ -157,6 +155,32 @@ def test_cyclotomic_polynomials():
             if n % d == 0:
                 product = poly_mul(product, cyclotomic_poly(d))
         assert product == (-1,) + (0,) * (n - 1) + (1,)
+
+
+def _schoolbook_mul(a, b):
+    """Every coefficient pair of a and b, zeros included, then trimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _trim(out)
+
+
+def test_poly_mul_by_a_single_term_matches_the_schoolbook_product():
+    """A single-term side c q^k, k up to 40, times dense, sparse and
+    single-term sides equals the schoolbook product in both argument
+    orders, whichever side the outer loop runs over."""
+    rng = random.Random(20261020)
+    for k in range(41):
+        for c in (1, -3, Fraction(2, 5)):
+            term = (0,) * k + (c,)
+            others = [(7,), (0, 0, -1), (1, 2, 3), term,
+                      tuple(rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(12)) + (5,),
+                      tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 9))) + (1,)]
+            for other in others:
+                want = _schoolbook_mul(term, other)
+                assert poly_mul(term, other) == want, (k, c, other)
+                assert poly_mul(other, term) == want, (k, c, other)
 
 
 @pytest.mark.parametrize("orders", [range(1, 129), (210, 360, 420, 512)],
@@ -947,13 +971,6 @@ def test_mul_order_zero_rejected():
 
 
 # -- Gaussian binomials -------------------------------------------------------
-
-
-def test_q_int_and_factorial():
-    q = FQ.q()
-    assert q_int(2, q) == q + 1
-    assert q_int(0, q).is_zero()
-    assert q_factorial(3, q) == (q + 1) * (q**2 + q + 1)
 
 
 def test_q_binomial_basic():
