@@ -402,21 +402,42 @@ class Tensor(Sparse):
 
     def expand_leg(self, i: int, fn) -> "Tensor":
         """Replace leg i by the 2-leg tensor fn(leg)."""
-        field = self.algebra.field
-        one, mul, _, _ = field._kernel
-        return self._new(combine(field, (
-            (key[:i] + ekey + key[i + 1:], c if d == one else d if c == one else mul(c, d))
-            for key, c in self.coeffs.items() for ekey, d in self._own(fn(key[i])).coeffs.items()
-        )), self.legs + 1)
+        one, mul, add, is_zero = self.algebra.field._kernel
+        out: dict = {}  # the combine loop written inline, as in the products
+        get = out.get
+        for key, c in self.coeffs.items():
+            head, tail = key[:i], key[i + 1:]
+            for ekey, d in self._own(fn(key[i])).coeffs.items():
+                v = c if d == one else d if c == one else mul(c, d)
+                k = head + ekey + tail
+                s = get(k)  # v is nonzero: only the sum can cancel
+                if s is None:
+                    out[k] = v
+                elif is_zero(v := add(s, v)):
+                    del out[k]
+                else:
+                    out[k] = v
+        return self._new(out, self.legs + 1)
 
     def map_leg(self, i: int, fn) -> "Tensor":
         """Replace leg i by the element fn(leg)."""
-        field = self.algebra.field
-        one, mul, _, _ = field._kernel
-        return self._new(combine(field, (
-            (key[:i] + (leg,) + key[i + 1:], c if d == one else d if c == one else mul(c, d))
-            for key, c in self.coeffs.items() for leg, d in _flatten(self._own(fn(key[i]))).items()
-        )))
+        one, mul, add, is_zero = self.algebra.field._kernel
+        out: dict = {}  # the combine loop written inline, as in the products
+        get = out.get
+        for key, c in self.coeffs.items():
+            head, tail = key[:i], key[i + 1:]
+            for (m, n), r in self._own(fn(key[i])).coeffs.items():
+                for mono, d in r.coeffs.items():
+                    v = c if d == one else d if c == one else mul(c, d)
+                    k = head + ((mono, m, n),) + tail
+                    s = get(k)  # v is nonzero: only the sum can cancel
+                    if s is None:
+                        out[k] = v
+                    elif is_zero(v := add(s, v)):
+                        del out[k]
+                    else:
+                        out[k] = v
+        return self._new(out)
 
     def _own(self, x):
         """x, the image of a leg, refused unless it lies over this tensor's
@@ -428,24 +449,45 @@ class Tensor(Sparse):
     def contract_leg(self, i: int, fn) -> "Tensor":
         """Drop leg i, multiplying each coefficient by the scalar fn(leg)."""
         field = self.algebra.field
-        one, mul, _, is_zero = field._kernel
+        one, mul, add, is_zero = field._kernel
         unwrap = field._unwrap
-        # a zero factor drops its term here, before any running sum
-        return self._new(combine(field, (
-            (key[:i] + key[i + 1:], c if d == one else d if c == one else mul(c, d))
-            for key, c in self.coeffs.items() if not is_zero(d := unwrap(fn(key[i])))
-        )), self.legs - 1)
+        out: dict = {}  # the combine loop written inline, as in the products
+        get = out.get
+        for key, c in self.coeffs.items():
+            d = unwrap(fn(key[i]))
+            if is_zero(d):  # a zero factor drops its term before any running sum
+                continue
+            v = c if d == one else d if c == one else mul(c, d)
+            k = key[:i] + key[i + 1:]
+            s = get(k)  # v is nonzero: only the sum can cancel
+            if s is None:
+                out[k] = v
+            elif is_zero(v := add(s, v)):
+                del out[k]
+            else:
+                out[k] = v
+        return self._new(out, self.legs - 1)
 
     def merge_legs(self, i: int) -> "Tensor":
         """Multiply legs i and i+1 together (the multiplication map on
         those tensorands)."""
-        leg_product, field = self.algebra.leg_product, self.algebra.field
-        one, mul, _, _ = field._kernel
-        return self._new(combine(field, (
-            (key[:i] + (leg,) + key[i + 2:], c if d == one else d if c == one else mul(c, d))
-            for key, c in self.coeffs.items()
-            for leg, d in leg_product(key[i], key[i + 1]).items()
-        )), self.legs - 1)
+        leg_product = self.algebra.leg_product
+        one, mul, add, is_zero = self.algebra.field._kernel
+        out: dict = {}  # the combine loop written inline, as in the products
+        get = out.get
+        for key, c in self.coeffs.items():
+            head, tail = key[:i], key[i + 2:]
+            for leg, d in leg_product(key[i], key[i + 1]).items():
+                v = c if d == one else d if c == one else mul(c, d)
+                k = head + (leg,) + tail
+                s = get(k)  # v is nonzero: only the sum can cancel
+                if s is None:
+                    out[k] = v
+                elif is_zero(v := add(s, v)):
+                    del out[k]
+                else:
+                    out[k] = v
+        return self._new(out, self.legs - 1)
 
 
 # ---------------------------------------------------------------------------

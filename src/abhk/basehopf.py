@@ -564,21 +564,22 @@ class Character:
 
 def winding_left(chi: Character, a: BaseElement) -> BaseElement:
     """The left winding map: a |-> sum chi(a_1) a_2, chi (x) id on Delta(a)."""
-    return _wind(chi, a, 0)
+    return _wind(chi, base_delta(a), 0)
 
 
 def winding_right(chi: Character, a: BaseElement) -> BaseElement:
     """The right winding map: a |-> sum a_1 chi(a_2), id (x) chi on Delta(a)."""
-    return _wind(chi, a, 1)
+    return _wind(chi, base_delta(a), 1)
 
 
-def _wind(chi: Character, a: BaseElement, side: int) -> BaseElement:
-    """chi on tensorand ``side`` of Delta(a), the other tensorand kept."""
-    field = a.algebra.field
+def _wind(chi: Character, delta: BaseTensor, side: int) -> BaseElement:
+    """chi on tensorand ``side`` of the coproduct ``delta``, the other
+    tensorand kept."""
+    field = delta.algebra.field
     one, mul, _, is_zero = field._kernel
-    return BaseElement._of(a.algebra, combine(field, (
+    return BaseElement._of(delta.algebra, combine(field, (
         (key[1 - side], c if v == one else v if c == one else mul(c, v))
-        for key, c in base_delta(a).coeffs.items()
+        for key, c in delta.coeffs.items()
         if not is_zero(v := chi.on_monomial(key[side])))))
 
 
@@ -768,9 +769,9 @@ def winding_automorphism_left(chi: Character) -> BaseAutomorphism:
     winding by chi o S."""
     alg = chi.algebra
     chi_s = chi.compose_antipode()
-    gens = alg.generators
-    return BaseAutomorphism(alg, {name: winding_left(chi, g) for name, g in gens.items()},
-                            {name: winding_left(chi_s, g) for name, g in gens.items()})
+    deltas = {name: base_delta(g) for name, g in alg.generators.items()}
+    return BaseAutomorphism(alg, {name: _wind(chi, d, 0) for name, d in deltas.items()},
+                            {name: _wind(chi_s, d, 0) for name, d in deltas.items()})
 
 
 # ---------------------------------------------------------------------------

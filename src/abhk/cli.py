@@ -194,6 +194,8 @@ def cmd_antipode(args, out: _Output) -> int:
 def cmd_corad(args, out: _Output) -> int:
     def action(spec, hopf, report, ctx):
         elem = _eval_arg(args.expr, ctx)
+        if elem.is_zero():  # an expression the user wrote: an input error
+            raise ParseError("coradical degree of zero is undefined")
         corad_ctx = CoradicalContext.for_algebra(hopf)
         out.emit("degree", str(corad_degree(elem, corad_ctx)))
         for m, n, base_deg, total in corad_breakdown(elem, corad_ctx):

@@ -488,16 +488,19 @@ def _term_text(coeff: Scalar, factors: list[tuple[str, int]]) -> tuple[int, str]
     return sign, "*".join(parts)
 
 
-def _join_terms(signed_terms: list[tuple[int, str]]) -> str:
-    """Signed terms as ``-a + b - c``, the one sign convention; none is ``0``."""
+def _join_terms(signed_terms: list[tuple[int, str]], max_terms: int | None = None) -> str:
+    """Signed terms as ``-a + b - c``, the one sign convention; none is ``0``.
+    With ``max_terms``, the first terms and a count of the rest."""
     if not signed_terms:
         return "0"
     out = []
-    for i, (sign, body) in enumerate(signed_terms):
+    for i, (sign, body) in enumerate(signed_terms[:max_terms]):
         if i == 0:
             out.append(body if sign > 0 else f"-{body}")
         else:
             out.append((" + " if sign > 0 else " - ") + body)
+    if max_terms is not None and len(signed_terms) > max_terms:
+        out.append(f" + ... ({len(signed_terms) - max_terms} more terms)")
     return "".join(out)
 
 
@@ -513,18 +516,20 @@ def _leg_term(base: BaseAlgebra, leg, c: Scalar) -> tuple[int, str]:
     return _term_text(coeff, factors)
 
 
-def format_base_element(elem: BaseElement) -> str:
+def format_base_element(elem: BaseElement, max_terms: int | None = None) -> str:
     base = elem.algebra
-    return _join_terms([_leg_term(base, (mono, 0, 0), c) for mono, c in elem.terms()])
+    return _join_terms([_leg_term(base, (mono, 0, 0), c) for mono, c in elem.terms()],
+                       max_terms)
 
 
-def format_element(elem) -> str:
+def format_element(elem, max_terms: int | None = None) -> str:
     """Canonical text of a base or extension element: base monomials by
-    graded-lex, then X+ power, then X- power."""
+    graded-lex, then X+ power, then X- power. With ``max_terms``, only the
+    first terms are printed, followed by a count of the rest."""
     if isinstance(elem, BaseElement):
-        return format_base_element(elem)
+        return format_base_element(elem, max_terms)
     base = elem.algebra.base
-    return _join_terms([_leg_term(base, leg, c) for leg, c in elem.terms()])
+    return _join_terms([_leg_term(base, leg, c) for leg, c in elem.terms()], max_terms)
 
 
 def format_tensor(tensor, max_terms: int | None = None) -> str:

@@ -29,6 +29,7 @@ from abhk.errors import (
     HopfDataError,
     UnsupportedBaseError,
 )
+from abhk.hopfstruct import HopfAmbiskewAlgebra
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
 
 from conftest import (
@@ -341,6 +342,139 @@ def test_two_leg_kernel_matches_legwise_loop(corpus, seed):
             got, want = left * right, _mul_legwise(left, right)
             assert got == want, name
             assert list(got.coeffs) == list(want.coeffs), name
+
+
+# -- the inline leg-surgery loops against the combine bodies they replaced ---------
+
+
+class _Cancels(dict):
+    """An output dict for ``combine`` that counts the keys re-inserted after
+    their running sum cancelled: such a key moves to the end of the dict."""
+
+    def __init__(self):
+        super().__init__()
+        self.dropped, self.reinserted = set(), 0
+
+    def pop(self, key, default=None):
+        if key in self:
+            self.dropped.add(key)
+        return super().pop(key, default)
+
+    def __setitem__(self, key, value):
+        if key in self.dropped and key not in self:
+            self.reinserted += 1
+        super().__setitem__(key, value)
+
+
+def _combined(t, terms, legs):
+    out = _Cancels()
+    combine(t.algebra.field, terms, out)
+    return t._new(dict(out), legs), out.reinserted
+
+
+def _product(field):
+    one, mul, _, _ = field._kernel
+    return lambda c, d: c if d == one else d if c == one else mul(c, d)
+
+
+def _combine_expand_leg(t, i, fn):
+    mul = _product(t.algebra.field)
+    return _combined(t, ((key[:i] + ekey + key[i + 1:], mul(c, d)) for key, c in t.coeffs.items()
+                         for ekey, d in fn(key[i]).coeffs.items()), t.legs + 1)
+
+
+def _combine_map_leg(t, i, fn):
+    mul = _product(t.algebra.field)
+    return _combined(t, ((key[:i] + (leg,) + key[i + 1:], mul(c, d))
+                         for key, c in t.coeffs.items()
+                         for leg, d in _flatten(fn(key[i])).items()), t.legs)
+
+
+def _combine_contract_leg(t, i, fn):
+    field = t.algebra.field
+    mul = _product(field)
+    return _combined(t, ((key[:i] + key[i + 1:], mul(c, d)) for key, c in t.coeffs.items()
+                         if not field._is_zero(d := fn(key[i]).data)), t.legs - 1)
+
+
+def _combine_merge_legs(t, i):
+    mul = _product(t.algebra.field)
+    return _combined(t, ((key[:i] + (leg,) + key[i + 2:], mul(c, d))
+                         for key, c in t.coeffs.items()
+                         for leg, d in t.algebra.leg_product(key[i], key[i + 1]).items()),
+                     t.legs - 1)
+
+
+def _combine_delta(hopf, a):
+    mul = _product(hopf.algebra.field)
+    return _combined(Tensor(hopf.algebra, 2, {}), (
+        (key, mul(c, d)) for leg, c in _flatten(a).items()
+        for key, d in hopf.delta_leg(leg).coeffs.items()), 2)
+
+
+@pytest.mark.parametrize("name", ["usl2", "laurent-asym", "uqsl2-case3", "uqsl2-variant"])
+def test_inline_leg_surgery_matches_the_combine_loops(corpus, name):
+    """``expand_leg``, ``map_leg``, ``contract_leg``, ``merge_legs`` and
+    ``HopfAmbiskewAlgebra.delta`` sum inline; each equals the ``combine``
+    body it replaced, in value and in dict order, over Q, Q(zeta_8) and
+    Q(q). The leg maps send every leg to one fixed image times a scalar of
+    +-1 or 2 (0 too for the counit), so that the sums cancel and re-insert
+    keys; the Hopf maps run too. Every surgery sees a key cancel and come
+    back."""
+    hopf = corpus[name]
+    alg = hopf.algebra
+    field = alg.field
+    rng = random.Random(20261020)
+    returned = dict.fromkeys(("expand", "map", "contract", "merge", "delta"), 0)
+
+    def check(kind, got, want):
+        want, n = want
+        assert got == want and got.legs == want.legs, (name, kind)
+        assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, kind)
+        returned[kind] += n
+
+    def scaled(image, choices=(1, -1, 2)):
+        """A leg map: image times a scalar drawn once per leg; the scalar
+        alone when image is None."""
+        table: dict = {}
+
+        def fn(leg):
+            if leg not in table:
+                c = field.from_int(rng.choice(choices))
+                table[leg] = c if image is None else image.scale(c)
+            return table[leg]
+        return fn
+
+    def element():
+        return random_element(rng, hopf, max_terms=3, max_degree=1, base_support=2)
+
+    for _ in range(12):
+        x = element()
+        t = (Tensor.of(element(), element()) - Tensor.of(element(), element()).scale(
+            field.from_int(2)) + hopf.delta(x))
+        three = Tensor.of(element(), element(), element()) + Tensor.of(x, x, alg.one())
+        for i in (0, 1):
+            for fn in (hopf.delta_leg, scaled(hopf.delta(element()))):
+                check("expand", t.expand_leg(i, fn), _combine_expand_leg(t, i, fn))
+            for fn in (hopf.antipode_leg, scaled(element())):
+                check("map", t.map_leg(i, fn), _combine_map_leg(t, i, fn))
+            for fn in (hopf.counit_leg, scaled(None, (0, 1, -1, 2))):
+                check("contract", t.contract_leg(i, fn), _combine_contract_leg(t, i, fn))
+            for u, j in ((t, 0), (hopf.delta(x).map_leg(i, hopf.antipode_leg), 0), (three, i)):
+                check("merge", u.merge_legs(j), _combine_merge_legs(u, j))
+        check("contract", three.contract_leg(2, hopf.counit_leg),
+              _combine_contract_leg(three, 2, hopf.counit_leg))
+        check("delta", hopf.delta(x), _combine_delta(hopf, x))
+        # leg coproducts I, -J, J and J, J the first term of I: that key
+        # cancels, comes back after the other keys of I, and doubles
+        y = alg.one() + alg.xplus() + alg.xminus() + alg.xplus() * alg.xminus()
+        big = hopf.delta(alg.xplus() * alg.xminus())
+        first = big._new(dict([next(iter(big.coeffs.items()))]))
+        images = dict(zip(_flatten(y), (big, -first, first, first)))
+        fake = object.__new__(HopfAmbiskewAlgebra)
+        fake.algebra, fake.delta_leg = alg, images.__getitem__
+        check("delta", HopfAmbiskewAlgebra.delta(fake, y), _combine_delta(fake, y))
+    assert all(returned.values()), (name, returned)
 
 
 def test_tensor_products_other_than_two_legs_are_refused(corpus):

@@ -43,6 +43,25 @@ def test_failed_grouplike_condition_prints_the_element(capsys, tmp_path):
     assert "  y-minus-grouplike: pass\n" in out
 
 
+def test_failed_winding_condition_prints_lhs_minus_rhs(capsys, tmp_path):
+    # y+- = K on uqsl2-case3: tau^l_chi(E) = -E, but ad_l(K) tau^r_chi(E) =
+    # K E K^-1 = zeta^2 E, so the witness names E and the difference
+    text = (CORPUS / "uqsl2-case3.abhk").read_text()
+    for old, new in (("y_plus: K^2", "y_plus: K"), ("y_minus: K^2", "y_minus: K"),
+                     ("h: 1 - K^4", "h: 0")):
+        text = text.replace(old, new, 1)
+    spec = tmp_path / "y-k.abhk"
+    spec.write_text(text)
+    witness = "tau^l_chi != ad_l(y+) tau^r_chi on E: lhs - rhs = -(1 + zeta^2)*E"
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  z-central: FAIL  [K^2]", f"  winding-condition: FAIL  [{witness}]"]
+    code, out, err = run(capsys, "--format", "machine", "check", str(spec))
+    assert (code, err) == (1, "")
+    assert f"winding-condition\tfail ({witness})\n" in out
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(CORPUS / "missing.abhk"))
     assert code == 2
@@ -317,6 +336,12 @@ MALFORMED_INPUT = [
     (("mul", "usl2.abhk", "(" * 65 + "t" + ")" * 65),
      "error: parentheses nested deeper than 64 at line 1, column 65"),
     (("check", "not-utf8.abhk"), "error: {tmp}/not-utf8.abhk: not UTF-8 at byte 0"),
+    # an expression equal to zero has no coradical degree, in either format
+    (("corad", "usl2.abhk", "0"), "error: coradical degree of zero is undefined"),
+    (("corad", "usl2.abhk", "X+ - X+"), "error: coradical degree of zero is undefined"),
+    (("--format", "machine", "corad", "usl2.abhk", "X+ - X+"),
+     "error: coradical degree of zero is undefined"),
+    (("corad", "uqsl2.abhk", "(q-q)*E"), "error: coradical degree of zero is undefined"),
 ]
 
 # spec files the rows above name, written to tmp_path first

@@ -454,6 +454,19 @@ def test_element_print_reparse(corpus, name):
         assert cut == terms[:2] + rest, text
 
 
+def test_cut_element_keeps_the_first_terms_and_counts_the_rest(usl2):
+    # the form of the data checker's witnesses, in R and in A
+    base = usl2.algebra.base
+    t = base.generator("t")
+    r = base.one() - t + t * t.scale(QQ.from_int(2)) - t ** 3 + t ** 4 - t ** 5
+    full = "1 - t + 2*t^2 - t^3 + t^4 - t^5"
+    assert format_element(r) == format_element(r, 6) == full
+    assert format_element(r, 4) == "1 - t + 2*t^2 - t^3 + ... (2 more terms)"
+    alg = usl2.algebra
+    a = alg.embed(r) * alg.xplus() - alg.xminus()
+    assert format_element(a, 4) == "-X- + X+ - t*X+ + 2*t^2*X+ + ... (3 more terms)"
+
+
 def test_scalar_formatting():
     assert format_scalar(QQ.from_fraction("3/4"))[0] == "3/4"
     assert format_scalar(QQ.from_int(-2))[0] == "-2"
