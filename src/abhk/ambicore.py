@@ -231,7 +231,12 @@ class AmbiElement(Sparse):
     shared ``base._one`` is not multiplied, and sigma^(m-n) is not applied
     when m == n. Both skips are exact: ``BaseElement.__mul__`` returns the
     other operand itself for a unit factor, and ``apply`` with power 0
-    returns its argument.
+    returns its argument. Each word is read from the algebra's
+    ``_word_cache``, and ``_word`` is called only on a miss. A term whose
+    key (u, v) already holds a coefficient s is added into a copy of s's
+    dict, on the field's kernel, as ``s + term`` would add it: a monomial
+    whose sum cancels is dropped, and a key whose coefficient cancels is
+    dropped from the product, to be inserted again, last, by a later term.
     """
 
     __slots__ = ()
@@ -270,21 +275,39 @@ class AmbiElement(Sparse):
             return other
         alg = self.algebra
         one, apply, words = alg.base._one, alg.sigma.apply, alg._word
+        cached = alg._word_cache.get
+        _, _, add, is_zero = alg.field._kernel
         out: dict = {}  # the combine loop written inline: the engine's hottest loop
         get = out.get
         for (m, n), a in self.coeffs.items():
             for (p, q), b in other.coeffs.items():
                 r = apply(b, m - n) if m != n else b
                 coeff = r if a is one else a if r is one else a * r
-                for (u, v), c in words(m, n, p).items():
+                word = cached((m, n, p))
+                if word is None:
+                    word = words(m, n, p)
+                for (u, v), c in word.items():
                     term = coeff if c is one else coeff * c
                     uv = (u, v + q)
                     s = get(uv)
-                    merged = term if s is None else s + term
-                    if merged.is_zero():
-                        out.pop(uv, None)
+                    if s is None:
+                        if term.coeffs:  # a product in R with zero divisors can vanish
+                            out[uv] = term
+                        continue
+                    summed = dict(s.coeffs)  # s + term, summed as ``combine`` sums
+                    at = summed.get
+                    for mono, d in term.coeffs.items():
+                        e = at(mono)  # d is nonzero: only the sum can cancel
+                        if e is None:
+                            summed[mono] = d
+                        elif is_zero(d := add(e, d)):
+                            del summed[mono]
+                        else:
+                            summed[mono] = d
+                    if summed:
+                        out[uv] = s._new(summed)
                     else:
-                        out[uv] = merged
+                        del out[uv]
         return self._new(out)
 
     def __pow__(self, n: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     AlgebraMismatchError,
@@ -117,6 +118,13 @@ class BaseAlgebra:
     # of coefficients by it, with no structure dict. None for a family whose
     # monomial products are sums (U_q(sl2)), which overrides ``mul_monomials``.
     monomial_product = None
+
+    # The values of ``mul_monomials`` the family has already computed, keyed
+    # by the pair (a, b): ``BaseElement.__mul__`` reads a pair here and calls
+    # ``mul_monomials`` only when it is missing. Empty and read-only for a
+    # family that keeps none; U_q(sl2) names its inner extension's
+    # ``_leg_cache``, the dict its ``mul_monomials`` fills.
+    _mul_cache = MappingProxyType({})
 
     def mul_monomials(self, a, b) -> dict:
         """Product of two basis monomials as a monomial -> data mapping: by
@@ -368,7 +376,11 @@ class BaseElement(Sparse):
     general loop (U_q(sl2)) reads every term of ``mul_monomials(m1, m2)``.
     On a monoid family that dict is ``{monomial_product(m1, m2): 1}``, and a
     structure coefficient equal to one is not multiplied, so both loops add
-    the same data under the same keys in the same order.
+    the same data under the same keys in the same order. The general loop
+    reads each pair's dict from the family's ``_mul_cache`` and calls
+    ``mul_monomials`` only on a miss: on U_q(sl2) that dict is the inner
+    extension's ``_leg_cache``, which holds exactly the dicts
+    ``mul_monomials`` returns, so a hit is the dict the call would return.
 
     Inside either loop, a coefficient equal to one is not multiplied: the
     product is the other factor.
@@ -411,11 +423,14 @@ class BaseElement(Sparse):
                     else:
                         out[m] = v
             return self._new(out)
-        words = alg.mul_monomials
+        cached, words = alg._mul_cache.get, alg.mul_monomials
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 c = c2 if c1 == one else c1 if c2 == one else mul(c1, c2)
-                for m, extra in words(m1, m2).items():
+                word = cached((m1, m2))
+                if word is None:
+                    word = words(m1, m2)
+                for m, extra in word.items():
                     v = c if extra == one else extra if c == one else mul(c, extra)
                     s = get(m)  # v is nonzero: only the sum can cancel
                     if s is None:
@@ -594,16 +609,30 @@ def adjoint_right(y: BaseElement, a: BaseElement) -> BaseElement:
 
 
 def _adjoint(y: BaseElement, a: BaseElement, side: int) -> BaseElement:
-    """sum y_1 a y_2 with S applied to tensorand ``side`` of Delta(y); the
-    coefficient of each term of Delta(y) rides on y_1."""
+    """sum y_1 a y_2 with S applied to tensorand ``side`` of Delta(y)."""
     y._check(a)
+    return _conjugate_sum(_adjoint_pairs(y, side), a)
+
+
+def _adjoint_pairs(y: BaseElement, side: int) -> list:
+    """The pairs (y_1, y_2) over the terms of Delta(y), in its order, with S
+    applied to tensorand ``side``; the coefficient of each term rides on
+    y_1. A caller that conjugates many elements by y forms them once."""
     alg = y.algebra
-    acc = alg.zero()
     one = alg.field._one.data
+    pairs = []
     for (m1, m2), c in base_delta(y).coeffs.items():
         pair = [BaseElement._of(alg, {m1: c}), BaseElement._of(alg, {m2: one})]
         pair[side] = base_antipode(pair[side])
-        acc = acc + pair[0] * a * pair[1]
+        pairs.append(pair)
+    return pairs
+
+
+def _conjugate_sum(pairs: list, a: BaseElement) -> BaseElement:
+    """sum left a right over the pairs (left, right), in their order."""
+    acc = a.algebra.zero()
+    for left, right in pairs:
+        acc = acc + left * a * right
     return acc
 
 
@@ -623,12 +652,14 @@ class BaseAutomorphism:
     base family is noetherian, and the other composite needs no check.
 
     ``apply`` keeps two caches. A diagonal automorphism (every generator
-    an eigenvector) scales each monomial, and ``_cache`` holds the
-    eigenvalue of sigma**power under the key (mono, power); a negative
-    power raises the cached eigenvalue under (mono, -1) to |power|, so each
-    monomial's eigenvalue is inverted once. Eigenvalues are cached as raw
-    field data; one equal to 1 is stored as the field's shared
-    ``_one.data``, and the diagonal loop does not multiply by it. Otherwise
+    an eigenvector) scales each monomial, and ``_cache`` maps each power to
+    its table of eigenvalues: ``_cache[power][mono]`` is the eigenvalue of
+    sigma**power on mono, so one lookup of the power's table serves every
+    monomial of the argument. A negative power raises the eigenvalue in the
+    table of power -1 to |power|, so each monomial's eigenvalue is inverted
+    once. Eigenvalues are cached as raw field data; one equal to 1 is
+    stored as the field's shared ``_one.data``, and the diagonal loop does
+    not multiply by it. Otherwise
     ``_image_cache`` holds the image of a monomial under sigma**power under
     the key (mono, power): sigma^p(a) is the sum of c sigma^p(mono) over
     the terms c mono of a. A missing power is built in a loop, not by
@@ -684,19 +715,24 @@ class BaseAutomorphism:
             out = {}
             field, cache = self.algebra.field, self._cache
             one, mul, _, _ = field._kernel
+            table = cache.get(power)
+            if table is None:
+                table = cache[power] = {}
             for mono, c in a.coeffs.items():
-                key = (mono, power)
-                eig = cache.get(key)
+                eig = table.get(mono)
                 if eig is None:
                     if power > 0:
                         eig = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
                     else:
-                        inv = cache.get((mono, -1))
+                        inverses = cache.get(-1)
+                        if inverses is None:
+                            inverses = cache[-1] = {}
+                        inv = inverses.get(mono)
                         if inv is None:
                             inv = self.algebra.monomial_eigenvalue(self.diagonal, mono).inverse()
-                            cache[(mono, -1)] = inv = one if inv.is_one() else inv.data
+                            inverses[mono] = inv = one if inv.is_one() else inv.data
                         eig = Scalar(field, inv) ** -power
-                    cache[key] = eig = one if eig.is_one() else eig.data
+                    table[mono] = eig = one if eig.is_one() else eig.data
                 # eigenvalues of an automorphism are nonzero
                 out[mono] = c if eig is one else eig if c == one else mul(c, eig)
             return BaseElement._of(self.algebra, out)
@@ -764,12 +800,15 @@ def _scalar_images(gens: dict[str, BaseElement], images: dict[str, BaseElement])
     return out
 
 
-def winding_automorphism_left(chi: Character) -> BaseAutomorphism:
+def winding_automorphism_left(chi: Character, deltas: dict | None = None) -> BaseAutomorphism:
     """tau^l_chi as a materialized automorphism; its inverse is the left
-    winding by chi o S."""
+    winding by chi o S. ``deltas`` maps each generator's name to its
+    coproduct when the caller has formed them; by default they are formed
+    here."""
     alg = chi.algebra
     chi_s = chi.compose_antipode()
-    deltas = {name: base_delta(g) for name, g in alg.generators.items()}
+    if deltas is None:
+        deltas = {name: base_delta(g) for name, g in alg.generators.items()}
     return BaseAutomorphism(alg, {name: _wind(chi, d, 0) for name, d in deltas.items()},
                             {name: _wind(chi_s, d, 0) for name, d in deltas.items()})
 

@@ -284,6 +284,22 @@ def run_corpus_entry(path: Path) -> EntryResult:
         status = "ok" if good else "MISMATCH"
         details.append(f"{label}: {status}" + (f" ({extra})" if extra else ""))
 
+    def error(label: str, message: str):
+        nonlocal ok
+        ok = False
+        details.append(f"{label}: ERROR ({message})")
+
+    def value(label: str, text: str):
+        """The value of an expect expression, or None once the error that
+        stops it is noted against the entry; the other entries still run."""
+        try:
+            return eval_expr(parse_expr(text), ctx)
+        except InternalError:
+            raise
+        except AbhkError as exc:
+            error(label, str(exc))
+            return None
+
     try:
         spec = _load(str(path), None)
     except AbhkError as exc:
@@ -342,14 +358,23 @@ def run_corpus_entry(path: Path) -> EntryResult:
     ctx = _context(spec, hopf.algebra)
     if expect is not None and "identities" in expect.blocks:
         for lhs, rhs in expect.blocks["identities"].entries.items():
-            left = eval_expr(parse_expr(lhs), ctx)
-            right = eval_expr(parse_expr(rhs), ctx)
-            note(f"identity[{lhs}]", left == right, format_element(left))
+            label = f"identity[{lhs}]"
+            left = value(label, lhs)
+            right = None if left is None else value(label, rhs)
+            if right is not None:
+                note(label, left == right, format_element(left))
     if expect is not None and "corad" in expect.blocks:
         corad_ctx = CoradicalContext.for_algebra(hopf)
         for expr_text, want in expect.blocks["corad"].entries.items():
-            degree = corad_degree(eval_expr(parse_expr(expr_text), ctx), corad_ctx)
-            note(f"corad[{expr_text}]", degree == int(want), str(degree))
+            label = f"corad[{expr_text}]"
+            elem = value(label, expr_text)
+            if elem is None:
+                continue
+            if elem.is_zero():  # as ``abhk corad`` refuses it
+                error(label, "coradical degree of zero is undefined")
+                continue
+            degree = corad_degree(elem, corad_ctx)
+            note(label, degree == int(want), str(degree))
 
     return EntryResult(path.stem, ok, details)
 

@@ -25,6 +25,9 @@ from .basehopf import (
     BaseElement,
     BaseTensor,
     Character,
+    _adjoint_pairs,
+    _conjugate_sum,
+    _wind,
     adjoint_left,
     adjoint_right,
     base_counit,
@@ -48,6 +51,10 @@ class ExtensionData:
     z and xi are derived (z = y+ y-, xi = chi(y+)) and sigma is always the
     materialized left winding by chi; whether the data actually satisfies
     the construction theorem is the checker's job, not the constructor's.
+    ``generator_deltas`` maps each generator's name to its coproduct, in
+    the order of ``base.generators``: formed once, for both windings of
+    sigma and sigma^-1 and for the right winding the checker compares them
+    with.
     """
 
     def __init__(self, base: BaseAlgebra, chi: Character, y_plus: BaseElement,
@@ -62,7 +69,8 @@ class ExtensionData:
         self.h = h
         self.z = y_plus * y_minus
         self.xi = chi(y_plus)
-        self.sigma = winding_automorphism_left(chi)
+        self.generator_deltas = {name: base_delta(g) for name, g in base.generators.items()}
+        self.sigma = winding_automorphism_left(chi, self.generator_deltas)
 
 
 class Condition(NamedTuple):
@@ -306,9 +314,12 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     winding_ok = True
     witness = ""
     images = data.sigma.images  # sigma is built from tau^l_chi on each generator
-    for name, g in base.generators.items():
+    # ad_l(y+) = sum y1 (.) S(y2): the pairs (y1, S(y2)) are formed once, and
+    # tau^r_chi(g) winds the Delta(g) that sigma was built from
+    pairs = _adjoint_pairs(y_plus, 1)
+    for name, delta in data.generator_deltas.items():
         lhs = images[name]
-        rhs = adjoint_left(y_plus, winding_right(chi, g))
+        rhs = _conjugate_sum(pairs, _wind(chi, delta, 1))
         if lhs != rhs:
             winding_ok = False
             witness = (f"tau^l_chi != ad_l(y+) tau^r_chi on {name}: "

@@ -54,6 +54,9 @@ class UqSl2Base(BaseAlgebra):
         h = t * t - inner_base.one()
         self.hopf, _ = construct_hopf(inner_base, ExtensionData(inner_base, chi, t, t, h))
         self.inner = self.hopf.algebra
+        # the leg products themselves, read by BaseElement.__mul__ before it
+        # calls mul_monomials: the same dict, not a copy
+        self._mul_cache = self.inner._leg_cache
         self.f_scale = self.q_diff.inverse()
         self._corad_d = mul_order(self.hopf.data.xi)
         self.descriptor = properties.derive_descriptor(self.hopf)

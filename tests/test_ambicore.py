@@ -31,6 +31,7 @@ from abhk.errors import (
 )
 from abhk.hopfstruct import HopfAmbiskewAlgebra
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
+from abhk.uqsl2 import UqSl2Base
 
 from conftest import (
     CORPUS_BUILDERS,
@@ -1054,3 +1055,149 @@ def test_warm_products_on_a_monoid_base_build_no_structure_dict(monkeypatch):
     counts.update(words=0, mul=0)
     assert [a * b for a, b in pairs] == want
     assert counts == {"words": 0, "mul": 387}
+
+
+# -- warm products read their caches inline -------------------------------------
+
+_UQSL2_FIELDS = (CyclotomicField(8), CyclotomicField(3), RationalFunctionField())
+
+
+@st.composite
+def uqsl2_products(draw):
+    """U_q(sl2) at q = zeta over Q(zeta_8) or Q(zeta_3), or at q over Q(q),
+    and two elements of it. Monomials are the inner legs t^j X+^m X-^n from
+    a small box, and coefficients come from +-1, +-2 and +-q, so products
+    often land on one monomial and their sums often cancel; half the draws
+    add m - m' to b, two terms of opposite sign."""
+    field = draw(st.sampled_from(_UQSL2_FIELDS))
+    q = field.q() if field.kind == "rational-function" else field.zeta()
+    base = UqSl2Base(field, q)
+    units = [field.from_int(k) for k in (1, -1, 2, -2)] + [q, -q]
+    monos = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
+    terms = st.lists(st.tuples(monos, st.sampled_from(units)), min_size=1, max_size=3)
+
+    def element(pairs):
+        out = base.zero()
+        for mono, c in pairs:
+            out = out + BaseElement(base, {mono: c})
+        return out
+    a, b = element(draw(terms)), element(draw(terms))
+    if draw(st.booleans()):
+        b = b + element([(draw(monos), units[0]), (draw(monos), units[1])])
+    return base, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(uqsl2_products())
+def test_warm_and_cold_uqsl2_products_match_the_general_loop(case):
+    """On U_q(sl2) the general loop of ``BaseElement.__mul__`` reads the
+    inner ``_leg_cache`` (the same dict) and calls ``mul_monomials`` only on
+    a miss. A cold product (the cache cleared, every pair a miss) and the
+    same product warm (every pair a hit) equal the loop through
+    ``mul_monomials`` on every pair, in value and dict order, with
+    cancelling sums drawn."""
+    base, a, b = case
+    assert base._mul_cache is base.inner._leg_cache
+    for x, y in ((a, b), (b, a), (a, a), (a - b, a + b)):
+        base._mul_cache.clear()
+        cold = x * y
+        if base.one().coeffs not in (x.coeffs, y.coeffs):  # no unit short-cut
+            assert all((m1, m2) in base._mul_cache for m1 in x.coeffs for m2 in y.coeffs)
+        warm = x * y
+        want = _loop_base_mul(x, y)
+        assert _layout(cold) == _layout(want), (base.key(), x, y)
+        assert _layout(warm) == _layout(want), (base.key(), x, y)
+
+
+def _parent_ambi_mul(a: AmbiElement, b: AmbiElement) -> AmbiElement:
+    """``AmbiElement.__mul__`` as the parent wrote it: every word through
+    ``_word``, and a term added to the running coefficient s of its key as
+    ``s + term``, a key whose sum is zero popped."""
+    alg = a.algebra
+    one, apply, words = alg.base._one, alg.sigma.apply, alg._word
+    out: dict = {}
+    for (m, n), x in a.coeffs.items():
+        for (p, q), y in b.coeffs.items():
+            r = apply(y, m - n) if m != n else y
+            coeff = r if x is one else x if r is one else x * r
+            for (u, v), c in words(m, n, p).items():
+                term = coeff if c is one else coeff * c
+                uv = (u, v + q)
+                s = out.get(uv)
+                merged = term if s is None else s + term
+                if merged.is_zero():
+                    out.pop(uv, None)
+                else:
+                    out[uv] = merged
+    return AmbiElement._of(alg, out)
+
+
+def test_a_cancelled_key_of_a_product_in_a_is_inserted_again_last(usl2):
+    """On usl2 (X- X+ = X+ X- - t), (X- - 1 + X+)(X+ + X+ X- + X-) adds +1,
+    -1 and +1 to the key X+ X- in turn: the key is dropped when its sum is
+    zero and inserted again last, in the parent's accumulation and in the
+    inline one. On Z x Z/2, (1 + g) X+ times (1 + g) is zero: a term that
+    vanishes in R stores nothing: sigma(g) = -g there, for g of order 2."""
+    A, base = usl2.algebra, usl2.algebra.base
+    one, t = base.one(), base.generator("t")
+    x = AmbiElement._of(A, {(0, 1): one, (0, 0): -one, (1, 0): one})
+    y = AmbiElement._of(A, {(1, 0): one, (1, 1): one, (0, 1): one})
+    got, want = x * y, _parent_ambi_mul(x, y)
+    assert _layout(got) == _layout(want)
+    assert list(got.coeffs) == [(0, 0), (1, 2), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (1, 1)]
+    assert got.coeffs[(1, 1)] == one and got.coeffs[(0, 1)] == -(t + one)
+    group = CORPUS_BUILDERS["group-z-z2"]().algebra
+    g, gone = group.base.generator("g2"), group.base.one()
+    x = group.monomial(gone + g, 1, 0)
+    y = AmbiElement._of(group, {(0, 0): gone + g, (0, 1): gone})
+    got, want = x * y, _parent_ambi_mul(x, y)
+    assert _layout(got) == _layout(want)
+    assert list(got.coeffs) == [(1, 1)]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_inline_word_reads_and_sums_match_the_parent_accumulation(corpus, seed):
+    """Products in A, cold on a fresh word cache and then warm, equal the
+    parent's ``s + term`` accumulation in value and dict order on every
+    corpus algebra, with sums that cancel inside a base coefficient and
+    whole keys that cancel and come back."""
+    rng = random.Random(seed)
+    for name, hopf in corpus.items():
+        A = hopf.algebra
+        xs = [random_element(rng, hopf, max_terms=3, max_degree=2, base_support=2)
+              for _ in range(2)]
+        xs += [xs[0] - xs[1], xs[0] + A.xminus() * A.xplus() - A.xplus() * A.xminus()]
+        cases = list(itertools.product(xs, repeat=2))
+        A._word_cache.clear()
+        A._cached_scalars = 0
+        for x, y in cases + cases:  # cold, then warm
+            assert _layout(x * y) == _layout(_parent_ambi_mul(x, y)), (name, x, y)
+
+
+def test_warm_products_on_uqsl2_read_cached_structure_constants(monkeypatch):
+    """50 seeded products in A on uqsl2-case3, cold and then again on warm
+    caches: the products in R read the structure constants of U_q(sl2)
+    from the inner ``_leg_cache``, so the cold pass calls
+    ``UqSl2Base.mul_monomials`` once per pair of monomials it has not met
+    (175 of them) and the warm pass not at all; with a call for every pair
+    the two passes made 403 and 399 calls."""
+    counts = {"words": 0}
+
+    def counting(fn):
+        def wrapper(*args):
+            counts["words"] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(UqSl2Base, "mul_monomials", counting(UqSl2Base.mul_monomials))
+    hopf = CORPUS_BUILDERS["uqsl2-case3"]()  # no cache shared with another test
+    rng = random.Random(20261021)
+    pairs = [tuple(random_element(rng, hopf, max_terms=2, max_degree=2, base_support=2)
+                   for _ in range(2)) for _ in range(50)]
+    counts.update(words=0)
+    want = [a * b for a, b in pairs]
+    assert counts == {"words": 175}
+    counts.update(words=0)
+    assert [a * b for a, b in pairs] == want
+    assert counts == {"words": 0}

@@ -505,7 +505,9 @@ def test_element_misuse_errors():
 
 def test_sigma_eigenvalue_cache_matches_uncached(corpus):
     """The diagonal branch of BaseAutomorphism.apply caches one scalar per
-    (monomial, power); it must agree with the uncached eigenvalue power."""
+    (monomial, power), in the table of its power; it must agree with the
+    uncached eigenvalue power. A negative power also leaves the inverse
+    eigenvalue of each monomial in the table of power -1."""
     rng = random.Random(20260318)
     diagonal = {name: hopf.algebra.sigma for name, hopf in corpus.items()
                 if hopf.algebra.sigma.diagonal is not None}
@@ -521,7 +523,9 @@ def test_sigma_eigenvalue_cache_matches_uncached(corpus):
                 })
                 assert sigma.apply(a, power) == want, (name, power)
                 if power:
-                    assert all((mono, power) in sigma._cache for mono in a.coeffs)
+                    assert all(mono in sigma._cache[power] for mono in a.coeffs)
+                if power < 0:
+                    assert all(mono in sigma._cache[-1] for mono in a.coeffs)
                 assert sigma.apply(a, power) == want, (name, power)
 
 

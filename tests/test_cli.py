@@ -812,6 +812,64 @@ def test_examples_report_the_pi_expectations_they_miss(monkeypatch, capsys, tmp_
     assert lines[-1] == "1/2 corpus entries pass"
 
 
+# An expect expression that does not evaluate fails its own entry, on a line
+# of its own; the runner reports every other entry and exits 1, with no
+# traceback. Each row inserts one expression into a copy of usl2.abhk named
+# broken.abhk, run beside an untouched usl2.abhk.
+USL2_DETAILS = [
+    "check: ok", "classification: ok (ii)", "gk_dim: ok (3)",
+    "gl_dim: ok (3 (exact: Hopf sharpening))",
+    "pi: ok (no (sigma has infinite order: translation has infinite order in characteristic 0))",
+    "identity[X-*X+]: ok (X+*X- - t)", "identity[X+*t]: ok (X+ + t*X+)",
+    "identity[X-*t]: ok (-X- + t*X-)",
+    "corad[1]: ok (0)", "corad[X+]: ok (1)", "corad[t*X+]: ok (2)", "corad[X+*X-]: ok (2)",
+]
+UNEVALUATED_EXPECT = [
+    ("corad-zero", "    X+*X-: 2\n", "    X+ - X+: 0\n", "corad[X+*X-]: ok (2)",
+     "corad[X+ - X+]: ERROR (coradical degree of zero is undefined)"),
+    ("identity-not-invertible", "    X-*t: t*X- - X-\n", "    X+^-1: 1\n",
+     "identity[X-*t]: ok (-X- + t*X-)", "identity[X+^-1]: ERROR (X+ is not invertible)"),
+    ("identity-right-side", "    X-*t: t*X- - X-\n", "    t: t^-1\n",
+     "identity[X-*t]: ok (-X- + t*X-)",
+     "identity[t]: ERROR (t is not invertible in the polynomial family)"),
+    ("corad-unparsed", "    X+*X-: 2\n", "    X+ +: 1\n", "corad[X+*X-]: ok (2)",
+     "corad[X+ +]: ERROR (expected a value, found end of input at line 1, column 5)"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("after, line, detail_after, detail",
+                         [row[1:] for row in UNEVALUATED_EXPECT],
+                         ids=[row[0] for row in UNEVALUATED_EXPECT])
+def test_examples_report_an_expect_expression_that_does_not_evaluate(
+        monkeypatch, capsys, tmp_path, fmt, after, line, detail_after, detail):
+    usl2 = (CORPUS / "usl2.abhk").read_text()
+    (tmp_path / "usl2.abhk").write_text(usl2)
+    (tmp_path / "broken.abhk").write_text(_swap(usl2, after, after + line))
+    monkeypatch.setenv("ABHK_CORPUS_DIR", str(tmp_path))
+    details = list(USL2_DETAILS)
+    details.insert(details.index(detail_after) + 1, detail)
+    if fmt == "text":
+        head, tail, summary = "broken  FAIL", "usl2    pass", "1/2 corpus entries pass"
+    else:
+        head, tail, summary = "broken\tFAIL", "usl2\tpass", "summary\t1/2 corpus entries pass"
+    assert run(capsys, "--format", fmt, "examples") == (1, "\n".join([
+        head, *(f"    {d}" for d in details), tail, summary, ""]), "")
+
+
+def test_examples_do_not_report_an_internal_breach_as_an_entry_error(monkeypatch, capsys):
+    """An engine breach while an expect expression evaluates is not the
+    entry's own error: the run stops with exit 3, as every command does."""
+    import abhk.cli as cli_module
+    from abhk.errors import InternalError
+
+    def explode(node, ctx):
+        raise InternalError("synthetic breach")
+
+    monkeypatch.setattr(cli_module, "eval_expr", explode)
+    assert run(capsys, "examples") == (3, "", "internal error: synthetic breach\n")
+
+
 # an expect value the runner cannot compare with is refused when the spec is
 # read: `pi: unknown` too, which no verified extension can meet (its sigma is
 # a winding, whose order is always decided)

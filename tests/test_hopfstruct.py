@@ -319,13 +319,16 @@ def test_leg_maps_match_blockwise_reference(corpus):
             a = random_element(rng, hopf, max_terms=3, base_support=2)
             assert hopf.delta(a) == _reference_delta(hopf, a), (name, a)
             assert hopf.antipode(a) == _reference_antipode(hopf, a), (name, a)
-        # the eigenvalue cache of a diagonal sigma holds raw field data only:
-        # no Scalar, and never the images the inverse checks cached during
-        # construction
+        # the eigenvalue tables of a diagonal sigma, one per power, hold raw
+        # field data only: no Scalar, and never the images the inverse checks
+        # cached during construction
         sigma = hopf.algebra.sigma
         if sigma.diagonal is not None:
-            assert sigma._cache
-            assert not any(isinstance(v, (Scalar, Sparse)) for v in sigma._cache.values()), name
+            assert sigma._cache and all(sigma._cache.values()), name
+            assert all(isinstance(power, int) and type(table) is dict
+                       for power, table in sigma._cache.items()), name
+            assert not any(isinstance(v, (Scalar, Sparse)) for table in sigma._cache.values()
+                           for v in table.values()), name
 
 
 def _delta_power(hopf: HopfAmbiskewAlgebra, sign: int, power: int) -> Tensor:
@@ -596,17 +599,20 @@ def test_trichotomy_nonempty_over_random_grid():
 # and ``base_antipode``); a rise means a value is derived twice, such as
 # Delta(g) for both windings of sigma and sigma^-1, or the winding
 # tau^l_chi(g) that sigma already holds (the parent of that change read 40,
-# 40, 26 and 13).
+# 40, 26 and 13), Delta(g) again for the winding condition's tau^r_chi(g),
+# or Delta(y+) and S of its terms again for each generator's ad_l(y+) (the
+# parent of that change read 28, 28, 22 and 9, and built 41 Scalars on
+# usl2).
 
 COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products,
     #                           sigma, R products, tensor products, generator_info,
     #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels,
     #                           Q(q) polynomial products, Scalars built,
     #                           field _mul and _add calls, R coproducts and antipodes)
-    "uqsl2-case3": (41, 33, 2, 70, 99, 21, 4, 0, 57, 8, 0, 180, 146, 28),
-    "uqsl2": (35, 32, 2, 42, 76, 21, 4, 0, 0, 0, 8, 137, 83, 28),
-    "uqsl2-general": (22, 25, 4, 27, 76, 6, 2, 5, 0, 0, 9, 71, 41, 22),
-    "usl2": (3, 13, 0, 8, 14, 6, 2, 0, 0, 0, 0, 41, 11, 9),
+    "uqsl2-case3": (41, 33, 2, 70, 99, 21, 4, 0, 57, 8, 0, 180, 146, 20),
+    "uqsl2": (35, 32, 2, 42, 76, 21, 4, 0, 0, 0, 8, 137, 83, 20),
+    "uqsl2-general": (22, 25, 4, 27, 76, 6, 2, 5, 0, 0, 9, 71, 41, 21),
+    "usl2": (3, 13, 0, 8, 14, 6, 2, 0, 0, 0, 0, 39, 11, 8),
 }
 
 
