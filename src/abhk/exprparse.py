@@ -31,6 +31,7 @@ from .basehopf import (
     BaseAlgebra,
     BaseAutomorphism,
     BaseElement,
+    BaseTensor,
     Character,
     GroupBase,
     LaurentBase,
@@ -438,7 +439,7 @@ def format_scalar(x: Scalar) -> tuple[str, bool]:
     if kind == "cyclotomic":
         text, multi = _poly_text(x.field.coefficients(x.data), "zeta")
         return text, not multi
-    num, den = x.data
+    num, den = x.field.quotient(x.data)
     if den == (1,):
         text, multi = _poly_text(num, "q")
         return text, not multi
@@ -534,15 +535,22 @@ def format_element(elem, max_terms: int | None = None) -> str:
 
 def format_tensor(tensor, max_terms: int | None = None) -> str:
     """Legs joined by (x), each leg printed as a one-term element carrying
-    the coefficient on the first leg. With ``max_terms``, only the first
-    terms are printed, followed by a count of the rest."""
-    base, field = tensor.algebra.base, tensor.algebra.field
+    the coefficient on the first leg. A ``BaseTensor`` of R (x) R prints
+    its monomials as the legs (mono, 0, 0) of A, as ``delta_leg`` embeds
+    them. With ``max_terms``, only the first terms are printed, followed
+    by a count of the rest."""
+    if isinstance(tensor, BaseTensor):
+        base, coeffs = tensor.algebra, {
+            tuple((mono, 0, 0) for mono in key): c for key, c in tensor.coeffs.items()}
+    else:
+        base, coeffs = tensor.algebra.base, tensor.coeffs
+    field = base.field
     one = field.one()
-    keys = sorted(tensor.coeffs, key=lambda k: tuple(
+    keys = sorted(coeffs, key=lambda k: tuple(
         (base.monomial_sort_key(mono), m, n) for (mono, m, n) in k))
     parts = []
     for key in keys[:max_terms]:
-        c = Scalar(field, tensor.coeffs[key])
+        c = Scalar(field, coeffs[key])
         parts.append(" (x) ".join(
             _join_terms([_leg_term(base, leg, c if idx == 0 else one)])
             for idx, leg in enumerate(key)))

@@ -272,6 +272,22 @@ def _pretty(elem, max_terms: int | None = None) -> str:
     return exprparse.format_element(elem, max_terms)
 
 
+def _pretty_tensor(tensor: BaseTensor) -> str:
+    from . import exprparse
+
+    return exprparse.format_tensor(tensor, WITNESS_TERMS)
+
+
+def _grouplike_witness(name: str, y: BaseElement) -> str:
+    """What a failed ``*-grouplike`` condition compared: Delta(y) - y (x) y,
+    cut to WITNESS_TERMS terms, and counit(y)."""
+    from . import exprparse
+
+    diff = _pretty_tensor(base_delta(y) - BaseTensor.of(y, y))
+    counit = exprparse.format_scalar(base_counit(y))[0]
+    return f"Delta({name}) - {name} (x) {name} = {diff}; counit({name}) = {counit}"
+
+
 def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     """Verify the hat-form construction data on generators.
 
@@ -286,19 +302,21 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     chi, y_plus, y_minus, z, h = data.chi, data.y_plus, data.y_minus, data.z, data.h
 
     report.record("character-valid", True, "validated at construction")
-    for label, test, elem in (("z-grouplike", is_grouplike, z), ("z-central", is_central, z),
-                              ("h-central", is_central, h)):
-        ok = test(elem)
+    ok = is_grouplike(z)
+    report.record("z-grouplike", ok, "" if ok else _grouplike_witness("z", z))
+    for label, elem in (("z-central", z), ("h-central", h)):
+        ok = is_central(elem)
         report.record(label, ok, "" if ok else _pretty(elem))
 
     want = BaseTensor.of(h, base.one()) + BaseTensor.of(z, h)
-    ok = base_delta(h) == want
-    report.record("h-skew-primitive", ok,
-                  "" if ok else "Delta(h) != h(x)1 + z(x)h")
+    delta_h = base_delta(h)
+    ok = delta_h == want
+    report.record("h-skew-primitive", ok, "" if ok else (
+        f"Delta(h) - (h (x) 1 + z (x) h) = {_pretty_tensor(delta_h - want)}"))
 
-    for label, y in (("y-plus", y_plus), ("y-minus", y_minus)):
+    for label, name, y in (("y-plus", "y+", y_plus), ("y-minus", "y-", y_minus)):
         gk = is_grouplike(y)
-        report.record(f"{label}-grouplike", gk, "" if gk else _pretty(y))
+        report.record(f"{label}-grouplike", gk, "" if gk else _grouplike_witness(name, y))
         central_in_g = all(y * g == g * y for g in base.grouplike_generators())
         report.record(f"{label}-in-center-of-grouplikes", central_in_g,
                       "" if central_in_g else f"{label} does not commute with G(R)")

@@ -9,7 +9,8 @@ floating point anywhere:
   in the power basis of Q[x]/(Phi_N(x)) over one positive denominator,
   with inverses taken through the Galois norm;
 * rational functions in one transcendental symbol ``q`` over Q, stored as
-  reduced quotients of integer-coefficient polynomials.
+  a power of q times a reduced quotient of integer-coefficient
+  polynomials that q divides neither of.
 
 The module also provides multiplicative-order queries, Gaussian binomial
 coefficients (computed through the Pascal recurrence as integer
@@ -116,25 +117,13 @@ def _int_exact_div(a, b):
     return quo
 
 
-def _cancel_q(num, den):
-    """``num`` and ``den``, nonzero trimmed integer polynomials, divided by
-    the power of q they share."""
-    low = 0
-    while not (num[low] or den[low]):
-        low += 1
-    if low:
-        return num[low:], den[low:]
-    return num, den
-
-
 def _coprime(num, den):
-    """``num`` and ``den``, nonzero trimmed integer polynomials, divided by
-    their gcd in Q[q]. The shared power of q is stripped first; a single
-    term c*q^k is then coprime to the other side. Two sides equal up to
-    sign (the x * x^-1 of most cancellations) reduce to +-1. Only two
-    different multi-term sides run the pseudo-remainder gcd."""
-    num, den = _cancel_q(num, den)
-    if num.count(0) != len(num) - 1 and den.count(0) != len(den) - 1:
+    """``num`` and ``den``, nonzero trimmed integer polynomials with
+    nonzero constant terms, divided by their gcd in Q[q]. A constant is
+    coprime to the other side, and two sides equal up to sign (the
+    x * x^-1 of most cancellations) reduce to +-1, so only two different
+    sides of two or more terms run the pseudo-remainder gcd."""
+    if len(num) > 1 and len(den) > 1:
         if num == den:
             return (1,), (1,)
         if num == poly_neg(den):
@@ -145,40 +134,41 @@ def _coprime(num, den):
     return num, den
 
 
-def _scale_shift(c, d, shift, num, den):
-    """The canonical form of c*q^shift*num / (d*den), for canonical
-    ``num``/``den`` and c/d in lowest terms with d > 0: the shift cancels
-    against the low zeros of the other side, and only the integer content
-    is left (none when c = +-1 and d = 1)."""
-    if shift > 0:
-        low = 0
-        while low < shift and not den[low]:
-            low += 1
-        num, den = (0,) * (shift - low) + num, den[low:]
-    elif shift < 0:
-        low = 0
-        while low < -shift and not num[low]:
-            low += 1
-        num, den = num[low:], (0,) * (-shift - low) + den
+def _strip_q(v, num):
+    """``(v + k, num / q^k)`` for the power q^k dividing ``num``, a
+    nonzero trimmed integer polynomial."""
+    low = 0
+    while not num[low]:
+        low += 1
+    return v + low, num[low:]
+
+
+def _scale(v, c, d, num, den):
+    """The canonical data of q^v * c*num / (d*den), for canonical sides
+    ``num``/``den`` and c/d in lowest terms with d > 0: a common factor of
+    the two sides other than an integer would divide ``num`` and ``den``,
+    which are coprime, so only the integer content is left (none when
+    c = +-1 and d = 1)."""
     if d == 1:
         if c == 1:
-            return num, den
+            return (v, num, den)
         if c == -1:
-            return poly_neg(num), den
+            return (v, poly_neg(num), den)
     else:
         den = [d * x for x in den]
-    return _content_free([c * x for x in num], den)
+    return _content_free(v, [c * x for x in num], den)
 
 
-def _content_free(num, den):
-    """The tuples of num/den, coprime in Q[q], divided by the integer
-    content of both together, signed so that ``den`` leads positive."""
+def _content_free(v, num, den):
+    """The data ``(v, num, den)`` of q^v * num/den, for ``num`` and ``den``
+    coprime in Q[q], divided by the integer content of both sides together
+    and signed so that ``den`` leads positive."""
     content = math.gcd(*num, *den)
     if den[-1] < 0:
         content = -content
     if content != 1:
-        return (tuple(c // content for c in num), tuple(c // content for c in den))
-    return (tuple(num), tuple(den))
+        return (v, tuple(c // content for c in num), tuple(c // content for c in den))
+    return (v, tuple(num), tuple(den))
 
 
 def eval_int_poly(coeffs, x: "Scalar") -> "Scalar":
@@ -524,57 +514,62 @@ class CyclotomicField(Field):
 class RationalFunctionField(Field):
     """Q(q): reduced quotients of integer polynomials in the symbol q.
 
-    An element is stored as ``(num, den)``, two tuples of ``int``
-    coefficients in ascending powers of q, in one canonical form: ``num``
-    and ``den`` are coprime, the gcd of all their coefficients together is
-    1, and the leading coefficient of ``den`` is positive. Zero is
-    ``((), (1,))``. Equal elements therefore have equal data, so any exact
-    reduction of a quotient yields the same tuples. A side is a single
-    term c*q^k when every coefficient but its last is zero; a canonical
-    single-term element c*q^i / (d*q^j) has i = 0 or j = 0.
+    An element is stored as ``(v, num, den)``, for the value q^v * num/den:
+    ``v`` is its q-adic valuation, and ``num`` and ``den`` are tuples of
+    ``int`` coefficients in ascending powers of q, trimmed, with nonzero
+    constant terms, so q divides neither side. The form is canonical:
+    ``num`` and ``den`` are coprime in Q[q], the gcd of all their
+    coefficients together is 1, and the leading coefficient of ``den`` is
+    positive. Zero is ``(0, (), (1,))``, one is ``(0, (1,), (1,))`` and
+    q^k is ``(k, (1,), (1,))``. Equal elements therefore have equal data,
+    and a single term c*q^k/d is an element with one-coefficient sides.
+    ``quotient`` gives the data as one quotient of polynomials; nothing
+    outside this class reads the layout.
 
     The arithmetic kernels start from canonical operands and cancel only
     what can still be shared (Henrici's method, Knuth, TAOCP vol. 2,
-    4.5.1, over Q[q]). Three helpers do the cancelling in integers only:
-    ``_coprime`` divides two sides by their gcd in Q[q], stripping the
-    power of q they share first and running the primitive pseudo-remainder
-    gcd ``_int_gcd`` only when both sides still have two or more terms and
-    differ by more than a sign (a single term c*q^k is then coprime to a
-    side with a nonzero constant term); ``_cancel_q`` strips only the
-    shared power of q; ``_content_free`` divides out the integer content
-    and fixes the sign.
+    4.5.1, over Q[q]). No power of q is ever shared, so the valuations
+    are integer sums and no kernel looks for a power of q to cancel, save
+    the one sum that can cancel a constant term. Three helpers do the
+    cancelling in integers only: ``_coprime`` divides two sides by their
+    gcd in Q[q], running the primitive pseudo-remainder gcd ``_int_gcd``
+    only when both sides have two or more terms and differ by more than a
+    sign (a constant is coprime to anything); ``_strip_q`` moves the power
+    of q dividing a numerator into the valuation; ``_content_free``
+    divides out the integer content and fixes the sign.
 
-    * ``_mul`` of a = an/ad and b = bn/bd:
-      - all four sides single terms: the product, c*q^k / d or
-        c / (d*q^k), comes from integers and exponents only;
-      - exactly one factor single-term, c*q^i / (d*q^j) times bn/bd: the
-        product is c*q^i*bn / (d*q^j*bd). A common factor of the two
-        sides other than q or an integer would divide bn and bd, which
-        are coprime; the shift q^(i-j) cancels against the low zeros of
-        the other side, bd for i > 0 or bn for j > 0. So the product is
-        the other factor scaled by c and d and shifted, and only its
-        content is left: one ``math.gcd``, skipped when c = +-1 and
-        d = 1, for bn and bd have none;
+    * ``_mul`` of a = q^av*an/ad and b = q^bv*bn/bd: the valuations add,
+      and
+      - both factors single terms: the product c*c' / (d*d') comes from
+        integers only, reduced by one ``math.gcd``;
+      - exactly one factor a single term c/d (times q^av): the product is
+        c*bn / (d*bd). A common factor of the two sides other than an
+        integer would divide bn and bd, which are coprime, so ``_scale``
+        leaves only the content: one ``math.gcd``, skipped when c = +-1
+        and d = 1;
       - otherwise every common factor of an*bn and ad*bd lies in an and
         bd or in bn and ad, so gcd(an*bn, ad*bd) = gcd(an, bd) *
         gcd(bn, ad). Each cross pair goes through ``_coprime``; the
         products of the reduced pairs are coprime and only the content
         is left.
     * ``_add``: a zero operand returns the other, and
-      - all four sides single terms, c*q^e/d + c'*q^e'/d' with e, e' the
-        exponents of q: for e = e' the sum is (c*d' + c'*d)*q^e / (d*d'),
-        zero or one term reduced by one ``math.gcd``; otherwise it is
-        q^k*(c*d'*q^(e-k) + c'*d*q^(e'-k)) / (d*d') with k = min(e, e'),
-        a two-term side with a nonzero constant term over an integer times
-        a power of q, so only the content is left: no ``poly_mul``;
+      - all four sides single terms, c*q^av/d + c'*q^bv/d': for av = bv
+        the sum is (c*d' + c'*d) / (d*d'), zero or one term reduced by
+        one ``math.gcd``; otherwise it is q^k*(x + y*q^(|av - bv|)) /
+        (d*d') with k = min(av, bv) and x the nonzero product of the
+        lower term, so only the content is left: no ``poly_mul``;
+      - otherwise the valuations are aligned at the lower one, k, by
+        padding the numerator of the other side with zeros. For av !=
+        bv the numerator of the sum keeps the nonzero constant term of
+        the lower side times the other denominator; only for av = bv
+        can it cancel, so only then ``_strip_q`` runs on it;
       - over equal denominators the sum is (an + bn)/ad, reduced against
         ``ad`` alone;
-      - when ``ad`` or ``bd`` is a single term d*q^j, the sum is
-        (an*bd + bn*ad) / (ad*bd) and shares no factor with the
-        denominator but q or an integer: an irreducible p dividing the
-        other denominator and the numerator would divide bn*ad (or
-        an*bd), so it would divide the numerator it is coprime to. The
-        shared power of q is stripped and the content divided, with no
+      - when ``ad`` or ``bd`` is a constant, the sum (an*bd + bn*ad) /
+        (ad*bd) shares no factor with the denominator but an integer:
+        an irreducible p dividing the other denominator and the
+        numerator would divide bn*ad (or an*bd), so it would divide the
+        numerator it is coprime to. Only the content is divided, with no
         polynomial gcd;
       - otherwise, with g = gcd(ad, bd), ad = g*ad' and bd = g*bd', the
         sum is t / (ad*bd') with t = an*bd' + bn*ad'. An irreducible
@@ -582,9 +577,9 @@ class RationalFunctionField(Field):
         ad' and bd' are coprime: impossible, for an and ad are coprime;
         likewise for bd'. So gcd(t, ad*bd') = gcd(t, g), and only that
         gcd is cancelled before the content.
-    * ``_inv``: ``(den, num)``, with both negated when ``num`` leads with a
-      negative coefficient: canonical data is already coprime and free of
-      content, so the swap is canonical.
+    * ``_inv``: ``(-v, den, num)``, with both sides negated when ``num``
+      leads with a negative coefficient: canonical data is already
+      coprime and free of content, so the swap is canonical.
     """
 
     kind: str = "rational-function"
@@ -592,103 +587,97 @@ class RationalFunctionField(Field):
     def from_fraction(self, value):
         value = Fraction(value)
         if not value:
-            return Scalar(self, ((), (1,)))
-        return Scalar(self, ((value.numerator,), (value.denominator,)))
+            return Scalar(self, (0, (), (1,)))
+        return Scalar(self, (0, (value.numerator,), (value.denominator,)))
 
     def q(self, power: int = 1):
-        if power >= 0:
-            return Scalar(self, ((0,) * power + (1,), (1,)))
-        return Scalar(self, ((1,), (0,) * (-power) + (1,)))
+        return Scalar(self, (power, (1,), (1,)))
+
+    def quotient(self, a):
+        """``a`` as one quotient ``(num, den)`` of integer polynomials: q^v
+        joins the numerator for v > 0 and the denominator for v < 0."""
+        v, num, den = a
+        if v >= 0:
+            return (0,) * v + num, den
+        return num, (0,) * -v + den
 
     def _add(self, a, b):
-        (an, ad), (bn, bd) = a, b
+        av, an, ad = a
+        bv, bn, bd = b
         if not an:
             return b
         if not bn:
             return a
-        if (an.count(0) == len(an) - 1 and ad.count(0) == len(ad) - 1
-                and bn.count(0) == len(bn) - 1 and bd.count(0) == len(bd) - 1):
-            # c q^e / d + c' q^e' / d', with d, d' > 0
-            c, d, e = an[-1], ad[-1], len(an) - len(ad)
-            c2, d2, e2 = bn[-1], bd[-1], len(bn) - len(bd)
-            den = d * d2
-            if e == e2:
-                num = c * d2 + c2 * d
+        if len(an) == len(ad) == len(bn) == len(bd) == 1:
+            # c q^av / d + c' q^bv / d', with d, d' > 0
+            c, d, c2, d2 = an[0], ad[0], bn[0], bd[0]
+            if av == bv:
+                num, den = c * d2 + c2 * d, d * d2
                 if not num:
-                    return ((), (1,))
+                    return (0, (), (1,))
                 g = math.gcd(num, den)
-                if g != 1:
-                    num, den = num // g, den // g
-                if e >= 0:
-                    return ((0,) * e + (num,), (den,))
-                return ((num,), (0,) * -e + (den,))
-            # q^low (x + y q^(high - low)) / (d d'): x != 0, so the sides
-            # share no power of q and only the content is left
-            if e < e2:
-                low, high, x, y = e, e2, c * d2, c2 * d
-            else:
-                low, high, x, y = e2, e, c2 * d, c * d2
-            num = (x,) + (0,) * (high - low - 1) + (y,)
-            if low >= 0:
-                return _content_free((0,) * low + num, (den,))
-            return _content_free(num, (0,) * -low + (den,))
+                return (av, (num // g,), (den // g,))
+            if av > bv:  # the lower term first: its constant term stays nonzero
+                av, bv, c, d, c2, d2 = bv, av, c2, d2, c, d
+            return _content_free(av, (c * d2,) + (0,) * (bv - av - 1) + (c2 * d,), (d * d2,))
+        v = av
+        if av > bv:
+            v, an = bv, (0,) * (av - bv) + an
+        elif av < bv:
+            bn = (0,) * (bv - av) + bn
         if ad == bd:
             num = poly_add(an, bn)
             if not num:
-                return ((), (1,))
-            return _content_free(*_coprime(num, ad))
+                return (0, (), (1,))
+            if av == bv:
+                v, num = _strip_q(v, num)
+            return _content_free(v, *_coprime(num, ad))
         # different denominators: b = -a would share a's, so the sum is not 0
-        if ad.count(0) == len(ad) - 1 or bd.count(0) == len(bd) - 1:
-            num = poly_add(poly_mul(an, bd), poly_mul(bn, ad))
-            return _content_free(*_cancel_q(num, poly_mul(ad, bd)))
-        g = _int_gcd(ad, bd)
-        if len(g) == 1:
-            return _content_free(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
-        bd = _int_exact_div(bd, g)
-        num = poly_add(poly_mul(an, bd), poly_mul(bn, _int_exact_div(ad, g)))
+        if len(ad) > 1 and len(bd) > 1 and len(g := _int_gcd(ad, bd)) > 1:
+            bd = _int_exact_div(bd, g)
+            num = poly_add(poly_mul(an, bd), poly_mul(bn, _int_exact_div(ad, g)))
+        else:
+            g, num = None, poly_add(poly_mul(an, bd), poly_mul(bn, ad))
+        if av == bv:
+            v, num = _strip_q(v, num)
         den = poly_mul(ad, bd)
-        h = _int_gcd(num, g)
-        if len(h) > 1:
+        if g is not None and len(h := _int_gcd(num, g)) > 1:
             num, den = _int_exact_div(num, h), _int_exact_div(den, h)
-        return _content_free(num, den)
+        return _content_free(v, num, den)
 
     def _mul(self, a, b):
-        (an, ad), (bn, bd) = a, b
+        av, an, ad = a
+        bv, bn, bd = b
         if not an or not bn:
-            return ((), (1,))
-        a_term = an.count(0) == len(an) - 1 and ad.count(0) == len(ad) - 1
-        b_term = bn.count(0) == len(bn) - 1 and bd.count(0) == len(bd) - 1
-        if a_term and b_term:
-            # (c q^i / d q^j) (c' q^k / d' q^l): the denominators are positive
-            num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
-            g = math.gcd(num, den)
-            if g != 1:
-                num, den = num // g, den // g
-            shift = len(an) + len(bn) - len(ad) - len(bd)
-            if shift >= 0:
-                return ((0,) * shift + (num,), (den,))
-            return ((num,), (0,) * -shift + (den,))
-        if a_term:
-            return _scale_shift(an[-1], ad[-1], len(an) - len(ad), bn, bd)
-        if b_term:
-            return _scale_shift(bn[-1], bd[-1], len(bn) - len(bd), an, ad)
+            return (0, (), (1,))
+        if len(an) == len(ad) == 1:
+            if len(bn) == len(bd) == 1:
+                # (c q^av / d) (c' q^bv / d'): the denominators are positive
+                num, den = an[0] * bn[0], ad[0] * bd[0]
+                g = math.gcd(num, den)
+                if g != 1:
+                    num, den = num // g, den // g
+                return (av + bv, (num,), (den,))
+            return _scale(av + bv, an[0], ad[0], bn, bd)
+        if len(bn) == len(bd) == 1:
+            return _scale(av + bv, bn[0], bd[0], an, ad)
         an, bd = _coprime(an, bd)
         bn, ad = _coprime(bn, ad)
-        return _content_free(poly_mul(an, bn), poly_mul(ad, bd))
+        return _content_free(av + bv, poly_mul(an, bn), poly_mul(ad, bd))
 
     def _neg(self, a):
-        return (poly_neg(a[0]), a[1])
+        return (a[0], poly_neg(a[1]), a[2])
 
     def _inv(self, a):
-        num, den = a
+        v, num, den = a
         if not num:
             raise NotInvertibleError("inverse of zero")
         if num[-1] < 0:
-            return (poly_neg(den), poly_neg(num))
-        return (den, num)
+            return (-v, poly_neg(den), poly_neg(num))
+        return (-v, den, num)
 
     def _is_zero(self, a):
-        return not a[0]
+        return not a[1]
 
 
 # ---------------------------------------------------------------------------

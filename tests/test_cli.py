@@ -31,16 +31,63 @@ def test_check_pass_and_fail_exit_codes(capsys):
 
 
 def test_failed_grouplike_condition_prints_the_element(capsys, tmp_path):
-    # the witness of a failed *-grouplike condition is the element itself,
-    # formatted as the CLI prints elements
+    # the witness of a failed *-grouplike condition is what it compared:
+    # Delta(y) - y (x) y, formatted as the CLI prints tensors, and counit(y).
+    # With y+ = 2, z = y+ y- = 2 fails too
     text = (CORPUS / "usl2.abhk").read_text()
     spec = tmp_path / "y-plus-2.abhk"
     spec.write_text(text.replace("y_plus: 1", "y_plus: 2", 1))
     code, out, err = run(capsys, "check", str(spec))
     assert code == 1
     assert err == ""
-    assert "  y-plus-grouplike: FAIL  [2]\n" in out
+    assert "  y-plus-grouplike: FAIL  [Delta(y+) - y+ (x) y+ = -2 (x) 1; counit(y+) = 2]\n" in out
+    assert "  z-grouplike: FAIL  [Delta(z) - z (x) z = -2 (x) 1; counit(z) = 2]\n" in out
     assert "  y-minus-grouplike: pass\n" in out
+
+
+SKEW_PRIMITIVE_H2 = {  # usl2.abhk with h = t^2: Delta(t^2) has the cross term 2 t (x) t
+    "text": """main-theorem data check (verified on generators): fail
+  character-valid: pass  [validated at construction]
+  z-grouplike: pass
+  z-central: pass
+  h-central: pass
+  h-skew-primitive: FAIL  [Delta(h) - (h (x) 1 + z (x) h) = 2*t (x) t]
+  y-plus-grouplike: pass
+  y-plus-in-center-of-grouplikes: pass
+  y-minus-grouplike: pass
+  y-minus-in-center-of-grouplikes: pass
+  z-factorization: pass
+  xi-match: pass
+  winding-condition: pass
+""",
+    "machine": """overall\tfail
+character-valid\tpass (validated at construction)
+z-grouplike\tpass
+z-central\tpass
+h-central\tpass
+h-skew-primitive\tfail (Delta(h) - (h (x) 1 + z (x) h) = 2*t (x) t)
+y-plus-grouplike\tpass
+y-plus-in-center-of-grouplikes\tpass
+y-minus-grouplike\tpass
+y-minus-in-center-of-grouplikes\tpass
+z-factorization\tpass
+xi-match\tpass
+winding-condition\tpass
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SKEW_PRIMITIVE_H2))
+def test_failed_skew_primitive_condition_prints_delta_h_minus_the_sum(capsys, tmp_path, fmt):
+    # a spec broken in h-skew-primitive alone: the witness is the difference
+    # of the two sides, cut to WITNESS_TERMS terms
+    text = (CORPUS / "usl2.abhk").read_text()
+    assert "  h: t\n" in text
+    spec = tmp_path / "h-t2.abhk"
+    spec.write_text(text.replace("  h: t\n", "  h: t^2\n", 1))
+    code, out, err = run(capsys, "--format", fmt, "check", str(spec))
+    assert (code, err) == (1, "")
+    assert out == SKEW_PRIMITIVE_H2[fmt]
 
 
 def test_failed_winding_condition_prints_lhs_minus_rhs(capsys, tmp_path):

@@ -585,7 +585,10 @@ def test_trichotomy_nonempty_over_random_grid():
 # denominator that multiplies polynomials instead of scaling and shifting,
 # or a sum of two single terms that multiplies polynomials instead of
 # adding integers; the parent of that sum read 26 and 18 polynomial
-# products on ``uqsl2`` and ``uqsl2-general``).
+# products on ``uqsl2`` and ``uqsl2-general``, or a Q(q) side that holds
+# its power of q again: the parent of the (v, num, den) layout took the gcd
+# of q^5 - q^3 and q^2 - 1 and multiplied sides by q^3, reading 5 gcds and 9
+# polynomial products on ``uqsl2-general``).
 # ``uqsl2-general`` routes through the change of variables, and its cold
 # build is the one that runs Q(q) gcds. The last two columns count the
 # ``Scalar`` objects built (containers hold raw field data, so a rise means a
@@ -611,7 +614,7 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
     #                           field _mul and _add calls, R coproducts and antipodes)
     "uqsl2-case3": (41, 33, 2, 70, 99, 21, 4, 0, 57, 8, 0, 180, 146, 20),
     "uqsl2": (35, 32, 2, 42, 76, 21, 4, 0, 0, 0, 8, 137, 83, 20),
-    "uqsl2-general": (22, 25, 4, 27, 76, 6, 2, 5, 0, 0, 9, 71, 41, 21),
+    "uqsl2-general": (22, 25, 4, 27, 76, 6, 2, 4, 0, 0, 6, 71, 41, 21),
     "usl2": (3, 13, 0, 8, 14, 6, 2, 0, 0, 0, 0, 39, 11, 8),
 }
 

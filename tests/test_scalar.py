@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from abhk import scalar
 from abhk.errors import FieldMismatchError, NotInvertibleError
-from abhk.exprparse import format_scalar
+from abhk.exprparse import _poly_text, format_scalar
 from abhk.scalar import (
     CyclotomicField,
     HatProfile,
@@ -567,23 +567,107 @@ def test_rational_function_normalization():
     q = FQ.q()
     assert (q**2 - 1) / (q - 1) == q + 1
     x = (q**2 - 1) / (2 * q + 2)
-    assert x.data == ((-1, 1), (2,))  # (q-1)/2, reduced and content-split
-    assert (q / 2 + 1).data == ((2, 1), (2,))
+    assert x.data == (0, (-1, 1), (2,))  # (q-1)/2, reduced and content-split
+    assert (q / 2 + 1).data == (0, (2, 1), (2,))
+    assert (q**3 / (2 * q + 4)).data == (3, (1,), (4, 2))
+    assert (q**-2 - q**-1).data == (-2, (1, -1), (1,))
     assert FQ.q(-3) * FQ.q(3) == FQ.one()
+    assert FQ.zero().data == (0, (), (1,)) and FQ.one().data == (0, (1,), (1,))
+
+
+def test_qfunc_powers_of_q_have_one_coefficient_sides():
+    """q^k keeps its power apart: the sides of q**256 and q**-256 stay one
+    coefficient long."""
+    assert (FQ.q() ** 256).data == FQ.q(256).data == (256, (1,), (1,))
+    assert (FQ.q() ** -256).data == FQ.q(-256).data == (-256, (1,), (1,))
+    assert (FQ.q(-256) * 3 * FQ.q(256)).data == (0, (3,), (1,))
+
+
+# -- the (v, num, den) layout against the parent's (num, den) data -----------
+#
+# The references below keep the parent's layout, (num, den) with the power of
+# q inside one side: zero is ((), (1,)) and q^-2 is ((1,), (0, 0, 1)). The
+# kernels are compared with them through one adapter pair.
+
+
+def _qfunc_new(data):
+    """``(num, den)`` data in the library's ``(v, num, den)`` layout: the
+    low zeros of each side move into the valuation v."""
+    num, den = data
+    if not num:
+        return (0, (), (1,))
+    low_num = next(k for k, c in enumerate(num) if c)
+    low_den = next(k for k, c in enumerate(den) if c)
+    return (low_num - low_den, num[low_num:], den[low_den:])
+
+
+def _qfunc_old(data):
+    """``(v, num, den)`` data in the parent's ``(num, den)`` layout: q^v
+    joins the numerator for v > 0 and the denominator for v < 0."""
+    v, num, den = data
+    if v >= 0:
+        return ((0,) * v + num, den)
+    return (num, (0,) * -v + den)
+
+
+def _assert_qfunc_canonical(data):
+    """``data`` is canonical ``(v, num, den)`` data: int entries, q divides
+    neither side, the sides are coprime with content 1 and ``den`` leads
+    positive, and zero is ``(0, (), (1,))``."""
+    v, num, den = data
+    assert type(v) is int and type(num) is tuple and type(den) is tuple
+    assert all(type(c) is int for c in num + den)
+    if not num:
+        assert data == (0, (), (1,))
+        return
+    assert num[0] and num[-1] and den[0] and den[-1] > 0
+    assert math.gcd(*num, *den) == 1
+    assert len(_reference_gcd(num, den)) == 1
+
+
+def _qfunc_kernel(name, *operands):
+    """``FQ``'s kernel ``name`` on ``(num, den)`` operands: its result is
+    checked canonical and returned as ``(num, den)``."""
+    out = getattr(FQ, name)(*map(_qfunc_new, operands))
+    _assert_qfunc_canonical(out)
+    return _qfunc_old(out)
+
+
+def test_qfunc_layout_adapter_round_trips():
+    for data, want in [(((), (1,)), (0, (), (1,))), (((1,), (1,)), (0, (1,), (1,))),
+                       (((0, 0, 3), (1, 1)), (2, (3,), (1, 1))),
+                       (((1, 1), (0, 0, 0, 2)), (-3, (1, 1), (2,)))]:
+        assert _qfunc_new(data) == want and _qfunc_old(want) == data == FQ.quotient(want)
 
 
 # -- the Q(q) reducer against the Fraction-Euclid reference ------------------
 
 
+def _parent_coprime(num, den):
+    """The parent's ``_coprime`` on ``(num, den)`` sides: the power of q
+    both share stripped first, as its ``_cancel_q`` did, then the gcd in
+    Q[q] by the library's ``_coprime``."""
+    low = 0
+    while not (num[low] or den[low]):
+        low += 1
+    return _coprime(num[low:], den[low:])
+
+
+def _parent_content_free(num, den):
+    """The parent's ``_content_free``: the integer content divided out and
+    the sign fixed, by the library's."""
+    return _content_free(0, num, den)[1:]
+
+
 def _qfunc_make(num, den):
     """Any quotient of integer polynomials, ``den`` nonzero, in the
-    canonical form of ``RationalFunctionField``, by the library's own
-    reducers: ``_coprime`` (the shared power of q, then the gcd in Q[q])
-    and ``_content_free`` (the integer content and the sign)."""
+    parent's canonical ``(num, den)`` form, by the library's own reducers:
+    ``_coprime`` (after the shared power of q) and ``_content_free`` (the
+    integer content and the sign)."""
     num, den = _trim(num), _trim(den)
     if not num:
         return ((), (1,))
-    return _content_free(*_coprime(num, den))
+    return _parent_content_free(*_parent_coprime(num, den))
 
 
 def _reference_gcd(a, b):
@@ -763,15 +847,20 @@ def _reference_qfunc_inv(a):
     return _qfunc_make(a[1], a[0])
 
 
+def _reference_qfunc_neg(a):
+    return _qfunc_make(poly_neg(a[0]), a[1])
+
+
 @settings(max_examples=1000, deadline=None)
 @given(quotient_pairs())
 def test_qfunc_kernels_match_reference(pair):
     a, b = pair
-    assert FQ._add(a, b) == _reference_qfunc_add(a, b)
-    assert FQ._mul(a, b) == _reference_qfunc_mul(a, b)
-    assert FQ._mul(b, a) == _reference_qfunc_mul(b, a)
-    if a[0]:
-        assert FQ._inv(a) == _reference_qfunc_inv(a)
+    for x, y in ((a, b), (b, a)):
+        assert _qfunc_kernel("_add", x, y) == _reference_qfunc_add(x, y)
+        assert _qfunc_kernel("_mul", x, y) == _reference_qfunc_mul(x, y)
+        assert _qfunc_kernel("_neg", x) == _reference_qfunc_neg(x)
+        if x[0]:
+            assert _qfunc_kernel("_inv", x) == _reference_qfunc_inv(x)
 
 
 def _parent_qfunc_add(a, b):
@@ -786,7 +875,7 @@ def _parent_qfunc_add(a, b):
         num = poly_add(an, bn)
         if not num:
             return ((), (1,))
-        return _content_free(*_coprime(num, ad))
+        return _parent_content_free(*_parent_coprime(num, ad))
     return _qfunc_make(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
 
 
@@ -797,9 +886,9 @@ def _parent_qfunc_mul(a, b):
     if not an or not bn:
         return ((), (1,))
     if any(an[:-1]) or any(bn[:-1]) or any(ad[:-1]) or any(bd[:-1]):
-        an, bd = _coprime(an, bd)
-        bn, ad = _coprime(bn, ad)
-        return _content_free(poly_mul(an, bn), poly_mul(ad, bd))
+        an, bd = _parent_coprime(an, bd)
+        bn, ad = _parent_coprime(bn, ad)
+        return _parent_content_free(poly_mul(an, bn), poly_mul(ad, bd))
     num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
     g = math.gcd(num, den)
     if g != 1:
@@ -810,20 +899,35 @@ def _parent_qfunc_mul(a, b):
     return ((num,), (0,) * -shift + (den,))
 
 
+def _parent_qfunc_neg(a):
+    return (poly_neg(a[0]), a[1])
+
+
+def _parent_qfunc_inv(a):
+    num, den = a
+    if num[-1] < 0:
+        return (poly_neg(den), poly_neg(num))
+    return (den, num)
+
+
 @settings(max_examples=800, deadline=None, derandomize=True)
 @given(quotient_pairs())
 def test_qfunc_kernels_match_parent_kernels(pair):
-    """a*b, b*a, a+b and b+a are the data the kernels gave before the
-    single-term factor path and Henrici's addition."""
+    """a*b, b*a, a+b, b+a, -a, -b, 1/a and 1/b are the data the kernels
+    gave before the single-term factor path, Henrici's addition and the
+    valuation kept apart, read through the layout adapter."""
     a, b = pair
-    assert FQ._mul(a, b) == _parent_qfunc_mul(a, b)
-    assert FQ._mul(b, a) == _parent_qfunc_mul(b, a)
-    assert FQ._add(a, b) == _parent_qfunc_add(a, b)
-    assert FQ._add(b, a) == _parent_qfunc_add(b, a)
+    for x, y in ((a, b), (b, a)):
+        assert _qfunc_kernel("_mul", x, y) == _parent_qfunc_mul(x, y)
+        assert _qfunc_kernel("_add", x, y) == _parent_qfunc_add(x, y)
+        assert _qfunc_kernel("_neg", x) == _parent_qfunc_neg(x)
+        if x[0]:
+            assert _qfunc_kernel("_inv", x) == _parent_qfunc_inv(x)
 
 
 @pytest.mark.parametrize("op, a, b, want", [
-    # a single-term factor: the shift cancels against the other side's low zeros
+    # in the (num, den) layout of the references, read through the adapter.
+    # A single-term factor: its power of q is the valuation, added apart
     ("mul", ((0, 0, 1), (1,)), ((1, 1), (0, 2, 1)), ((0, 1, 1), (2, 1))),
     ("mul", ((1,), (0, 0, 1)), ((0, 1, 1), (1, 2)), ((1, 1), (0, 1, 2))),
     # ... and the integer content: 2/3 * (3q + 3)/(2q + 1)
@@ -846,11 +950,91 @@ def test_qfunc_kernels_match_parent_kernels(pair):
     # 2q^2/3 + 4/3 = (2q^2 + 4)/3
     ("add", ((1,), (0, 1)), ((0, 1), (2,)), ((2, 0, 1), (0, 2))),
     ("add", ((0, 0, 2), (3,)), ((4,), (3,)), ((4, 0, 2), (3,))),
+    # equal valuations whose constant terms cancel, so the sum gains a power
+    # of q: (q + 1)/(q + 2) - 1/(q + 2) = q/(q + 2), 1/(q + 1) - 1/(2q + 1)
+    # = q/((q + 1)(2q + 1)), and through g = q + 1:
+    # 2/((q+1)(q+2)) - 3/((q+1)(q+3)) = -q/((q+1)(q+2)(q+3))
+    ("add", ((1, 1), (2, 1)), ((-1,), (2, 1)), ((0, 1), (2, 1))),
+    ("add", ((1,), (1, 1)), ((-1,), (1, 2)), ((0, 1), (1, 3, 2))),
+    ("add", ((2,), (2, 3, 1)), ((-3,), (3, 4, 1)), ((0, -1), (6, 11, 6, 1))),
 ])
 def test_qfunc_kernel_paths(op, a, b, want):
-    kernel, parent = (FQ._mul, _parent_qfunc_mul) if op == "mul" else (FQ._add, _parent_qfunc_add)
-    assert kernel(a, b) == kernel(b, a) == want
+    parent = _parent_qfunc_mul if op == "mul" else _parent_qfunc_add
+    assert _qfunc_kernel(f"_{op}", a, b) == _qfunc_kernel(f"_{op}", b, a) == want
     assert parent(a, b) == want
+
+
+def _parent_format_qfunc(data):
+    """The Q(q) branch of ``format_scalar`` as it was, on the parent's
+    ``(num, den)`` data: (text, atomic)."""
+    num, den = data
+    if den == (1,):
+        text, multi = _poly_text(num, "q")
+        return text, not multi
+    if len(den) == 1:
+        text, multi = _poly_text([Fraction(c, den[0]) for c in num], "q")
+        return text, not multi
+    num_text, num_multi = _poly_text(num, "q")
+    if num_multi:
+        num_text = f"({num_text})"
+    if len([c for c in den if c]) == 1 and den[-1] == 1:
+        power = f"q^-{len(den) - 1}"
+        if num_text == "1":
+            return power, True
+        if num_text == "-1":
+            return f"-{power}", False
+        return f"{num_text}*{power}", False
+    den_text, _ = _poly_text(den, "q")
+    return f"{num_text}*({den_text})^-1", False
+
+
+constants = st.integers(-9, 9).filter(bool)
+multi_term_sides = st.builds(lambda c, rest: (c,) + rest, constants,
+                             st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(_trim)
+                             ).filter(lambda p: len(p) > 1)
+
+
+@st.composite
+def qfunc_values(draw):
+    """Canonical ``(v, num, den)`` data with v in -6..6 and each side one of
+    the shapes ``format_scalar`` branches on: +-1, another constant, or
+    two or more terms."""
+    v = draw(st.integers(-6, 6))
+    num = draw(st.one_of(st.sampled_from([(1,), (-1,)]), constants.map(lambda c: (c,)),
+                         multi_term_sides))
+    den = draw(st.one_of(st.just((1,)), st.integers(2, 9).map(lambda d: (d,)),
+                         multi_term_sides))
+    return _content_free(v, *_coprime(num, den))
+
+
+def _assert_prints_as_parent(data):
+    x = Scalar(FQ, data)
+    assert format_scalar(x) == _parent_format_qfunc(_qfunc_old(data)), data
+
+
+@settings(max_examples=600, deadline=None)
+@given(qfunc_values())
+def test_qfunc_printing_matches_parent(data):
+    _assert_prints_as_parent(data)
+
+
+@pytest.mark.parametrize("data, text", [
+    ((0, (), (1,)), "0"),
+    ((-3, (1,), (1,)), "q^-3"),
+    ((-2, (-1,), (1,)), "-q^-2"),
+    ((-1, (3,), (1,)), "3*q^-1"),
+    ((-1, (1,), (2,)), "1*(2*q)^-1"),
+    ((-1, (-1, 1), (1,)), "(-1 + q)*q^-1"),
+    ((2, (1, 1), (3,)), "1/3*q^2 + 1/3*q^3"),
+    ((1, (1,), (1, 1)), "q*(1 + q)^-1"),
+])
+def test_qfunc_printing_shapes(data, text):
+    """Shapes the cli goldens pin: q^-k alone and signed, a power of q
+    under a constant denominator, and the ``1*(2*q)^-1`` of a valuation
+    below a constant other than 1."""
+    _assert_qfunc_canonical(data)
+    assert format_scalar(Scalar(FQ, data))[0] == text
+    _assert_prints_as_parent(data)
 
 
 def _sympy_canonical(sympy, q, expr):
@@ -874,12 +1058,14 @@ def test_qfunc_arithmetic_against_sympy(pair):
     def expr(coeffs):
         return sum((c * q**k for k, c in enumerate(coeffs)), sympy.Integer(0))
 
-    a, b = (Scalar(FQ, data) for data in pair)
+    a, b = (Scalar(FQ, _qfunc_new(data)) for data in pair)
     ea, eb = (expr(num) / expr(den) for num, den in pair)
-    assert (a + b).data == _sympy_canonical(sympy, q, ea + eb)
-    assert (a * b).data == _sympy_canonical(sympy, q, ea * eb)
+    for got, want in ((a + b, ea + eb), (a * b, ea * eb), (-a, -ea)):
+        _assert_qfunc_canonical(got.data)
+        assert _qfunc_old(got.data) == _sympy_canonical(sympy, q, want)
     if not a.is_zero():
-        assert a.inverse().data == _sympy_canonical(sympy, q, 1 / ea)
+        _assert_qfunc_canonical(a.inverse().data)
+        assert _qfunc_old(a.inverse().data) == _sympy_canonical(sympy, q, 1 / ea)
 
 
 def test_qfunc_inverse_of_zero_is_not_invertible():
@@ -919,7 +1105,7 @@ def _parent_mul_order(x):
     if field.kind == "rational":
         return 1 if x.data == 1 else 2 if x.data == -1 else None
     if field.kind == "rational-function":
-        num, den = x.data
+        num, den = _qfunc_old(x.data)
         if num == (1,) and den == (1,):
             return 1
         if num == (-1,) and den == (1,):
@@ -1258,7 +1444,7 @@ def test_unit_short_cut_cyclotomic(case):
 @settings(max_examples=300, deadline=None)
 @given(quotients())
 def test_unit_short_cut_qfunc(pair):
-    _assert_unit_short_cut(Scalar(FQ, _qfunc_make(*pair)))
+    _assert_unit_short_cut(Scalar(FQ, _qfunc_new(_qfunc_make(*pair))))
 
 
 @pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
