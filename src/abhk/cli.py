@@ -96,13 +96,15 @@ def _field_arg(text: str) -> Field:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
 
 
-def _positive_int(text: str) -> int:
+def _nmax_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    if value > exprparse.MAX_NMAX:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds the limit {exprparse.MAX_NMAX}")
     return value
 
 
@@ -442,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (machine = key<TAB>value lines)")
     parser.add_argument("--field", type=_field_arg, default=None,
                         help="override the spec's field, e.g. 'cyclotomic:8'")
-    parser.add_argument("--nmax", type=_positive_int, default=None,
+    parser.add_argument("--nmax", type=_nmax_arg, default=None,
                         help="iteration bound for automorphism-order searches")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 

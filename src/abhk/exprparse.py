@@ -51,8 +51,8 @@ from .uqsl2 import UqSl2Base
 MAX_EXPONENT = 256
 
 # Deepest nesting of parentheses accepted. Parsing recurses four frames per
-# level, and _chain_exponent, _eval and _format_node one or two per level of
-# the tree, so 300 levels overran Python's default recursion limit of 1000.
+# level, and _chain_exponent and _eval one or two per level of the tree,
+# so 300 levels overran Python's default recursion limit of 1000.
 # The corpus nests at most three deep.
 MAX_NESTING = 64
 
@@ -63,6 +63,14 @@ MAX_NESTING = 64
 # near 512, where phi(N) is largest; Python 3.11 on 2 vCPU), and
 # 0.19-0.25 s at N = 660, 720 or 840.
 MAX_CYCLOTOMIC_ORDER = 512
+
+# Largest --nmax or options.nmax accepted. The automorphism-order searches
+# apply sigma up to nmax times, and the images can grow at each step, so the
+# time grows faster than nmax: `props` on a polynomial spec with sigma
+# t -> 2*t + 1 (images 2^n t + 2^n - 1, a bit longer each step) ran 0.14 s at
+# nmax 4096 as a subprocess, 0.26 s at 32,000 and 2.0 s at 200,000 (Python
+# 3.11 on 2 vCPU).
+MAX_NMAX = 4096
 
 
 class ParseError(AbhkError):
@@ -264,44 +272,6 @@ def parse_expr(src: str) -> Node:
     if tok.kind != "END":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.column)
     return node
-
-
-# ---------------------------------------------------------------------------
-# AST printing (round-trips through parse_expr)
-
-
-def format_ast(node: Node) -> str:
-    return _format_node(node, parent="expr")
-
-
-def _format_node(node: Node, parent: str) -> str:
-    if isinstance(node, Num):
-        text = str(node.value) if node.value.denominator != 1 else str(node.value.numerator)
-        if "/" in text and parent == "pow":
-            return f"({text})"
-        return text
-    if isinstance(node, Name):
-        return node.ident
-    if isinstance(node, Sum):
-        signed_terms = []
-        for sign, term in node.terms:
-            while isinstance(term, Neg):
-                sign, term = -sign, term.operand
-            signed_terms.append((sign, _format_node(term, "sum")))
-        text = _join_terms(signed_terms)
-        return f"({text})" if parent in ("mul", "pow", "neg", "sum") else text
-    if isinstance(node, Mul):
-        text = "*".join(_format_node(f, "mul") for f in node.factors)
-        return f"({text})" if parent in ("pow", "mul", "neg") else text
-    if isinstance(node, Neg):
-        body = _format_node(node.operand, "neg")
-        text = f"-{body}"
-        return f"({text})" if parent in ("mul", "pow", "sum", "neg") else text
-    if isinstance(node, Pow):
-        base = _format_node(node.base, "pow")
-        text = f"{base}^{node.exponent}"
-        return f"({text})" if parent == "pow" else text
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +693,7 @@ def parse_spec(src: str) -> SpecDocument:
         if extras or oblock.blocks:
             raise SpecError("options: only 'nmax' is supported")
         if "nmax" in oblock.entries:
-            options["nmax"] = _int_value("options.nmax", oblock.entries["nmax"], 1)
+            options["nmax"] = _int_value("options.nmax", oblock.entries["nmax"], 1, MAX_NMAX)
 
     expect = root.blocks.get("expect")
     if expect is not None:
@@ -753,13 +723,15 @@ def _check_expect_values(expect: SpecBlock) -> None:
             _int_value(f"expect.corad[{expr}]", degree, 0)
 
 
-def _int_value(path: str, text: str, least: int) -> int:
+def _int_value(path: str, text: str, least: int, most: int | None = None) -> int:
     try:
         value = int(text.strip())
     except ValueError:
         raise SpecError(f"{path}: expected an integer, found {text!r}")
     if value < least:
         raise SpecError(f"{path}: expected an integer >= {least}, found {text!r}")
+    if most is not None and value > most:
+        raise SpecError(f"{path}: {value} exceeds the limit {most}")
     return value
 
 

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 from .errors import FieldMismatchError, NotInvertibleError
 
@@ -231,9 +232,10 @@ def _exact_value(c):
 
 
 class Field:
-    """Common interface of the three coefficient fields."""
+    """Common interface of the three coefficient fields. ``kind`` is a class
+    constant: two fields are equal when their classes and data are."""
 
-    kind: str
+    kind: ClassVar[str]
 
     def from_int(self, n) -> "Scalar":
         return self.from_fraction(Fraction(n))
@@ -293,7 +295,7 @@ class RationalField(Field):
     product or sum of integral elements never leaves ``int``.
     """
 
-    kind: str = "rational"
+    kind = "rational"
 
     def from_fraction(self, value):
         if value.__class__ is not int:
@@ -373,7 +375,7 @@ class CyclotomicField(Field):
     """
 
     order: int
-    kind: str = "cyclotomic"
+    kind = "cyclotomic"
 
     def __post_init__(self):
         if self.order < 1:
@@ -582,7 +584,7 @@ class RationalFunctionField(Field):
       coprime and free of content, so the swap is canonical.
     """
 
-    kind: str = "rational-function"
+    kind = "rational-function"
 
     def from_fraction(self, value):
         value = Fraction(value)

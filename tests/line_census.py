@@ -86,9 +86,7 @@ ALLOWED = [
     ("properties", "derive_descriptor",
      'raise InternalError("no exact injective dimension over a base not AS-Gorenstein")',
      "guard: every family is AS-Gorenstein, so the Hopf sharpening gives the exact value"),
-    # the parser builds only the node classes the formatter and evaluator take
-    ("exprparse", "_format_node", 'raise TypeError(f"not an AST node: {node!r}")',
-     "guard: the parser makes no other node"),
+    # the parser builds only the node classes the evaluator takes
     ("exprparse", "_eval", 'raise TypeError(f"not an AST node: {node!r}")',
      "guard: the parser makes no other node"),
 ]

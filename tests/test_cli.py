@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from math import comb
 
@@ -203,6 +204,50 @@ def test_words_past_the_recursion_limit_reduce(capsys, command, spec, expr, want
     assert run(capsys, command, str(CORPUS / f"{spec}.abhk"), expr) == (0, want, "")
 
 
+# large outputs pinned by the sha256 of their stdout, each with what it runs
+SHA256_PINS = [
+    # the U_q(sl2) power over Q(q) runs every Q(q) product path (single terms,
+    # one single-term factor, general) and the sums over a single-term
+    # denominator and over denominators with a common factor. It prints Q(q)
+    # coefficients with powers of q on either side, so a change to the Q(q)
+    # data layout or to its printing that alters one byte fails here, not only
+    # in the goldens
+    ("mul", "uqsl2", "(E + F + K + X+ + X-)^6",
+     "8d07685454dc04bacec3e4e7cf8a585168fda350963c003b48d5af35b0f68c9b"),
+    # the monoid loop of products in a Laurent base and the Q(q) sum of
+    # single terms
+    ("mul", "uqsl2-variant", "(t + X+ + X-)^8",
+     "0cd6457a1bc41290d1499ab1eebb8ff2e37af053512408ad09db53707d33e99c"),
+    # coprod and antipode run the raw-data tensor product and leg surgery,
+    # which mul never reaches, over Q(q) and Q(zeta_8); the uqsl2 rows print
+    # Q(q) coefficients with powers of q on either side
+    ("coprod", "uqsl2", "(X+ + X-)^4",
+     "8a9f5d7448ec5972a3f4262c7aa713fe2d5ea34c510819823de998db324b30cf"),
+    ("antipode", "uqsl2", "(X+ + X-)^4",
+     "b5b9d420be3224487ccebf9eb4505ea4e49883074ebe3e35b925d5cc7b13e169"),
+    ("coprod", "uqsl2-case3", "(X+ + X-)^4",
+     "efcba96f302684f0462b8e135cf57c8c144ea67c32ca4999a500c7e2edee7440"),
+    ("antipode", "uqsl2-case3", "(X+ + X-)^4",
+     "4e740d05265ecb65b99f3562dcd65de0f23a91534819c2721ff0e680fa53edc7"),
+    # the large product fills the Q(zeta_8) product memo past its limit, so
+    # the clear path runs (11 clears)
+    ("mul", "uqsl2-case3", "(E + F + K + X+ + X-)^12",
+     "f3c549066be864d14384d98f7084fa5bf7e9bca1870e26d87de993afdc2d03ab"),
+    # the word cache of products in A with a sigma that is not diagonal
+    # (t -> t + 1)
+    ("mul", "usl2", "(X+ + X-)^24",
+     "3a438fe24b6cb9cc0964a5b56e2af3b9a12b4e8599ed4a7452052b92d7116ff0"),
+]
+
+
+@pytest.mark.parametrize("command, spec, expr, digest", SHA256_PINS,
+                         ids=[f"{row[0]}-{row[1]}-{i}" for i, row in enumerate(SHA256_PINS)])
+def test_large_outputs_match_their_sha256(capsys, command, spec, expr, digest):
+    code, out, err = run(capsys, command, str(CORPUS / f"{spec}.abhk"), expr)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_props_machine_format(capsys):
     code, out, _ = run(capsys, "--format", "machine", "props",
                        str(CORPUS / "laurent-asym.abhk"))
@@ -355,6 +400,8 @@ MALFORMED_INPUT = [
     (("--nmax", "-5", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '-5' is not a positive integer"),
     (("--nmax", "0", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: '0' is not a positive integer"),
     (("--nmax", "x", "props", "usl2.abhk"), USAGE_ERROR + "--nmax: 'x' is not an integer"),
+    (("--nmax", "4097", "props", "usl2.abhk"),
+     USAGE_ERROR + "--nmax: '4097' exceeds the limit 4096"),
     (("--field", "cyclotomic", "check", "usl2.abhk"),
      USAGE_ERROR + "--field: 'cyclotomic': cyclotomic field needs an order"),
     (("--field", "foo", "check", "usl2.abhk"),
@@ -626,6 +673,9 @@ SPEC_REFUSALS = [
      "options: only 'nmax' is supported"),
     ("options-nmax-zero", HAT_SPEC + "options {\n  nmax: 0\n}\n",
      "options.nmax: expected an integer >= 1"),
+    # the whole line: the value and the limit
+    ("options-nmax-past-the-limit", HAT_SPEC + "options {\n  nmax: 4097\n}\n",
+     "options.nmax: 4097 exceeds the limit 4096\n"),
     ("expect-unknown-key", HAT_SPEC + "expect {\n  verdict: pass\n}\n",
      "expect: unknown key 'verdict'"),
     ("expect-unknown-block", HAT_SPEC + "expect {\n  extras {\n  }\n}\n",
@@ -652,6 +702,43 @@ def test_spec_schema_refusal_is_input_error(capsys, tmp_path, text, message):
     code, err = _refused(capsys, "check", _spec_file(tmp_path, text))
     assert code == 2
     assert f"error: {message}" in err
+
+
+# sigma: t -> 2*t + 1 fails the Hopf check, so props searches the order of
+# sigma on the raw algebra, whose images 2^n t + 2^n - 1 grow at each step
+AFFINE_SIGMA_SPEC = """field {
+  kind: rational
+}
+base {
+  family: polynomial
+}
+extension {
+  general_form {
+    sigma {
+      t: 2*t + 1
+    }
+    sigma_inverse {
+      t: (t - 1)*2^-1
+    }
+    xi: 1
+    h: t
+    l_plus: 1
+    l_minus: 1
+    r_plus: 1
+    r_minus: 1
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("argv, options", [(("--nmax", "4096"), ""),
+                                           ((), "options {\n  nmax: 4096\n}\n")],
+                         ids=["flag", "spec"])
+def test_nmax_at_the_limit_is_accepted(capsys, tmp_path, argv, options):
+    spec = _spec_file(tmp_path, AFFINE_SIGMA_SPEC + options)
+    code, out, err = run(capsys, *argv, "props", spec)
+    assert (code, err) == (0, "")
+    assert "pi: unknown (sigma order > 4096)" in out.splitlines()
 
 
 @pytest.mark.parametrize("command", ["check", "props", "relabel"])

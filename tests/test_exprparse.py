@@ -28,11 +28,11 @@ from abhk.exprparse import (
     SpecError,
     Sum,
     _chain_exponent,
+    _join_terms,
     _tokenize,
     eval_base_expr,
     eval_expr,
     eval_scalar_expr,
-    format_ast,
     format_element,
     format_scalar,
     format_tensor,
@@ -259,6 +259,37 @@ def test_lexical_table_matches_the_reference(src):
     got = _parse_outcome(src)
     with mock.patch.object(exprparse, "_tokenize", _reference_tokenize):
         assert got == _parse_outcome(src), src
+
+
+# -- a printer of trees that round-trips through parse_expr ----------------------
+
+
+def format_ast(node, parent="expr"):
+    """``node`` as expression text, with the parentheses that ``parent``,
+    the kind of the enclosing node, needs."""
+    if isinstance(node, Num):
+        text = str(node.value) if node.value.denominator != 1 else str(node.value.numerator)
+        return f"({text})" if "/" in text and parent == "pow" else text
+    if isinstance(node, Name):
+        return node.ident
+    if isinstance(node, Sum):
+        signed_terms = []
+        for sign, term in node.terms:
+            while isinstance(term, Neg):
+                sign, term = -sign, term.operand
+            signed_terms.append((sign, format_ast(term, "sum")))
+        text = _join_terms(signed_terms)
+        return f"({text})" if parent in ("mul", "pow", "neg", "sum") else text
+    if isinstance(node, Mul):
+        text = "*".join(format_ast(f, "mul") for f in node.factors)
+        return f"({text})" if parent in ("pow", "mul", "neg") else text
+    if isinstance(node, Neg):
+        text = f"-{format_ast(node.operand, 'neg')}"
+        return f"({text})" if parent in ("mul", "pow", "sum", "neg") else text
+    if isinstance(node, Pow):
+        text = f"{format_ast(node.base, 'pow')}^{node.exponent}"
+        return f"({text})" if parent == "pow" else text
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 AST_NAMES = ("t", "X+", "X-", "q", "zeta", "alpha_1")

@@ -84,8 +84,6 @@ def test_every_library_name_the_workloads_call_exists():
     assert missing == []
 
 
-# definitions kept although nothing in src/ or bench/ reaches them: name -> why
-UNREFERENCED_ALLOWED = {"format_ast": "the parser's round-trip printer in tests"}
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -108,7 +106,7 @@ def test_every_module_level_definition_is_used_outside_tests():
     bench_words = set()
     for name in ("tracer.py", "workloads.py"):
         bench_words.update(re.findall(r"\w+", (BENCH / name).read_text(encoding="utf-8")))
-    exempt = bench_words | set(abhk.__all__) | set(UNREFERENCED_ALLOWED)
+    exempt = bench_words | set(abhk.__all__)
     unused = [f"{module}.{name}" for module, name in definitions
               if name not in exempt and not owners[name] - {(module, name)}]
     assert unused == []

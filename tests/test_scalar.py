@@ -538,7 +538,7 @@ def _sympy_cyclotomic(sympy, x, n, data):
 @settings(max_examples=80, deadline=None)
 @given(cyclotomic_pairs())
 def test_cyclotomic_arithmetic_against_sympy(case):
-    sympy = pytest.importorskip("sympy")
+    import sympy
     x = sympy.Symbol("x")
     field, a, b = case
     n = field.order
@@ -556,7 +556,7 @@ def test_cyclotomic_arithmetic_against_sympy(case):
 
 
 def test_cyclotomic_poly_against_sympy():
-    sympy = pytest.importorskip("sympy")
+    import sympy
     x = sympy.Symbol("x")
     for n in range(1, 41):
         want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
@@ -1052,7 +1052,7 @@ def _sympy_canonical(sympy, q, expr):
 @settings(max_examples=150, deadline=None)
 @given(quotient_pairs())
 def test_qfunc_arithmetic_against_sympy(pair):
-    sympy = pytest.importorskip("sympy")
+    import sympy
     q = sympy.Symbol("q")
 
     def expr(coeffs):
@@ -1223,7 +1223,7 @@ def test_root_of_unity_vanishing():
 def test_q_binomial_at_roots_of_unity_against_sympy():
     """Gaussian binomials at q = zeta_N^k, against sympy's product formula
     reduced mod Phi_N."""
-    sympy = pytest.importorskip("sympy")
+    import sympy
     x = sympy.Symbol("x")
     for n in range(9):
         for i in range(n + 1):
@@ -1368,6 +1368,26 @@ def test_shared_constants(field):
     fresh = dataclasses.replace(field)
     assert fresh == field
     assert hash(fresh) == hash(field)
+
+
+@pytest.mark.parametrize("build", [lambda: RationalField("cyclotomic"),
+                                   lambda: RationalField(kind="cyclotomic"),
+                                   lambda: CyclotomicField(8, "rational"),
+                                   lambda: RationalFunctionField(kind="rational")],
+                         ids=["rational", "rational-keyword", "cyclotomic", "rational-function"])
+def test_a_field_kind_is_not_a_constructor_argument(build):
+    # kind names the class; a RationalField of kind "cyclotomic" would lack
+    # the coefficients and order that the readers of kind expect
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_fields_compare_and_hash_by_class_and_data():
+    assert CyclotomicField(3) != CyclotomicField(6)
+    assert CyclotomicField(8) == C8 and hash(CyclotomicField(8)) == hash(C8)
+    assert RationalField() == RationalField() and hash(RationalField()) == hash(QQ)
+    assert RationalField() != RationalFunctionField()
+    assert (QQ.kind, C8.kind, FQ.kind) == ("rational", "cyclotomic", "rational-function")
 
 
 def test_equal_field_instances_still_mix():
