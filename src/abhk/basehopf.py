@@ -13,7 +13,7 @@ classes in one table, ``exprparse._FAMILIES``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from types import MappingProxyType
 
@@ -26,32 +26,13 @@ from .errors import (
 from .scalar import Field, Scalar
 
 
-@dataclass(frozen=True)
-class BaseDescriptor:
-    """Declared invariants of a base family.
-
-    Every family declares finite dimensions; "unknown" is never stored
-    here, and unknown propagation happens in property reports.
-    """
-
-    gk_dim: int
-    gl_dim: int
-    inj_dim: int
-    noetherian: bool
-    domain: bool
-    prime: bool
-    semiprime_goldie: bool
-    affine_commutative_domain: bool
-    as_gorenstein: bool
-    as_regular: bool
-    auslander_gorenstein: bool
-    auslander_regular: bool
-
-
-@dataclass(frozen=True)
-class GeneratorInfo:
-    name: str
-    invertible: bool
+# Declared invariants of a base family. Every family declares finite
+# dimensions; "unknown" is never stored here, and unknown propagation happens
+# in property reports.
+BaseDescriptor = namedtuple("BaseDescriptor", (
+    "gk_dim gl_dim inj_dim noetherian domain prime semiprime_goldie affine_commutative_domain"
+    " as_gorenstein as_regular auslander_gorenstein auslander_regular"))
+GeneratorInfo = namedtuple("GeneratorInfo", "name invertible")
 
 
 class BaseAlgebra:

@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import exprparse, properties
@@ -256,11 +255,11 @@ def cmd_relabel(args, out: _Output) -> int:
 # the corpus runner
 
 
-@dataclass
 class EntryResult:
-    name: str
-    ok: bool
-    details: list[str]
+    __slots__ = ("name", "ok", "details")
+
+    def __init__(self, name: str, ok: bool, details: list[str]):
+        self.name, self.ok, self.details = name, ok, details
 
 
 def corpus_dir() -> Path:

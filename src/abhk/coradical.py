@@ -9,7 +9,7 @@ provided as an oracle route that bypasses the multiplication engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ambicore import AmbiElement, Tensor
 from .basehopf import BaseElement, base_coradical_degree
@@ -18,12 +18,10 @@ from .hopfstruct import HopfAmbiskewAlgebra
 from .scalar import Scalar, hat, mul_order, q_binomial
 
 
-@dataclass(frozen=True)
-class CoradicalContext:
+class CoradicalContext(namedtuple("CoradicalContext", "d xi")):
     """The parameter xi and its multiplicative order d."""
 
-    d: int | None
-    xi: Scalar
+    __slots__ = ()
 
     @classmethod
     def for_algebra(cls, hopf: HopfAmbiskewAlgebra) -> "CoradicalContext":

@@ -23,7 +23,7 @@ The full grammar ships in docs/spec-format.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from fractions import Fraction
 
 from .ambicore import AmbiElement, AmbiskewAlgebra
@@ -56,13 +56,14 @@ MAX_EXPONENT = 256
 # The corpus nests at most three deep.
 MAX_NESTING = 64
 
-# Largest cyclotomic order accepted by make_field. Phi_N comes from exact
-# integer division, and the fold table of Q(zeta_N) holds
-# max(N, 2 phi(N) - 1) rows of phi(N) ints: in process, `check usl2.abhk`
-# takes at most about 0.23 s for every N up to 512 (worst at the primes
-# near 512, where phi(N) is largest; Python 3.11 on 2 vCPU), and
-# 0.19-0.25 s at N = 660, 720 or 840.
-MAX_CYCLOTOMIC_ORDER = 512
+# Largest cyclotomic order accepted by make_field. An inverse in Q(zeta_N)
+# multiplies phi(N) - 1 Galois conjugates, O(phi(N)^3) in all, and the specs
+# that invert (uqsl2-case3 and its kin) invert several values. Under
+# `--field cyclotomic:N`, the slowest corpus command (check, props or relabel
+# of a corpus spec, run as a subprocess; Python 3.11 on 2 vCPU) took
+# 0.58-0.85 s at the prime N = 113 and 1.10-1.17 s at N = 127; every N up to
+# 126 has phi(N) <= 112 = phi(113).
+MAX_CYCLOTOMIC_ORDER = 126
 
 # Largest --nmax or options.nmax accepted. The automorphism-order searches
 # apply sigma up to nmax times, and the images can grow at each step, so the
@@ -91,37 +92,12 @@ class SpecError(AbhkError):
 # expression AST
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Name:
-    ident: str
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign in {+1, -1}
-
-
+Num = namedtuple("Num", "value")
+Name = namedtuple("Name", "ident")
+Pow = namedtuple("Pow", "base exponent")
+Neg = namedtuple("Neg", "operand")
+Mul = namedtuple("Mul", "factors")
+Sum = namedtuple("Sum", "terms")  # terms: (sign, node) pairs with sign in {+1, -1}
 Node = Num | Name | Pow | Neg | Mul | Sum
 
 
@@ -143,12 +119,7 @@ def _chain_exponent(node: Node) -> int:
 # tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER IDENT OP END
-    text: str
-    line: int
-    column: int
+_Token = namedtuple("_Token", "kind text line column")  # kind: NUMBER IDENT OP END
 
 
 # The lexical grammar: one alternative per token kind, tried in order at each
@@ -533,22 +504,18 @@ def format_tensor(tensor, max_terms: int | None = None) -> str:
 # spec documents
 
 
-@dataclass
 class SpecBlock:
-    name: str
-    entries: dict = dataclass_field(default_factory=dict)   # key -> str value
-    blocks: dict = dataclass_field(default_factory=dict)    # name -> SpecBlock
+    __slots__ = ("name", "entries", "blocks")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.entries = {}  # key -> str value
+        self.blocks = {}   # name -> SpecBlock
 
 
-@dataclass
-class SpecDocument:
-    field_kind: str
-    field_order: int | None
-    base_family: str
-    base_params: dict
-    extension: SpecBlock
-    options: dict
-    expect: SpecBlock | None
+# extension and expect are SpecBlocks; expect may be None
+SpecDocument = namedtuple("SpecDocument", (
+    "field_kind field_order base_family base_params extension options expect"))
 
 
 def _parse_blocks(src: str) -> SpecBlock:
@@ -735,14 +702,8 @@ def _int_value(path: str, text: str, least: int, most: int | None = None) -> int
     return value
 
 
-@dataclass
-class ResolvedSpec:
-    field: Field
-    base: BaseAlgebra
-    data: ExtensionData | None
-    general: GeneralPresentation | None
-    options: dict
-    expect: SpecBlock | None
+# exactly one of data (ExtensionData) and general (GeneralPresentation) is None
+ResolvedSpec = namedtuple("ResolvedSpec", "field base data general options expect")
 
 
 def make_field(kind: str, order: int | None = None) -> Field:

@@ -15,8 +15,7 @@ this as "verified on generators".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _flatten
 from .basehopf import (
@@ -73,20 +72,21 @@ class ExtensionData:
         self.sigma = winding_automorphism_left(chi, self.generator_deltas)
 
 
-class Condition(NamedTuple):
-    name: str
-    ok: bool
-    witness: str = ""
+Condition = namedtuple("Condition", "name ok witness", defaults=("",))
 
 
-@dataclass
 class CheckReport:
     """Outcome of a structured verification run."""
 
-    title: str
-    conditions: list[Condition] = field(default_factory=list)
-    classification: frozenset[str] | None = None
-    algebra: "HopfAmbiskewAlgebra | None" = None
+    __slots__ = ("title", "conditions", "classification", "algebra")
+
+    def __init__(self, title: str, conditions: list[Condition] | None = None,
+                 classification: frozenset[str] | None = None,
+                 algebra: HopfAmbiskewAlgebra | None = None):
+        self.title = title
+        self.conditions = [] if conditions is None else conditions
+        self.classification = classification
+        self.algebra = algebra
 
     def record(self, name: str, ok: bool, witness: str = "") -> bool:
         self.conditions.append(Condition(name, ok, witness))
@@ -449,16 +449,9 @@ def verify_checked(report: CheckReport) -> tuple[HopfAmbiskewAlgebra, CheckRepor
 # change of variables from a general skew-primitive presentation
 
 
-@dataclass
-class GeneralPresentation:
-    """An ambiskew algebra whose variables are claimed to satisfy
-    Delta(X+-) = X+- (x) r+- + l+- (x) X+-."""
-
-    algebra: AmbiskewAlgebra
-    l_plus: BaseElement
-    l_minus: BaseElement
-    r_plus: BaseElement
-    r_minus: BaseElement
+# An ambiskew algebra whose variables are claimed to satisfy
+# Delta(X+-) = X+- (x) r+- + l+- (x) X+-, with l+- and r+- in the base.
+GeneralPresentation = namedtuple("GeneralPresentation", "algebra l_plus l_minus r_plus r_minus")
 
 
 def _counit_compose_sigma(base: BaseAlgebra, sigma: BaseAutomorphism) -> Character:

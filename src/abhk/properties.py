@@ -12,7 +12,6 @@ no homological computation is attempted here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .ambicore import AmbiskewAlgebra
 from .basehopf import BaseDescriptor, BaseElement
@@ -42,10 +41,15 @@ def sigma_order_detail(algebra: AmbiskewAlgebra, n_max: int = DEFAULT_N_MAX):
             acc = math.lcm(acc, order)
         return acc, "exact (diagonal action)"
     if base.family == "polynomial":
-        image = sigma.images["t"]
-        shift = image - base.generator("t")
-        if not shift.is_zero() and all(m == 0 for m in shift.support()):
+        # an automorphism of k[t] is t -> a*t + b, here with b != 0 (else it
+        # is diagonal); sigma^n(t) = a^n t + b(a^n - 1)/(a - 1) for a != 1
+        a = sigma.images["t"].coeff(1)
+        if a.is_one():
             return None, "translation has infinite order in characteristic 0"
+        order = mul_order(a)
+        if order is None:
+            return None, "affine map t -> a*t + b with a of infinite order"
+        return order, "exact (affine map)"
     current = base.generators
     for n in range(1, n_max + 1):
         current = {name: sigma.apply(elem, 1) for name, elem in current.items()}
@@ -101,12 +105,11 @@ def sigma_locally_finite(algebra: AmbiskewAlgebra) -> bool | None:
 # report pieces
 
 
-@dataclass
 class DimensionEntry:
-    lower: int
-    upper: int
-    exact: bool
-    note: str = ""
+    __slots__ = ("lower", "upper", "exact", "note")
+
+    def __init__(self, lower: int, upper: int, exact: bool, note: str = ""):
+        self.lower, self.upper, self.exact, self.note = lower, upper, exact, note
 
     def describe(self) -> str:
         if self.exact:
@@ -114,13 +117,13 @@ class DimensionEntry:
         return f"[{self.lower}, {self.upper}]"
 
 
-@dataclass
 class EigenDecomposition:
     """h written as a sum of sigma-eigenvectors h_i with sigma(h_i) = eta^i h_i."""
 
-    eta: Scalar
-    order: int
-    components: list[tuple[int, BaseElement]]
+    __slots__ = ("eta", "order", "components")
+
+    def __init__(self, eta: Scalar, order: int, components: list[tuple[int, BaseElement]]):
+        self.eta, self.order, self.components = eta, order, components
 
     def verify(self, algebra: AmbiskewAlgebra) -> None:
         total = algebra.base.zero()
@@ -132,16 +135,22 @@ class EigenDecomposition:
             raise InternalError("eigencomponents do not sum to h")
 
 
-@dataclass
 class PiEntry:
-    satisfies_pi: bool | None
-    sigma_order: int | None
-    xi_order: int | None
-    lcm_order: int | None
-    pi_degree: int | None
-    obstruction: BaseElement | None = None
-    decomposition: EigenDecomposition | None = None
-    note: str = ""
+    __slots__ = ("satisfies_pi", "sigma_order", "xi_order", "lcm_order", "pi_degree",
+                 "obstruction", "decomposition", "note")
+
+    def __init__(self, satisfies_pi: bool | None, sigma_order: int | None,
+                 xi_order: int | None, lcm_order: int | None, pi_degree: int | None,
+                 obstruction: BaseElement | None = None,
+                 decomposition: EigenDecomposition | None = None, note: str = ""):
+        self.satisfies_pi = satisfies_pi
+        self.sigma_order = sigma_order
+        self.xi_order = xi_order
+        self.lcm_order = lcm_order
+        self.pi_degree = pi_degree
+        self.obstruction = obstruction
+        self.decomposition = decomposition
+        self.note = note
 
     def describe(self) -> str:
         if self.satisfies_pi is None:
@@ -151,18 +160,19 @@ class PiEntry:
         return f"yes, degree {self.pi_degree} (per stated criterion)"
 
 
-@dataclass
 class PropertyReport:
-    flags: dict = field(default_factory=dict)
-    gk_dim: int | None = None
-    gk_note: str = ""
-    gl_dim: DimensionEntry | None = None
-    inj_dim: DimensionEntry | None = None
-    as_gorenstein: bool | None = None
-    as_regular: bool | None = None
-    auslander_gorenstein: bool | None = None
-    auslander_regular: bool | None = None
-    pi: PiEntry | None = None
+    """The invariants of one extension, filled in by ``full_report``; None
+    is unknown."""
+
+    __slots__ = ("flags", "gk_dim", "gk_note", "gl_dim", "inj_dim", "as_gorenstein",
+                 "as_regular", "auslander_gorenstein", "auslander_regular", "pi")
+
+    def __init__(self):
+        self.flags = {}
+        self.gk_note = ""
+        self.gk_dim = self.gl_dim = self.inj_dim = self.pi = None
+        self.as_gorenstein = self.as_regular = None
+        self.auslander_gorenstein = self.auslander_regular = None
 
     def lines(self) -> list[str]:
         def flag(v):

@@ -21,10 +21,9 @@ polynomials, never by dividing evaluated factorials), and the d-adic
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import ClassVar
 
 from .errors import FieldMismatchError, NotInvertibleError
 
@@ -233,9 +232,20 @@ def _exact_value(c):
 
 class Field:
     """Common interface of the three coefficient fields. ``kind`` is a class
-    constant: two fields are equal when their classes and data are."""
+    constant. A field is immutable: two fields are equal, and hash alike,
+    when their classes and their data ``_key`` are."""
 
-    kind: ClassVar[str]
+    kind: str
+    _key = ()
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     def from_int(self, n) -> "Scalar":
         return self.from_fraction(Fraction(n))
@@ -244,8 +254,8 @@ class Field:
         raise NotImplementedError
 
     # One shared zero and one per field instance; ``Scalar`` is immutable.
-    # ``cached_property`` writes the instance ``__dict__`` directly, so the
-    # frozen dataclasses keep their field-based ``__eq__``/``__hash__``.
+    # ``cached_property`` writes the instance ``__dict__`` directly, past
+    # ``__setattr__``, and ``_key`` never reads what it caches.
     @cached_property
     def _zero(self) -> "Scalar":
         return self.from_int(0)
@@ -286,7 +296,6 @@ class Field:
         return c.data
 
 
-@dataclass(frozen=True)
 class RationalField(Field):
     """Q. An element is stored as a plain ``int`` when it is integral and
     as a ``Fraction`` (denominator > 1) otherwise; ``_exact_value`` restores
@@ -331,7 +340,6 @@ class RationalField(Field):
 _CYCLOTOMIC_MEMO_LIMIT = 4096
 
 
-@dataclass(frozen=True)
 class CyclotomicField(Field):
     """Q(zeta_N) in the power basis of Q[x]/(Phi_N(x)).
 
@@ -374,12 +382,12 @@ class CyclotomicField(Field):
     lookup, and hashing a ``Fraction`` key costs more than its product.
     """
 
-    order: int
     kind = "cyclotomic"
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int):
+        if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
+        self.__dict__.update(order=order, _key=(order,))
 
     @property
     def modulus(self):
@@ -512,7 +520,6 @@ class CyclotomicField(Field):
         return f"cyclotomic({self.order})"
 
 
-@dataclass(frozen=True)
 class RationalFunctionField(Field):
     """Q(q): reduced quotients of integer polynomials in the symbol q.
 
@@ -874,19 +881,10 @@ def q_binomial(n: int, i: int, x: Scalar) -> Scalar:
 # hat arithmetic
 
 
-@dataclass(frozen=True)
-class HatProfile:
-    """Euclidean data of m relative to the order parameter d.
-
-    For finite d > 1, m = d*q + r with 0 <= r < d; for d = 1 or d
-    infinite (None), q = m and r = 0. The reduced value is hat = q + r.
-    """
-
-    m: int
-    d: int | None
-    q: int
-    r: int
-    hat: int
+# Euclidean data of m relative to the order parameter d: for finite d > 1,
+# m = d*q + r with 0 <= r < d; for d = 1 or d infinite (None), q = m and r = 0.
+# The reduced value is hat = q + r.
+HatProfile = namedtuple("HatProfile", "m d q r hat")
 
 
 def hat(m: int, d: int | None) -> HatProfile:

@@ -385,6 +385,13 @@ def test_nested_power_at_the_limit_is_accepted(capsys):
     assert out.startswith("result: ")
 
 
+def test_cyclotomic_order_at_the_limit_is_accepted(capsys):
+    # usl2 inverts nothing, so the row stays quick at any accepted order
+    code, out, _ = run(capsys, "--field", "cyclotomic:126", "check", str(CORPUS / "usl2.abhk"))
+    assert code == 0
+    assert out.startswith("main-theorem data check (verified on generators): pass")
+
+
 USAGE_ERROR = "abhk: error: argument "
 
 # each malformed command line and the last line it prints on stderr
@@ -421,7 +428,11 @@ MALFORMED_INPUT = [
     (("mul", "usl2.abhk", "(X+ + 1)^-1"), "error: element with X factors is not invertible"),
     (("mul", "usl2.abhk", "(2*t)^-1"), "error: monomial is not a unit in this family"),
     (("--field", "cyclotomic:100000", "check", "usl2.abhk"),
-     USAGE_ERROR + "--field: 'cyclotomic:100000': cyclotomic order 100000 exceeds the limit 512"),
+     USAGE_ERROR + "--field: 'cyclotomic:100000': cyclotomic order 100000 exceeds the limit 126"),
+    # the cap keeps the inverses of uqsl2-case3 under a second; the prime 127 is
+    # the first order past it, and would take longer
+    (("--field", "cyclotomic:127", "check", "uqsl2-case3.abhk"),
+     USAGE_ERROR + "--field: 'cyclotomic:127': cyclotomic order 127 exceeds the limit 126"),
     # letters and digits are ASCII: any other character is refused where it stands
     (("mul", "usl2.abhk", "\u00b2"), "error: unexpected character '\u00b2' at line 1, column 1"),
     (("mul", "usl2.abhk", "t^\u00b2"), "error: unexpected character '\u00b2' at line 1, column 3"),
@@ -628,6 +639,9 @@ SPEC_REFUSALS = [
     ("field-order-too-large",
      _swap(HAT_SPEC, "kind: rational", "kind: cyclotomic\n  order: 100000"),
      "cyclotomic order 100000 exceeds the limit"),
+    ("field-order-past-the-limit",
+     _swap(HAT_SPEC, "kind: rational", "kind: cyclotomic\n  order: 127"),
+     "cyclotomic order 127 exceeds the limit 126"),
     ("field-order-not-cyclotomic", _swap(HAT_SPEC, "kind: rational", "kind: rational\n  order: 5"),
      "field.order only applies to cyclotomic fields"),
     # base
@@ -704,8 +718,9 @@ def test_spec_schema_refusal_is_input_error(capsys, tmp_path, text, message):
     assert f"error: {message}" in err
 
 
-# sigma: t -> 2*t + 1 fails the Hopf check, so props searches the order of
-# sigma on the raw algebra, whose images 2^n t + 2^n - 1 grow at each step
+# sigma: t -> 2*t + 1 fails the Hopf check, so props reports on the raw
+# algebra; its images 2^n t + 2^n - 1 grow at each step, so the order of sigma
+# is decided from the linear coefficient 2, not by iterating images
 AFFINE_SIGMA_SPEC = """field {
   kind: rational
 }
@@ -738,7 +753,32 @@ def test_nmax_at_the_limit_is_accepted(capsys, tmp_path, argv, options):
     spec = _spec_file(tmp_path, AFFINE_SIGMA_SPEC + options)
     code, out, err = run(capsys, *argv, "props", spec)
     assert (code, err) == (0, "")
-    assert "pi: unknown (sigma order > 4096)" in out.splitlines()
+    assert AFFINE_INFINITE_PI in out.splitlines()
+
+
+AFFINE_INFINITE_PI = ("pi: no (sigma has infinite order: "
+                      "affine map t -> a*t + b with a of infinite order)")
+
+
+# t -> a*t + b has the order of a: infinite for a = 2; 2 for a = -1, decided
+# even at nmax 1, where a search by iterated images would stop and print
+# "pi: unknown (sigma order > 1)"; the PI criterion then finds sigma not
+# diagonal. pi_sigma_order prints "infinite" for any order pi_check did not report.
+@pytest.mark.parametrize("nmax, image, inverse, pi", [
+    ("4096", "2*t + 1", "(t - 1)*2^-1", AFFINE_INFINITE_PI),
+    ("1", "-t + 1", "-t + 1", "pi: unknown (eigendecomposition unsupported: sigma not diagonal)"),
+], ids=["infinite", "order-2"])
+def test_props_decides_the_order_of_an_affine_sigma(capsys, tmp_path, nmax, image, inverse, pi):
+    text = _swap(_swap(AFFINE_SIGMA_SPEC, "t: 2*t + 1", f"t: {image}"),
+                 "t: (t - 1)*2^-1", f"t: {inverse}")
+    code, out, err = run(capsys, "--nmax", nmax, "props", _spec_file(tmp_path, text))
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        "noetherian: true", "domain: true", "prime: true (base prime)",
+        "semiprime_goldie: true", "gk_dim: 3 (sigma locally finite on generators)",
+        "gl_dim: [2, 3]", "inj_dim: [2, 3]", "as_gorenstein: unknown", "as_regular: unknown",
+        "auslander_gorenstein: true", "auslander_regular: true", pi,
+        "pi_sigma_order: infinite", "pi_xi_order: infinite", ""])
 
 
 @pytest.mark.parametrize("command", ["check", "props", "relabel"])

@@ -2,7 +2,7 @@
 and every library name the benchmark harness reaches exists.
 
 A deletion can leave an import behind (an exception class, a helper, a
-dataclass); the module still loads, so nothing else notices. That check
+record type); the module still loads, so nothing else notices. That check
 parses each module with ``ast`` and never imports it.
 
 A deletion or rename can also drop a name that ``bench/tracer.py`` wraps

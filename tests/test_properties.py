@@ -79,15 +79,37 @@ def _polynomial_sigma_algebra(image, inverse_image):
     return AmbiskewAlgebra(base, sigma, base.zero(), QQ.one())
 
 
-def test_sigma_order_by_iterated_images():
-    # t -> 1 - t is neither diagonal nor a translation: its order is found
-    # by iterating images
+def test_sigma_order_of_an_affine_map():
+    # t -> a*t + b with a != 1 has the order of a, without iterating images
     algebra = _polynomial_sigma_algebra(lambda t, one: one - t, lambda t, one: one - t)
-    assert sigma_order_detail(algebra) == (2, "exact (iterated images)")
-    # t -> 2t + 1 has infinite order; the search stops at n_max
+    assert sigma_order_detail(algebra) == (2, "exact (affine map)")
     half = QQ.from_fraction(Fraction(1, 2))
     algebra = _polynomial_sigma_algebra(lambda t, one: t.scale(QQ.from_int(2)) + one,
                                         lambda t, one: (t - one).scale(half))
+    assert sigma_order_detail(algebra, n_max=5) == (
+        None, "affine map t -> a*t + b with a of infinite order")
+    c3 = CyclotomicField(3)
+    base = PolynomialBase(c3)
+    t, one, zeta = base.generator("t"), base.one(), c3.zeta()
+    sigma = BaseAutomorphism(base, {"t": t.scale(zeta) + one},
+                             {"t": (t - one).scale(zeta.inverse())})
+    algebra = AmbiskewAlgebra(base, sigma, base.zero(), c3.one())
+    assert sigma_order_detail(algebra, n_max=2) == (3, "exact (affine map)")
+    assert sigma.apply(t, 3) == t and sigma.apply(t, 1) != t
+
+
+def test_sigma_order_by_iterated_images():
+    # swapping the generators of Z^2 is neither diagonal nor a map of k[t]:
+    # its order is found by iterating images
+    base = GroupBase(QQ, 2)
+    g1, g2 = base.generator("g1"), base.generator("g2")
+    swap = BaseAutomorphism(base, {"g1": g2, "g2": g1}, {"g1": g2, "g2": g1})
+    algebra = AmbiskewAlgebra(base, swap, base.zero(), QQ.one())
+    assert sigma_order_detail(algebra) == (2, "exact (iterated images)")
+    # the shear g1 -> g1 g2 has infinite order; the search stops at n_max
+    shear = BaseAutomorphism(base, {"g1": g1 * g2, "g2": g2},
+                             {"g1": g1 * base.generator("g2", -1), "g2": g2})
+    algebra = AmbiskewAlgebra(base, shear, base.zero(), QQ.one())
     assert sigma_order_detail(algebra, n_max=5) == (None, "order > 5")
 
 

@@ -10,6 +10,7 @@ the tests that run in process.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -35,6 +36,15 @@ def test_public_names_import_with_warnings_as_errors():
     # raised at import fails here, whichever test imports it first in the suite
     done = _python("-W", "error", "-X", "dev", "-c", "from abhk import *")
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_the_cli_imports_no_heavy_standard_modules():
+    # -S: no site, so no .pth file of the installation loads a module first;
+    # the library builds its records with collections.namedtuple and plain
+    # classes, and a dataclass would pull in dataclasses and inspect at start-up
+    done = _python("-S", "-c", "import sys, abhk.cli; print(*sorted(sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert {"dataclasses", "inspect", "typing"} & set(done.stdout.split()) == set()
 
 
 def test_examples_run_with_warnings_as_errors():
@@ -74,3 +84,14 @@ def test_the_workflow_runs_no_check_of_its_own():
     found = [(what, line.strip()) for line in lines
              for pattern, what in OWN_CHECKS if re.search(pattern, line)]
     assert found == []
+
+
+# the oldest Python that pyproject.toml declares, which the CI matrix runs first
+MIN_PYTHON = tuple(map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', (
+    ROOT / "pyproject.toml").read_text(encoding="utf-8")).groups()))
+
+
+@pytest.mark.parametrize("path", sorted(p.relative_to(ROOT).as_posix() for top in
+                                        ("src", "tests", "bench") for p in (ROOT / top).rglob("*.py")))
+def test_every_file_parses_as_the_oldest_declared_python(path):
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path, feature_version=MIN_PYTHON)
