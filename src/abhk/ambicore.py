@@ -105,9 +105,7 @@ class AmbiskewAlgebra:
         return AmbiElement._of(self, {(0, 0): self.base.one()})
 
     def embed(self, r: BaseElement) -> "AmbiElement":
-        if r.algebra is not self.base and r.algebra != self.base:
-            raise AlgebraMismatchError("element does not live in the base")
-        return AmbiElement(self, {(0, 0): r})
+        return self.monomial(r, 0, 0)
 
     def xplus(self, power: int = 1) -> "AmbiElement":
         return AmbiElement._of(self, {(power, 0): self.base.one()})
@@ -116,7 +114,9 @@ class AmbiskewAlgebra:
         return AmbiElement._of(self, {(0, power): self.base.one()})
 
     def monomial(self, r: BaseElement, m: int, n: int) -> "AmbiElement":
-        return AmbiElement(self, {(m, n): r})
+        """r X+^m X-^n; ``base._unwrap`` refuses a foreign r."""
+        r = self.base._unwrap(r)
+        return AmbiElement._of(self, {(m, n): r} if r.coeffs else {})
 
     # -- the rewriting engine ------------------------------------------------
 

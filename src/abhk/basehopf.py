@@ -249,7 +249,11 @@ class Sparse:
     a sum can cancel, and every such builder checks its sums as it forms
     them (``combine``, or an inline loop that drops a key the moment its
     running sum reaches zero). Negation and scaling by a nonzero scalar
-    cannot create a zero either.
+    cannot create a zero either, nor can a generator (one monomial with
+    coefficient 1). A sum with zero returns the other operand itself, once
+    ``_check`` has refused a foreign operand or, for tensors, other legs:
+    exact, as the unit short-cuts of the products are, for containers are
+    immutable and ``combine`` would rebuild the same dict in the same order.
     """
 
     __slots__ = ("algebra", "coeffs")
@@ -291,6 +295,10 @@ class Sparse:
 
     def __add__(self, other):
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         ring = getattr(self.algebra, self._RING)
         return self._new(combine(ring, other.coeffs.items(), dict(self.coeffs)))
 
@@ -821,7 +829,7 @@ class OneVariableBase(BaseAlgebra):
     def generator(self, name, power=1):
         if name != "t":
             raise KeyError(name)
-        return self.element({power: self.field.one()})
+        return BaseElement._of(self, {power: self.field._one.data})
 
     monomial_product = operator.add
 
@@ -957,7 +965,7 @@ class GroupBase(BaseAlgebra):
             raise KeyError(name)
         exps = [0] * self.ngens
         exps[idx] = power
-        return self.element({self._reduce(exps): self.field.one()})
+        return BaseElement._of(self, {self._reduce(exps): self.field._one.data})
 
     def monomial_factors(self, mono):
         return [(f"g{i + 1}", e) for i, e in enumerate(mono) if e]

@@ -288,6 +288,15 @@ def _grouplike_witness(name: str, y: BaseElement) -> str:
     return f"Delta({name}) - {name} (x) {name} = {diff}; counit({name}) = {counit}"
 
 
+def _central_witness(name: str, y: BaseElement) -> str:
+    """What a failed ``*-central`` condition compared: y g - g y, cut to
+    WITNESS_TERMS terms, for the first generator g of R with y g != g y."""
+    for g_name, g in y.algebra.generators.items():
+        diff = y * g - g * y
+        if not diff.is_zero():
+            return f"{name} {g_name} - {g_name} {name} = {_pretty(diff, WITNESS_TERMS)}"
+
+
 def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     """Verify the hat-form construction data on generators.
 
@@ -304,9 +313,9 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
     report.record("character-valid", True, "validated at construction")
     ok = is_grouplike(z)
     report.record("z-grouplike", ok, "" if ok else _grouplike_witness("z", z))
-    for label, elem in (("z-central", z), ("h-central", h)):
+    for name, elem in (("z", z), ("h", h)):
         ok = is_central(elem)
-        report.record(label, ok, "" if ok else _pretty(elem))
+        report.record(f"{name}-central", ok, "" if ok else _central_witness(name, elem))
 
     want = BaseTensor.of(h, base.one()) + BaseTensor.of(z, h)
     delta_h = base_delta(h)

@@ -248,7 +248,12 @@ class Field:
         raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     def from_int(self, n) -> "Scalar":
-        return self.from_fraction(Fraction(n))
+        """The scalar n. An ``int`` takes the direct route, its canonical data
+        from ``_int_data`` with no ``Fraction``; anything else (a ``bool``, a
+        ``Fraction``) goes through ``from_fraction``. Q has one route for both."""
+        if n.__class__ is int:
+            return Scalar(self, self._int_data(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, value) -> "Scalar":
         raise NotImplementedError
@@ -358,10 +363,11 @@ class CyclotomicField(Field):
     ``degree`` and above back through ``cyclotomic_fold_table(N)``, the
     integer rows x^k mod Phi_N; the denominators multiply. ``_add`` adds
     the vectors when the denominators agree and cross-multiplies otherwise.
-    ``_inv_kernel`` stays in integers too: for a = v/den, with v integral,
-    the product P of the other Galois conjugates sigma_k(v) (gcd(k, N) = 1,
-    k != 1) is integral and v*P is the norm N(v), a nonzero integer, so
-    a^-1 = den * P / N(v).
+    ``_inv_kernel`` stays in integers too: c zeta^i / den inverts to den/c
+    zeta^(N - i), a scaled row of the fold table; for any other a = v/den,
+    with v integral, the product P of the other Galois conjugates sigma_k(v)
+    (gcd(k, N) = 1, k != 1) is integral and v*P is the norm N(v), a nonzero
+    integer, so a^-1 = den * P / N(v) (``_norm_inverse``).
 
     ``_mul`` and ``_inv`` run these kernels only on a miss of two memos of
     this field instance, ``(a, b) -> a*b`` and ``a -> a^-1``: the examples
@@ -370,7 +376,7 @@ class CyclotomicField(Field):
     ran on 6,914 distinct operand pairs). Canonical data makes the keys
     exact: equal elements have equal data. A product key puts the smaller
     tuple first, so a*b and b*a share one entry. The products inside
-    ``_inv_kernel`` call ``_mul_kernel`` directly, so the one-off Galois
+    ``_norm_inverse`` call ``_mul_kernel`` directly, so the one-off Galois
     conjugates never enter a memo. A miss that finds a memo holding
     ``_CYCLOTOMIC_MEMO_LIMIT`` entries clears it first. The memos live on
     the instance, so two equal fields, or Q(zeta_3) and Q(zeta_6) with
@@ -400,6 +406,13 @@ class CyclotomicField(Field):
     def from_fraction(self, value):
         value = Fraction(value)
         return Scalar(self, (value.numerator,) + (0,) * (self.degree - 1) + (value.denominator,))
+
+    @cached_property
+    def _int_tail(self) -> tuple:  # the entries after c_0 of an integer
+        return (0,) * (self.degree - 1) + (1,)
+
+    def _int_data(self, n):
+        return (n,) + self._int_tail
 
     def zeta(self, power: int = 1):
         """zeta_N ** power, for any integer power."""
@@ -487,6 +500,15 @@ class CyclotomicField(Field):
     def _inv_kernel(self, a):
         if self._is_zero(a):
             raise NotInvertibleError("inverse of zero")
+        if a.count(0) == len(a) - 2:  # c zeta^i / den
+            i = next(k for k, c in enumerate(a) if c)
+            sign = -1 if a[i] < 0 else 1
+            row = cyclotomic_fold_table(self.order)[-i % self.order]
+            return self._normal([sign * a[-1] * r for r in row] + [sign * a[i]])
+        return self._norm_inverse(a)
+
+    def _norm_inverse(self, a):
+        """a^-1 for any nonzero a, through the Galois norm."""
         n, table = self.order, cyclotomic_fold_table(self.order)
         v = a[:-1] + (1,)
         others = self._one.data
@@ -595,9 +617,10 @@ class RationalFunctionField(Field):
 
     def from_fraction(self, value):
         value = Fraction(value)
-        if not value:
-            return Scalar(self, (0, (), (1,)))
-        return Scalar(self, (0, (value.numerator,), (value.denominator,)))
+        return Scalar(self, (0, (value.numerator,), (value.denominator,)) if value else (0, (), (1,)))
+
+    def _int_data(self, n):
+        return (0, (n,), (1,)) if n else (0, (), (1,))
 
     def q(self, power: int = 1):
         return Scalar(self, (power, (1,), (1,)))
@@ -728,7 +751,7 @@ class Scalar:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(other)
+            return self.field.from_int(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -797,7 +820,7 @@ class Scalar:
         if other.__class__ is Scalar and other.field is self.field:
             return self.data == other.data
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_fraction(other)
+            other = self.field.from_int(other)
         if not isinstance(other, Scalar):
             return NotImplemented
         field = self.field

@@ -78,11 +78,11 @@ class UqSl2Base(BaseAlgebra):
 
     def generator(self, name, power=1):
         if name == "K":
-            return self.element({(power, 0, 0): self.field.one()})
+            return BaseElement._of(self, {(power, 0, 0): self.field._one.data})
         if power < 0:
             raise NotInvertibleError(f"{name} is not invertible in uqsl2")
         if name == "E":
-            return self.element({(0, power, 0): self.field.one()})
+            return BaseElement._of(self, {(0, power, 0): self.field._one.data})
         if name == "F":
             return self._f_element**power
         raise KeyError(name)

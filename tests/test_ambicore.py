@@ -23,12 +23,14 @@ from abhk.basehopf import (
     combine,
     winding_automorphism_left,
 )
+from abhk.cli import _checked_algebra, corpus_dir
 from abhk.errors import (
     AlgebraMismatchError,
     FieldMismatchError,
     HopfDataError,
     UnsupportedBaseError,
 )
+from abhk.exprparse import parse_spec, resolve_spec
 from abhk.hopfstruct import HopfAmbiskewAlgebra
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
 from abhk.uqsl2 import UqSl2Base
@@ -1055,6 +1057,36 @@ def test_warm_products_on_a_monoid_base_build_no_structure_dict(monkeypatch):
     counts.update(words=0, mul=0)
     assert [a * b for a, b in pairs] == want
     assert counts == {"words": 0, "mul": 387}
+
+
+def test_operand_batches_make_no_fraction_and_no_filter_pass(monkeypatch):
+    """200 seeded operands each on uqsl2-case3 (Q(zeta_8)) and uqsl2 (Q(q)),
+    built from generators, integer scalars, ``monomial`` and sums, make no
+    ``from_fraction`` call and no pass of the public constructor's zero
+    filter. Routing each int through ``Fraction``, each generator through
+    the filter and each sum with zero through a copy, the parent made 3,168
+    ``from_fraction`` calls and 2,547 filter passes for the same batch."""
+    counts = {"from_fraction": 0, "filter": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    hopfs = [CORPUS_BUILDERS["uqsl2-case3"]()]
+    hopfs.append(_checked_algebra(resolve_spec(parse_spec(
+        (corpus_dir() / "uqsl2.abhk").read_text(encoding="utf-8"))))[0])
+    assert [h.algebra.field.kind for h in hopfs] == ["cyclotomic", "rational-function"]
+    for field_class in (RationalField, CyclotomicField, RationalFunctionField):
+        monkeypatch.setattr(field_class, "from_fraction",
+                            counting("from_fraction", field_class.from_fraction))
+    monkeypatch.setattr(Sparse, "__init__", counting("filter", Sparse.__init__))
+    rng = random.Random(20261022)
+    batch = [random_element(rng, hopf, max_terms=3, max_degree=2, base_support=2)
+             for hopf in hopfs for _ in range(200)]
+    assert counts == {"from_fraction": 0, "filter": 0}
+    assert all(x.coeffs for x in batch)
 
 
 # -- warm products read their caches inline -------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abhk import basehopf
+from abhk.ambicore import AmbiElement, Tensor
 from abhk.basehopf import (
     BaseAutomorphism,
     BaseElement,
@@ -45,7 +46,13 @@ from abhk.exprparse import parse_spec, resolve_spec
 from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
 from abhk.uqsl2 import UqSl2Base
 
-from conftest import assert_no_zero, random_base_element, scalars
+from conftest import (
+    assert_no_zero,
+    build_uqsl2_root,
+    build_usl2,
+    random_base_element,
+    scalars,
+)
 
 QQ = RationalField()
 
@@ -807,3 +814,94 @@ def test_zero_on_a_unit_generator_is_refused_by_character():
         with pytest.raises(CharacterError) as refusal:
             Character(base, values)
         assert str(refusal.value) == f"character must be nonzero on unit generator {name}"
+
+
+# -- the constructors that store their dict without the zero filter ---------------
+
+
+def _generator_rows():
+    """(base, name, power, monomial) for each generator power that its family
+    builds straight from one monomial with coefficient 1, the monomial
+    written out here by hand."""
+    group = GroupBase(CyclotomicField(3), rank=1, torsion=(3,))
+    rows = []
+    for base in (PolynomialBase(QQ), LaurentBase(RationalFunctionField())):
+        first = 0 if base.family == "polynomial" else -3
+        rows += [(base, "t", p, p) for p in range(first, 4)]
+    rows += [(group, "g1", p, (p, 0)) for p in range(-3, 4)]
+    rows += [(group, "g2", p, (0, p % 3)) for p in range(-4, 5)]
+    for field in (CyclotomicField(8), RationalFunctionField()):
+        base = UqSl2Base(field, field.q() if field.kind == "rational-function" else field.zeta())
+        rows += [(base, "K", p, (p, 0, 0)) for p in range(-2, 3)]
+        rows += [(base, "E", p, (0, p, 0)) for p in range(4)]
+    return rows
+
+
+def test_generators_equal_the_public_constructor():
+    rows = _generator_rows()
+    for base, name, power, mono in rows:
+        g = base.generator(name, power)
+        want = base.element({mono: base.field.one()})
+        assert g == want and list(g.coeffs.items()) == list(want.coeffs.items()), (name, power)
+        assert g.__class__ is BaseElement and g.algebra is base
+    uqsl2 = rows[-1][0]
+    for base, name, power, error in [(PolynomialBase(QQ), "t", -1, NotInvertibleError),
+                                     (PolynomialBase(QQ), "s", 1, KeyError),
+                                     (LaurentBase(QQ), "g1", -1, KeyError),
+                                     (GroupBase(QQ, rank=2), "g3", 1, KeyError),
+                                     (GroupBase(QQ, rank=2), "t", -1, KeyError),
+                                     (uqsl2, "E", -1, NotInvertibleError),
+                                     (uqsl2, "H", 1, KeyError)]:
+        with pytest.raises(error):
+            base.generator(name, power)
+
+
+def _sums_with_zero(usl2):
+    """(x, zero, a zero of a foreign algebra) for each container kind:
+    elements and tensors of R, elements and 2-leg tensors of A."""
+    alg, base = usl2.algebra, usl2.algebra.base
+    far = build_uqsl2_root().algebra  # over a Laurent base, so foreign to usl2
+    r = random_base_element(random.Random(20261021), base)
+    x = alg.monomial(r, 1, 2) + alg.xplus()
+    assert r.coeffs and x.coeffs
+    return [(r, base.zero(), far.base.zero()),
+            (BaseTensor.of(r, r), BaseTensor.of(r, base.zero()),
+             BaseTensor.of(far.base.one(), far.base.zero())),
+            (x, alg.zero(), far.zero()),
+            (usl2.delta(x), Tensor.of(x, alg.zero()), Tensor.of(far.one(), far.zero()))]
+
+
+def test_a_sum_with_zero_is_the_other_operand(usl2):
+    for x, zero, foreign in _sums_with_zero(usl2):
+        assert not zero.coeffs and not foreign.coeffs
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert (zero + zero).coeffs == {}
+        for left, right in ((x, foreign), (foreign, x)):
+            with pytest.raises(AlgebraMismatchError):
+                left + right
+    alg = usl2.algebra
+    three, two_zero = Tensor.of(alg.xplus(), alg.one(), alg.xminus()), usl2.delta(alg.zero())
+    assert not two_zero.coeffs and three.legs == 3
+    for left, right in ((three, two_zero), (two_zero, three)):
+        with pytest.raises(AlgebraMismatchError):
+            left + right
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_monomial_equals_the_public_constructor(seed):
+    rng = random.Random(seed)
+    for hopf in (build_usl2(), build_uqsl2_root()):
+        alg, base = hopf.algebra, hopf.algebra.base
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        r = random_base_element(rng, base)
+        for coeff in (r, r - r, base.one()):
+            x = alg.monomial(coeff, m, n)
+            want = AmbiElement(alg, {(m, n): coeff})
+            assert x == want and list(x.coeffs.items()) == list(want.coeffs.items())
+            assert x.__class__ is AmbiElement and x.algebra is alg
+            assert alg.embed(coeff) == AmbiElement(alg, {(0, 0): coeff})
+        foreign = LaurentBase(QQ).one() if base.family != "laurent" else PolynomialBase(QQ).one()
+        for build in (lambda: alg.monomial(foreign, m, n), lambda: alg.embed(foreign)):
+            with pytest.raises(AlgebraMismatchError):
+                build()

@@ -104,10 +104,32 @@ def test_failed_winding_condition_prints_lhs_minus_rhs(capsys, tmp_path):
     code, out, err = run(capsys, "check", str(spec))
     assert (code, err) == (1, "")
     assert [line for line in out.splitlines() if "FAIL" in line] == [
-        "  z-central: FAIL  [K^2]", f"  winding-condition: FAIL  [{witness}]"]
+        "  z-central: FAIL  [z E - E z = -2*E*K^2]", f"  winding-condition: FAIL  [{witness}]"]
     code, out, err = run(capsys, "--format", "machine", "check", str(spec))
     assert (code, err) == (1, "")
     assert f"winding-condition\tfail ({witness})\n" in out
+
+
+def test_failed_central_conditions_print_the_first_commutator(capsys, tmp_path):
+    # y+ = 1, y- = K, h = E on uqsl2-case3 with chi(K) = 1: only z = K and h
+    # fail to be central. Each witness names the first generator g, in E, F, K
+    # order, with y g - g y != 0: E commutes with h = E, so h's witness is F
+    text = (CORPUS / "uqsl2-case3.abhk").read_text()
+    for old, new in (("    K: -1", "    K: 1"), ("y_plus: K^2", "y_plus: 1"),
+                     ("y_minus: K^2", "y_minus: K"), ("h: 1 - K^4", "h: E")):
+        assert old in text
+        text = text.replace(old, new, 1)
+    spec = tmp_path / "h-e.abhk"
+    spec.write_text(text)
+    z_witness = "z E - E z = -(1 - zeta^2)*E*K"
+    h_witness = "h F - F h = -(1/2*zeta + 1/2*zeta^3)*K + (1/2*zeta + 1/2*zeta^3)*K^-1"
+    code, out, err = run(capsys, "check", str(spec))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        f"  z-central: FAIL  [{z_witness}]", f"  h-central: FAIL  [{h_witness}]"]
+    code, out, err = run(capsys, "--format", "machine", "check", str(spec))
+    assert (code, err) == (1, "")
+    assert f"z-central\tfail ({z_witness})\nh-central\tfail ({h_witness})\n" in out
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -568,7 +568,7 @@ def test_trichotomy_nonempty_over_random_grid():
 # the public Sparse constructor, products in A, sigma applications, products
 # in R and products of tensors, calls of ``generator_info`` on every family
 # class that defines it, polynomial gcds in Q(q) (``scalar._int_gcd``), runs of the
-# Q(zeta_N) product and Galois-norm kernels behind the field's memos, and
+# Q(zeta_N) product and inverse kernels behind the field's memos, and
 # integer polynomial products (``scalar.poly_mul``, run only by Q(q)). The
 # bounds are the counts the library reaches; a rise means repeated cold-path
 # work has come back (products by the unit in a leg antipode, S(X-)^0 S(X+)^m,
@@ -588,7 +588,11 @@ def test_trichotomy_nonempty_over_random_grid():
 # products on ``uqsl2`` and ``uqsl2-general``, or a Q(q) side that holds
 # its power of q again: the parent of the (v, num, den) layout took the gcd
 # of q^5 - q^3 and q^2 - 1 and multiplied sides by q^3, reading 5 gcds and 9
-# polynomial products on ``uqsl2-general``).
+# polynomial products on ``uqsl2-general``), a generator, a monomial of A or
+# a sum with zero that passes the public constructor's zero filter again (the
+# parent of that change read 33, 32, 25 and 13 passes), or a single-term
+# Q(zeta_N) inverse taken through the Galois norm (57 product kernels on
+# ``uqsl2-case3``).
 # ``uqsl2-general`` routes through the change of variables, and its cold
 # build is the one that runs Q(q) gcds. The last two columns count the
 # ``Scalar`` objects built (containers hold raw field data, so a rise means a
@@ -609,13 +613,13 @@ def test_trichotomy_nonempty_over_random_grid():
 
 COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products,
     #                           sigma, R products, tensor products, generator_info,
-    #                           Q(q) gcds, Q(zeta_N) product kernels, norm kernels,
+    #                           Q(q) gcds, Q(zeta_N) product kernels, inverse kernels,
     #                           Q(q) polynomial products, Scalars built,
     #                           field _mul and _add calls, R coproducts and antipodes)
-    "uqsl2-case3": (41, 33, 2, 70, 99, 21, 4, 0, 57, 8, 0, 180, 146, 20),
-    "uqsl2": (35, 32, 2, 42, 76, 21, 4, 0, 0, 0, 8, 137, 83, 20),
-    "uqsl2-general": (22, 25, 4, 27, 76, 6, 2, 4, 0, 0, 6, 71, 41, 21),
-    "usl2": (3, 13, 0, 8, 14, 6, 2, 0, 0, 0, 0, 39, 11, 8),
+    "uqsl2-case3": (41, 3, 2, 70, 99, 21, 4, 0, 33, 8, 0, 180, 146, 20),
+    "uqsl2": (35, 5, 2, 42, 76, 21, 4, 0, 0, 0, 8, 137, 83, 20),
+    "uqsl2-general": (22, 7, 4, 27, 76, 6, 2, 4, 0, 0, 6, 71, 41, 21),
+    "usl2": (3, 3, 0, 8, 14, 6, 2, 0, 0, 0, 0, 39, 11, 8),
 }
 
 

@@ -492,6 +492,23 @@ def test_cyclotomic_inverse_by_norm_at_a_large_order():
     _assert_canonical(field, inverse.data)
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 8, 12, 126])
+def test_single_term_cyclotomic_inverse_matches_the_norm_route(order):
+    # c zeta^i / d for every i < phi(N): the inverse read off the fold table
+    # equals the Galois-norm inverse, the route every other element takes
+    field = CyclotomicField(order)
+    one = field.one().data
+    for i in range(field.degree):
+        for c in (1, -1, 2, -2, 3, -3):
+            for d in (1, 2):
+                a = field._normal([c if k == i else 0 for k in range(field.degree)] + [d])
+                assert a.count(0) == len(a) - 2
+                inverse = field._inv_kernel(a)
+                assert inverse == field._norm_inverse(a)
+                assert field._mul_kernel(a, inverse) == one
+                _assert_canonical(field, inverse)
+
+
 def test_cyclotomic_fold_table_against_divmod():
     for n in range(1, 41):
         phi = cyclotomic_poly(n)
@@ -1373,6 +1390,37 @@ def test_shared_constants(field):
     fresh = _afresh(field)
     assert fresh == field
     assert hash(fresh) == hash(field)
+
+
+FROM_INT_FIELDS = [QQ, CyclotomicField(1), CyclotomicField(3), C8, FQ]
+
+
+def _assert_from_int_matches_from_fraction(field, n):
+    want = field.from_fraction(Fraction(n)).data
+    got = field.from_int(n)
+    assert (got.field, got.data) == (field, want)
+    assert got == n and hash(got) == hash(field.from_fraction(Fraction(n)))
+
+
+@pytest.mark.parametrize("field", FROM_INT_FIELDS, ids=lambda f: f.describe())
+@pytest.mark.parametrize("n", [0, 1, -1, 2**70, -2**70, True, False, Fraction(3, 2),
+                               Fraction(-4, 2)], ids=repr)
+def test_from_int_matches_from_fraction(field, n):
+    # an int takes the direct route, anything else goes through from_fraction;
+    # both give the same canonical data, with int entries
+    _assert_from_int_matches_from_fraction(field, n)
+    data = field.from_int(n).data
+    if field.kind == "rational":
+        assert type(data) is (int if Fraction(n).denominator == 1 else Fraction)
+    else:
+        flat = data if field.kind == "cyclotomic" else (data[0], *data[1], *data[2])
+        assert all(type(c) is int for c in flat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FROM_INT_FIELDS), st.integers())
+def test_from_int_matches_from_fraction_on_drawn_ints(field, n):
+    _assert_from_int_matches_from_fraction(field, n)
 
 
 @pytest.mark.parametrize("build", [lambda: RationalField("cyclotomic"),

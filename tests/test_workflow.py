@@ -56,7 +56,8 @@ def test_examples_run_with_warnings_as_errors():
 # each pin of operation counts in a process of its own: a count must not
 # depend on process-wide caches that an earlier test warmed
 COUNT_PINS = [("tests/test_hopfstruct.py", "cold_build", 4),
-              ("tests/test_ambicore.py", "warm_products", 3)]
+              ("tests/test_ambicore.py", "warm_products", 3),
+              ("tests/test_ambicore.py", "operand_batches", 1)]
 
 
 @pytest.mark.parametrize("path, selection, tests", COUNT_PINS,
