@@ -1,6 +1,6 @@
 """Exact construction and verification of ambiskew Hopf algebra extensions."""
 
-from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, reduce_word
+from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor
 from .basehopf import (
     BaseAlgebra,
     BaseAutomorphism,
@@ -31,14 +31,13 @@ from .scalar import (
     hat,
     mul_order,
     prec,
-    q_binomial,
 )
 from .uqsl2 import UqSl2Base
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiElement", "AmbiskewAlgebra", "Tensor", "reduce_word",
+    "AmbiElement", "AmbiskewAlgebra", "Tensor",
     "BaseAlgebra", "BaseAutomorphism", "BaseElement", "BaseTensor", "Character",
     "GroupBase", "LaurentBase", "PolynomialBase", "UqSl2Base",
     "CoradicalContext", "corad_degree",
@@ -46,5 +45,5 @@ __all__ = [
     "check_main_theorem", "classify_trichotomy", "construct_hopf",
     "relabel", "verify_hopf_axioms",
     "CyclotomicField", "RationalField", "RationalFunctionField", "Scalar",
-    "hat", "mul_order", "prec", "q_binomial",
+    "hat", "mul_order", "prec",
 ]

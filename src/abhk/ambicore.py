@@ -557,7 +557,7 @@ def _terminal_to_element(algebra: AmbiskewAlgebra, scalar, word) -> AmbiElement:
             n += 1
         else:
             base = base * letter
-    return AmbiElement(algebra, {(m, n): base.scale(scalar)})
+    return algebra.monomial(base.scale(scalar), m, n)
 
 
 def reduce_word(algebra: AmbiskewAlgebra, word, strategy: str = "leftmost",

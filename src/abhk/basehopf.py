@@ -156,9 +156,6 @@ class BaseAlgebra:
 
     # -- element constructors ----------------------------------------------
 
-    def element(self, mapping: dict) -> "BaseElement":
-        return BaseElement(self, mapping)
-
     def zero(self) -> "BaseElement":
         return BaseElement._of(self, {})
 

@@ -242,7 +242,7 @@ def assert_no_zero(x):
             assert not x.algebra.field._is_zero(c), x
 
 
-# -- the reference loops of the tests work on Scalars ------------------------------
+# -- coefficients as Scalars, as the references of tests/oracles.py read them -------
 
 
 def scalars(x) -> dict:
@@ -250,24 +250,3 @@ def scalars(x) -> dict:
     dict order."""
     field = x.algebra.field
     return {k: Scalar(field, c) for k, c in x.coeffs.items()}
-
-
-def raw(mapping: dict) -> dict:
-    """Scalar values as the raw data a container holds, in dict order."""
-    return {k: c.data for k, c in mapping.items()}
-
-
-def combine_scalars(terms, out: dict | None = None) -> dict:
-    """The library's ``combine`` on Scalar values, as it was written before
-    containers held raw data: the sum of the reference loops."""
-    if out is None:
-        out = {}
-    for key, c in terms:
-        s = out.get(key)
-        if s is not None:
-            c = s + c
-        if c.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = c
-    return out

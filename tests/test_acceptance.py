@@ -12,7 +12,13 @@ import time
 import pytest
 
 from abhk.ambicore import AmbiskewAlgebra, Tensor, reduce_word
-from abhk.basehopf import Character, GroupBase, LaurentBase, winding_automorphism_left
+from abhk.basehopf import (
+    BaseElement,
+    Character,
+    GroupBase,
+    LaurentBase,
+    winding_automorphism_left,
+)
 from abhk.coradical import (
     CoradicalContext,
     corad_degree,
@@ -160,7 +166,7 @@ def _random_valid_dataset(rng: random.Random):
         base = GroupBase(field, rank=2)
         chi = Character(base, {"g1": field.from_int(rng.choice([1, -1, 2, 3])),
                                "g2": field.from_int(rng.choice([1, -1, 2]))})
-        y = base.element({(rng.randint(-2, 2), rng.randint(-2, 2)): field.one()})
+        y = BaseElement(base, {(rng.randint(-2, 2), rng.randint(-2, 2)): field.one()})
         h = (y * y - base.one()).scale(field.from_int(rng.randint(0, 2)))
         return construct_hopf(base, ExtensionData(base, chi, y, y, h))[0]
     field = CyclotomicField(3)

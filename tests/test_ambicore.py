@@ -20,7 +20,6 @@ from abhk.basehopf import (
     LaurentBase,
     PolynomialBase,
     Sparse,
-    combine,
     winding_automorphism_left,
 )
 from abhk.cli import _checked_algebra, corpus_dir
@@ -38,11 +37,26 @@ from abhk.uqsl2 import UqSl2Base
 from conftest import (
     CORPUS_BUILDERS,
     assert_no_zero,
-    combine_scalars,
     random_base_element,
     random_element,
-    raw,
     scalars,
+)
+from oracles import (
+    CallCounter,
+    combine_contract_leg,
+    combine_delta,
+    combine_expand_leg,
+    combine_map_leg,
+    combine_merge_legs,
+    loop_ambi_mul,
+    loop_antipode,
+    loop_base_mul,
+    loop_counit,
+    loop_sum,
+    loop_tensor_mul,
+    loop_word,
+    reference_leg_product,
+    stated_words,
 )
 
 QQ = RationalField()
@@ -229,6 +243,25 @@ def test_free_module_normal_forms_unique():
         assert reduce_word(A, word, "leftmost") == reduce_word(A, word, "rightmost")
 
 
+def test_reduced_words_pass_no_zero_filter(monkeypatch):
+    """120 seeded free words on usl2, laurent-asym, uqsl2-case3 and
+    group-z-z2 reduce to nonzero normal forms whose terminal words are
+    built by ``monomial``: no pass of the public constructor's zero filter.
+    Building each through ``AmbiElement(...)`` made 137 passes."""
+    rng = random.Random(20261023)
+    cases = []
+    for name in ("usl2", "laurent-asym", "uqsl2-case3", "group-z-z2"):
+        A = CORPUS_BUILDERS[name]().algebra
+        letters = ["X+", "X-"] + [random_base_element(rng, A.base) for _ in range(3)]
+        cases += [(A, [rng.choice(letters) for _ in range(rng.randint(1, 5))])
+                  for _ in range(30)]
+    counts = CallCounter(monkeypatch, "filter")
+    counts.patch(Sparse, "__init__", "filter")
+    reduced = [reduce_word(A, word) for A, word in cases]
+    assert counts == {"filter": 0}
+    assert all(x.coeffs for x in reduced)
+
+
 # -- the sparse-container contract -----------------------------------------------
 
 
@@ -271,70 +304,45 @@ def test_extension_containers_never_store_zero(corpus, seed):
                 assert all(not field._is_zero(v) for v in fresh.leg_product(leg1, leg2).values())
 
 
-# -- the direct leg product against the element round trip ---------------------
+# -- the direct leg product against the element product ---------------------------
 
 
-def _round_trip_leg_product(A: AmbiskewAlgebra, leg1, leg2) -> dict:
-    """A leg-product miss as computed before the direct formula: both legs
-    as elements of A, multiplied by the engine and flattened."""
-    def element(leg):
-        mono, m, n = leg
-        return AmbiElement(A, {(m, n): BaseElement(A.base, {mono: A.field.one()})})
-    return _flatten(element(leg1) * element(leg2))
-
-
-def _generator_monomials(base) -> set:
-    monos = {base.one_monomial()}
+def _cold_leg_products(corpus, name, keep) -> list:
+    """The pairs of legs r X+^m X-^n, r 1 or a generator or its inverse and
+    m, n < 3, that ``keep(one monomial, leg1, leg2)`` selects: each product
+    on an algebra with empty caches is a miss and equals the reference in
+    value and order."""
+    built = corpus[name].algebra
+    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
+    base, monos = A.base, {A.base.one_monomial()}
     for info in base.generator_info():
         monos.update(base.generator(info.name).coeffs)
         if info.invertible:
             monos.update(base.generator(info.name, -1).coeffs)
-    return monos
+    legs = [(mono, m, n) for mono in sorted(monos, key=base.monomial_sort_key)
+            for m in range(3) for n in range(3)]
+    pairs = [(leg1, leg2) for leg1 in legs for leg2 in legs
+             if keep(base.one_monomial(), leg1, leg2)]
+    for leg1, leg2 in pairs:
+        assert (leg1, leg2) not in A._leg_cache
+        got, want = A.leg_product(leg1, leg2), reference_leg_product(A, leg1, leg2)
+        assert list(got.items()) == list(want.items()), (name, leg1, leg2)
+    return pairs
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
 def test_direct_leg_product_matches_round_trip(corpus, name):
-    built = corpus[name].algebra
-    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
-    monos = sorted(_generator_monomials(A.base), key=A.base.monomial_sort_key)
-    legs = [(mono, m, n) for mono in monos for m in range(3) for n in range(3)]
-    for leg1 in legs:
-        for leg2 in legs:
-            assert (leg1, leg2) not in A._leg_cache
-            got = A.leg_product(leg1, leg2)
-            want = _round_trip_leg_product(A, leg1, leg2)
-            assert list(got.items()) == list(want.items()), (name, leg1, leg2)
-            parent = _parent_leg_product(A, leg1, leg2)
-            assert list(got.items()) == list(parent.items()), (name, leg1, leg2)
+    _cold_leg_products(corpus, name, lambda one, leg1, leg2: True)
 
 
 # -- the two-leg tensor kernel against the k-leg loop ----------------------------
 
 
-def _mul_legwise(left, right):
-    """The product for any leg count, leg by leg through partial terms,
-    kept as the reference for the 2-leg kernel of ``Tensor.__mul__``."""
-    field = left.algebra.field
-    out: dict = {}
-    for key1, c1 in scalars(left).items():
-        for key2, c2 in scalars(right).items():
-            partial = [((), c1 * c2)]
-            for leg1, leg2 in zip(key1, key2):
-                flat = left.algebra.leg_product(leg1, leg2)
-                partial = [
-                    (key + (leg,), c * Scalar(field, d))
-                    for key, c in partial
-                    for leg, d in flat.items()
-                ]
-            combine_scalars(partial, out)
-    return left._new(raw(out))
-
-
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_two_leg_kernel_matches_legwise_loop(corpus, seed):
-    """``Tensor.__mul__`` on 2-leg tensors equals the k-leg loop
-    ``_mul_legwise``, in values and in term order, on every corpus algebra."""
+    """``Tensor.__mul__`` on 2-leg tensors equals the loop over every pair of
+    terms, in values and in term order, on every corpus algebra."""
     rng = random.Random(seed)
     for name, hopf in corpus.items():
         def random_tensor():
@@ -342,77 +350,12 @@ def test_two_leg_kernel_matches_legwise_loop(corpus, seed):
             return Tensor.of(a, b) - Tensor.of(b, a) + hopf.delta(c)
         x, y = random_tensor(), random_tensor()
         for left, right in ((x, y), (y, x), (x, x)):
-            got, want = left * right, _mul_legwise(left, right)
+            got, want = left * right, loop_tensor_mul(left, right)
             assert got == want, name
             assert list(got.coeffs) == list(want.coeffs), name
 
 
 # -- the inline leg-surgery loops against the combine bodies they replaced ---------
-
-
-class _Cancels(dict):
-    """An output dict for ``combine`` that counts the keys re-inserted after
-    their running sum cancelled: such a key moves to the end of the dict."""
-
-    def __init__(self):
-        super().__init__()
-        self.dropped, self.reinserted = set(), 0
-
-    def pop(self, key, default=None):
-        if key in self:
-            self.dropped.add(key)
-        return super().pop(key, default)
-
-    def __setitem__(self, key, value):
-        if key in self.dropped and key not in self:
-            self.reinserted += 1
-        super().__setitem__(key, value)
-
-
-def _combined(t, terms, legs):
-    out = _Cancels()
-    combine(t.algebra.field, terms, out)
-    return t._new(dict(out), legs), out.reinserted
-
-
-def _product(field):
-    one, mul, _, _ = field._kernel
-    return lambda c, d: c if d == one else d if c == one else mul(c, d)
-
-
-def _combine_expand_leg(t, i, fn):
-    mul = _product(t.algebra.field)
-    return _combined(t, ((key[:i] + ekey + key[i + 1:], mul(c, d)) for key, c in t.coeffs.items()
-                         for ekey, d in fn(key[i]).coeffs.items()), t.legs + 1)
-
-
-def _combine_map_leg(t, i, fn):
-    mul = _product(t.algebra.field)
-    return _combined(t, ((key[:i] + (leg,) + key[i + 1:], mul(c, d))
-                         for key, c in t.coeffs.items()
-                         for leg, d in _flatten(fn(key[i])).items()), t.legs)
-
-
-def _combine_contract_leg(t, i, fn):
-    field = t.algebra.field
-    mul = _product(field)
-    return _combined(t, ((key[:i] + key[i + 1:], mul(c, d)) for key, c in t.coeffs.items()
-                         if not field._is_zero(d := fn(key[i]).data)), t.legs - 1)
-
-
-def _combine_merge_legs(t, i):
-    mul = _product(t.algebra.field)
-    return _combined(t, ((key[:i] + (leg,) + key[i + 2:], mul(c, d))
-                         for key, c in t.coeffs.items()
-                         for leg, d in t.algebra.leg_product(key[i], key[i + 1]).items()),
-                     t.legs - 1)
-
-
-def _combine_delta(hopf, a):
-    mul = _product(hopf.algebra.field)
-    return _combined(Tensor(hopf.algebra, 2, {}), (
-        (key, mul(c, d)) for leg, c in _flatten(a).items()
-        for key, d in hopf.delta_leg(leg).coeffs.items()), 2)
 
 
 @pytest.mark.parametrize("name", ["usl2", "laurent-asym", "uqsl2-case3", "uqsl2-variant"])
@@ -458,16 +401,16 @@ def test_inline_leg_surgery_matches_the_combine_loops(corpus, name):
         three = Tensor.of(element(), element(), element()) + Tensor.of(x, x, alg.one())
         for i in (0, 1):
             for fn in (hopf.delta_leg, scaled(hopf.delta(element()))):
-                check("expand", t.expand_leg(i, fn), _combine_expand_leg(t, i, fn))
+                check("expand", t.expand_leg(i, fn), combine_expand_leg(t, i, fn))
             for fn in (hopf.antipode_leg, scaled(element())):
-                check("map", t.map_leg(i, fn), _combine_map_leg(t, i, fn))
+                check("map", t.map_leg(i, fn), combine_map_leg(t, i, fn))
             for fn in (hopf.counit_leg, scaled(None, (0, 1, -1, 2))):
-                check("contract", t.contract_leg(i, fn), _combine_contract_leg(t, i, fn))
+                check("contract", t.contract_leg(i, fn), combine_contract_leg(t, i, fn))
             for u, j in ((t, 0), (hopf.delta(x).map_leg(i, hopf.antipode_leg), 0), (three, i)):
-                check("merge", u.merge_legs(j), _combine_merge_legs(u, j))
+                check("merge", u.merge_legs(j), combine_merge_legs(u, j))
         check("contract", three.contract_leg(2, hopf.counit_leg),
-              _combine_contract_leg(three, 2, hopf.counit_leg))
-        check("delta", hopf.delta(x), _combine_delta(hopf, x))
+              combine_contract_leg(three, 2, hopf.counit_leg))
+        check("delta", hopf.delta(x), combine_delta(hopf, x))
         # leg coproducts I, -J, J and J, J the first term of I: that key
         # cancels, comes back after the other keys of I, and doubles
         y = alg.one() + alg.xplus() + alg.xminus() + alg.xplus() * alg.xminus()
@@ -476,7 +419,7 @@ def test_inline_leg_surgery_matches_the_combine_loops(corpus, name):
         images = dict(zip(_flatten(y), (big, -first, first, first)))
         fake = object.__new__(HopfAmbiskewAlgebra)
         fake.algebra, fake.delta_leg = alg, images.__getitem__
-        check("delta", HopfAmbiskewAlgebra.delta(fake, y), _combine_delta(fake, y))
+        check("delta", HopfAmbiskewAlgebra.delta(fake, y), combine_delta(fake, y))
     assert all(returned.values()), (name, returned)
 
 
@@ -503,44 +446,6 @@ def test_extension_containers_reject_foreign_operands(corpus):
 
 
 # -- unit short-cuts against the kernel loops they skip ---------------------------
-
-
-def _loop_base_mul(a: BaseElement, b: BaseElement, words=None) -> BaseElement:
-    """``BaseElement.__mul__`` as the kernel loop on ``Scalar`` arithmetic,
-    with no unit short-cut of the container; ``words`` gives the product of
-    two monomials as a mapping (by default the base's ``mul_monomials``)."""
-    field = a.algebra.field
-    words = words or a.algebra.mul_monomials
-    out: dict = {}
-    for m1, c1 in scalars(a).items():
-        for m2, c2 in scalars(b).items():
-            c = c1 * c2
-            for m, extra in words(m1, m2).items():
-                v = c * Scalar(field, extra)
-                s = out.get(m)
-                if s is None:
-                    out[m] = v
-                elif (v := s + v).is_zero():
-                    del out[m]
-                else:
-                    out[m] = v
-    return BaseElement._of(a.algebra, raw(out))
-
-
-def _stated_words(base):
-    """The monomial product of a commutative family as this test states it,
-    with no use of ``monomial_product``: exponents of t add, and group
-    exponents add coordinate by coordinate, the torsion ones mod their order."""
-    one = base.field._one.data
-    if base.family != "group":
-        return lambda a, b: {a + b: one}
-
-    def words(a, b):
-        exps = [x + y for x, y in zip(a, b)]
-        for i, order in enumerate(base.torsion):
-            exps[base.rank + i] %= order
-        return {tuple(exps): one}
-    return words
 
 
 _MONOID_FIELDS = (QQ, RationalFunctionField(), CyclotomicField(8), CyclotomicField(3))
@@ -595,9 +500,9 @@ def test_monoid_loop_matches_the_general_loop(case):
     stated here, in value and dict order, with cancelling sums drawn; the
     default ``mul_monomials`` agrees with it."""
     base, a, b = case
-    words = _stated_words(base)
+    words = stated_words(base)
     for x, y in ((a, b), (b, a), (a, a), (a - b, a + b)):
-        got, want = x * y, _loop_base_mul(x, y, words)
+        got, want = x * y, loop_base_mul(x, y, words)
         assert list(got.coeffs.items()) == list(want.coeffs.items()), (base.key(), x, y)
         for m1 in x.coeffs:
             for m2 in y.coeffs:
@@ -613,61 +518,8 @@ def test_monoid_loop_cancels_to_the_general_loop():
             g, one = base.generator(base.generator_info()[-1].name), base.one()
             pairs = [(g + one, g - one), (g + g * g, g - one)]
             for x, y in pairs:
-                got, want = x * y, _loop_base_mul(x, y, _stated_words(base))
+                got, want = x * y, loop_base_mul(x, y, stated_words(base))
                 assert list(got.coeffs.items()) == list(want.coeffs.items()), base.key()
-
-
-def _parent_rx(A: AmbiskewAlgebra, u: int, v: int) -> dict:
-    """The normal form of X+^u X-^v X+ by the recursion of the former
-    ``AmbiskewAlgebra._rx``, uncached: the form of X+^u X-^(v-1) X+ times
-    X- on the left, the relation applied once at the front."""
-    if v == 0:
-        return {(u + 1, 0): A.base.one()}
-    xi_inv = A.xi_inv.data
-    out = {(a, b + 1): c._scale(xi_inv) for (a, b), c in _parent_rx(A, u, v - 1).items()}
-    corr = A.sigma.apply(A.h, u - v + 1)._scale(A.field._neg(xi_inv))
-    combine(A.base, (((u, v - 1), corr),), out)
-    return out
-
-
-def _parent_nf(A: AmbiskewAlgebra, n: int, p: int) -> dict:
-    """The normal form of X-^n X+^p by the recursion of the former
-    ``AmbiskewAlgebra._nf``, uncached: the form of X-^n X+^(p-1) times X+,
-    each of its terms rewritten by ``_parent_rx``."""
-    if n == 0 or p == 0:
-        return {(p, n): A.base.one()}
-    return combine(A.base, ((ab, c * extra) for (u, v), c in _parent_nf(A, n, p - 1).items()
-                            for ab, extra in _parent_rx(A, u, v).items()))
-
-
-def _parent_mul_monomials(A: AmbiskewAlgebra, m: int, n: int, p: int, q: int) -> dict:
-    """The normal form of X+^m X-^n X+^p X-^q as the uncached loop of the
-    former ``AmbiskewAlgebra.mul_monomials``: sigma^m applied to every
-    coefficient of ``_parent_nf(n, p)``, on every call."""
-    out: dict = {}
-    for (u, v), c in _parent_nf(A, n, p).items():
-        out[(m + u, v + q)] = A.sigma.apply(c, m)
-    return out
-
-
-def _loop_ambi_mul(a: AmbiElement, b: AmbiElement) -> AmbiElement:
-    """``AmbiElement.__mul__`` as the rewriting loop, every word from the
-    uncached ``_parent_mul_monomials`` and every base product through
-    ``_loop_base_mul``: no cache, no skip and no unit short-cut."""
-    alg = a.algebra
-    out: dict = {}
-    for (m, n), x in a.coeffs.items():
-        for (p, q), y in b.coeffs.items():
-            coeff = _loop_base_mul(x, alg.sigma.apply(y, m - n))
-            for uv, c in _parent_mul_monomials(alg, m, n, p, q).items():
-                term = _loop_base_mul(coeff, c)
-                s = out.get(uv)
-                merged = term if s is None else s + term
-                if merged.is_zero():
-                    out.pop(uv, None)
-                else:
-                    out[uv] = merged
-    return AmbiElement._of(alg, out)
 
 
 def _assert_same(got, want, context):
@@ -700,18 +552,18 @@ def test_unit_short_cuts_match_the_loops(corpus, seed):
         two = field.from_int(2)
         for one in (base.one(), BaseElement(base, {base.one_monomial(): field.one()})):
             xs = [random_base_element(rng, base, max_support=3) for _ in range(3)]
-            _check_unit_products(one, xs, _loop_base_mul, (name, "R"))
+            _check_unit_products(one, xs, loop_base_mul, (name, "R"))
             for near in (one.scale(two), list(base.generators.values())[0]):
                 for x in xs + [one]:
-                    _assert_same(near * x, _loop_base_mul(near, x), (name, "R near"))
-                    _assert_same(x * near, _loop_base_mul(x, near), (name, "R near"))
+                    _assert_same(near * x, loop_base_mul(near, x), (name, "R near"))
+                    _assert_same(x * near, loop_base_mul(x, near), (name, "R near"))
         for one in (A.one(), A.embed(BaseElement(base, {base.one_monomial(): field.one()}))):
             xs = [random_element(rng, hopf, max_terms=3, max_degree=2) for _ in range(3)]
-            _check_unit_products(one, xs, _loop_ambi_mul, (name, "A"))
+            _check_unit_products(one, xs, loop_ambi_mul, (name, "A"))
             for near in (one.scale(two), A.xplus(), A.xminus(), A.embed(A.h + base.one())):
                 for x in xs + [one]:
-                    _assert_same(near * x, _loop_ambi_mul(near, x), (name, "A near"))
-                    _assert_same(x * near, _loop_ambi_mul(x, near), (name, "A near"))
+                    _assert_same(near * x, loop_ambi_mul(near, x), (name, "A near"))
+                    _assert_same(x * near, loop_ambi_mul(x, near), (name, "A near"))
 
 
 def test_powers_match_the_loop_from_one(corpus):
@@ -720,11 +572,11 @@ def test_powers_match_the_loop_from_one(corpus):
     rng = random.Random(20261018)
     for name, hopf in corpus.items():
         A = hopf.algebra
-        cases = [(random_element(rng, hopf, max_terms=2, max_degree=2), _loop_ambi_mul, A.one())
+        cases = [(random_element(rng, hopf, max_terms=2, max_degree=2), loop_ambi_mul, A.one())
                  for _ in range(2)]
-        cases += [(random_base_element(rng, A.base, max_support=2), _loop_base_mul, A.base.one())
+        cases += [(random_base_element(rng, A.base, max_support=2), loop_base_mul, A.base.one())
                   for _ in range(2)]
-        cases += [(A.xplus() + A.xminus(), _loop_ambi_mul, A.one())]
+        cases += [(A.xplus() + A.xminus(), loop_ambi_mul, A.one())]
         for x, loop, one in cases:
             acc = one
             for n in range(5):
@@ -735,42 +587,16 @@ def test_powers_match_the_loop_from_one(corpus):
                 acc = loop(acc, x)
 
 
-def _parent_leg_product(A: AmbiskewAlgebra, leg1, leg2) -> dict:
-    """A leg-product miss by the formula with no unit short-cut: the
-    coefficient is always r1 sigma^(m1-n1)(r2), formed by the loop."""
-    (r1, m1, n1), (r2, m2, n2) = leg1, leg2
-    base, sigma, one = A.base, A.sigma, A.field.one().data
-    coeff = _loop_base_mul(BaseElement._of(base, {r1: one}),
-                           sigma.apply(BaseElement._of(base, {r2: one}), m1 - n1))
-    if not n1 or not m2:
-        return {(mono, m1 + m2, n1 + n2): d for mono, d in coeff.coeffs.items()}
-    out = {}
-    for (u, v), c in _parent_nf(A, n1, m2).items():
-        for mono, d in _loop_base_mul(coeff, sigma.apply(c, m1)).coeffs.items():
-            out[(mono, m1 + u, v + n2)] = d
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
 def test_unit_monomial_leg_products_match_the_formula(corpus, name):
     """Cold leg products with the one monomial on either side, or both,
-    match the formula that multiplies r1 by sigma^(m1-n1)(r2)."""
-    built = corpus[name].algebra
-    A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
-    one_mono = A.base.one_monomial()
-    monos = sorted(_generator_monomials(A.base), key=A.base.monomial_sort_key)
-    legs = [(mono, m, n) for mono in monos for m in range(3) for n in range(3)]
-    pairs = [(leg1, leg2) for leg1 in legs for leg2 in legs
-             if one_mono in (leg1[0], leg2[0])]
+    where the product r1 sigma^(m1-n1)(r2) is skipped, match the reference
+    before any other leg product has filled the caches."""
+    pairs = _cold_leg_products(corpus, name, lambda one, leg1, leg2: one in (leg1[0], leg2[0]))
     assert any(leg1[0] != leg2[0] for leg1, leg2 in pairs)
-    for leg1, leg2 in pairs:
-        assert (leg1, leg2) not in A._leg_cache
-        got = A.leg_product(leg1, leg2)
-        want = _parent_leg_product(A, leg1, leg2)
-        assert list(got.items()) == list(want.items()), (name, leg1, leg2)
 
 
-# -- the word cache and the identity skips against the parent's loops ----------------
+# -- the word cache and the identity skips against the uncached loops ----------------
 
 
 def _layout(x) -> list:
@@ -790,7 +616,7 @@ def test_cached_words_match_the_uncached_loop(corpus, name):
     """Every word X+^m X-^n X+^p X-^q with m, n, p, q <= 4, read from the
     cached word X+^m X-^n X+^p with X- raised by q as the product kernels
     read it, in a shuffled order on an algebra with empty caches, equals
-    the parent's uncached loop in value and in order. A coefficient equal
+    the uncached loop in value and in order. A coefficient equal
     to 1 is the shared ``base._one`` and no other is; the cache holds one
     word per (m, n, p), and a second call returns the cached word itself."""
     built = corpus[name].algebra
@@ -800,7 +626,7 @@ def test_cached_words_match_the_uncached_loop(corpus, name):
     random.Random(name).shuffle(keys)
     for key in keys:
         got = {(u, v + key[3]): c for (u, v), c in A._word(*key[:3]).items()}
-        assert _layout(got) == _layout(_parent_mul_monomials(A, *key)), (name, key)
+        assert _layout(got) == _layout(loop_word(A, *key)), (name, key)
         assert all((c is one) == (c == one) for c in got.values()), (name, key)
         assert A._word(*key[:3]) is A._word_cache[key[:3]], (name, key)
     assert set(A._word_cache) == set(itertools.product(range(5), repeat=3))
@@ -809,14 +635,14 @@ def test_cached_words_match_the_uncached_loop(corpus, name):
 
 @pytest.mark.parametrize("name", sorted(CORPUS_BUILDERS))
 def test_words_with_one_last_x_plus_match_the_parent_recursion(corpus, name):
-    """The loop that builds X+^u X-^n X+ equals the parent's recursion over
+    """The loop that builds X+^u X-^n X+ equals the uncached recursion over
     n in value and in order, down to base coefficients, for n up to 300
     (the reference recurses once per X-, inside the default limit)."""
     built = corpus[name].algebra
     A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
     for n in (1, 2, 3, 7, 31, 128, 300):
         for u in (0, 1, 3):
-            assert _layout(A._word(u, n, 1)) == _layout(_parent_rx(A, u, n)), (name, u, n)
+            assert _layout(A._word(u, n, 1)) == _layout(loop_word(A, u, n, 1, 0)), (name, u, n)
 
 
 @pytest.mark.parametrize("k", [1024, 2048])
@@ -848,148 +674,51 @@ def test_a_full_word_cache_clears_and_products_stay_exact(corpus, name, monkeypa
     got = want = x
     sizes = []
     for _ in range(4):
-        got, want = got * x, _loop_ambi_mul(want, x)
+        got, want = got * x, loop_ambi_mul(want, x)
         _assert_same(got, want, name)
         assert A._cached_scalars == _scalars_held(A), name
         sizes.append(len(A._word_cache))
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), (name, sizes)
 
 
-def _loop_tensor_mul(left: Tensor, right: Tensor) -> Tensor:
-    """The two-leg ``Tensor.__mul__`` kernel with every scalar product
-    taken, its leg products from ``_parent_leg_product`` (the formula with
-    uncached words and no unit short-cut), memoized for this call only."""
-    A = left.algebra
-    legs: dict = {}
-
-    def leg_product(a, b):
-        if (a, b) not in legs:
-            legs[(a, b)] = _parent_leg_product(A, a, b)
-        return legs[(a, b)]
-
-    field = A.field
-    out: dict = {}
-    for (a1, a2), c1 in scalars(left).items():
-        for (b1, b2), c2 in scalars(right).items():
-            c = c1 * c2
-            right_legs = leg_product(a2, b2).items()
-            combine_scalars((((leg1, leg2), c * Scalar(field, d1) * Scalar(field, d2))
-                             for leg1, d1 in leg_product(a1, b1).items()
-                             for leg2, d2 in right_legs), out)
-    return Tensor._of(A, raw(out), 2)
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_products_match_the_parent_loops(corpus, seed):
-    """Products in R, A and A (x) A equal the parent's loops, which take
-    every product, apply sigma^0 and rebuild every word, in value and in
-    dict order at every level, on every corpus algebra."""
-    rng = random.Random(seed)
-    for name, hopf in corpus.items():
-        A = hopf.algebra
-        base = A.base
-        rs = [random_base_element(rng, base, max_support=3) for _ in range(2)]
-        for x, y in itertools.product(rs + [base.one()], repeat=2):
-            assert _layout(x * y) == _layout(_loop_base_mul(x, y)), (name, "R")
-        xs = [random_element(rng, hopf, max_terms=3, max_degree=3, base_support=2)
-              for _ in range(2)]
-        xs.append(A.xplus() * A.xminus() + A.embed(rs[0]))
-        for x, y in itertools.product(xs, repeat=2):
-            assert _layout(x * y) == _layout(_loop_ambi_mul(x, y)), (name, "A")
-        ys = [random_element(rng, hopf, max_terms=2, max_degree=2) for _ in range(2)]
-        ts = [hopf.delta(ys[0]), Tensor.of(ys[1], A.xminus()) - hopf.delta(A.xplus() + ys[1])]
-        for s, t in itertools.product(ts, repeat=2):
-            assert _layout(s * t) == _layout(_loop_tensor_mul(s, t)), (name, "A (x) A")
-
-
-# -- raw-data containers against the parent's Scalar-arithmetic loops --------------
-
-
-def _loop_delta(hopf, a: AmbiElement) -> Tensor:
-    """``delta`` as the parent's sum of c * d over the leg coproducts, on
-    Scalars."""
-    field = hopf.algebra.field
-    out = combine_scalars((key, Scalar(field, c) * d)
-                          for leg, c in _flatten(a).items()
-                          for key, d in scalars(hopf.delta_leg(leg)).items())
-    return Tensor._of(hopf.algebra, raw(out), 2)
-
-
-def _loop_antipode(hopf, a: AmbiElement) -> AmbiElement:
-    """``antipode`` as the parent's sum of c * S(leg), on Scalars inside
-    each base coefficient."""
-    A, field = hopf.algebra, hopf.algebra.field
-    out: dict = {}
-    for leg, c in _flatten(a).items():
-        for mn, r in hopf.antipode_leg(leg).coeffs.items():
-            term = {mono: s * Scalar(field, c) for mono, s in scalars(r).items()}
-            s = out.get(mn)
-            merged = term if s is None else combine_scalars(term.items(), dict(s))
-            if merged:
-                out[mn] = merged
-            else:
-                out.pop(mn, None)
-    return AmbiElement._of(A, {mn: BaseElement._of(A.base, raw(d)) for mn, d in out.items()})
-
-
-def _loop_counit(hopf, a: AmbiElement) -> Scalar:
-    base, field = hopf.base, hopf.algebra.field
-    acc = field.zero()
-    for mono, c in scalars(a.base_part()).items():
-        acc = acc + c * Scalar(field, base.counit_monomial(mono))
-    return acc
-
-
-def _loop_sum(x, y):
-    """x + y as the parent's ``combine`` on Scalars, down to the base
-    coefficients of an element of A."""
-    if not isinstance(x, AmbiElement):
-        return x._new(raw(combine_scalars(scalars(y).items(), scalars(x))))
-    out = dict(x.coeffs)
-    for mn, r in y.coeffs.items():
-        s = out.get(mn)
-        merged = r if s is None else _loop_sum(s, r)
-        if merged.coeffs:
-            out[mn] = merged
-        else:
-            out.pop(mn, None)
-    return x._new(out)
+# -- raw-data containers against the loops on Scalars -------------------------------
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_raw_containers_match_the_scalar_loops(corpus, seed):
-    """Over Q (usl2), Q(zeta_8) (uqsl2-case3), Q(q) (quantum-affine) and
-    Q(zeta_3) (uqsl2-counit-root): products in R, A and A (x) A, delta,
+    """On every corpus algebra: products in R, A and A (x) A, delta,
     antipode, counit and sums, cancelling ones among them, equal the
-    parent's loops on Scalar arithmetic in value and dict order at every
-    level. A scalar over Q(zeta_6), whose data has the layout of
-    Q(zeta_3), is refused by a Q(zeta_3) container, the field's one too."""
+    references, which take every product, apply sigma^0 and rebuild every
+    word on Scalar arithmetic, in value and dict order at every level. A
+    scalar over Q(zeta_6), whose data has the layout of Q(zeta_3), is
+    refused by a Q(zeta_3) container, the field's one too."""
     rng = random.Random(seed)
-    for name in ("usl2", "uqsl2-case3", "quantum-affine", "uqsl2-counit-root"):
-        hopf = corpus[name]
+    for name, hopf in corpus.items():
         A, base = hopf.algebra, hopf.algebra.base
         rs = [random_base_element(rng, base, max_support=3) for _ in range(2)]
         for x, y in itertools.product(rs + [base.one()], repeat=2):
-            assert _layout(x * y) == _layout(_loop_base_mul(x, y)), (name, "R")
+            assert _layout(x * y) == _layout(loop_base_mul(x, y)), (name, "R")
             for s, t in ((x, y), (x, -x), (x - y, y)):
-                assert _layout(s + t) == _layout(_loop_sum(s, t)), (name, "R sum")
-        xs = [random_element(rng, hopf, max_terms=3, max_degree=2, base_support=2)
-              for _ in range(2)] + [A.embed(rs[0]) + A.xplus()]
+                assert _layout(s + t) == _layout(loop_sum(s, t)), (name, "R sum")
+        xs = [random_element(rng, hopf, max_terms=3, max_degree=3, base_support=2)
+              for _ in range(2)]
+        xs += [A.embed(rs[0]) + A.xplus(), A.xplus() * A.xminus() + A.embed(rs[0])]
         for x, y in itertools.product(xs, repeat=2):
-            assert _layout(x * y) == _layout(_loop_ambi_mul(x, y)), (name, "A")
+            assert _layout(x * y) == _layout(loop_ambi_mul(x, y)), (name, "A")
             for s, t in ((x, y), (x, -x), (x - y, y), (x * y, -(y * x))):
-                assert _layout(s + t) == _layout(_loop_sum(s, t)), (name, "A sum")
+                assert _layout(s + t) == _layout(loop_sum(s, t)), (name, "A sum")
         for x in xs:
-            assert _layout(hopf.delta(x)) == _layout(_loop_delta(hopf, x)), (name, "delta")
-            assert _layout(hopf.antipode(x)) == _layout(_loop_antipode(hopf, x)), name
+            assert _layout(hopf.delta(x)) == _layout(combine_delta(hopf, x)[0]), (name, "delta")
+            assert _layout(hopf.antipode(x)) == _layout(loop_antipode(hopf, x)), name
             counit = hopf.counit(x)
-            assert counit == _loop_counit(hopf, x) and counit.field is A.field, name
-        ts = [hopf.delta(xs[0]), Tensor.of(xs[1], A.xminus()) - hopf.delta(xs[2])]
+            assert counit == loop_counit(hopf, x) and counit.field is A.field, name
+        ys = [random_element(rng, hopf, max_terms=3, max_degree=2, base_support=2)
+              for _ in range(2)]
+        ts = [hopf.delta(ys[0]), Tensor.of(ys[1], A.xminus()) - hopf.delta(xs[2])]
         for s, t in itertools.product(ts, repeat=2):
-            assert _layout(s * t) == _layout(_loop_tensor_mul(s, t)), (name, "A (x) A")
-            assert _layout(s + t) == _layout(_loop_sum(s, t)), (name, "A (x) A sum")
+            assert _layout(s * t) == _layout(loop_tensor_mul(s, t)), (name, "A (x) A")
+            assert _layout(s + t) == _layout(loop_sum(s, t)), (name, "A (x) A sum")
         assert _layout(ts[0] - ts[0]) == [], name
         if name == "uqsl2-counit-root":
             twin = CyclotomicField(6)
@@ -1007,17 +736,10 @@ def test_warm_products_in_a_build_no_scalar(monkeypatch):
     build no ``Scalar`` and call the field's ``_mul`` a pinned number of
     times, memo hits included; the parent's containers of Scalars built
     512 of them for the same 498 calls."""
-    counts = {"scalar": 0, "mul": 0}
-
-    def counting(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
+    counts = CallCounter(monkeypatch, "scalar", "mul")
     # patched before the build: a field binds its kernels once (Field._kernel)
-    monkeypatch.setattr(Scalar, "__init__", counting("scalar", Scalar.__init__))
-    monkeypatch.setattr(CyclotomicField, "_mul", counting("mul", CyclotomicField._mul))
+    counts.patch(Scalar, "__init__", "scalar")
+    counts.patch(CyclotomicField, "_mul", "mul")
     hopf = CORPUS_BUILDERS["uqsl2-case3"]()  # no cache shared with another test
     rng = random.Random(20261019)
     pairs = [tuple(random_element(rng, hopf, max_terms=2, max_degree=2, base_support=2)
@@ -1035,18 +757,10 @@ def test_warm_products_on_a_monoid_base_build_no_structure_dict(monkeypatch):
     ``mul_monomials`` calls). Cold, they call ``_mul`` of Q(q) 426 times,
     where rewriting each term of a word by an uncached X+^u X-^v X+ took
     434; warm, 387 times, as the general loop did."""
-    counts = {"words": 0, "mul": 0}
-
-    def counting(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
+    counts = CallCounter(monkeypatch, "words", "mul")
     # patched before the build: a field binds its kernels once (Field._kernel)
-    monkeypatch.setattr(LaurentBase, "mul_monomials", counting("words", LaurentBase.mul_monomials))
-    monkeypatch.setattr(RationalFunctionField, "_mul",
-                        counting("mul", RationalFunctionField._mul))
+    counts.patch(LaurentBase, "mul_monomials", "words")
+    counts.patch(RationalFunctionField, "_mul", "mul")
     hopf = CORPUS_BUILDERS["uqsl2-variant"]()  # no cache shared with another test
     rng = random.Random(20261020)
     pairs = [tuple(random_element(rng, hopf, max_terms=2, max_degree=2, base_support=2)
@@ -1066,22 +780,14 @@ def test_operand_batches_make_no_fraction_and_no_filter_pass(monkeypatch):
     filter. Routing each int through ``Fraction``, each generator through
     the filter and each sum with zero through a copy, the parent made 3,168
     ``from_fraction`` calls and 2,547 filter passes for the same batch."""
-    counts = {"from_fraction": 0, "filter": 0}
-
-    def counting(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
+    counts = CallCounter(monkeypatch, "from_fraction", "filter")
     hopfs = [CORPUS_BUILDERS["uqsl2-case3"]()]
     hopfs.append(_checked_algebra(resolve_spec(parse_spec(
         (corpus_dir() / "uqsl2.abhk").read_text(encoding="utf-8"))))[0])
     assert [h.algebra.field.kind for h in hopfs] == ["cyclotomic", "rational-function"]
     for field_class in (RationalField, CyclotomicField, RationalFunctionField):
-        monkeypatch.setattr(field_class, "from_fraction",
-                            counting("from_fraction", field_class.from_fraction))
-    monkeypatch.setattr(Sparse, "__init__", counting("filter", Sparse.__init__))
+        counts.patch(field_class, "from_fraction", "from_fraction")
+    counts.patch(Sparse, "__init__", "filter")
     rng = random.Random(20261022)
     batch = [random_element(rng, hopf, max_terms=3, max_degree=2, base_support=2)
              for hopf in hopfs for _ in range(200)]
@@ -1136,45 +842,22 @@ def test_warm_and_cold_uqsl2_products_match_the_general_loop(case):
         if base.one().coeffs not in (x.coeffs, y.coeffs):  # no unit short-cut
             assert all((m1, m2) in base._mul_cache for m1 in x.coeffs for m2 in y.coeffs)
         warm = x * y
-        want = _loop_base_mul(x, y)
+        want = loop_base_mul(x, y)
         assert _layout(cold) == _layout(want), (base.key(), x, y)
         assert _layout(warm) == _layout(want), (base.key(), x, y)
-
-
-def _parent_ambi_mul(a: AmbiElement, b: AmbiElement) -> AmbiElement:
-    """``AmbiElement.__mul__`` as the parent wrote it: every word through
-    ``_word``, and a term added to the running coefficient s of its key as
-    ``s + term``, a key whose sum is zero popped."""
-    alg = a.algebra
-    one, apply, words = alg.base._one, alg.sigma.apply, alg._word
-    out: dict = {}
-    for (m, n), x in a.coeffs.items():
-        for (p, q), y in b.coeffs.items():
-            r = apply(y, m - n) if m != n else y
-            coeff = r if x is one else x if r is one else x * r
-            for (u, v), c in words(m, n, p).items():
-                term = coeff if c is one else coeff * c
-                uv = (u, v + q)
-                s = out.get(uv)
-                merged = term if s is None else s + term
-                if merged.is_zero():
-                    out.pop(uv, None)
-                else:
-                    out[uv] = merged
-    return AmbiElement._of(alg, out)
 
 
 def test_a_cancelled_key_of_a_product_in_a_is_inserted_again_last(usl2):
     """On usl2 (X- X+ = X+ X- - t), (X- - 1 + X+)(X+ + X+ X- + X-) adds +1,
     -1 and +1 to the key X+ X- in turn: the key is dropped when its sum is
-    zero and inserted again last, in the parent's accumulation and in the
-    inline one. On Z x Z/2, (1 + g) X+ times (1 + g) is zero: a term that
+    zero and inserted again last, in the uncached loop and in the inline
+    accumulation. On Z x Z/2, (1 + g) X+ times (1 + g) is zero: a term that
     vanishes in R stores nothing: sigma(g) = -g there, for g of order 2."""
     A, base = usl2.algebra, usl2.algebra.base
     one, t = base.one(), base.generator("t")
     x = AmbiElement._of(A, {(0, 1): one, (0, 0): -one, (1, 0): one})
     y = AmbiElement._of(A, {(1, 0): one, (1, 1): one, (0, 1): one})
-    got, want = x * y, _parent_ambi_mul(x, y)
+    got, want = x * y, loop_ambi_mul(x, y)
     assert _layout(got) == _layout(want)
     assert list(got.coeffs) == [(0, 0), (1, 2), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (1, 1)]
     assert got.coeffs[(1, 1)] == one and got.coeffs[(0, 1)] == -(t + one)
@@ -1182,7 +865,7 @@ def test_a_cancelled_key_of_a_product_in_a_is_inserted_again_last(usl2):
     g, gone = group.base.generator("g2"), group.base.one()
     x = group.monomial(gone + g, 1, 0)
     y = AmbiElement._of(group, {(0, 0): gone + g, (0, 1): gone})
-    got, want = x * y, _parent_ambi_mul(x, y)
+    got, want = x * y, loop_ambi_mul(x, y)
     assert _layout(got) == _layout(want)
     assert list(got.coeffs) == [(1, 1)]
 
@@ -1191,7 +874,7 @@ def test_a_cancelled_key_of_a_product_in_a_is_inserted_again_last(usl2):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_inline_word_reads_and_sums_match_the_parent_accumulation(corpus, seed):
     """Products in A, cold on a fresh word cache and then warm, equal the
-    parent's ``s + term`` accumulation in value and dict order on every
+    uncached loop's ``s + term`` accumulation in value and dict order on every
     corpus algebra, with sums that cancel inside a base coefficient and
     whole keys that cancel and come back."""
     rng = random.Random(seed)
@@ -1204,7 +887,7 @@ def test_inline_word_reads_and_sums_match_the_parent_accumulation(corpus, seed):
         A._word_cache.clear()
         A._cached_scalars = 0
         for x, y in cases + cases:  # cold, then warm
-            assert _layout(x * y) == _layout(_parent_ambi_mul(x, y)), (name, x, y)
+            assert _layout(x * y) == _layout(loop_ambi_mul(x, y)), (name, x, y)
 
 
 def test_warm_products_on_uqsl2_read_cached_structure_constants(monkeypatch):
@@ -1214,15 +897,8 @@ def test_warm_products_on_uqsl2_read_cached_structure_constants(monkeypatch):
     ``UqSl2Base.mul_monomials`` once per pair of monomials it has not met
     (175 of them) and the warm pass not at all; with a call for every pair
     the two passes made 403 and 399 calls."""
-    counts = {"words": 0}
-
-    def counting(fn):
-        def wrapper(*args):
-            counts["words"] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(UqSl2Base, "mul_monomials", counting(UqSl2Base.mul_monomials))
+    counts = CallCounter(monkeypatch, "words")
+    counts.patch(UqSl2Base, "mul_monomials", "words")
     hopf = CORPUS_BUILDERS["uqsl2-case3"]()  # no cache shared with another test
     rng = random.Random(20261021)
     pairs = [tuple(random_element(rng, hopf, max_terms=2, max_degree=2, base_support=2)

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from abhk import Character, ExtensionData, construct_hopf
 from abhk.ambicore import Tensor
-from abhk.basehopf import BaseElement, is_grouplike
 from abhk.cli import _checked_algebra, _context, corpus_dir
 from abhk.coradical import (
     CoradicalContext,
-    _grouplike_power,
     corad_breakdown,
     corad_degree,
     delta_mixed_closed,
@@ -25,10 +23,11 @@ from abhk.coradical import (
     sparse_support,
 )
 from abhk.exprparse import eval_expr, parse_expr, parse_spec, resolve_spec
-from abhk.scalar import CyclotomicField, RationalFunctionField, Scalar, hat, prec, q_binomial
+from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec
 from abhk.uqsl2 import UqSl2Base
 
 from conftest import CORPUS_BUILDERS, build_laurent, random_base_element, random_element
+from oracles import corad_degree_by_definition, per_pair_mixed_closed
 
 
 def laurent_at_root(order):
@@ -96,6 +95,16 @@ def test_power_coproducts_match_engine(name, hopf):
             assert delta_power_closed(hopf, sign, m) == hopf.delta(x**m), (name, sign, m)
 
 
+def test_power_coproducts_match_engine_on_the_corpus(corpus):
+    for name, hopf in corpus.items():
+        for sign in ("+", "-"):
+            x = hopf.algebra.xplus() if sign == "+" else hopf.algebra.xminus()
+            for m in range(7):
+                assert delta_power_closed(hopf, sign, m) == hopf.delta(x**m), (name, sign, m)
+    with pytest.raises(ValueError):
+        delta_power_closed(corpus["usl2"], "*", 1)
+
+
 @pytest.mark.parametrize("name,hopf", oracle_algebras())
 def test_mixed_coproducts_match_engine(name, hopf):
     A = hopf.algebra
@@ -105,34 +114,12 @@ def test_mixed_coproducts_match_engine(name, hopf):
             assert delta_mixed_closed(hopf, m, n) == engine, (name, m, n)
 
 
-def _per_pair_mixed_closed(hopf, m, n) -> Tensor:
-    """delta_mixed_closed as first written: the X- binomial and the y- power
-    recomputed inside the loop over j, once per (j, k)."""
-    alg = hopf.algebra
-    xi = hopf.data.xi
-    xi_inv = xi.inverse()
-    one_mono = alg.base.one_monomial()
-    out: dict = {}
-    for j in range(m + 1):
-        bj = q_binomial(m, j, xi)
-        yp_mono, yp_scalar = _grouplike_power(hopf.data.y_plus, m - j)
-        for k in range(n + 1):
-            bk = q_binomial(n, k, xi_inv)
-            ym_mono, ym_scalar = _grouplike_power(hopf.data.y_minus, n - k)
-            cross = xi ** (j * (n - k))
-            products = alg.base.mul_monomials(yp_mono, ym_mono)
-            (mono, extra), = products.items()
-            out[((mono, j, k), (one_mono, m - j, n - k))] = (
-                bj * bk * cross * yp_scalar * ym_scalar * Scalar(alg.field, extra))
-    return Tensor(alg, 2, out)
-
-
 def test_mixed_closed_matches_per_pair_loop(corpus):
     for name, hopf in corpus.items():
         for m in range(6):
             for n in range(6):
                 got = delta_mixed_closed(hopf, m, n)
-                want = _per_pair_mixed_closed(hopf, m, n)
+                want = per_pair_mixed_closed(hopf, m, n)
                 assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, m, n)
 
 
@@ -311,92 +298,7 @@ def test_wedge_membership_of_random_elements(corpus):
     assert total >= 50, total
 
 
-# -- the closed forms against the loops they replaced ------------------------------
-
-
-def _reference_delta_power_closed(hopf, sign, m) -> Tensor:
-    """delta_power_closed as first written: its own loop over j."""
-    alg = hopf.algebra
-    xi = hopf.data.xi if sign == "+" else hopf.data.xi.inverse()
-    y = hopf.data.y_plus if sign == "+" else hopf.data.y_minus
-    one_mono = alg.base.one_monomial()
-    out: dict = {}
-    for j in range(m + 1):
-        coeff = q_binomial(m, j, xi)
-        y_mono, y_scalar = _grouplike_power(y, m - j)
-        if sign == "+":
-            key = ((y_mono, j, 0), (one_mono, m - j, 0))
-        else:
-            key = ((y_mono, 0, j), (one_mono, 0, m - j))
-        out[key] = coeff * y_scalar
-    return Tensor(alg, 2, out)
-
-
-def _reference_corad_degree(a, ctx) -> int:
-    """corad_degree as first written: its own loop over the support."""
-    best = 0
-    base_degree = a.algebra.base.coradical_degree_monomial
-    for (m, n), r in a.coeffs.items():
-        step = hat(m, ctx.d).hat + hat(n, ctx.d).hat
-        for mono in r.support():
-            best = max(best, base_degree(mono) + step)
-    return best
-
-
-def test_power_closed_form_matches_its_own_loop(corpus):
-    for name, hopf in corpus.items():
-        for sign in ("+", "-"):
-            for m in range(7):
-                got = delta_power_closed(hopf, sign, m)
-                want = _reference_delta_power_closed(hopf, sign, m)
-                assert list(got.coeffs.items()) == list(want.coeffs.items()), (name, sign, m)
-    with pytest.raises(ValueError):
-        delta_power_closed(corpus["usl2"], "*", 1)
-
-
-def test_corad_degree_matches_its_own_loop(corpus):
-    rng = random.Random(1414)
-    for name, hopf in sorted(corpus.items()):
-        ctx = CoradicalContext.for_algebra(hopf)
-        for _ in range(12):
-            a = random_element(rng, hopf, max_terms=3, base_support=2)
-            assert corad_degree(a, ctx) == _reference_corad_degree(a, ctx), name
-
-
 # -- the filtration from its definition ---------------------------------------------
-#
-# Every family here is pointed, so the coradical C_0 is spanned by the
-# grouplikes, and C_t is the kernel of pi^(x)(t+1) . Delta^(t), with pi the
-# projection A -> A/C_0 and Delta^(t) the t-fold coproduct (Sweedler, Hopf
-# Algebras, 1969, ch. IX; Montgomery, Hopf Algebras and Their Actions on Rings,
-# 1993, 5.2). The grouplikes of A are basis legs r X+^0 X-^0 with r a grouplike
-# base monomial, so pi kills exactly those legs and keeps the others linearly
-# independent: a lies in C_t iff every key of Delta^(t)(a) has a grouplike leg.
-# The oracle shares only ``delta_leg`` with ``corad_degree``, and decides
-# grouplike legs with ``is_grouplike``, not with a degree function.
-
-POINTED_FAMILIES = ("polynomial", "laurent", "group", "uqsl2")
-
-
-def corad_degree_by_definition(hopf, a):
-    """The least t < 16 with a in C_t, read off the iterated coproduct."""
-    base = hopf.algebra.base
-    if base.family not in POINTED_FAMILIES:
-        raise ValueError(f"the {base.family} family is not known to be pointed")
-    one = base.field.one()
-
-    @functools.cache
-    def grouplike(leg):
-        mono, m, n = leg
-        # eps(r X+^m X-^n) = 0 when m + n > 0, so only base legs can be grouplike
-        return m == n == 0 and is_grouplike(BaseElement(base, {mono: one}))
-
-    tensor = Tensor.of(a)
-    for t in range(16):
-        if all(any(grouplike(leg) for leg in key) for key in tensor.coeffs):
-            return t
-        tensor = tensor.expand_leg(0, hopf.delta_leg)
-    raise AssertionError("no C_t with t < 16 holds the element")
 
 
 def _uqsl2_at_root(order, chi_k=1, power=None):

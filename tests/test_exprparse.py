@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -11,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abhk.ambicore import AmbiElement, Tensor
-from abhk.basehopf import BaseElement, Character, LaurentBase, PolynomialBase, invert_element
+from abhk.ambicore import Tensor
+from abhk.basehopf import Character, LaurentBase, PolynomialBase
 from abhk import exprparse
 from abhk.errors import AbhkError, NotInvertibleError
 from abhk.exprparse import (
@@ -41,9 +40,10 @@ from abhk.exprparse import (
     resolve_spec,
 )
 from abhk.hopfstruct import ExtensionData, construct_hopf
-from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField, Scalar
+from abhk.scalar import CyclotomicField, RationalField, RationalFunctionField
 
 from conftest import CORPUS_BUILDERS, random_element
+from oracles import reference_eval, reference_tokenize
 
 QQ = RationalField()
 FQ = RationalFunctionField()
@@ -139,82 +139,10 @@ def test_nesting_limit():
     assert parse_expr("(t)*" * 500 + "t") == Mul((Name("t"),) * 501)
 
 
-# -- the lexical table against the parent's character loop -----------------------
+# -- the lexical table against the character loop ----------------------------------
 #
-# The parent scanned with one hand-written loop per token kind and str.isdigit,
-# str.isalpha and str.isalnum, which also accept non-ASCII characters. On ASCII
+# The reference scans with one hand-written loop per token kind; on ASCII
 # text the table must give the same tokens, positions and errors.
-
-
-@dataclass(frozen=True)
-class _ReferenceToken:
-    kind: str
-    text: str
-    line: int
-    column: int
-    value: Fraction | None = None
-
-
-def _reference_tokenize(src: str) -> list[_ReferenceToken]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            num = int(src[i:j])
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                k = j
-                while k < n and src[k].isdigit():
-                    k += 1
-                den = int(src[j:k])
-                if den == 0:
-                    raise ParseError("zero denominator in literal", line, start_col)
-                tokens.append(_ReferenceToken("NUMBER", src[i:k], line, start_col,
-                                              Fraction(num, den)))
-                col += k - i
-                i = k
-            else:
-                tokens.append(_ReferenceToken("NUMBER", src[i:j], line, start_col, Fraction(num)))
-                col += j - i
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            if ch == "X" and i + 1 < n and src[i + 1] in "+-":
-                tokens.append(_ReferenceToken("IDENT", src[i:i + 2], line, start_col))
-                i += 2
-                col += 2
-                continue
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_ReferenceToken("IDENT", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()":
-            tokens.append(_ReferenceToken("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_ReferenceToken("END", "", line, col))
-    return tokens
 
 
 def _lex_outcome(tokenize, src):
@@ -250,14 +178,14 @@ def test_lexical_table_matches_the_reference(src):
     positions or its exact error, every NUMBER reads as the reference's
     value, and ``parse_expr`` gives the AST or error text it gives on the
     reference's tokens."""
-    want, want_error = _lex_outcome(_reference_tokenize, src)
+    want, want_error = _lex_outcome(reference_tokenize, src)
     assert _lex_outcome(_tokenize, src) == (want, want_error), src
     if want_error is None:
-        for tok in _reference_tokenize(src):
+        for tok in reference_tokenize(src):
             if tok.kind == "NUMBER":
                 assert Fraction(tok.text) == tok.value, src
     got = _parse_outcome(src)
-    with mock.patch.object(exprparse, "_tokenize", _reference_tokenize):
+    with mock.patch.object(exprparse, "_tokenize", reference_tokenize):
         assert got == _parse_outcome(src), src
 
 
@@ -323,92 +251,10 @@ def test_ast_print_parse_round_trip_500():
         assert first == second
 
 
-# -- the one-ring evaluator against the parent's two-kind evaluator ---------------
+# -- the one-ring evaluator against the two-kind evaluator --------------------------
 #
-# The parent evaluated numbers, q and zeta to bare scalars and joined them with
-# ring elements in _combine and _to_element. It is kept here as the reference.
-
-
-def _reference_lookup(ctx, ident, power=1):
-    """The parent's lookup: q and zeta are bare scalars; every other name
-    resolves as in ``EvalContext.lookup``."""
-    if ident == "q" and isinstance(ctx.field, RationalFunctionField):
-        return ctx.field.q(power)
-    if ident == "zeta" and isinstance(ctx.field, CyclotomicField):
-        return ctx.field.zeta(power)
-    return ctx.lookup(ident, power)
-
-
-def _reference_to_element(value, ctx):
-    if isinstance(value, Scalar):
-        if ctx.algebra is not None:
-            return ctx.algebra.one().scale(value)
-        if ctx.base is not None:
-            return ctx.base.from_scalar(value)
-    return value
-
-
-def _reference_eval(node, ctx):
-    if isinstance(node, Num):
-        return ctx.field.from_fraction(node.value)
-    if isinstance(node, Name):
-        return _reference_lookup(ctx, node.ident)
-    if isinstance(node, Neg):
-        value = _reference_eval(node.operand, ctx)
-        return -value if isinstance(value, Scalar) else value.scale(ctx.field.from_int(-1))
-    if isinstance(node, Pow):
-        if isinstance(node.base, Name):
-            return _reference_lookup(ctx, node.base.ident, node.exponent)
-        value = _reference_eval(node.base, ctx)
-        if isinstance(value, Scalar):
-            return value**node.exponent
-        if node.exponent >= 0:
-            return value**node.exponent
-        return _reference_invert(value) ** (-node.exponent)
-    if isinstance(node, Mul):
-        acc = _reference_eval(node.factors[0], ctx)
-        for factor in node.factors[1:]:
-            acc = _reference_combine(acc, _reference_eval(factor, ctx), ctx, "*")
-        return acc
-    if isinstance(node, Sum):
-        acc = None
-        for sign, term in node.terms:
-            value = _reference_eval(term, ctx)
-            if sign < 0:
-                value = -value if isinstance(value, Scalar) else value.scale(ctx.field.from_int(-1))
-            acc = value if acc is None else _reference_combine(acc, value, ctx, "+")
-        return acc
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _reference_combine(a, b, ctx, op):
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return a + b if op == "+" else a * b
-    a2, b2 = a, b
-    if isinstance(a, Scalar):
-        if op == "*":
-            return b.scale(a)
-        a2 = _reference_to_element(a, ctx)
-    if isinstance(b, Scalar):
-        if op == "*":
-            return a.scale(b)
-        b2 = _reference_to_element(b, ctx)
-    return a2 + b2 if op == "+" else a2 * b2
-
-
-def _reference_invert(value):
-    """The parent's inverse of an element, with one intended change: a zero
-    element is refused as "inverse of zero", the message of a zero scalar.
-    The parent read "only single-term elements can be inverted" there."""
-    if value.is_zero():
-        raise NotInvertibleError("inverse of zero")
-    if isinstance(value, BaseElement):
-        return invert_element(value)
-    if isinstance(value, AmbiElement):
-        if not value.is_base():
-            raise NotInvertibleError("element with X factors is not invertible")
-        return value.algebra.embed(invert_element(value.base_part()))
-    raise NotInvertibleError(f"cannot invert {value!r}")
+# The reference evaluates numbers, q and zeta to bare scalars and joins them
+# with ring elements.
 
 
 def _outcome(evaluate, ast):
@@ -453,7 +299,7 @@ def test_one_ring_eval_matches_the_reference(corpus, seed):
                     ast = random_ast(rng, names=names)
                 got, got_error = _outcome(evaluate, ast)
                 want, want_error = _outcome(
-                    lambda ast: _reference_to_element(_reference_eval(ast, ctx), ctx), ast)
+                    lambda ast: reference_eval(ast, ctx), ast)
                 context = (name, format_ast(ast), names)
                 assert got_error == want_error, context
                 assert type(got) is type(want) and got == want, context

@@ -27,8 +27,8 @@ from abhk import (
     UqSl2Base,
     check_main_theorem,
     construct_hopf,
-    reduce_word,
 )
+from abhk.ambicore import reduce_word
 from abhk.basehopf import BaseTensor
 from abhk.errors import (
     AlgebraMismatchError,

@@ -3,7 +3,6 @@ d-adic hat combinatorics."""
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from abhk import scalar
 from abhk.errors import FieldMismatchError, NotInvertibleError
-from abhk.exprparse import _poly_text, format_scalar
+from abhk.exprparse import format_scalar
 from abhk.scalar import (
     CyclotomicField,
     HatProfile,
@@ -38,62 +37,26 @@ from abhk.scalar import (
     q_binomial,
 )
 
+from oracles import (
+    fraction_cyclotomic_poly,
+    loop_power,
+    poly_divmod,
+    qfunc_make,
+    reference_cyclotomic_mul,
+    reference_format_qfunc,
+    reference_gcd,
+    reference_make,
+    reference_mul_order,
+    reference_qfunc_add,
+    reference_qfunc_inv,
+    reference_qfunc_mul,
+    reference_qfunc_neg,
+    schoolbook_mul,
+)
+
 QQ = RationalField()
 C8 = CyclotomicField(8)
 FQ = RationalFunctionField()
-
-
-# -- Fraction polynomial division: the library's former path, kept here as a
-# reference that shares no code with the integer kernels
-
-
-def poly_divmod(a, b):
-    """Quotient and remainder in Q[x]; coefficients become ``Fraction``."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
-    while len(rem) >= len(b):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        factor = rem[-1] / lead
-        shift = len(rem) - len(b)
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * Fraction(c)
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def poly_primitive(a):
-    """Primitive integer part of a Fraction/int polynomial, leading coeff > 0."""
-    if not a:
-        return ()
-    lcm_den = 1
-    for c in a:
-        lcm_den = lcm_den * Fraction(c).denominator // math.gcd(lcm_den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * lcm_den) for c in a]
-    g = math.gcd(*(abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
-@functools.lru_cache(maxsize=None)
-def _fraction_cyclotomic_poly(n):
-    """``cyclotomic_poly`` as it was: x^n - 1 divided by each Phi_d in Q[x]
-    by ``poly_divmod``, the quotient made primitive by ``poly_primitive``."""
-    poly = (-1,) + (0,) * (n - 1) + (1,)
-    for d in range(1, n):
-        if n % d == 0:
-            quo, rem = poly_divmod(poly, _fraction_cyclotomic_poly(d))
-            assert not rem
-            poly = poly_primitive(quo)
-    return tuple(int(c) for c in poly)
 
 
 def _afresh(field):
@@ -162,15 +125,6 @@ def test_cyclotomic_polynomials():
         assert product == (-1,) + (0,) * (n - 1) + (1,)
 
 
-def _schoolbook_mul(a, b):
-    """Every coefficient pair of a and b, zeros included, then trimmed."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return _trim(out)
-
-
 def test_poly_mul_by_a_single_term_matches_the_schoolbook_product():
     """A single-term side c q^k, k up to 40, times dense, sparse and
     single-term sides equals the schoolbook product in both argument
@@ -183,7 +137,7 @@ def test_poly_mul_by_a_single_term_matches_the_schoolbook_product():
                       tuple(rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(12)) + (5,),
                       tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 9))) + (1,)]
             for other in others:
-                want = _schoolbook_mul(term, other)
+                want = schoolbook_mul(term, other)
                 assert poly_mul(term, other) == want, (k, c, other)
                 assert poly_mul(other, term) == want, (k, c, other)
 
@@ -193,7 +147,7 @@ def test_poly_mul_by_a_single_term_matches_the_schoolbook_product():
 def test_cyclotomic_poly_matches_the_fraction_division(orders):
     for n in orders:
         got = cyclotomic_poly(n)
-        assert got == _fraction_cyclotomic_poly(n), n
+        assert got == fraction_cyclotomic_poly(n), n
         assert all(type(c) is int for c in got)
 
 
@@ -227,16 +181,6 @@ def test_cyclotomic_inverse_and_power_basis():
 # kernel.
 
 CYCLOTOMIC_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 15)
-
-
-def _reference_cyclotomic_mul(field, a, b):
-    """The poly_mul + Fraction poly_divmod product that the fold table
-    replaced, kept as the reference for the value of a product."""
-    coeffs = _trim([Fraction(c) for c in poly_mul(a, b)])
-    if len(coeffs) > field.degree:
-        _, coeffs = poly_divmod(coeffs, field.modulus)
-    out = list(coeffs) + [Fraction(0)] * (field.degree - len(coeffs))
-    return tuple(out[: field.degree])
 
 
 def _pack(values):
@@ -274,89 +218,30 @@ def cyclotomic_pairs(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(cyclotomic_pairs())
-def test_cyclotomic_kernel_matches_reference(case):
-    field, a, b = case
-    pa, pb = _pack(a), _pack(b)
-    product = field._mul(pa, pb)
-    assert field.coefficients(product) == _reference_cyclotomic_mul(field, a, b)
-    _assert_canonical(field, product)
-    total = field._add(pa, pb)
-    assert field.coefficients(total) == tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-    _assert_canonical(field, total)
-    if any(a):
-        inverse = field._inv(pa)
-        assert (_reference_cyclotomic_mul(field, a, field.coefficients(inverse))
-                == field.coefficients(field.one().data))
-        _assert_canonical(field, inverse)
-
-
-# The int/Fraction-entry kernel that the integer vector over one denominator
-# replaced: ``degree`` entries, each a plain ``int`` when integral and a
-# ``Fraction`` otherwise, with the inverse by the extended Euclid over Q.
-
-
-def _reference_fold(field, coeffs):
-    table = cyclotomic_fold_table(field.order)
-    deg = len(table[0])
-    out = coeffs[:deg] + [0] * (deg - len(coeffs))
-    for k in range(deg, len(coeffs)):
-        c = coeffs[k]
-        if c:
-            for i, r in enumerate(table[k]):
-                if r:
-                    out[i] += c * r
-    return _canonical(out)
-
-
-def _reference_add(field, a, b):
-    return _canonical([x + y for x, y in zip(a, b)])
-
-
-def _reference_mul(field, a, b):
-    out = [0] * (2 * len(a) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _reference_fold(field, out)
-
-
-def _reference_inv(field, a):
-    r0, r1 = field.modulus, _trim(a)
-    s0, s1 = (), (Fraction(1),)
-    while r1:
-        quo, rem = poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, poly_add(s0, tuple(-c for c in poly_mul(quo, s1)))
-    assert len(r0) == 1
-    inv_lead = 1 / Fraction(r0[0])
-    return _reference_fold(field, [c * inv_lead for c in s0])
-
-
-@settings(max_examples=300, deadline=None)
 @given(cyclotomic_pairs(), entries)
-def test_cyclotomic_kernel_matches_parent_kernel(case, r):
-    """Every kernel operation equals the int/Fraction-entry kernel by value
-    and leaves canonical data: the packed form of the reference value."""
+def test_cyclotomic_kernel_matches_reference(case, r):
+    """Every kernel operation gives the reference's value in canonical data:
+    products by the Fraction remainder, sums and negatives entry by entry,
+    and the inverse as the element whose reference product with a is one."""
     field, a, b = case
     pa, pb = _pack(a), _pack(b)
     zero = (0,) * field.degree
+    total = tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
     cases = [
-        (field._mul(pa, pb), _reference_mul(field, a, b)),
-        (field._add(pa, pb), _reference_add(field, a, b)),
-        (field._neg(pa), _canonical([-c for c in a])),
+        (field._mul(pa, pb), reference_cyclotomic_mul(field, a, b)),
+        (field._add(pa, pb), total),
+        (field._neg(pa), tuple(-Fraction(c) for c in a)),
         (field._add(pa, field._neg(pa)), zero),
-        (field._mul(field._add(pa, pb), pa),
-         _reference_mul(field, _reference_add(field, a, b), a)),
-        (field.from_fraction(r).data, _canonical((r,) + zero[1:])),
+        (field._mul(field._add(pa, pb), pa), reference_cyclotomic_mul(field, total, a)),
+        (field.from_fraction(r).data, (Fraction(r),) + zero[1:]),
     ]
     if any(a):
-        cases.append((field._inv(pa), _reference_inv(field, a)))
+        inverse = field._inv(pa)
+        assert (reference_cyclotomic_mul(field, a, field.coefficients(inverse))
+                == field.coefficients(field.one().data))
+        _assert_canonical(field, inverse)
     for got, want in cases:
         assert field.coefficients(got) == want
-        assert got == _pack(want)
         _assert_canonical(field, got)
     assert field._is_zero(pa) == (not any(a))
     if not any(a):
@@ -365,49 +250,6 @@ def test_cyclotomic_kernel_matches_parent_kernel(case, r):
 
 
 # -- the per-field product and inverse memos -----------------------------------
-
-
-def _reference_cyclotomic_product(field, a, b):
-    """``CyclotomicField._mul`` before the memo, kept as the reference for
-    the data every product returns, from the memo or from the kernel."""
-    deg = len(a) - 1
-    out = [0] * (2 * deg - 1)
-    vb = b[:deg]
-    for i in range(deg):
-        c = a[i]
-        if c:
-            for k, d in enumerate(vb, i):
-                if d:
-                    out[k] += c * d
-    table = cyclotomic_fold_table(field.order)
-    for k in range(deg, 2 * deg - 1):
-        c = out[k]
-        if c:
-            for i, r in enumerate(table[k]):
-                if r:
-                    out[i] += c * r
-    del out[deg:]
-    out.append(a[-1] * b[-1])
-    return field._normal(out)
-
-
-def _reference_cyclotomic_inverse(field, a):
-    """``CyclotomicField._inv`` before the memo."""
-    n, table = field.order, cyclotomic_fold_table(field.order)
-    v = a[:-1] + (1,)
-    others = field.one().data
-    for k in range(2, n):
-        if math.gcd(k, n) == 1:
-            conj = [0] * len(v)
-            for i, c in enumerate(v[:-1]):
-                if c:
-                    for j, r in enumerate(table[i * k % n]):
-                        conj[j] += c * r
-            conj[-1] = 1
-            others = _reference_cyclotomic_product(field, others, tuple(conj))
-    norm = _reference_cyclotomic_product(field, v, others)[0]
-    sign = -1 if norm < 0 else 1
-    return field._normal([sign * a[-1] * c for c in others[:-1]] + [sign * norm])
 
 
 # Q(zeta_3), Q(zeta_4) and Q(zeta_6) share the degree-2 data layout, and
@@ -422,17 +264,17 @@ def _assert_memos_hold_kernel_results(field):
     assert len(field._products) <= MEMO_LIMIT
     assert len(field._inverses) <= MEMO_LIMIT
     for (a, b), product in field._products.items():
-        assert product == _reference_cyclotomic_product(field, a, b)
+        assert product == field._mul_kernel(a, b)
     for a, inverse in field._inverses.items():
-        assert inverse == _reference_cyclotomic_inverse(field, a)
+        assert inverse == field._inv_kernel(a)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_cyclotomic_memo_matches_parent_kernels(monkeypatch, data):
-    """a*b, b*a and a^-1 through the memos equal the parent's kernels in
-    their data, over fields that share data tuples, with the limit lowered
+    """a*b, b*a and a^-1 through the memos equal the data of the kernels
+    they cache, over fields that share data tuples, with the limit lowered
     so that misses clear the memos."""
     monkeypatch.setattr(scalar, "_CYCLOTOMIC_MEMO_LIMIT", MEMO_LIMIT)
     fields = {n: CyclotomicField(n) for n in MEMO_ORDERS}
@@ -449,13 +291,13 @@ def test_cyclotomic_memo_matches_parent_kernels(monkeypatch, data):
         for n in MEMO_TWINS.get(order, (order,)):
             field = fields[n]
             a, b = pools[field.degree][i], pools[field.degree][j]
-            assert field._mul(a, b) == _reference_cyclotomic_product(field, a, b)
-            assert field._mul(b, a) == _reference_cyclotomic_product(field, b, a)
+            assert field._mul(a, b) == field._mul_kernel(a, b)
+            assert field._mul(b, a) == field._mul_kernel(b, a)
             if field._is_zero(a):
                 with pytest.raises(NotInvertibleError):
                     field._inv(a)
             else:
-                assert field._inv(a) == _reference_cyclotomic_inverse(field, a)
+                assert field._inv(a) == field._inv_kernel(a)
             assert len(field._products) <= MEMO_LIMIT
             assert len(field._inverses) <= MEMO_LIMIT
     for field in fields.values():
@@ -644,7 +486,7 @@ def _assert_qfunc_canonical(data):
         return
     assert num[0] and num[-1] and den[0] and den[-1] > 0
     assert math.gcd(*num, *den) == 1
-    assert len(_reference_gcd(num, den)) == 1
+    assert len(reference_gcd(num, den)) == 1
 
 
 def _qfunc_kernel(name, *operands):
@@ -663,71 +505,6 @@ def test_qfunc_layout_adapter_round_trips():
 
 
 # -- the Q(q) reducer against the Fraction-Euclid reference ------------------
-
-
-def _parent_coprime(num, den):
-    """The parent's ``_coprime`` on ``(num, den)`` sides: the power of q
-    both share stripped first, as its ``_cancel_q`` did, then the gcd in
-    Q[q] by the library's ``_coprime``."""
-    low = 0
-    while not (num[low] or den[low]):
-        low += 1
-    return _coprime(num[low:], den[low:])
-
-
-def _parent_content_free(num, den):
-    """The parent's ``_content_free``: the integer content divided out and
-    the sign fixed, by the library's."""
-    return _content_free(0, num, den)[1:]
-
-
-def _qfunc_make(num, den):
-    """Any quotient of integer polynomials, ``den`` nonzero, in the
-    parent's canonical ``(num, den)`` form, by the library's own reducers:
-    ``_coprime`` (after the shared power of q) and ``_content_free`` (the
-    integer content and the sign)."""
-    num, den = _trim(num), _trim(den)
-    if not num:
-        return ((), (1,))
-    return _parent_content_free(*_parent_coprime(num, den))
-
-
-def _reference_gcd(a, b):
-    """Euclid over Fraction; primitive result with positive leading coeff."""
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_primitive(a) if a else ()
-
-
-def _reference_make(num, den):
-    """The Fraction-Euclid reducer the integer one replaced, kept as the
-    reference for the canonical form."""
-    num, den = _trim(num), _trim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return ((), (1,))
-    lcm = 1
-    for c in list(num) + list(den):
-        d = Fraction(c).denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    num = [int(Fraction(c) * lcm) for c in num]
-    den = [int(Fraction(c) * lcm) for c in den]
-    g = math.gcd(*num, *den)
-    num = [c // g for c in num]
-    den = [c // g for c in den]
-    gp = _reference_gcd(_trim(num), _trim(den))
-    if len(gp) > 1:
-        num = [int(c) for c in poly_divmod(num, gp)[0]]
-        den = [int(c) for c in poly_divmod(den, gp)[0]]
-        g = math.gcd(*num, *den)
-        num = [c // g for c in num]
-        den = [c // g for c in den]
-    if den[-1] < 0:
-        num = [-c for c in num]
-        den = [-c for c in den]
-    return (_trim(num), _trim(den))
 
 
 int_polys = st.lists(st.integers(-12, 12), max_size=6).map(_trim)
@@ -798,7 +575,7 @@ def quotient_pairs(draw):
         else:
             e2 = e if kind == "equal" else draw(exps.filter(lambda k: k != e))
             c2, d2 = draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9))
-        return tuple(_qfunc_make((0,) * max(k, 0) + (num,), (0,) * max(-k, 0) + (den,))
+        return tuple(qfunc_make((0,) * max(k, 0) + (num,), (0,) * max(-k, 0) + (den,))
                      for k, num, den in ((e, c, d), (e2, c2, d2)))
     if link == "cross":
         factor = draw(nonzero_polys)
@@ -819,7 +596,7 @@ def quotient_pairs(draw):
         an, ad = (an, low + ad) if shift > 0 else (low + an, ad)
     elif link == "sum-to":
         an, ad = draw(nonzero_polys), draw(two_term_polys)
-    a = _qfunc_make(an, ad)
+    a = qfunc_make(an, ad)
     if link == "same-den":
         bd = a[1]
     elif link == "cancel":
@@ -830,121 +607,41 @@ def quotient_pairs(draw):
         bn, bd = poly_mul(a[1], draw(st.sampled_from([(1,), (-1,)]))), a[0]
     elif link == "sum-to":
         bn, bd = poly_add(poly_mul(bn, a[1]), poly_neg(poly_mul(a[0], bd))), poly_mul(bd, a[1])
-    return a, _qfunc_make(bn, bd)
+    return a, qfunc_make(bn, bd)
 
 
 @settings(max_examples=1500, deadline=None)
 @given(quotients())
 def test_qfunc_reducer_matches_reference(pair):
     num, den = pair
-    got = _qfunc_make(num, den)
-    assert got == _reference_make(num, den)
+    got = qfunc_make(num, den)
+    assert got == reference_make(num, den)
     rnum, rden = got
     assert all(type(c) is int for c in rnum + rden)
     assert rden and rden[-1] > 0
     assert math.gcd(*rnum, *rden) == 1
-    assert len(_reference_gcd(rnum, rden)) == 1 or not rnum
+    assert len(reference_gcd(rnum, rden)) == 1 or not rnum
     assert poly_mul(rnum, den) == poly_mul(num, rden)
 
 
 def test_qfunc_reducer_examples():
-    assert _qfunc_make((0, 0, -2), (0, -4)) == ((0, 1), (2,))
-    assert _qfunc_make((), (0, -3)) == ((), (1,))
-    assert _qfunc_make((0, -1, 0, 1), (0, 1, 1)) == ((-1, 1), (1,))  # (q^3-q)/(q^2+q)
-    assert _qfunc_make((6, 6), (-4, 0, 4)) == ((3,), (-2, 2))
-    assert _qfunc_make((1, 1), (0, 0, 3)) == ((1, 1), (0, 0, 3))
+    assert qfunc_make((0, 0, -2), (0, -4)) == ((0, 1), (2,))
+    assert qfunc_make((), (0, -3)) == ((), (1,))
+    assert qfunc_make((0, -1, 0, 1), (0, 1, 1)) == ((-1, 1), (1,))  # (q^3-q)/(q^2+q)
+    assert qfunc_make((6, 6), (-4, 0, 4)) == ((3,), (-2, 2))
+    assert qfunc_make((1, 1), (0, 0, 3)) == ((1, 1), (0, 0, 3))
 
 
-def _reference_qfunc_add(a, b):
-    """The kernels before cross-cancellation: every result reduced as a
-    whole quotient, kept as the reference for the fast paths."""
-    return _qfunc_make(poly_add(poly_mul(a[0], b[1]), poly_mul(b[0], a[1])), poly_mul(a[1], b[1]))
-
-
-def _reference_qfunc_mul(a, b):
-    return _qfunc_make(poly_mul(a[0], b[0]), poly_mul(a[1], b[1]))
-
-
-def _reference_qfunc_inv(a):
-    return _qfunc_make(a[1], a[0])
-
-
-def _reference_qfunc_neg(a):
-    return _qfunc_make(poly_neg(a[0]), a[1])
-
-
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1000, deadline=None, derandomize=True)
 @given(quotient_pairs())
 def test_qfunc_kernels_match_reference(pair):
     a, b = pair
     for x, y in ((a, b), (b, a)):
-        assert _qfunc_kernel("_add", x, y) == _reference_qfunc_add(x, y)
-        assert _qfunc_kernel("_mul", x, y) == _reference_qfunc_mul(x, y)
-        assert _qfunc_kernel("_neg", x) == _reference_qfunc_neg(x)
+        assert _qfunc_kernel("_add", x, y) == reference_qfunc_add(x, y)
+        assert _qfunc_kernel("_mul", x, y) == reference_qfunc_mul(x, y)
+        assert _qfunc_kernel("_neg", x) == reference_qfunc_neg(x)
         if x[0]:
-            assert _qfunc_kernel("_inv", x) == _reference_qfunc_inv(x)
-
-
-def _parent_qfunc_add(a, b):
-    """``RationalFunctionField._add`` before Henrici's addition: sums over
-    different denominators cross-multiply and reduce the whole quotient."""
-    (an, ad), (bn, bd) = a, b
-    if not an:
-        return b
-    if not bn:
-        return a
-    if ad == bd:
-        num = poly_add(an, bn)
-        if not num:
-            return ((), (1,))
-        return _parent_content_free(*_parent_coprime(num, ad))
-    return _qfunc_make(poly_add(poly_mul(an, bd), poly_mul(bn, ad)), poly_mul(ad, bd))
-
-
-def _parent_qfunc_mul(a, b):
-    """``RationalFunctionField._mul`` before the single-term factor path: a
-    product with one multi-term side reduces both cross pairs."""
-    (an, ad), (bn, bd) = a, b
-    if not an or not bn:
-        return ((), (1,))
-    if any(an[:-1]) or any(bn[:-1]) or any(ad[:-1]) or any(bd[:-1]):
-        an, bd = _parent_coprime(an, bd)
-        bn, ad = _parent_coprime(bn, ad)
-        return _parent_content_free(poly_mul(an, bn), poly_mul(ad, bd))
-    num, den = an[-1] * bn[-1], ad[-1] * bd[-1]
-    g = math.gcd(num, den)
-    if g != 1:
-        num, den = num // g, den // g
-    shift = len(an) + len(bn) - len(ad) - len(bd)
-    if shift >= 0:
-        return ((0,) * shift + (num,), (den,))
-    return ((num,), (0,) * -shift + (den,))
-
-
-def _parent_qfunc_neg(a):
-    return (poly_neg(a[0]), a[1])
-
-
-def _parent_qfunc_inv(a):
-    num, den = a
-    if num[-1] < 0:
-        return (poly_neg(den), poly_neg(num))
-    return (den, num)
-
-
-@settings(max_examples=800, deadline=None, derandomize=True)
-@given(quotient_pairs())
-def test_qfunc_kernels_match_parent_kernels(pair):
-    """a*b, b*a, a+b, b+a, -a, -b, 1/a and 1/b are the data the kernels
-    gave before the single-term factor path, Henrici's addition and the
-    valuation kept apart, read through the layout adapter."""
-    a, b = pair
-    for x, y in ((a, b), (b, a)):
-        assert _qfunc_kernel("_mul", x, y) == _parent_qfunc_mul(x, y)
-        assert _qfunc_kernel("_add", x, y) == _parent_qfunc_add(x, y)
-        assert _qfunc_kernel("_neg", x) == _parent_qfunc_neg(x)
-        if x[0]:
-            assert _qfunc_kernel("_inv", x) == _parent_qfunc_inv(x)
+            assert _qfunc_kernel("_inv", x) == reference_qfunc_inv(x)
 
 
 @pytest.mark.parametrize("op, a, b, want", [
@@ -981,33 +678,7 @@ def test_qfunc_kernels_match_parent_kernels(pair):
     ("add", ((2,), (2, 3, 1)), ((-3,), (3, 4, 1)), ((0, -1), (6, 11, 6, 1))),
 ])
 def test_qfunc_kernel_paths(op, a, b, want):
-    parent = _parent_qfunc_mul if op == "mul" else _parent_qfunc_add
     assert _qfunc_kernel(f"_{op}", a, b) == _qfunc_kernel(f"_{op}", b, a) == want
-    assert parent(a, b) == want
-
-
-def _parent_format_qfunc(data):
-    """The Q(q) branch of ``format_scalar`` as it was, on the parent's
-    ``(num, den)`` data: (text, atomic)."""
-    num, den = data
-    if den == (1,):
-        text, multi = _poly_text(num, "q")
-        return text, not multi
-    if len(den) == 1:
-        text, multi = _poly_text([Fraction(c, den[0]) for c in num], "q")
-        return text, not multi
-    num_text, num_multi = _poly_text(num, "q")
-    if num_multi:
-        num_text = f"({num_text})"
-    if len([c for c in den if c]) == 1 and den[-1] == 1:
-        power = f"q^-{len(den) - 1}"
-        if num_text == "1":
-            return power, True
-        if num_text == "-1":
-            return f"-{power}", False
-        return f"{num_text}*{power}", False
-    den_text, _ = _poly_text(den, "q")
-    return f"{num_text}*({den_text})^-1", False
 
 
 constants = st.integers(-9, 9).filter(bool)
@@ -1031,7 +702,7 @@ def qfunc_values(draw):
 
 def _assert_prints_as_parent(data):
     x = Scalar(FQ, data)
-    assert format_scalar(x) == _parent_format_qfunc(_qfunc_old(data)), data
+    assert format_scalar(x) == reference_format_qfunc(_qfunc_old(data)), data
 
 
 @settings(max_examples=600, deadline=None)
@@ -1120,27 +791,6 @@ def test_mul_order_formal_parameter():
     assert mul_order((FQ.q() + 1) / (FQ.q() + 1)) == 1
 
 
-def _parent_mul_order(x):
-    """``mul_order`` as it was, one branch per field kind reading the data
-    layout, kept as the reference."""
-    field = x.field
-    if field.kind == "rational":
-        return 1 if x.data == 1 else 2 if x.data == -1 else None
-    if field.kind == "rational-function":
-        num, den = _qfunc_old(x.data)
-        if num == (1,) and den == (1,):
-            return 1
-        if num == (-1,) and den == (1,):
-            return 2
-        return None
-    power = x
-    for n in range(1, 2 * field.order + 1):
-        if power.is_one():
-            return n
-        power = power * x
-    return None
-
-
 def _order_probes():
     rng = random.Random(7102)
     yield from (QQ.one(), QQ.from_int(-1), FQ.one(), FQ.from_int(-1))
@@ -1164,7 +814,7 @@ def _order_probes():
 def test_mul_order_matches_the_per_kind_reference():
     seen = set()
     for x in _order_probes():
-        assert mul_order(x) == _parent_mul_order(x), x
+        assert mul_order(x) == reference_mul_order(x), x
         seen.add(mul_order(x))
     # the probes reach infinite order and every finite order of a root of
     # unity in those fields: n and 2n for odd n, n for even n
@@ -1525,7 +1175,7 @@ def test_unit_short_cut_cyclotomic(case):
 @settings(max_examples=300, deadline=None)
 @given(quotients())
 def test_unit_short_cut_qfunc(pair):
-    _assert_unit_short_cut(Scalar(FQ, _qfunc_new(_qfunc_make(*pair))))
+    _assert_unit_short_cut(Scalar(FQ, _qfunc_new(qfunc_make(*pair))))
 
 
 @pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
@@ -1547,16 +1197,6 @@ def test_unit_short_cut_random(field):
 # powers from the base and the same-field equality path
 
 
-def _parent_power(x, k):
-    """``Scalar.__pow__`` as the loop of |k| products starting from the
-    shared one."""
-    base = x if k >= 0 else x.inverse()
-    result = x.field.one()
-    for _ in range(abs(k)):
-        result = result * base
-    return result
-
-
 @pytest.mark.parametrize("field", [QQ, C8, FQ], ids=lambda f: f.kind)
 def test_powers_start_from_the_base(monkeypatch, field):
     """x**k equals the loop from one in data and field, takes |k| - 1
@@ -1572,7 +1212,7 @@ def test_powers_start_from_the_base(monkeypatch, field):
     for _ in range(20):
         x = random_scalar(rng, field, nonzero=True)
         for k in range(-4, 5):
-            want = _parent_power(x, k)
+            want = loop_power(x, k)
             monkeypatch.setattr(Scalar, "__mul__", counted)
             calls.clear()
             got = x**k

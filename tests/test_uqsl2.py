@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from abhk.ambicore import AmbiElement
 from abhk.basehopf import (
-    BaseElement,
     BaseTensor,
     base_antipode,
     base_coradical_degree,
@@ -21,7 +19,14 @@ from abhk.hopfstruct import verify_hopf_axioms
 from abhk.scalar import CyclotomicField, RationalFunctionField
 from abhk.uqsl2 import UqSl2Base
 
-from conftest import scalars
+from oracles import (
+    inverting_check_endo_map,
+    inverting_check_scalar_map,
+    inverting_display_term,
+    inverting_evaluate,
+    reference_from_inner,
+    reference_inner_monomial,
+)
 
 
 @pytest.fixture(scope="module")
@@ -144,21 +149,6 @@ def test_generator_errors(uq):
 # second instance so that it shares no cache with the family under test.
 
 
-def _reference_from_inner(uq, a: AmbiElement) -> dict:
-    out: dict = {}
-    for (m, n), r in a.coeffs.items():
-        for j, c in scalars(r).items():
-            out[(j, m, n)] = c
-    return BaseElement(uq, out).coeffs
-
-
-def _reference_inner_monomial(uq, mono) -> AmbiElement:
-    j, m, n = mono
-    return AmbiElement(uq.inner, {
-        (m, n): BaseElement(uq.inner.base, {j: uq.field.one()})
-    })
-
-
 def _uqsl2_field_and_q(name):
     if name == "uqsl2":
         field = RationalFunctionField()
@@ -172,19 +162,19 @@ def test_monomial_maps_match_inner_extension(name):
     field, q = _uqsl2_field_and_q(name)
     uq, ref = UqSl2Base(field, q), UqSl2Base(field, q)
     monos = [(j, m, n) for j in (-1, 0, 1) for m in range(3) for n in range(3)]
-    inner = {mono: _reference_inner_monomial(ref, mono) for mono in monos}
+    inner = {mono: reference_inner_monomial(ref, mono) for mono in monos}
     returned = []
     for a in monos:
         for b in monos:
             got = uq.mul_monomials(a, b)
-            assert got == _reference_from_inner(ref, inner[a] * inner[b]), (a, b)
+            assert got == reference_from_inner(ref, inner[a] * inner[b]), (a, b)
             returned.append(got)
     for mono in monos:
         got = uq.delta_monomial(mono)
         assert got == ref.hopf.delta(inner[mono]).coeffs, mono
         returned.append(got)
         got = uq.antipode_monomial(mono)
-        assert got == _reference_from_inner(ref, ref.hopf.antipode(inner[mono])), mono
+        assert got == reference_from_inner(ref, ref.hopf.antipode(inner[mono])), mono
         returned.append(got)
     snapshots = [dict(d) for d in returned]
 
@@ -199,56 +189,6 @@ def test_monomial_maps_match_inner_extension(name):
 
 
 # -- the cached q^-1 and q - q^-1 against the formulas that invert q each time --
-
-
-def _inverting_alias_values(uq, values):
-    q = uq.q
-    return values["K"], values["E"], (q - q**-1) * values["F"] * values["K"]
-
-
-def _inverting_char_value(uq, values, mono):
-    j, m, n = mono
-    v_t, v_xp, v_xm = _inverting_alias_values(uq, values)
-    return v_t**j * v_xp**m * v_xm**n
-
-
-def _inverting_map_monomial(uq, images, mono):
-    j, m, n = mono
-    img_xm = (images["F"] * images["K"]).scale(uq.q - uq.q**-1)
-    return images["K"]**j * images["E"] ** m * img_xm**n
-
-
-def _inverting_check_scalar_map(uq, values):
-    q, one = uq.q, uq.field.one()
-    k, e, f = values["K"], values["E"], values["F"]
-    if not (k * e * (one - q**2)).is_zero():
-        raise CharacterError("assignment breaks K E = q^2 E K")
-    if not (k * f * (one - q**-2)).is_zero():
-        raise CharacterError("assignment breaks K F = q^-2 F K")
-    if k * k != one:
-        raise CharacterError("assignment breaks E F - F E = (K - K^-1)/(q - q^-1)")
-
-
-def _inverting_check_endo_map(uq, images):
-    q = uq.q
-    k, e, f = images["K"], images["E"], images["F"]
-    try:
-        k_inv = invert_element(k)
-    except NotInvertibleError as exc:
-        raise AutomorphismError("image of K must be a unit") from exc
-    if k * e != (e * k).scale(q**2):
-        raise AutomorphismError("images break K E = q^2 E K")
-    if k * f != (f * k).scale(q**-2):
-        raise AutomorphismError("images break K F = q^-2 F K")
-    if e * f - f * e != (k - k_inv).scale((q - q**-1).inverse()):
-        raise AutomorphismError("images break E F - F E = (K - K^-1)/(q - q^-1)")
-
-
-def _inverting_display_term(uq, mono, c):
-    j, m, n = mono
-    q = uq.q
-    coeff = c * (q - q**-1) ** n * q ** (2 * j * (m - n) - n * (n - 1))
-    return coeff, [(name, exp) for name, exp in (("E", m), ("F", n), ("K", j + n)) if exp]
 
 
 def _verdict(check, *args):
@@ -272,13 +212,13 @@ def test_cached_q_constants_match_inverting_formulas(name):
             for f in pool:
                 values = {"K": k, "E": e, "F": f}
                 got = _verdict(uq.check_scalar_map, values)
-                assert got == _verdict(_inverting_check_scalar_map, uq, values), values
+                assert got == _verdict(inverting_check_scalar_map, uq, values), values
                 verdicts.add(got)
                 if k.is_zero():
                     continue
                 for mono in monos:
                     assert uq.evaluate(values, mono, field.one()) == \
-                        _inverting_char_value(uq, values, mono), (values, mono)
+                        inverting_evaluate(uq, values, mono), (values, mono)
     assert len(verdicts) == 4  # every relation both holds and fails somewhere
 
     e, f, k = uq.generator("E"), uq.generator("F"), uq.generator("K")
@@ -295,13 +235,13 @@ def test_cached_q_constants_match_inverting_formulas(name):
     verdicts = set()
     for images in image_sets:
         got = _verdict(uq.check_endo_map, images)
-        assert got == _verdict(_inverting_check_endo_map, uq, images), images
+        assert got == _verdict(inverting_check_endo_map, uq, images), images
         verdicts.add(got)
         for mono in monos:
             if mono[0] < 0 and len(images["K"].coeffs) != 1:
                 continue
             assert uq.evaluate(images, mono, uq.one()) == \
-                _inverting_map_monomial(uq, images, mono), (images, mono)
+                inverting_evaluate(uq, images, mono), (images, mono)
     assert len(verdicts) == 4
 
     for j in range(-2, 3):
@@ -309,4 +249,4 @@ def test_cached_q_constants_match_inverting_formulas(name):
             for n in range(4):
                 for c in (field.one(), q, field.from_int(-3)):
                     assert uq.display_term((j, m, n), c) == \
-                        _inverting_display_term(uq, (j, m, n), c), (j, m, n, c)
+                        inverting_display_term(uq, (j, m, n), c), (j, m, n, c)
