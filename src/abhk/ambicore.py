@@ -192,6 +192,16 @@ class AmbiskewAlgebra:
         monomial is the unit: it is r1 when r2 = 1, since sigma fixes 1, and
         sigma^(m1-n1)(r2) when r1 = 1. Both are what the product would
         return, by the unit law of the base.
+
+        A diagonal sigma sends the monomial r2 to lambda(r2) r2, so
+        r1 sigma^k(r2) = lambda(r2)^k r1 r2, the scalar read from
+        ``sigma.eigenvalue``: the coefficient is that scalar times each
+        structure constant of r1 r2, on raw data, with no sigma application
+        and no product of elements. The constants are those the product of
+        elements reads, ``monomial_product`` or the dict of the family's
+        ``_mul_cache`` (``mul_monomials`` on a miss), and are multiplied in
+        the same order with the same skips of one, so the dict is the one
+        that route builds.
         """
         key = (leg1, leg2)
         cached = self._leg_cache.get(key)
@@ -199,15 +209,29 @@ class AmbiskewAlgebra:
             (r1, m1, n1), (r2, m2, n2) = leg1, leg2
             base, sigma, one = self.base, self.sigma, self.field._one.data
             if r2 == self._one_mono:
-                coeff = BaseElement._of(base, {r1: one})
+                terms = {r1: one}
+            elif sigma.diagonal is not None:
+                lam = sigma.eigenvalue(r2, m1 - n1)
+                if r1 == self._one_mono:
+                    terms = {r2: lam}
+                elif base.monomial_product is not None:
+                    terms = {base.monomial_product(r1, r2): lam}
+                else:
+                    mul = self.field._mul
+                    word = base._mul_cache.get((r1, r2))
+                    if word is None:
+                        word = base.mul_monomials(r1, r2)
+                    terms = {m: lam if s == one else s if lam == one else mul(lam, s)
+                             for m, s in word.items()}
             else:
                 coeff = sigma.apply(BaseElement._of(base, {r2: one}), m1 - n1)
                 if r1 != self._one_mono:
                     coeff = BaseElement._of(base, {r1: one}) * coeff
+                terms = coeff.coeffs
             if not n1 or not m2:
-                cached = {(mono, m1 + m2, n1 + n2): d for mono, d in coeff.coeffs.items()}
+                cached = {(mono, m1 + m2, n1 + n2): d for mono, d in terms.items()}
             else:
-                cached = {}
+                coeff, cached = BaseElement._of(base, terms), {}
                 for (u, v), c in self._word(m1, n1, m2).items():
                     for mono, d in (coeff if c is base._one else coeff * c).coeffs.items():
                         cached[(mono, u, v + n2)] = d

@@ -641,11 +641,16 @@ class BaseAutomorphism:
     an eigenvector) scales each monomial, and ``_cache`` maps each power to
     its table of eigenvalues: ``_cache[power][mono]`` is the eigenvalue of
     sigma**power on mono, so one lookup of the power's table serves every
-    monomial of the argument. A negative power raises the eigenvalue in the
-    table of power -1 to |power|, so each monomial's eigenvalue is inverted
-    once. Eigenvalues are cached as raw field data; one equal to 1 is
-    stored as the field's shared ``_one.data``, and the diagonal loop does
-    not multiply by it. Otherwise
+    monomial of the argument. ``eigenvalue`` is the one place that computes
+    an entry: ``apply`` calls it on a miss, and so does a leg-product miss
+    of ``AmbiskewAlgebra``, which forms r1 sigma^k(r2) as the scalar
+    lambda(r2)^k times the structure constants of r1 r2, with no element
+    built. That is exact: sigma^k(r2) is lambda(r2)^k r2 for a monomial r2,
+    and a scalar commutes with r1. A negative power raises the eigenvalue
+    in the table of power -1 to |power|, so each monomial's eigenvalue is
+    inverted once. Eigenvalues are cached as raw field data; one equal to 1
+    is stored as the field's shared ``_one.data``, and the diagonal loop
+    does not multiply by it. Otherwise
     ``_image_cache`` holds the image of a monomial under sigma**power under
     the key (mono, power): sigma^p(a) is the sum of c sigma^p(mono) over
     the terms c mono of a. A missing power is built in a loop, not by
@@ -699,30 +704,37 @@ class BaseAutomorphism:
             return a
         if self.diagonal is not None:
             out = {}
-            field, cache = self.algebra.field, self._cache
-            one, mul, _, _ = field._kernel
-            table = cache.get(power)
-            if table is None:
-                table = cache[power] = {}
+            one, mul, _, _ = self.algebra.field._kernel
+            table = self._cache.get(power) or {}  # eigenvalue makes a missing table
             for mono, c in a.coeffs.items():
                 eig = table.get(mono)
                 if eig is None:
-                    if power > 0:
-                        eig = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
-                    else:
-                        inverses = cache.get(-1)
-                        if inverses is None:
-                            inverses = cache[-1] = {}
-                        inv = inverses.get(mono)
-                        if inv is None:
-                            inv = self.algebra.monomial_eigenvalue(self.diagonal, mono).inverse()
-                            inverses[mono] = inv = one if inv.is_one() else inv.data
-                        eig = Scalar(field, inv) ** -power
-                    table[mono] = eig = one if eig.is_one() else eig.data
+                    eig = self.eigenvalue(mono, power)
                 # eigenvalues of an automorphism are nonzero
                 out[mono] = c if eig is one else eig if c == one else mul(c, eig)
             return BaseElement._of(self.algebra, out)
         return self._sum_images(a, power)
+
+    def eigenvalue(self, mono, power: int):
+        """The eigenvalue of the diagonal sigma**power on mono as raw data,
+        read from ``_cache[power]`` and stored there on a miss; 1 is the
+        field's shared ``_one.data``, also for power 0, which no table holds."""
+        field = self.algebra.field
+        if not power:
+            return field._one.data
+        table = self._cache.get(power)
+        if table is None:
+            table = self._cache[power] = {}
+        eig = table.get(mono)
+        if eig is None:
+            if power > 0:
+                value = self.algebra.monomial_eigenvalue(self.diagonal, mono) ** power
+            elif power == -1:
+                value = self.algebra.monomial_eigenvalue(self.diagonal, mono).inverse()
+            else:
+                value = Scalar(field, self.eigenvalue(mono, -1)) ** -power
+            table[mono] = eig = field._one.data if value.is_one() else value.data
+        return eig
 
     def _sum_images(self, a: BaseElement, power: int) -> BaseElement:
         """The sum of c sigma^power(mono) over the terms c mono of a, for a

@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import exprparse, properties
@@ -391,8 +392,14 @@ def cmd_examples(args, out: _Output) -> int:
     if not paths:
         print(f"no corpus entries found in {directory}", file=sys.stderr)
         return EXIT_INPUT
-    results = [run_corpus_entry(path) for path in paths]
-    width = max(len(r.name) for r in results)
+    width = max(len(path.stem) for path in paths)
+    results = []
+    for path in paths:
+        start = time.perf_counter()
+        results.append(run_corpus_entry(path))
+        if args.verbose:  # wall time on stderr only: stdout stays deterministic
+            ms = 1000 * (time.perf_counter() - start)
+            print(f"{path.stem:<{width}}  {ms:.1f} ms", file=sys.stderr)
     failures = 0
     for result in results:
         status = "pass" if result.ok else "FAIL"

@@ -136,8 +136,33 @@ class UqSl2Base(BaseAlgebra):
             raise CharacterError("assignment breaks E F - F E = (K - K^-1)/(q - q^-1)")
 
     def check_endo_map(self, images):
-        q = self.q
+        """Raise AutomorphismError unless the images of K, E and F respect
+        the three defining relations.
+
+        Images that are one-term multiples a K, b E, c F of the generators,
+        in this algebra, are checked on their raw coefficients. K E = q^2 E K
+        and K F = q^-2 F K then hold for every a, b, c, and E F - F E =
+        (K - K^-1)/(q - q^-1) becomes b c (K - K^-1) = a K - a^-1 K^-1,
+        which holds exactly when b c = a and a^2 = 1, as K and K^-1 are
+        independent. K and E are stored with coefficient 1 and F with d, so
+        the image of F holds c d, and b c = a reads b (c d) = a d: a
+        cross-multiplication on the canonical data, with no inverse, and a
+        factor equal to 1 not multiplied. a^2 = 1 reads a = 1 or a = -1, as
+        a field has no zero divisors. A failure is the E F - F E relation,
+        the one that can fail, with the text the element route gives. Any
+        other images are multiplied out as elements.
+        """
         k, e, f = images["K"], images["E"], images["F"]
+        (f_mono, d), = self._f_element.coeffs.items()
+        a, b, c = k.coeffs.get((1, 0, 0)), e.coeffs.get((0, 1, 0)), f.coeffs.get(f_mono)
+        if (None not in (a, b, c) and len(k.coeffs) == len(e.coeffs) == len(f.coeffs) == 1
+                and k.algebra is e.algebra is f.algebra is self):
+            one, mul, _, _ = self.field._kernel
+            if ((c if b == one else mul(b, c)) != (d if a == one else mul(a, d))
+                    or a != one and a != self.field._neg(one)):
+                raise AutomorphismError("images break E F - F E = (K - K^-1)/(q - q^-1)")
+            return
+        q = self.q
         try:
             k_inv = invert_element(k)
         except NotInvertibleError as exc:

@@ -216,6 +216,17 @@ def random_base_element(rng: random.Random, base, max_support=2, small=True):
     return out
 
 
+def generator_monomials(base) -> list:
+    """The one monomial and the monomials of each generator and of the
+    inverse of each invertible generator, in the family's sort order."""
+    monos = {base.one_monomial()}
+    for info in base.generator_info():
+        monos.update(base.generator(info.name).coeffs)
+        if info.invertible:
+            monos.update(base.generator(info.name, -1).coeffs)
+    return sorted(monos, key=base.monomial_sort_key)
+
+
 def random_element(rng: random.Random, hopf, max_terms=2, max_degree=3,
                    base_support=1):
     """Random extension element of total degree <= max_degree."""

@@ -37,6 +37,7 @@ from abhk.uqsl2 import UqSl2Base
 from conftest import (
     CORPUS_BUILDERS,
     assert_no_zero,
+    generator_monomials,
     random_base_element,
     random_element,
     scalars,
@@ -314,13 +315,8 @@ def _cold_leg_products(corpus, name, keep) -> list:
     value and order."""
     built = corpus[name].algebra
     A = AmbiskewAlgebra(built.base, built.sigma, built.h, built.xi)  # empty caches
-    base, monos = A.base, {A.base.one_monomial()}
-    for info in base.generator_info():
-        monos.update(base.generator(info.name).coeffs)
-        if info.invertible:
-            monos.update(base.generator(info.name, -1).coeffs)
-    legs = [(mono, m, n) for mono in sorted(monos, key=base.monomial_sort_key)
-            for m in range(3) for n in range(3)]
+    base = A.base
+    legs = [(mono, m, n) for mono in generator_monomials(base) for m in range(3) for n in range(3)]
     pairs = [(leg1, leg2) for leg1 in legs for leg2 in legs
              if keep(base.one_monomial(), leg1, leg2)]
     for leg1, leg2 in pairs:

@@ -50,6 +50,7 @@ from conftest import (
     assert_no_zero,
     build_uqsl2_root,
     build_usl2,
+    generator_monomials,
     random_base_element,
     scalars,
 )
@@ -518,6 +519,38 @@ def test_sigma_eigenvalue_cache_matches_uncached(corpus):
                 if power < 0:
                     assert all(mono in sigma._cache[-1] for mono in a.coeffs)
                 assert sigma.apply(a, power) == want, (name, power)
+
+
+def test_eigenvalue_accessor_matches_apply_on_one_term_elements(corpus):
+    """``BaseAutomorphism.eigenvalue`` on each diagonal corpus sigma, built
+    afresh, equals ``apply`` on the one-term element of a fresh twin, for
+    the monomials of the cold leg-product test and powers -3..3, in either
+    order of the two calls; an eigenvalue 1 is ``field._one.data`` itself
+    and no other is, and the accessor reads and fills the table of
+    ``apply``."""
+    ones = others = 0
+    for name, hopf in corpus.items():
+        source = hopf.algebra.sigma
+        if source.diagonal is None:
+            continue
+        base, one = source.algebra, source.algebra.field._one.data
+        first, second = (BaseAutomorphism(base, source.images, source.inverse_images)
+                         for _ in range(2))
+        for power in (3, -2, 0, 1, -3, 2, -1):
+            for mono in generator_monomials(base):
+                term = BaseElement._of(base, {mono: one})
+                eig = first.eigenvalue(mono, power)
+                assert first.apply(term, power).coeffs == {mono: eig}, (name, mono, power)
+                assert second.apply(term, power).coeffs == {mono: second.eigenvalue(mono, power)}
+                assert second.eigenvalue(mono, power) == eig, (name, mono, power)
+                assert (eig is one) == (eig == one), (name, mono, power)
+                if power:
+                    assert first._cache[power][mono] is eig
+                    assert second._cache[power][mono] is second.eigenvalue(mono, power)
+                ones += eig is one
+                others += eig is not one
+        assert 0 not in first._cache and 0 not in second._cache
+    assert ones and others
 
 
 def _sigma_cases(rng, base):

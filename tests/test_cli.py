@@ -299,6 +299,47 @@ def test_examples_summary(capsys):
     assert "corpus entries pass" in out
 
 
+_BAD_XI_DETAILS = ["    check: ok (expected failure)", "    witness: ok (xi mismatch)"]
+_USL2_DETAILS = [
+    "    check: ok",
+    "    classification: ok (ii)",
+    "    gk_dim: ok (3)",
+    "    gl_dim: ok (3 (exact: Hopf sharpening))",
+    "    pi: ok (no (sigma has infinite order: translation has infinite order in"
+    " characteristic 0))",
+    "    identity[X-*X+]: ok (X+*X- - t)",
+    "    identity[X+*t]: ok (X+ + t*X+)",
+    "    identity[X-*t]: ok (-X- + t*X-)",
+    "    corad[1]: ok (0)",
+    "    corad[X+]: ok (1)",
+    "    corad[t*X+]: ok (2)",
+    "    corad[X+*X-]: ok (2)",
+]
+
+
+@pytest.mark.parametrize("fmt, bad_xi, usl2, summary", [
+    ("text", "bad-xi  pass", "usl2    pass", "2/2 corpus entries pass"),
+    ("machine", "bad-xi\tpass", "usl2\tpass", "summary\t2/2 corpus entries pass"),
+], ids=["text", "machine"])
+def test_verbose_examples_time_each_entry_on_stderr(monkeypatch, capsys, tmp_path,
+                                                    fmt, bad_xi, usl2, summary):
+    # stdout is the entries' checks, as without --verbose but for the
+    # indented detail lines; the wall times go to stderr only
+    for name in ("bad-xi", "usl2"):
+        (tmp_path / f"{name}.abhk").write_text(
+            (CORPUS / f"{name}.abhk").read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.setenv("ABHK_CORPUS_DIR", str(tmp_path))
+    code, out, err = run(capsys, "--format", fmt, "examples", "--verbose")
+    assert (code, out) == (0, "\n".join(
+        [bad_xi, *_BAD_XI_DETAILS, usl2, *_USL2_DETAILS, summary, ""]))
+    lines = err.splitlines()
+    assert len(lines) == 2 and err.endswith("\n")
+    for name, line in zip(("bad-xi", "usl2"), lines):
+        assert re.fullmatch(rf"{name} +\d+\.\d ms", line), line
+    quiet = [line for line in out.splitlines(keepends=True) if not line.startswith("    ")]
+    assert run(capsys, "--format", fmt, "examples") == (0, "".join(quiet), "")
+
+
 def test_outputs_are_deterministic(capsys):
     argvs = [
         ("check", str(CORPUS / "uqsl2-case3.abhk")),

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from abhk import uqsl2
 from abhk.basehopf import (
+    BaseElement,
     BaseTensor,
     base_antipode,
     base_coradical_degree,
@@ -20,6 +24,7 @@ from abhk.scalar import CyclotomicField, RationalFunctionField
 from abhk.uqsl2 import UqSl2Base
 
 from oracles import (
+    CallCounter,
     inverting_check_endo_map,
     inverting_check_scalar_map,
     inverting_display_term,
@@ -250,3 +255,44 @@ def test_cached_q_constants_match_inverting_formulas(name):
                 for c in (field.one(), q, field.from_int(-3)):
                     assert uq.display_term((j, m, n), c) == \
                         inverting_display_term(uq, (j, m, n), c), (j, m, n, c)
+
+
+# -- the scalar route of check_endo_map against the element route -----------------
+
+
+@pytest.mark.parametrize("name", ["uqsl2", "uqsl2-case3", "uqsl2-counit-root"])
+def test_one_term_images_match_the_element_route(monkeypatch, name):
+    """Images a K, b E, c F are checked on their coefficients with no product
+    in R, and the verdict, a pass or the ``AutomorphismError`` text, is the
+    element route's (``inverting_check_endo_map``) on every drawn triple:
+    b c = a and a^2 = 1 each hold and fail, in all four combinations, over
+    Q(q), Q(zeta_8) and Q(zeta_3). Images with two terms, or a zero image,
+    take the element route, which first inverts the image of K."""
+    field, q = _uqsl2_field_and_q(name)
+    uq = UqSl2Base(field, q)
+    e, f, k = uq.generator("E"), uq.generator("F"), uq.generator("K")
+    pool = [field.one(), field.from_int(-1), field.from_int(2), q, q**-1, -q, q * q + 1]
+    rng = random.Random(name)
+    triples = [(a, b, a * b.inverse()) for a in pool for b in pool]
+    triples += [tuple(rng.choice(pool) for _ in range(3)) for _ in range(60)]
+    counts = CallCounter(monkeypatch, "products", "inversions")
+    counts.patch(BaseElement, "__mul__", "products")
+    counts.patch(uqsl2, "invert_element", "inversions")
+    combos = set()
+    for a, b, c in triples:
+        images = {"K": k.scale(a), "E": e.scale(b), "F": f.scale(c)}
+        counts.update(products=0, inversions=0)
+        got = _verdict(uq.check_endo_map, images)
+        assert counts == {"products": 0, "inversions": 0}, (a, b, c)
+        assert got == _verdict(inverting_check_endo_map, uq, images), (a, b, c)
+        assert (got is None) == (b * c == a and a * a == field.one()), (a, b, c)
+        combos.add((b * c == a, a * a == field.one()))
+    assert len(combos) == 4
+
+    other_images = [{"E": e + k, "F": f, "K": k}, {"E": e, "F": f, "K": k.scale(q) + uq.one()},
+                 {"E": e, "F": f.scale(q) + e, "K": k}, {"E": e, "F": uq.zero(), "K": k}]
+    for images in other_images:
+        counts["inversions"] = 0
+        got = _verdict(uq.check_endo_map, images)
+        assert counts["inversions"] == 1, images
+        assert got == _verdict(inverting_check_endo_map, uq, images), images
