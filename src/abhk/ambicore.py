@@ -197,11 +197,11 @@ class AmbiskewAlgebra:
         r1 sigma^k(r2) = lambda(r2)^k r1 r2, the scalar read from
         ``sigma.eigenvalue``: the coefficient is that scalar times each
         structure constant of r1 r2, on raw data, with no sigma application
-        and no product of elements. The constants are those the product of
-        elements reads, ``monomial_product`` or the dict of the family's
-        ``_mul_cache`` (``mul_monomials`` on a miss), and are multiplied in
-        the same order with the same skips of one, so the dict is the one
-        that route builds.
+        and no product of elements. The constants are read as the general
+        loop of the product of elements reads them, from the family's
+        ``_mul_cache`` and from ``mul_monomials`` on a miss, and are
+        multiplied in the same order with the same skips of one, so the
+        dict is the one that route builds.
         """
         key = (leg1, leg2)
         cached = self._leg_cache.get(key)
@@ -214,8 +214,6 @@ class AmbiskewAlgebra:
                 lam = sigma.eigenvalue(r2, m1 - n1)
                 if r1 == self._one_mono:
                     terms = {r2: lam}
-                elif base.monomial_product is not None:
-                    terms = {base.monomial_product(r1, r2): lam}
                 else:
                     mul = self.field._mul
                     word = base._mul_cache.get((r1, r2))

@@ -32,11 +32,18 @@ from .scalar import Field, Scalar
 BaseDescriptor = namedtuple("BaseDescriptor", (
     "gk_dim gl_dim inj_dim noetherian domain prime semiprime_goldie affine_commutative_domain"
     " as_gorenstein as_regular auslander_gorenstein auslander_regular"))
-GeneratorInfo = namedtuple("GeneratorInfo", "name invertible")
+GeneratorInfo = namedtuple("GeneratorInfo", "name invertible grouplike")
 
 
 class BaseAlgebra:
-    """Uniform interface over the base Hopf algebra families."""
+    """Uniform interface over the base Hopf algebra families.
+
+    Defaults serve every family: the generator tables and
+    ``grouplike_generators`` (from one ``generator_info()`` tuple), the
+    two checks of generator maps (no relation beyond the units, whose
+    images must be units), ``evaluate``, ``monomial_eigenvalue``,
+    ``mul_monomials`` and ``display_term``.
+    """
 
     family: str
     field: Field
@@ -65,17 +72,26 @@ class BaseAlgebra:
         raise NotImplementedError
 
     @cached_property
+    def _generator_info(self) -> tuple[GeneratorInfo, ...]:
+        """``generator_info()``, called once per algebra."""
+        return tuple(self.generator_info())
+
+    @cached_property
     def generators(self) -> dict[str, "BaseElement"]:
         """Generator name -> generator element, in ``generator_info()``
         order. The table is built once per algebra and its elements are
         shared: like every container they are never mutated."""
-        return {info.name: self.generator(info.name) for info in self.generator_info()}
+        return {info.name: self.generator(info.name) for info in self._generator_info}
 
     @cached_property
     def unit_generators(self) -> tuple[str, ...]:
         """Names of the generators ``generator_info()`` flags invertible, in
         its order, read once per algebra like ``generators``."""
-        return tuple(info.name for info in self.generator_info() if info.invertible)
+        return tuple(info.name for info in self._generator_info if info.invertible)
+
+    def grouplike_generators(self) -> list["BaseElement"]:
+        """Generators of G(R): those ``generator_info()`` flags grouplike, in its order."""
+        return [self.generators[info.name] for info in self._generator_info if info.grouplike]
 
     def monomial_factors(self, mono) -> list[tuple[str, int]]:
         """The monomial written as an ordered product of generator powers."""
@@ -130,13 +146,18 @@ class BaseAlgebra:
 
     def check_scalar_map(self, values: dict[str, Scalar]) -> None:
         """Raise CharacterError unless the assignment respects every
-        defining relation of the family."""
-        raise NotImplementedError
+        defining relation of the family. By default there is none beyond
+        the units, on which ``Character`` refuses zero."""
 
     def check_endo_map(self, images: dict[str, "BaseElement"]) -> None:
         """Raise AutomorphismError unless generator images respect every
-        defining relation of the family."""
-        raise NotImplementedError
+        defining relation of the family. By default that is the relation
+        every family has: the image of each unit generator is a unit."""
+        for name in self.unit_generators:
+            try:
+                invert_element(images[name])
+            except NotInvertibleError as exc:
+                raise AutomorphismError(f"image of {name} must be a unit") from exc
 
     def evaluate(self, assignment: dict, mono, one):
         """The monomial with each generator replaced by its value under
@@ -169,10 +190,6 @@ class BaseAlgebra:
 
     def from_scalar(self, c: Scalar) -> "BaseElement":
         return BaseElement(self, {self.one_monomial(): c})
-
-    def grouplike_generators(self) -> list["BaseElement"]:
-        """Generators of the grouplike group G(R) declared by the family."""
-        raise NotImplementedError
 
     def display_term(self, mono, c: Scalar) -> tuple[Scalar, list[tuple[str, int]]]:
         """The term c * mono as it is printed: a coefficient and the
@@ -845,9 +862,6 @@ class OneVariableBase(BaseAlgebra):
     def monomial_factors(self, mono):
         return [("t", mono)] if mono else []
 
-    def check_scalar_map(self, values):
-        pass  # t is free, or a unit on which Character refuses zero
-
 
 class PolynomialBase(OneVariableBase):
     """k[t] with t primitive; monomials are exponents n >= 0."""
@@ -855,7 +869,7 @@ class PolynomialBase(OneVariableBase):
     family = "polynomial"
 
     def generator_info(self):
-        return [GeneratorInfo("t", False)]
+        return [GeneratorInfo("t", False, False)]
 
     def generator(self, name, power=1):
         if name == "t" and power < 0:
@@ -885,26 +899,10 @@ class PolynomialBase(OneVariableBase):
     def coradical_degree_monomial(self, mono):
         return mono
 
-    def check_endo_map(self, images):
-        pass
 
-    def grouplike_generators(self):
-        return []  # G(k[t]) = {1}
-
-
-class LaurentBase(OneVariableBase):
-    """k[t, t^-1] with t grouplike; monomials are integers."""
-
-    family = "laurent"
-
-    def generator_info(self):
-        return [GeneratorInfo("t", True)]
-
-    def monomial_sort_key(self, mono):
-        return (abs(mono), -mono)
-
-    def invert_monomial(self, mono):
-        return -mono
+class GroupAlgebra(BaseAlgebra):
+    """The coalgebra of a group algebra, whose basis monomials are its group:
+    each is grouplike with counit 1, S its inverse, and it is cosemisimple."""
 
     def delta_monomial(self, mono):
         return {(mono, mono): self.field._one.data}
@@ -913,22 +911,28 @@ class LaurentBase(OneVariableBase):
         return self.field._one.data
 
     def antipode_monomial(self, mono):
-        return {-mono: self.field._one.data}
+        return {self.invert_monomial(mono): self.field._one.data}
 
     def coradical_degree_monomial(self, mono):
-        return 0  # group algebras are cosemisimple
-
-    def check_endo_map(self, images):
-        try:
-            invert_element(images["t"])
-        except NotInvertibleError as exc:
-            raise AutomorphismError("image of t must be a unit") from exc
-
-    def grouplike_generators(self):
-        return [self.generators["t"]]
+        return 0
 
 
-class GroupBase(BaseAlgebra):
+class LaurentBase(OneVariableBase, GroupAlgebra):
+    """k[t, t^-1], the group algebra of Z; monomials are integers."""
+
+    family = "laurent"
+
+    def generator_info(self):
+        return [GeneratorInfo("t", True, True)]
+
+    def monomial_sort_key(self, mono):
+        return (abs(mono), -mono)
+
+    def invert_monomial(self, mono):
+        return -mono
+
+
+class GroupBase(GroupAlgebra):
     """Group algebra of Z^rank x prod Z/m_i; monomials are exponent tuples
     with the torsion coordinates reduced mod m_i."""
 
@@ -966,7 +970,7 @@ class GroupBase(BaseAlgebra):
         return (0,) * self.ngens
 
     def generator_info(self):
-        return [GeneratorInfo(f"g{i + 1}", True) for i in range(self.ngens)]
+        return [GeneratorInfo(f"g{i + 1}", True, True) for i in range(self.ngens)]
 
     def generator(self, name, power=1):
         idx = int(name[1:]) - 1 if name.startswith("g") else -1
@@ -988,38 +992,15 @@ class GroupBase(BaseAlgebra):
     def monomial_product(self, a, b):
         return self._reduce(map(operator.add, a, b))
 
-    def delta_monomial(self, mono):
-        return {(mono, mono): self.field._one.data}
-
-    def counit_monomial(self, mono):
-        return self.field._one.data
-
-    def antipode_monomial(self, mono):
-        return {self.invert_monomial(mono): self.field._one.data}
-
-    def coradical_degree_monomial(self, mono):
-        return 0
-
     def check_scalar_map(self, values):
         for i, m in enumerate(self.torsion):
-            v = values[f"g{self.rank + i + 1}"]
-            if not (v**m).is_one():
-                raise CharacterError(
-                    f"character value on g{self.rank + i + 1} must be an {m}-th root of unity"
-                )
+            name = f"g{self.rank + i + 1}"
+            if not (values[name] ** m).is_one():
+                raise CharacterError(f"character value on {name} must be an {m}-th root of unity")
 
     def check_endo_map(self, images):
-        for name in self.generators:
-            try:
-                invert_element(images[name])
-            except NotInvertibleError as exc:
-                raise AutomorphismError(f"image of {name} must be a unit") from exc
+        super().check_endo_map(images)
         for i, m in enumerate(self.torsion):
-            img = images[f"g{self.rank + i + 1}"]
-            if img**m != self.one():
-                raise AutomorphismError(
-                    f"image of g{self.rank + i + 1} must have order dividing {m}"
-                )
-
-    def grouplike_generators(self):
-        return list(self.generators.values())
+            name = f"g{self.rank + i + 1}"
+            if images[name] ** m != self.one():
+                raise AutomorphismError(f"image of {name} must have order dividing {m}")

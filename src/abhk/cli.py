@@ -62,7 +62,7 @@ class _Output:
         if self.machine:
             print(f"{key}\t{value}")
         else:
-            print(f"{key}: {value}" if key else value)
+            print(f"{key}: {value}")
 
     def report(self, report: CheckReport) -> None:
         if self.machine:
@@ -128,10 +128,6 @@ def _raw_algebra(spec: ResolvedSpec) -> AmbiskewAlgebra:
     return AmbiskewAlgebra(spec.base, data.sigma, data.h, data.xi)
 
 
-def _context(spec: ResolvedSpec, algebra: AmbiskewAlgebra) -> EvalContext:
-    return EvalContext(spec.field, spec.base, algebra)
-
-
 def _eval_arg(text: str, ctx: EvalContext):
     """Evaluate a command-line expression; anything wrong with it is an
     input error, not a semantic failure."""
@@ -156,7 +152,7 @@ def cmd_check(args, out: _Output) -> int:
 def cmd_mul(args, out: _Output) -> int:
     spec = _load(args.spec, args.field)
     algebra = _raw_algebra(spec)
-    ctx = _context(spec, algebra)
+    ctx = EvalContext(spec.field, spec.base, algebra)
     result = _eval_arg(args.expr, ctx)
     out.emit("result", format_element(result))
     return EXIT_OK
@@ -171,7 +167,7 @@ def _hopf_command(args, out: _Output, action) -> int:
     except DataCheckFailed as exc:
         out.report(exc.report)
         return EXIT_FAIL
-    return action(spec, hopf, report, _context(spec, hopf.algebra))
+    return action(spec, hopf, report, EvalContext(spec.field, spec.base, hopf.algebra))
 
 
 def cmd_coprod(args, out: _Output) -> int:
@@ -357,7 +353,7 @@ def run_corpus_entry(path: Path) -> EntryResult:
         except UnsupportedBaseError as exc:
             note("pi", pi_want == "unsupported", str(exc))
 
-    ctx = _context(spec, hopf.algebra)
+    ctx = EvalContext(spec.field, spec.base, hopf.algebra)
     if expect is not None and "identities" in expect.blocks:
         for lhs, rhs in expect.blocks["identities"].entries.items():
             label = f"identity[{lhs}]"

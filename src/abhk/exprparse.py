@@ -458,20 +458,15 @@ def _leg_term(base: BaseAlgebra, leg, c: Scalar) -> tuple[int, str]:
     return _term_text(coeff, factors)
 
 
-def format_base_element(elem: BaseElement, max_terms: int | None = None) -> str:
-    base = elem.algebra
-    return _join_terms([_leg_term(base, (mono, 0, 0), c) for mono, c in elem.terms()],
-                       max_terms)
-
-
 def format_element(elem, max_terms: int | None = None) -> str:
     """Canonical text of a base or extension element: base monomials by
     graded-lex, then X+ power, then X- power. With ``max_terms``, only the
     first terms are printed, followed by a count of the rest."""
     if isinstance(elem, BaseElement):
-        return format_base_element(elem, max_terms)
-    base = elem.algebra.base
-    return _join_terms([_leg_term(base, leg, c) for leg, c in elem.terms()], max_terms)
+        base, terms = elem.algebra, (((mono, 0, 0), c) for mono, c in elem.terms())
+    else:
+        base, terms = elem.algebra.base, elem.terms()
+    return _join_terms([_leg_term(base, leg, c) for leg, c in terms], max_terms)
 
 
 def format_tensor(tensor, max_terms: int | None = None) -> str:
@@ -532,7 +527,7 @@ def _parse_blocks(src: str) -> SpecBlock:
             continue
         if line.endswith("{"):
             name = line[:-1].strip()
-            if not name.isidentifier() and name not in ("general_form",):
+            if not name.isidentifier():
                 raise ParseError(f"bad block name {name!r}", lineno)
             block = SpecBlock(name)
             parent = stack[-1]

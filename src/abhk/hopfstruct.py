@@ -20,7 +20,6 @@ from collections import namedtuple
 from .ambicore import AmbiElement, AmbiskewAlgebra, Tensor, _flatten
 from .basehopf import (
     BaseAlgebra,
-    BaseAutomorphism,
     BaseElement,
     BaseTensor,
     Character,
@@ -330,7 +329,7 @@ def check_main_theorem(base: BaseAlgebra, data: ExtensionData) -> CheckReport:
         report.record(f"{label}-in-center-of-grouplikes", central_in_g,
                       "" if central_in_g else f"{label} does not commute with G(R)")
 
-    ok = y_plus * y_minus == z and y_minus * y_plus == z
+    ok = y_minus * y_plus == z  # z is y+ y- itself
     report.record("z-factorization", ok, "" if ok else "z != y+y- = y-y+")
 
     xi = data.xi  # chi(y+)
@@ -463,11 +462,6 @@ def verify_checked(report: CheckReport) -> tuple[HopfAmbiskewAlgebra, CheckRepor
 GeneralPresentation = namedtuple("GeneralPresentation", "algebra l_plus l_minus r_plus r_minus")
 
 
-def _counit_compose_sigma(base: BaseAlgebra, sigma: BaseAutomorphism) -> Character:
-    return Character(base, {
-        name: base_counit(sigma.apply(g, 1)) for name, g in base.generators.items()})
-
-
 def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
     """Change variables X+- |-> X+- r+-^{-1} so the new variables are
     (1, y+-)-primitive, adjusting (sigma, h, xi) accordingly.
@@ -489,7 +483,8 @@ def relabel(gp: GeneralPresentation) -> tuple[ExtensionData, CheckReport]:
     if failures:
         raise HopfDataError("; ".join(failures))
 
-    chi = _counit_compose_sigma(base, alg.sigma)
+    chi = Character(base, {  # epsilon o sigma
+        name: base_counit(alg.sigma.apply(g, 1)) for name, g in base.generators.items()})
     lp, lm, rp, rm = gp.l_plus, gp.l_minus, gp.r_plus, gp.r_minus
 
     group = [lp, lm, rp, rm]
@@ -565,8 +560,8 @@ def classify_trichotomy(data: ExtensionData) -> frozenset[str]:
     base = data.base
     one = base.one()
     xi, chi_h = data.xi, data.chi(data.h)
-    z_minus_one = data.z - one
-    if data.h.scale(xi * xi - base.field.one()) != z_minus_one.scale(chi_h):
+    z_minus_one, xi2_minus_one = data.z - one, xi * xi - base.field.one()
+    if data.h.scale(xi2_minus_one) != z_minus_one.scale(chi_h):
         raise InternalError("(xi^2 - 1) h != chi(h) (z - 1) on checked data")
     xi_pm_one = xi.is_one() or xi == base.field.from_int(-1)
     cases = set()
@@ -575,7 +570,7 @@ def classify_trichotomy(data: ExtensionData) -> frozenset[str]:
     if xi_pm_one and data.z == one:
         cases.add("ii")
     if not xi_pm_one:
-        scale = chi_h * (xi * xi - base.field.one()).inverse()
+        scale = chi_h * xi2_minus_one.inverse()
         if data.h == z_minus_one.scale(scale):
             cases.add("iii")
     if not cases:

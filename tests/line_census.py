@@ -50,8 +50,7 @@ ALLOWED = [
       for name in ("key", "one_monomial", "generator", "generator_info", "monomial_factors",
                    "monomial_sort_key", "invert_monomial", "delta_monomial",
                    "counit_monomial", "antipode_monomial",
-                   "coradical_degree_monomial", "check_scalar_map", "check_endo_map",
-                   "grouplike_generators")],
+                   "coradical_degree_monomial")],
     ("scalar", "Field.from_fraction", "raise NotImplementedError",
      "abstract stub: every field overrides it"),
     ("uqsl2", "UqSl2Base.monomial_factors", "raise NotImplementedError(",

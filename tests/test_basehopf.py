@@ -742,6 +742,18 @@ def test_generator_table_follows_generator_info():
         assert base.generators is table
 
 
+def test_grouplike_generators_are_the_generators_that_are_grouplike(corpus):
+    """``grouplike_generators()`` reads the ``grouplike`` flags of
+    ``generator_info()``. On every corpus base, all four families among
+    them, and on Z x Z/2, it lists exactly the generators that pass
+    ``is_grouplike``, in ``generator_info()`` order."""
+    bases = [hopf.algebra.base for hopf in corpus.values()] + [GroupBase(QQ, 1, (2,))]
+    assert {base.family for base in bases} == {"polynomial", "laurent", "group", "uqsl2"}
+    for base in bases:
+        gens = [base.generator(info.name) for info in base.generator_info()]
+        assert base.grouplike_generators() == [g for g in gens if is_grouplike(g)], base.key()
+
+
 @functools.cache
 def _evaluator_families():
     return (PolynomialBase(QQ), LaurentBase(QQ),

@@ -1016,7 +1016,8 @@ extension {
     (_swap(GROUP_GENERAL_SPEC, "g1: g1", "g1: g1 + 1"), "image of g1 must be a unit"),
     (_swap(GROUP_GENERAL_SPEC, "g2: g2", "g2: g1"), "image of g2 must have order dividing 2"),
     (_swap(UQSL2_GENERAL_SPEC, "F: F", "F: E"), "images break K F = q^-2 F K"),
-], ids=["group-unit", "group-torsion", "uqsl2-kf"])
+    (_swap(GENERAL_SPEC, "t: q^-2*t", "t: t + 1"), "image of t must be a unit"),
+], ids=["group-unit", "group-torsion", "uqsl2-kf", "laurent-unit"])
 @pytest.mark.parametrize("command", ["check", "props"])
 def test_a_sigma_that_breaks_the_base_is_refused(capsys, tmp_path, text, message, command):
     assert _refused(capsys, command, _spec_file(tmp_path, text)) == (1, f"error: {message}\n")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from abhk import Character, ExtensionData, construct_hopf
 from abhk.ambicore import Tensor
-from abhk.cli import _checked_algebra, _context, corpus_dir
+from abhk.cli import _checked_algebra, corpus_dir
 from abhk.coradical import (
     CoradicalContext,
     corad_breakdown,
@@ -22,7 +22,7 @@ from abhk.coradical import (
     delta_power_closed,
     sparse_support,
 )
-from abhk.exprparse import eval_expr, parse_expr, parse_spec, resolve_spec
+from abhk.exprparse import EvalContext, eval_expr, parse_expr, parse_spec, resolve_spec
 from abhk.scalar import CyclotomicField, RationalFunctionField, hat, prec
 from abhk.uqsl2 import UqSl2Base
 
@@ -384,7 +384,7 @@ CORAD_SPECS = sorted(path.stem for path in corpus_dir().glob("*.abhk")
 def test_every_expected_corad_entry_by_the_definition(name):
     spec = resolve_spec(parse_spec((corpus_dir() / f"{name}.abhk").read_text(encoding="utf-8")))
     hopf, _ = _checked_algebra(spec)
-    ctx = _context(spec, hopf.algebra)
+    ctx = EvalContext(spec.field, spec.base, hopf.algebra)
     entries = spec.expect.blocks["corad"].entries
     assert entries
     for text, want in entries.items():

@@ -523,9 +523,13 @@ def test_trichotomy_nonempty_over_random_grid():
 # coefficient, recomputed coproducts in the relation
 # checks, a generator list
 # rebuilt instead of read from ``BaseAlgebra.generators`` or
-# ``unit_generators``, a gcd on a cross pair with a single-term member, a
-# Q(zeta_N) product or inverse recomputed instead of read from its memo, a
-# Q(q) product by a single-term factor or a sum over a single-term
+# ``unit_generators``, ``generator_info()`` called more than once per
+# algebra (the parent of that change read 4 on the U_q(sl2) specs), a
+# U_q(sl2) character checked through powers of q or the product y+ y- formed
+# again for the z-factorization (the parent of those two read 51 products in
+# R and 165 Scalars on ``uqsl2-case3``), a gcd on a cross pair with a
+# single-term member, a Q(zeta_N) product or inverse recomputed instead of
+# read from its memo, a Q(q) product by a single-term factor or a sum over a single-term
 # denominator that multiplies polynomials instead of scaling and shifting,
 # or a sum of two single terms that multiplies polynomials instead of
 # adding integers; the parent of that sum read 26 and 18 polynomial
@@ -564,12 +568,12 @@ COLD_BUILD_BOUNDS = {  # spec: (field inversions, zero-filter passes, A products
     #                           Q(q) gcds, Q(zeta_N) product kernels, inverse kernels,
     #                           Q(q) polynomial products, Scalars built,
     #                           field _mul and _add calls, R coproducts and antipodes)
-    "uqsl2-case3": (38, 3, 2, 12, 51, 21, 4, 0, 30, 8, 0, 165, 116, 20),
-    "uqsl2": (32, 5, 2, 12, 50, 21, 4, 0, 0, 0, 8, 126, 61, 20),
-    "uqsl2-general": (22, 7, 4, 19, 71, 6, 2, 4, 0, 0, 6, 68, 41, 21),
-    "usl2": (3, 3, 0, 8, 14, 6, 2, 0, 0, 0, 0, 39, 11, 8),
-    "uqsl2-counit-root": (38, 3, 2, 12, 51, 21, 4, 0, 27, 6, 0, 148, 88, 20),
-    "laurent-asym": (9, 2, 0, 3, 17, 6, 2, 0, 0, 0, 0, 38, 20, 8),
+    "uqsl2-case3": (38, 3, 2, 12, 49, 21, 2, 0, 27, 8, 0, 146, 102, 20),
+    "uqsl2": (32, 5, 2, 12, 48, 21, 2, 0, 0, 0, 8, 107, 47, 20),
+    "uqsl2-general": (22, 7, 4, 19, 70, 6, 1, 4, 0, 0, 6, 65, 39, 21),
+    "usl2": (3, 3, 0, 8, 13, 6, 1, 0, 0, 0, 0, 39, 11, 8),
+    "uqsl2-counit-root": (38, 3, 2, 12, 49, 21, 2, 0, 25, 6, 0, 129, 74, 20),
+    "laurent-asym": (9, 2, 0, 3, 16, 6, 1, 0, 0, 0, 0, 38, 20, 8),
 }
 
 

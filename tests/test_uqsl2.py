@@ -98,7 +98,7 @@ def test_coradical_degree_uses_internal_filtration(uq):
 
 
 def test_display_round_trip(uq):
-    from abhk.exprparse import EvalContext, eval_expr, format_base_element, parse_expr
+    from abhk.exprparse import EvalContext, eval_expr, format_element, parse_expr
 
     e, f, k = uq.generator("E"), uq.generator("F"), uq.generator("K")
     samples = [
@@ -115,7 +115,7 @@ def test_display_round_trip(uq):
     hopf, _ = construct_hopf(uq, ExtensionData(uq, chi, uq.one(), uq.one(), uq.zero()))
     ctx = EvalContext(field, uq, hopf.algebra)
     for elem in samples:
-        text = format_base_element(elem)
+        text = format_element(elem)
         back = eval_expr(parse_expr(text), ctx)
         assert back == hopf.algebra.embed(elem), text
 
